@@ -9,19 +9,21 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import RunOptions, StructureOptions
-from .errors import MatGrowthError
+from .errors import MatGrowthError, ParameterError
 from .ffield import FieldSpec, _prime_power, standard_field
 from .groups import SubgroupTag, element
+from .growth import Products
 from .incidence import bridge_report, probe_instance, random_instance
 from .jsonio import digest, read_json, write_json
 from .reports import (
     EXIT_OK,
     EXIT_VERIFY,
-    _bound_json,
-    _bridge_json,
-    _structure_json,
-    _sum_product_json,
+    bound_json,
+    bridge_json,
     run_report,
+    set_json,
+    structure_json,
+    sum_product_json,
     write_csv,
 )
 from .setfiles import build_setfile, load_setfile, regenerate, save_setfile
@@ -39,11 +41,14 @@ def parse_field(qtext: str, modulus: str | None) -> FieldSpec:
 
 def parse_tag(text: str) -> SubgroupTag:
     kind, _, param = text.partition(":")
-    if kind in ("torus", "scaled_torus"):
-        return SubgroupTag(kind, x=int(param))
-    if kind in ("line", "line_center"):
-        a, b = param.split(",")
-        return SubgroupTag(kind, direction=(int(a), int(b)))
+    try:
+        if kind in ("torus", "scaled_torus"):
+            return SubgroupTag(kind, x=int(param))
+        if kind in ("line", "line_center"):
+            a, b = param.split(",")
+            return SubgroupTag(kind, direction=(int(a), int(b)))
+    except ValueError:
+        raise ParameterError(f"bad parameter in subgroup tag {text!r}") from None
     return SubgroupTag(kind)
 
 
@@ -140,12 +145,8 @@ def cmd_incidence(args) -> int:
         br = bridge_report(sf.elements, args.constant)
         payload = {
             "schema": "matgrowth.incidence.v1",
-            "set": {
-                "group": sf.group,
-                "field": sf.spec.to_json(),
-                "size": len(sf.elements),
-            },
-            "bridge": _bridge_json(br),
+            "set": set_json(sf),
+            "bridge": bridge_json(br),
         }
         write_json(args.out, payload)
         print(
@@ -168,7 +169,7 @@ def cmd_incidence(args) -> int:
             "plane_count": probe.plane_count,
             "incidences": probe.incidences,
             "max_collinear": probe.max_collinear,
-            "bound": _bound_json(probe.bound),
+            "bound": bound_json(probe.bound),
             "points_within_field_square": probe.points_within_field_square,
             "planes_within_field_square": probe.planes_within_field_square,
         },
@@ -189,16 +190,13 @@ def cmd_structure(args) -> int:
         potent_floor=args.floor,
         reach_budget=args.budget,
     )
-    sr = structure_scan(sf.elements, opts)
+    P = Products(sf.elements)
+    sr = structure_scan(P, opts)
     payload = {
         "schema": "matgrowth.structure.v1",
-        "set": {
-            "group": sf.group,
-            "field": sf.spec.to_json(),
-            "size": len(sf.elements),
-        },
-        "scan": _structure_json(sr),
-        "sum_product": _sum_product_json(sum_product_scan(sf.elements, opts)),
+        "set": set_json(sf),
+        "scan": structure_json(sr),
+        "sum_product": sum_product_json(sum_product_scan(P)),
     }
     write_json(args.out, payload)
     print(f"{args.setfile}: verdict={sr.verdict}" + (

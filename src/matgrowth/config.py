@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -14,8 +14,6 @@ class Caps:
 
     max_set_elements: int = 10**6
     max_pair_products: int = 10**7
-    oracle_set_size: int = 60
-    span_elements: int = 10**6
 
 
 @dataclass(frozen=True)
@@ -23,8 +21,6 @@ class StructureOptions:
     potent_exponent: int = 10
     potent_floor: int = 1
     reach_budget: int = 12
-    pair_cap: int = 10**7
-    span_cap: int = 10**6
 
     def to_json(self) -> dict:
         return {
@@ -74,9 +70,6 @@ class RunOptions:
             raise ParameterError("intersection_k must be >= 1")
         if self.threads < 1:
             raise ParameterError("threads must be >= 1")
-
-    def with_caps(self, caps: Caps) -> "RunOptions":
-        return replace(self, caps=caps)
 
     def to_json(self) -> dict:
         out = {

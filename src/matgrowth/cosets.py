@@ -74,9 +74,9 @@ def t2_profile(A: GroupSet) -> T2Profile:
     ratio: Counter = Counter()
     for w in A.wires:
         diag[(w[0], w[2])] += 1
-        ratio[spec.div(w[0], w[2])] += 1
+        ratio[(spec.div(w[0], w[2]),)] += 1
     m3 = _counter_max(diag)
-    m2 = _counter_max_scalar(ratio)
+    m2 = _counter_max(ratio)
 
     # m1: for each element, (x, y) pairs with g.a x + g.b = g.c y form a
     # line in the (x, y) plane; count incidences line by line.
@@ -96,14 +96,6 @@ def _counter_max(counts: Counter) -> FiberMax:
     best = max(counts.values())
     witness = min(k for k, v in counts.items() if v == best)
     return FiberMax(value=best, witness=tuple(witness))
-
-
-def _counter_max_scalar(counts: Counter) -> FiberMax:
-    if not counts:
-        return FiberMax(value=0, witness=())
-    best = max(counts.values())
-    witness = min(k for k, v in counts.items() if v == best)
-    return FiberMax(value=best, witness=(witness,))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ of the quotient set A^-1 A.  ``energy`` computes it by hash join in
 O(|A|^2); ``energy_oracle`` recounts it by brute force over quadruples
 (via a pairwise-equality matrix) and exists so tests can cross-check the
 fast path on small sets.
+
+The checks below take a ``GroupSet`` or the shared ``Products`` of one
+report, which enumerates each product set at most once.
 """
 
 from __future__ import annotations
@@ -18,25 +21,31 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
+from .config import Caps
 from .errors import CapExceeded, ParameterError
 from .groups import GroupSet, Wire, gid, ginv, gmul
 
 
-def product_set(A: GroupSet, B: GroupSet, cap: int = 10**7) -> GroupSet:
-    """AB = {ab : a in A, b in B}; the pair count is capped, not the result."""
-    A.same_ambient(B)
+def _check_pairs(A: GroupSet, B: GroupSet, cap: int) -> None:
     if len(A) * len(B) > cap:
         raise CapExceeded(
             f"product of {len(A)} x {len(B)} elements exceeds pair cap {cap}"
         )
+
+
+def product_set(A: GroupSet, B: GroupSet, cap: int = Caps.max_pair_products) -> GroupSet:
+    """AB = {ab : a in A, b in B}; the pair count is capped, not the result."""
+    A.same_ambient(B)
+    _check_pairs(A, B, cap)
     spec = A.spec
     group = A.group
     out = {gmul(spec, group, a, b) for a in A.wires for b in B.wires}
     return GroupSet(group, spec, out, _checked=True)
 
 
-def power_set(A: GroupSet, k: int, cap: int = 10**7) -> GroupSet:
+def power_set(A: GroupSet, k: int, cap: int = Caps.max_pair_products) -> GroupSet:
     """A^k for k >= 1 by repeated one-sided products."""
     if k < 1:
         raise ParameterError(f"power must be >= 1, got {k}")
@@ -46,7 +55,7 @@ def power_set(A: GroupSet, k: int, cap: int = 10**7) -> GroupSet:
     return out
 
 
-def symmetrized_power(A: GroupSet, k: int, cap: int = 10**7) -> GroupSet:
+def symmetrized_power(A: GroupSet, k: int, cap: int = Caps.max_pair_products) -> GroupSet:
     """(A u A^-1 u {1})^k, the k-th symmetrized power."""
     return power_set(A.symmetrized(), k, cap=cap)
 
@@ -73,14 +82,14 @@ def rep_function(A: GroupSet, B: GroupSet, mode: str = "inverse_left") -> Counte
     return counts
 
 
-def energy(A: GroupSet) -> int:
+def energy(A: GroupSet | Products) -> int:
     """E(A) = #{(g1,h1,g2,h2) in A^4 : g1^-1 h1 = g2^-1 h2}."""
-    return sum(v * v for v in rep_function(A, A, mode="inverse_left").values())
+    return sum(v * v for v in as_products(A).quotient_counts.values())
 
 
-def product_energy(A: GroupSet) -> int:
+def product_energy(A: GroupSet | Products) -> int:
     """E*(A), the same second moment for plain products g h."""
-    return sum(v * v for v in rep_function(A, A, mode="plain").values())
+    return sum(v * v for v in as_products(A).square_counts.values())
 
 
 def energy_oracle(A: GroupSet, cap: int = 60) -> int:
@@ -108,11 +117,97 @@ def energy_oracle(A: GroupSet, cap: int = 60) -> int:
     return int((v[:, None] == v[None, :]).sum())
 
 
-def tripling_constant(A: GroupSet, cap: int = 10**7) -> Fraction:
+class Products:
+    """The product sets of one A, each built lazily and at most once.
+
+    ``sym(k)`` is the ladder A(k) = A(k-1) A(1) with A(1) = A u A^-1 u {1};
+    when A already is A(1) the two ladders coincide, so sym(2) and sym(3)
+    are ``square`` and ``cube``.  Each product refuses, as ``product_set``
+    does, once its pair count passes ``caps.max_pair_products``.
+    """
+
+    def __init__(self, A: GroupSet, caps: Caps | None = None):
+        self.A = A
+        self.caps = caps or Caps()
+        self._powers = [A]
+
+    @cached_property
+    def quotient_counts(self) -> Counter:
+        return rep_function(self.A, self.A, "inverse_left")
+
+    @cached_property
+    def square_counts(self) -> Counter:
+        # for A = A^-1 both passes enumerate the same multiset
+        if self.A.is_symmetric:
+            return self.quotient_counts
+        return rep_function(self.A, self.A, "plain")
+
+    # energy and product_energy are the module-level functions, cached
+    @cached_property
+    def energy(self) -> int:
+        return energy(self)
+
+    @cached_property
+    def product_energy(self) -> int:
+        return product_energy(self)
+
+    @cached_property
+    def quotient(self) -> GroupSet:
+        return self._from_counts("quotient_counts")
+
+    @cached_property
+    def square(self) -> GroupSet:
+        return self._from_counts("square_counts")
+
+    @property
+    def cube(self) -> GroupSet:
+        return self._climb(self._powers, 3)
+
+    def quotient_slice(self, tag) -> GroupSet:
+        """A^-1 A n H for the tagged subgroup H."""
+        spec = self.A.spec
+        wires = (w for w in self.quotient.wires if tag.member(spec, w))
+        return GroupSet(self.A.group, spec, wires, _checked=True)
+
+    def sym(self, k: int) -> GroupSet:
+        return self._climb(self._sym_powers, k)
+
+    @cached_property
+    def _sym_powers(self) -> list[GroupSet]:
+        A = self.A
+        return self._powers if A.has_identity and A.is_symmetric else [A.symmetrized()]
+
+    def _from_counts(self, name: str) -> GroupSet:
+        # refuse before the counting pass runs, as product_set does
+        _check_pairs(self.A, self.A, self.caps.max_pair_products)
+        counts = getattr(self, name)
+        return GroupSet(self.A.group, self.A.spec, counts.keys(), _checked=True)
+
+    def _climb(self, powers: list[GroupSet], k: int) -> GroupSet:
+        """powers[k - 1], extending powers[j] = powers[j - 1] powers[0]."""
+        if k < 1:
+            raise ParameterError(f"power must be >= 1, got {k}")
+        while len(powers) < k:
+            last = powers[-1]
+            if last is self.A:
+                last = self.square
+            elif len(powers) == 1 or last != powers[-2]:  # once XA = X, XAA = X
+                last = product_set(last, powers[0], cap=self.caps.max_pair_products)
+            powers.append(last)
+        return powers[k - 1]
+
+
+def as_products(A: GroupSet | Products) -> Products:
+    """The shared ``Products`` of a caller, or fresh ones for a bare set."""
+    return A if isinstance(A, Products) else Products(A)
+
+
+def tripling_constant(A: GroupSet | Products) -> Fraction:
     """K = |A^3| / |A| as an exact fraction."""
-    if len(A) == 0:
+    P = as_products(A)
+    if len(P.A) == 0:
         raise ParameterError("tripling of an empty set")
-    return Fraction(len(power_set(A, 3, cap=cap)), len(A))
+    return Fraction(len(P.cube), len(P.A))
 
 
 @dataclass(frozen=True)
@@ -134,7 +229,7 @@ class LemmaReport:
         return all(p.holds for p in self.parts)
 
 
-def tripling_lemma_check(A: GroupSet, k: int = 3, cap: int = 10**7) -> LemmaReport:
+def tripling_lemma_check(A: GroupSet | Products, k: int = 3) -> LemmaReport:
     """Exact verification of the symmetrized-power growth inequalities.
 
     Checked parts, writing A(k) for the k-th symmetrized power:
@@ -145,12 +240,13 @@ def tripling_lemma_check(A: GroupSet, k: int = 3, cap: int = 10**7) -> LemmaRepo
     triangle inequality and needs at least one full step); for smaller k
     it is reported as vacuously true with a note.
     """
-    n = len(A)
+    P = as_products(A)
+    n = len(P.A)
     if n == 0:
         raise ParameterError("lemma check on an empty set")
-    sym1 = A.symmetrized()
-    sym3 = power_set(sym1, 3, cap=cap)
-    cube = power_set(A, 3, cap=cap)
+    sym1 = P.sym(1)
+    sym3 = P.sym(3)
+    cube = P.cube
     sizes = {"sym1": len(sym1), "sym3": len(sym3), "cube": len(cube)}
     parts = [
         LemmaPart(
@@ -161,7 +257,7 @@ def tripling_lemma_check(A: GroupSet, k: int = 3, cap: int = 10**7) -> LemmaRepo
         )
     ]
     if k >= 3:
-        symk = power_set(sym1, k, cap=cap) if k > 3 else sym3
+        symk = P.sym(k)
         sizes[f"sym{k}"] = len(symk)
         lhs = len(symk) * len(sym1) ** (k - 3)
         rhs = len(sym3) ** (k - 2)
@@ -179,7 +275,7 @@ def tripling_lemma_check(A: GroupSet, k: int = 3, cap: int = 10**7) -> LemmaRepo
     return LemmaReport(parts=tuple(parts), sizes=sizes)
 
 
-def quotient_set(A: GroupSet, cap: int = 10**7) -> GroupSet:
+def quotient_set(A: GroupSet, cap: int = Caps.max_pair_products) -> GroupSet:
     """A^-1 A as a set."""
     return product_set(A.inverses(), A, cap=cap)
 
@@ -197,57 +293,50 @@ def coset_count_check(B: GroupSet, tag) -> tuple[bool, int, int]:
     return len(B) <= bound, bound, len(B)
 
 
-def orbit_stabilizer_check(
-    A: GroupSet, B: GroupSet, tag, cap: int = 10**7
-) -> tuple[bool, int, int]:
+def orbit_stabilizer_check(A: GroupSet | Products, B: GroupSet, tag) -> tuple[bool, int, int]:
     """|AB| >= |H n B| * #(distinct cosets AH), the set-level
     orbit-stabiliser inequality.  Returns (holds, |AB|, bound)."""
+    P = as_products(A)
+    A = P.A
     A.same_ambient(B)
     spec = A.spec
     cosets = {tag.coset_key(spec, w) for w in A.wires}
     slab = sum(1 for w in B.wires if tag.member(spec, w))
     bound = slab * len(cosets)
-    prod = len(product_set(A, B, cap=cap))
-    return prod >= bound, prod, bound
+    AB = P.square if B == A else product_set(A, B, cap=P.caps.max_pair_products)
+    return len(AB) >= bound, len(AB), bound
 
 
-def intersection_power_check(
-    A: GroupSet, tag, k: int, cap: int = 10**7
-) -> tuple[bool, int, int]:
+def intersection_power_check(A: GroupSet | Products, tag, k: int) -> tuple[bool, int, int]:
     """With B = A^-1 A n H: |B^k| <= |A(2k) n H|.
 
     Returns (holds, |B^k|, |A(2k) n H|).
     """
     if k < 1:
         raise ParameterError(f"power must be >= 1, got {k}")
-    spec = A.spec
-    group = A.group
-    B = GroupSet(
-        group,
-        spec,
-        (w for w in quotient_set(A, cap=cap).wires if tag.member(spec, w)),
-        _checked=True,
-    )
+    P = as_products(A)
+    B = P.quotient_slice(tag)
     if len(B) == 0:
         return True, 0, 0
-    Bk = power_set(B, k, cap=cap)
-    big = symmetrized_power(A, 2 * k, cap=cap)
-    cut = sum(1 for w in big.wires if tag.member(spec, w))
+    Bk = power_set(B, k, cap=P.caps.max_pair_products)
+    cut = sum(1 for w in P.sym(2 * k).wires if tag.member(P.A.spec, w))
     return len(Bk) <= cut, len(Bk), cut
 
 
-def covering_check(A: GroupSet, tag, cap: int = 10**7) -> tuple[bool, int]:
+def covering_check(A: GroupSet | Products, tag) -> tuple[bool, int]:
     """A is covered by per-coset translates of A^-1 A n N, for normal N.
 
     Picks one representative per N-coset met by A and verifies
     A <= reps * ((A^-1 A n N) u {1}) elementwise.  Returns (holds, #reps).
     """
+    P = as_products(A)
+    A = P.A
     spec = A.spec
     group = A.group
+    cap = P.caps.max_pair_products
     if not tag.is_normal:
         raise ParameterError(f"covering check needs a normal subgroup, not {tag.kind}")
-    core = {w for w in quotient_set(A, cap=cap).wires if tag.member(spec, w)}
-    core.add(gid(group))
+    core = set(P.quotient_slice(tag).wires) | {gid(group)}
     reps: dict[tuple, Wire] = {}
     for a in A.wires:
         reps.setdefault(tag.coset_key(spec, a), a)

@@ -25,7 +25,7 @@ from .errors import ParameterError
 from .exact import BoundCheck, incidence_bound
 from .ffield import FieldSpec
 from .groups import H, T2, GroupSet, Wire, ginv, gmul
-from .growth import energy
+from .growth import Products, as_products
 from .rng import SplitMix64
 
 Pair = tuple[Wire, Wire]
@@ -307,7 +307,9 @@ def class_report(
     )
 
 
-def bridge_report(A: GroupSet, constant=None) -> BridgeReport:
+def bridge_report(A: GroupSet | Products, constant=None) -> BridgeReport:
+    P = as_products(A)
+    A = P.A
     if len(A) == 0:
         raise ParameterError("bridge report of an empty set")
     spec = A.spec
@@ -319,15 +321,14 @@ def bridge_report(A: GroupSet, constant=None) -> BridgeReport:
     ]
     total_quad = sum(r.quadruples for r in reports)
     total_inc = sum(r.incidences for r in reports)
-    e = energy(A)
     return BridgeReport(
         group=group,
         class_count=len(reports),
         total_pairs=len(A) ** 2,
         total_quadruples=total_quad,
         total_incidences=total_inc,
-        energy=e,
-        matches_energy=total_quad == e and all(r.match for r in reports),
+        energy=P.energy,
+        matches_energy=total_quad == P.energy and all(r.match for r in reports),
         classes=tuple(reports),
     )
 

@@ -2,9 +2,10 @@
 
 A report is a pure function of the set file and the run options: no wall
 clock, no environment, no thread count leaks into the payload (timings
-exist but are opt-in and excluded from verification).  Sections that
-blow a cap are replaced by an ``{"error": ...}`` marker and the run exits
-with code 3; failed size hypotheses or bound violations exit with 2.
+exist but are opt-in and excluded from verification).  All sections read
+one shared ``Products``.  Sections (and each structure scan) that blow a
+cap are replaced by an ``{"error": ...}`` marker and the run exits with
+code 3; failed size hypotheses or bound violations exit with 2.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from .exact import (
     t2_energy_bound,
     t2_product_prediction,
 )
-from .groups import T2, GroupSet, SubgroupTag
+from .groups import T2, SubgroupTag
 from .growth import (
+    Products,
     coset_count_check,
     covering_check,
     intersection_power_check,
     orbit_stabilizer_check,
-    product_set,
-    quotient_set,
-    rep_function,
     tripling_lemma_check,
 )
 from .incidence import bridge_report
@@ -52,11 +51,15 @@ EXIT_CAPS = 3
 EXIT_VERIFY = 4
 
 
-def _fibermax_json(fm) -> dict:
+def set_json(sf: SetFile) -> dict:
+    return {"group": sf.group, "field": sf.spec.to_json(), "size": len(sf.elements)}
+
+
+def fibermax_json(fm) -> dict:
     return {"value": fm.value, "witness": list(fm.witness)}
 
 
-def _bound_json(b) -> dict:
+def bound_json(b) -> dict:
     return {
         "holds": b.holds,
         "constant": fraction_json(b.constant),
@@ -65,14 +68,14 @@ def _bound_json(b) -> dict:
     }
 
 
-def _lemma_json(part) -> dict:
+def lemma_json(part) -> dict:
     out = {"name": part.name, "holds": part.holds, "lhs": part.lhs, "rhs": part.rhs}
     if part.note:
         out["note"] = part.note
     return out
 
 
-def _collinear_json(cs) -> dict:
+def collinear_json(cs) -> dict:
     return {
         "count": cs.count,
         "total_weight": cs.total_weight,
@@ -82,22 +85,22 @@ def _collinear_json(cs) -> dict:
     }
 
 
-def _class_json(cr) -> dict:
+def class_json(cr) -> dict:
     return {
         "key": list(cr.key),
         "pair_count": cr.pair_count,
         "quadruples": cr.quadruples,
         "incidences": cr.incidences,
         "match": cr.match,
-        "points": _collinear_json(cr.point_stats),
-        "planes": _collinear_json(cr.plane_stats),
-        "bound": _bound_json(cr.bound),
+        "points": collinear_json(cr.point_stats),
+        "planes": collinear_json(cr.plane_stats),
+        "bound": bound_json(cr.bound),
         "points_within_field_square": cr.points_within_field_square,
         "planes_within_field_square": cr.planes_within_field_square,
     }
 
 
-def _bridge_json(br) -> dict:
+def bridge_json(br) -> dict:
     return {
         "class_count": br.class_count,
         "total_pairs": br.total_pairs,
@@ -105,18 +108,18 @@ def _bridge_json(br) -> dict:
         "total_incidences": br.total_incidences,
         "energy": br.energy,
         "matches_energy": br.matches_energy,
-        "classes": [_class_json(c) for c in br.classes],
+        "classes": [class_json(c) for c in br.classes],
     }
 
 
-def _certificate_json(c) -> dict:
+def certificate_json(c) -> dict:
     out = {"name": c.name, "holds": c.holds}
     if c.detail:
         out["detail"] = c.detail
     return out
 
 
-def _structure_json(sr) -> dict:
+def structure_json(sr) -> dict:
     out = {
         "verdict": sr.verdict,
         "symmetrized": sr.symmetrized,
@@ -134,12 +137,12 @@ def _structure_json(sr) -> dict:
         out["corner_count"] = sr.corner_count
         out["span_size"] = sr.span_size
         out["reach_power"] = sr.reach_power
-        out["certificates"] = [_certificate_json(c) for c in sr.certificates]
+        out["certificates"] = [certificate_json(c) for c in sr.certificates]
         out["failed"] = list(sr.failed)
     return out
 
 
-def _sum_product_json(sp) -> dict:
+def sum_product_json(sp) -> dict:
     return {
         "corner_count": sp.corner_count,
         "ratio_class_count": sp.ratio_class_count,
@@ -166,14 +169,12 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
     spec = A.spec
     group = A.group
     n = len(A)
-    cap = opts.caps.max_pair_products
+    P = Products(A, opts.caps)
 
     report: dict = {
         "schema": REPORT_SCHEMA,
         "set": {
-            "group": group,
-            "field": spec.to_json(),
-            "size": n,
+            **set_json(sf),
             "elements_sha256": sf.elements_digest,
             "generator": sf.generator,
         },
@@ -183,29 +184,29 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
     capped = False
     timings: dict[str, float] = {}
 
-    def section(name, fn):
+    def guarded(fn):
         nonlocal capped
-        t0 = time.perf_counter()
         try:
-            report[name] = fn()
+            return fn()
         except CapExceeded as exc:
-            report[name] = {"error": str(exc)}
             capped = True
+            return {"error": str(exc)}
+
+    def section(name, fn):
+        t0 = time.perf_counter()
+        report[name] = guarded(fn)
         if opts.timings:
             timings[name] = round(time.perf_counter() - t0, 6)
 
     state: dict = {}
 
     def growth_section():
-        inv_counts = rep_function(A, A, "inverse_left")
-        plain_counts = rep_function(A, A, "plain")
-        e = sum(v * v for v in inv_counts.values())
-        estar = sum(v * v for v in plain_counts.values())
-        square = GroupSet(group, spec, plain_counts.keys(), _checked=True)
-        cube = product_set(square, A, cap=cap)
-        state.update(energy=e, square_size=len(square), quotient_size=len(inv_counts))
-        lemma = tripling_lemma_check(A, k=opts.lemma_k, cap=cap)
-        if not (e * len(inv_counts) >= n**4 and estar * len(square) >= n**4):
+        e, estar = P.energy, P.product_energy
+        square, cube = P.square, P.cube
+        quotient_size = len(P.quotient_counts)
+        state.update(energy=e, quotient_size=quotient_size)
+        lemma = tripling_lemma_check(P, k=opts.lemma_k)
+        if not (e * quotient_size >= n**4 and estar * len(square) >= n**4):
             issues.append("cauchy_schwarz")
         if not lemma.all_hold:
             issues.append("lemma_checks")
@@ -213,42 +214,37 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
             "size": n,
             "square_size": len(square),
             "cube_size": len(cube),
-            "quotient_size": len(inv_counts),
+            "quotient_size": quotient_size,
             "iterated_sizes": dict(sorted(lemma.sizes.items())),
             "tripling": fraction_json(Fraction(len(cube), n)),
             "energy": e,
             "product_energy": estar,
-            "cauchy_schwarz_quotient": e * len(inv_counts) >= n**4,
+            "cauchy_schwarz_quotient": e * quotient_size >= n**4,
             "cauchy_schwarz_product": estar * len(square) >= n**4,
             "product_energy_dominated": estar <= e,
-            "lemma_checks": [_lemma_json(p) for p in lemma.parts],
+            "lemma_checks": [lemma_json(p) for p in lemma.parts],
         }
 
     def subgroup_section():
         tag = opts.subgroup or default_subgroup(group)
         if not tag.is_subgroup(spec):
             return {"error": f"{tag!r} is not closed under the product"}
-        quot = quotient_set(A, cap=cap)
         counts = {}
-        for name, B in (("set", A), ("quotient", quot), ("subgroup", tag.elements(spec))):
+        for name, B in (("set", A), ("quotient", P.quotient), ("subgroup", tag.elements(spec))):
             holds, bound, size = coset_count_check(B, tag)
             counts[name] = {"holds": holds, "bound": bound, "size": size}
             if not holds:
                 issues.append(f"coset_count[{name}]")
-        ih, power_size, window = intersection_power_check(
-            A, tag, opts.intersection_k, cap=cap
-        )
+        ih, power_size, window = intersection_power_check(P, tag, opts.intersection_k)
         if not ih:
             issues.append("intersection_power")
-        slab = GroupSet(
-            group, spec, (w for w in quot.wires if tag.member(spec, w)), _checked=True
-        )
+        slab = P.quotient_slice(tag)
         orbit = {}
         for name, B in (("set", A), ("subgroup_slice", slab)):
             if len(B) == 0:
                 orbit[name] = {"skipped": "empty sample"}
                 continue
-            oh, prod, obound = orbit_stabilizer_check(A, B, tag, cap=cap)
+            oh, prod, obound = orbit_stabilizer_check(P, B, tag)
             orbit[name] = {"holds": oh, "product_size": prod, "bound": obound}
             if not oh:
                 issues.append(f"orbit_stabilizer[{name}]")
@@ -265,7 +261,7 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
             },
         }
         if tag.is_normal:
-            holds, translates = covering_check(A, tag, cap=cap)
+            holds, translates = covering_check(P, tag)
             out["covering"] = {"holds": holds, "translates": translates}
             if not holds:
                 issues.append("covering")
@@ -284,9 +280,9 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
             if not flags.per_piece:
                 issues.append("flag_per_piece")
             return {
-                "m3": _fibermax_json(prof.m3),
-                "m2": _fibermax_json(prof.m2),
-                "m1": _fibermax_json(prof.m1),
+                "m3": fibermax_json(prof.m3),
+                "m2": fibermax_json(prof.m2),
+                "m1": fibermax_json(prof.m1),
                 "flags": {"whole_set": flags.whole_set, "per_piece": flags.per_piece},
             }
         prof = heis_profile(A)
@@ -298,8 +294,8 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
         if not flags.square_shape:
             issues.append("flag_square_shape")
         return {
-            "base_max": _fibermax_json(prof.base_max),
-            "line_max": _fibermax_json(prof.line_max),
+            "base_max": fibermax_json(prof.base_max),
+            "line_max": fibermax_json(prof.line_max),
             "flags": {"whole_set": flags.whole_set, "square_shape": flags.square_shape},
         }
 
@@ -342,8 +338,8 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
         return {
             "constant_source": "pinned" if opts.energy_constant is not None else "fitted",
             "verdict": "applicable" if state.get("hypothesis_pass") else "informational",
-            "energy_bound": _bound_json(eb),
-            "product_prediction": _bound_json(pp),
+            "energy_bound": bound_json(eb),
+            "product_prediction": bound_json(pp),
         }
 
     def bridge_section():
@@ -351,19 +347,19 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
             return {"skipped": "disabled"}
         if opts.bridge == "auto" and n > opts.bridge_threshold:
             return {"skipped": f"set larger than threshold {opts.bridge_threshold}"}
-        br = bridge_report(A, opts.incidence_constant)
+        br = bridge_report(P, opts.incidence_constant)
         if not br.matches_energy:
             issues.append("bridge_mismatch")
-        return _bridge_json(br)
+        return bridge_json(br)
 
     def structure_section():
         if not opts.structure:
             return {"skipped": "disabled"}
         if group != T2:
             return {"skipped": "structure scan applies to T2 sets"}
-        sr = structure_scan(A, opts.structure_opts)
-        out = _structure_json(sr)
-        out["sum_product"] = _sum_product_json(sum_product_scan(A, opts.structure_opts))
+        # a cap hit in one scan is reported there and leaves the other intact
+        out = guarded(lambda: structure_json(structure_scan(P, opts.structure_opts)))
+        out["sum_product"] = guarded(lambda: sum_product_json(sum_product_scan(P)))
         return out
 
     section("growth", growth_section)

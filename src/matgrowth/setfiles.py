@@ -175,11 +175,17 @@ def setfile_from_json(obj: dict) -> SetFile:
     group = obj.get("group")
     if group not in GROUPS:
         raise ParameterError(f"unknown group {group!r}")
+    if "field" not in obj:
+        raise ParameterError("set file has no field")
     spec = FieldSpec.from_json(obj["field"])
     raw = obj.get("elements")
     if not isinstance(raw, list) or not raw:
         raise ParameterError("set file has no elements")
-    wires = [check_group_wire(spec, group, tuple(int(x) for x in w)) for w in raw]
+    try:
+        triples = [tuple(int(x) for x in w) for w in raw]
+    except (TypeError, ValueError):
+        raise ParameterError("set file elements must be lists of integers") from None
+    wires = [check_group_wire(spec, group, t) for t in triples]
     keys = [wire_key(spec, w) for w in wires]
     if any(b <= a for a, b in zip(keys, keys[1:])):
         raise ParameterError("element list is not in canonical sorted order")

@@ -28,7 +28,7 @@ from .config import StructureOptions
 from .errors import CapExceeded, ParameterError
 from .ffield import FieldElement, span_over_subfield, subfield_generated_by
 from .groups import T2, GroupSet, ginv, gmul
-from .growth import power_set, product_set
+from .growth import Products, as_products, product_set
 
 POTENT = "POTENT"
 UNIPOTENT = "UNIPOTENT"
@@ -80,23 +80,24 @@ class StructureReport:
         return tuple(c.name for c in self.certificates if not c.holds)
 
 
-def working_set(A: GroupSet) -> tuple[GroupSet, bool]:
+def working_set(A: GroupSet | Products) -> tuple[GroupSet, bool]:
     """A itself when already symmetric with identity, else its closure."""
-    if A.has_identity and A.is_symmetric:
-        return A, False
-    return A.symmetrized(), True
+    P = as_products(A)
+    return P.sym(1), P.sym(1) is not P.A
 
 
-def structure_scan(A: GroupSet, opts: StructureOptions | None = None) -> StructureReport:
-    if A.group != T2:
+def structure_scan(
+    A: GroupSet | Products, opts: StructureOptions | None = None
+) -> StructureReport:
+    P = as_products(A)
+    if P.A.group != T2:
         raise ParameterError("structure scan is defined for T2 sets")
-    if len(A) == 0:
+    if len(P.A) == 0:
         raise ParameterError("structure scan of an empty set")
     opts = opts or StructureOptions()
-    spec = A.spec
-    work, symmetrized = working_set(A)
-    cube = power_set(work, 3, cap=opts.pair_cap)
-    tripling = Fraction(len(cube), len(work))
+    spec = P.A.spec
+    work, symmetrized = working_set(P)
+    tripling = Fraction(len(P.sym(3)), len(work))
     D = ratio_image(work)
     threshold = max(tripling**opts.potent_exponent, Fraction(opts.potent_floor))
     base = dict(
@@ -107,9 +108,8 @@ def structure_scan(A: GroupSet, opts: StructureOptions | None = None) -> Structu
         threshold=threshold,
     )
 
-    square = product_set(work, work, cap=opts.pair_cap)
     if len(D) <= threshold:
-        overlap = sum(1 for w in square.wires if w[0] == w[2])
+        overlap = sum(1 for w in P.sym(2).wires if w[0] == w[2])
         return StructureReport(
             verdict=POTENT,
             overlap=overlap,
@@ -117,20 +117,15 @@ def structure_scan(A: GroupSet, opts: StructureOptions | None = None) -> Structu
             **base,
         )
 
-    fourth = product_set(square, square, cap=opts.pair_cap)
-    X = unipotent_corners(fourth)
-    F = subfield_generated_by(FieldElement(spec, d) for d in D)
-    span = span_over_subfield(
-        (FieldElement(spec, x) for x in X), F, cap=opts.span_cap
-    )
-    span_wires = frozenset(e.wire for e in span)
+    X, F, span_wires = _corner_span(P, D)
     lifted = unipotent_lift(spec, span_wires)
+    cap = P.caps.max_pair_products
 
     certs = [
-        _cert_dilated_sums_in_span(spec, X, D, span_wires),
-        _cert_span_reachable(work, lifted, opts),
+        _cert_dilated_sums_in_span(spec, X, D, span_wires, cap),
+        _cert_span_reachable(P, lifted, opts.reach_budget),
         _cert_conjugation_stable(spec, D, span_wires),
-        _cert_commutators_in_span(work, span_wires),
+        _cert_commutators_in_span(work, span_wires, cap),
     ]
     reach = next(
         (int(c.detail) for c in certs if c.name == "span_reachable" and c.holds), None
@@ -148,13 +143,24 @@ def structure_scan(A: GroupSet, opts: StructureOptions | None = None) -> Structu
     )
 
 
-def _cert_dilated_sums_in_span(spec, X, D, span_wires) -> Certificate:
+def _corner_span(P: Products, D) -> tuple:
+    """X, the corners of A(4); F, the subfield D generates; Span_F(X) as wires."""
+    spec = P.A.spec
+    X = unipotent_corners(P.sym(4))
+    F = subfield_generated_by(FieldElement(spec, d) for d in D)
+    span = span_over_subfield(
+        (FieldElement(spec, x) for x in X), F, cap=P.caps.max_set_elements
+    )
+    return X, F, frozenset(e.wire for e in span)
+
+
+def _cert_dilated_sums_in_span(spec, X, D, span_wires, cap: int) -> Certificate:
     """x + d * x' stays in the span, for all corners x, x' and ratios d.
 
     True for any F-subspace containing X once D generates F; evaluated
     exhaustively anyway as a consistency check on the span computation.
     """
-    if len(X) * len(X) * len(D) > 10**7:
+    if len(X) * len(X) * len(D) > cap:
         raise CapExceeded("dilated-sum certificate too large to enumerate")
     for x1 in X:
         for d in D:
@@ -168,22 +174,21 @@ def _cert_dilated_sums_in_span(spec, X, D, span_wires) -> Certificate:
     return Certificate("dilated_sums_in_span", True)
 
 
-def _cert_span_reachable(work: GroupSet, lifted: GroupSet, opts: StructureOptions) -> Certificate:
+def _cert_span_reachable(P: Products, lifted: GroupSet, budget: int) -> Certificate:
     """The lifted span is inside some power of the working set.
 
     Reports the smallest exponent within the budget; this is the only
     certificate with genuine failure modes (budget too small, or the set
     does not actually generate the span).
     """
-    cur = work
-    for k in range(1, opts.reach_budget + 1):
+    cur = P.sym(1)
+    for k in range(1, budget + 1):
+        # P keeps A(k) up to A(4), which the scans read; later powers are dropped
+        if k > 1:
+            cur = P.sym(k) if k <= 4 else product_set(cur, P.sym(1), P.caps.max_pair_products)
         if lifted.subset_of(cur):
             return Certificate("span_reachable", True, str(k))
-        if k < opts.reach_budget:
-            cur = product_set(cur, work, cap=opts.pair_cap)
-    return Certificate(
-        "span_reachable", False, f"not reached within budget {opts.reach_budget}"
-    )
+    return Certificate("span_reachable", False, f"not reached within budget {budget}")
 
 
 def _cert_conjugation_stable(spec, D, span_wires) -> Certificate:
@@ -196,10 +201,10 @@ def _cert_conjugation_stable(spec, D, span_wires) -> Certificate:
     return Certificate("conjugation_stable", True)
 
 
-def _cert_commutators_in_span(work: GroupSet, span_wires) -> Certificate:
+def _cert_commutators_in_span(work: GroupSet, span_wires, cap: int) -> Certificate:
     """Commutators of working-set elements land in the lifted span."""
     spec = work.spec
-    if len(work) * len(work) > 10**7:
+    if len(work) * len(work) > cap:
         raise CapExceeded("commutator certificate too large to enumerate")
     inv = {w: ginv(spec, T2, w) for w in work.wires}
     for a in work.wires:
@@ -230,7 +235,7 @@ class SumProductReport:
         return self.dichotomy_low_expansion or self.dichotomy_spanning
 
 
-def sum_product_scan(A: GroupSet, opts: StructureOptions | None = None) -> SumProductReport:
+def sum_product_scan(A: GroupSet | Products) -> SumProductReport:
     """Expansion of X under X + DX, against the subfield alternative.
 
     X is the corner set of the fourth power of the working set and D the
@@ -240,17 +245,13 @@ def sum_product_scan(A: GroupSet, opts: StructureOptions | None = None) -> SumPr
     containment search looks for the least l <= 6 with the span inside
     the l-fold difference set of DX.
     """
-    if A.group != T2:
+    P = as_products(A)
+    if P.A.group != T2:
         raise ParameterError("sum-product scan is defined for T2 sets")
-    opts = opts or StructureOptions()
-    spec = A.spec
-    work, _ = working_set(A)
-    fourth = power_set(work, 4, cap=opts.pair_cap)
-    X = unipotent_corners(fourth)
-    D = ratio_image(work)
-    F = subfield_generated_by(FieldElement(spec, d) for d in D)
-    span = span_over_subfield((FieldElement(spec, x) for x in X), F, cap=opts.span_cap)
-    span_wires = frozenset(e.wire for e in span)
+    spec = P.A.spec
+    cap = P.caps.max_pair_products
+    D = ratio_image(P.sym(1))
+    X, F, span_wires = _corner_span(P, D)
 
     DX = sorted({spec.mul(d, x) for d in D for x in X})
     sums = {spec.add(x, t) for x in X for t in DX}
@@ -262,10 +263,10 @@ def sum_product_scan(A: GroupSet, opts: StructureOptions | None = None) -> SumPr
     fold = set(DX)
     for steps in range(1, 7):
         if steps > 1:
-            if len(fold) * len(DX) > opts.pair_cap:
+            if len(fold) * len(DX) > cap:
                 break
             fold = {spec.add(s, t) for s in fold for t in DX}
-        if len(fold) ** 2 > opts.pair_cap:
+        if len(fold) ** 2 > cap:
             break
         diffs = {spec.sub(s, t) for s in fold for t in fold}
         if span_wires <= diffs:

@@ -138,6 +138,43 @@ def test_bad_input_paths_fail_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def report_on_edited_set(tmp_path, edit):
+    path = gen_random(tmp_path)
+    obj = read_json(path)
+    edit(obj)
+    write_json(path, obj)
+    return main(["report", str(path), "--out", str(tmp_path / "r.json")])
+
+
+def test_set_file_without_field_fails_cleanly(tmp_path, capsys):
+    assert report_on_edited_set(tmp_path, lambda obj: obj.pop("field")) == 1
+    assert_one_error_line(capsys)
+
+
+def test_set_file_with_non_integer_element_fails_cleanly(tmp_path, capsys):
+    def edit(obj):
+        obj["elements"][0][1] = "abc"
+
+    assert report_on_edited_set(tmp_path, edit) == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("tag", ["torus:abc", "line:1"])
+def test_gen_bad_tag_parameter_fails_cleanly(tmp_path, capsys, tag):
+    code = main(
+        ["gen", "--group", "H", "--field", "7", "--kind", "subgroup",
+         "--tag", tag, "--out", str(tmp_path / "x.json")]
+    )
+    assert code == 1
+    assert_one_error_line(capsys)
+
+
 # -- report ---------------------------------------------------------------------
 
 

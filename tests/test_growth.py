@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import F5, F7, F101, group_sets, small_sets
+from matgrowth import growth
+from matgrowth.config import Caps
 from matgrowth.errors import CapExceeded, ParameterError
 from matgrowth.groups import GroupSet, SubgroupTag, gid, ginv, gmul
 from matgrowth.growth import (
+    Products,
     coset_count_check,
     covering_check,
     energy,
@@ -95,6 +98,53 @@ def test_quotient_set_is_symmetric(a):
     assert q.is_symmetric
     assert q.has_identity
     assert len(q) <= len(a) ** 2
+
+
+# -- the shared product ladder -------------------------------------------------
+
+
+@settings(max_examples=40)
+@given(small_sets(max_size=6), st.booleans())
+@example(UNIPOTENT_F7, False)
+def test_products_match_the_direct_products(a, symmetrize):
+    # a symmetrized set takes the A(1) = A path; a subgroup stops growing
+    if symmetrize:
+        a = a.symmetrized()
+    p = Products(a)
+    assert p.square == product_set(a, a)
+    assert p.quotient == quotient_set(a)
+    assert p.cube == power_set(a, 3)
+    for k in range(1, 5):
+        assert p.sym(k) == symmetrized_power(a, k)
+    assert p.energy == energy_oracle(a)
+    assert p.product_energy == quad_product_energy(a)
+
+
+def test_products_refuse_on_the_pair_count():
+    a = GroupSet("T2", F101, [(i, 0, 1) for i in range(1, 11)])
+    p = Products(a, Caps(max_pair_products=99))
+    assert p.energy == energy(a)  # the counts themselves are not capped
+    for build in (lambda: p.square, lambda: p.quotient, lambda: p.sym(2)):
+        with pytest.raises(CapExceeded):
+            build()
+
+
+@pytest.mark.parametrize(
+    "wires",
+    [
+        [(i, 0, 1) for i in range(1, 11)],  # sym(2) multiplies the closure A(1)
+        [(1, b % 101, 1) for b in range(-5, 6)],  # A = A(1), so sym(2) is the square
+    ],
+)
+def test_products_refuse_before_counting(monkeypatch, wires):
+    def no_counting(*args, **kwargs):
+        raise AssertionError("counted the pairs of a refused product")
+
+    monkeypatch.setattr(growth, "rep_function", no_counting)
+    p = Products(GroupSet("T2", F101, wires), Caps(max_pair_products=99))
+    for build in (lambda: p.square, lambda: p.quotient, lambda: p.sym(2)):
+        with pytest.raises(CapExceeded):
+            build()
 
 
 # -- representation counts and energy -----------------------------------------
@@ -286,4 +336,4 @@ def test_covering_check_cap():
     wires = [(a, b, 1) for a in range(1, 8) for b in range(11)]
     a = GroupSet("T2", F101, wires)
     with pytest.raises(CapExceeded):
-        covering_check(a, SubgroupTag("scalars"), cap=200)
+        covering_check(Products(a, Caps(max_pair_products=200)), SubgroupTag("scalars"))

@@ -2,6 +2,7 @@
 
 import csv
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,8 @@ from conftest import F5, F7, F101
 from matgrowth.config import Caps, RunOptions
 from matgrowth.errors import ParameterError
 from matgrowth.groups import GroupSet, SubgroupTag
-from matgrowth.growth import energy
+from matgrowth import growth, structure
+from matgrowth.growth import Products, energy
 from matgrowth.jsonio import digest
 from matgrowth.reports import (
     EXIT_CAPS,
@@ -21,7 +23,9 @@ from matgrowth.reports import (
     run_report,
     write_csv,
 )
-from matgrowth.setfiles import build_setfile, explicit_setfile
+from matgrowth.setfiles import build_setfile, explicit_setfile, load_setfile
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def passing_setfile():
@@ -101,6 +105,48 @@ def test_caps_exit_three():
     rep, code = run_report(passing_setfile(), opts)
     assert code == EXIT_CAPS
     assert "error" in rep["growth"]
+
+
+def test_structure_cap_errors_stay_in_their_scan():
+    sf = passing_setfile()
+    p = Products(sf.elements)
+    one, two, three = (len(p.sym(k)) for k in (1, 2, 3))
+    assert two * one < three * one
+    # A(2) A(1) fits under the cap, A(3) A(1) (the fourth power) does not
+    opts = RunOptions(structure=True, caps=Caps(max_pair_products=two * one))
+    rep, code = run_report(sf, opts)
+    assert code == EXIT_CAPS
+    for name in ("growth", "subgroup", "profile", "bounds"):
+        assert "error" not in rep[name]
+    assert rep["structure"]["verdict"] == "POTENT"
+    assert "error" in rep["structure"]["sum_product"]
+
+
+@pytest.mark.parametrize("name", ["t2f4_in_f16.json", "t2_f7_random24.json"])
+def test_report_enumerates_each_product_once(monkeypatch, name):
+    """No pair enumeration runs twice over equal operands in one report.
+
+    A representation count over (A, B) enumerates the same pairs as the
+    product set of (A^-1, B) or (A, B), so all three are logged alike.
+    """
+    seen = []
+    product_set, rep_function = growth.product_set, growth.rep_function
+
+    def logged_product_set(A, B, *args, **kwargs):
+        seen.append((A.wires, B.wires))
+        return product_set(A, B, *args, **kwargs)
+
+    def logged_rep_function(A, B, mode="inverse_left"):
+        left = A.inverses() if mode == "inverse_left" else A
+        seen.append((left.wires, B.wires))
+        return rep_function(A, B, mode)
+
+    monkeypatch.setattr(growth, "product_set", logged_product_set)
+    monkeypatch.setattr(structure, "product_set", logged_product_set)
+    monkeypatch.setattr(growth, "rep_function", logged_rep_function)
+    run_report(load_setfile(CORPUS / name), RunOptions(structure=True))
+    assert seen
+    assert len(seen) == len(set(seen))
 
 
 def test_pinned_constant_is_reported():
