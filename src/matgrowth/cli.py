@@ -9,13 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import RunOptions, StructureOptions
-from .errors import MatGrowthError, ParameterError
+from .errors import CapExceeded, MatGrowthError, ParameterError
 from .ffield import FieldSpec, _prime_power, standard_field
 from .groups import SubgroupTag, element
 from .growth import Products
 from .incidence import bridge_report, probe_instance, random_instance
 from .jsonio import digest, read_json, write_json
 from .reports import (
+    EXIT_CAPS,
     EXIT_OK,
     EXIT_VERIFY,
     bound_json,
@@ -30,13 +31,22 @@ from .setfiles import build_setfile, load_setfile, regenerate, save_setfile
 from .structure import structure_scan, sum_product_scan
 
 
+def _int_list(text: str, what: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ParameterError(f"{what} must be comma-separated integers, got {text!r}") from None
+
+
 def parse_field(qtext: str, modulus: str | None) -> FieldSpec:
-    q = int(qtext)
+    try:
+        q = int(qtext)
+    except ValueError:
+        raise ParameterError(f"field size must be an integer, got {qtext!r}") from None
     if modulus is None:
         return standard_field(q)
     p, r = _prime_power(q)
-    coeffs = tuple(int(c) for c in modulus.split(","))
-    return FieldSpec(p, r, coeffs)
+    return FieldSpec(p, r, _int_list(modulus, "modulus"))
 
 
 def parse_tag(text: str) -> SubgroupTag:
@@ -57,9 +67,9 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def parse_triple(text: str) -> tuple[int, int, int]:
-    parts = [int(x) for x in text.split(",")]
+    parts = _int_list(text, "representative")
     if len(parts) != 3:
-        raise MatGrowthError(f"expected three comma-separated integers, got {text!r}")
+        raise ParameterError(f"expected three comma-separated integers, got {text!r}")
     return (parts[0], parts[1], parts[2])
 
 
@@ -155,8 +165,8 @@ def cmd_incidence(args) -> int:
             f" match={br.matches_energy}"
         )
         return EXIT_OK if br.matches_energy else 2
-    if args.points is None or args.planes is None or args.seed is None:
-        raise MatGrowthError("probe mode needs --points, --planes and --seed")
+    if args.field is None or args.points is None or args.planes is None or args.seed is None:
+        raise MatGrowthError("probe mode needs --field, --points, --planes and --seed")
     spec = parse_field(args.field, args.modulus)
     inst = random_instance(spec, args.points, args.planes, args.seed)
     probe = probe_instance(inst, args.constant)
@@ -324,6 +334,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPS
     except (MatGrowthError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,16 +17,21 @@ For A in H two are measured:
 
 Each maximum ships with the lexicographically smallest witness achieving
 it, and with a ``count_in_*`` helper so a report consumer can recount the
-witness fiber from scratch.
+witness fiber from scratch.  m1 and line_max come from pairs of lines and
+of base points, so no profile costs more than O(|A|^2) at any q; past
+``Caps.max_pair_products`` pairs the profile raises ``CapExceeded`` whose
+``partial`` is the profile with that maximum left None.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from .config import Caps
 from .errors import ParameterError
 from .groups import H, T2, GroupSet, Wire
+from .growth import check_pairs
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ class FiberMax:
 class T2Profile:
     m3: FiberMax  # witness (a, c)
     m2: FiberMax  # witness (chi,)
-    m1: FiberMax  # witness (x, y)
+    m1: FiberMax | None  # witness (x, y); None only in CapExceeded.partial
     size: int
 
 
@@ -66,31 +71,51 @@ def count_in_torus_coset(A: GroupSet, x: int, y: int) -> int:
     )
 
 
-def t2_profile(A: GroupSet) -> T2Profile:
+def t2_profile(A: GroupSet, caps: Caps | None = None) -> T2Profile:
     if A.group != T2:
         raise ParameterError(f"T2 profile of a set in group {A.group}")
     spec = A.spec
     diag: Counter = Counter()
     ratio: Counter = Counter()
-    for w in A.wires:
-        diag[(w[0], w[2])] += 1
-        ratio[(spec.div(w[0], w[2]),)] += 1
-    m3 = _counter_max(diag)
-    m2 = _counter_max(ratio)
-
-    # m1: for each element, (x, y) pairs with g.a x + g.b = g.c y form a
-    # line in the (x, y) plane; count incidences line by line.
-    torus: Counter = Counter()
-    for x in range(spec.q):
-        for w in A.wires:
-            lhs = spec.add(spec.mul(w[0], x), w[1])
-            y = spec.div(lhs, w[2])
-            torus[(x, y)] += 1
-    m1 = _counter_max(torus)
-    return T2Profile(m3=m3, m2=m2, m1=m1, size=len(A))
+    lines: Counter = Counter()
+    for a, b, c in A.wires:
+        diag[(a, c)] += 1
+        ci = spec.inv(c)
+        s = spec.mul(a, ci)
+        ratio[(s,)] += 1
+        # the (x, y) with a x + b = c y form the line y = (a/c) x + b/c
+        lines[(s, spec.mul(b, ci))] += 1
+    prof = T2Profile(m3=_counter_max(diag), m2=_counter_max(ratio), m1=None, size=len(A))
+    cap = (caps or Caps()).max_pair_products
+    check_pairs("torus-coset profile", len(lines), len(lines), cap, "distinct lines", prof)
+    return replace(prof, m1=_heaviest_crossing(spec, lines))
 
 
-def _counter_max(counts: Counter) -> FiberMax:
+def _heaviest_crossing(spec, lines: Counter) -> FiberMax:
+    """Heaviest point (x, y) of weighted lines y = s x + t, keyed (s, t).
+
+    When two slopes differ, every line meets a line of another slope, so
+    a heaviest point is a crossing and the pairs of lines find it.  When
+    all lines are parallel no two meet, and the smallest heaviest point is
+    where the heaviest line with the smallest intercept crosses x = 0.
+    """
+    if len({s for s, _ in lines}) < 2:
+        return _counter_max({(0, t): w for (_, t), w in lines.items()})
+    items = sorted(lines.items())
+    points: dict = {}
+    for i, ((s1, t1), w1) in enumerate(items):
+        here: Counter = Counter()
+        for (s2, t2), w2 in items[i + 1:]:
+            if s2 != s1:
+                x = spec.div(spec.sub(t2, t1), spec.sub(s1, s2))
+                here[(x, spec.add(spec.mul(s1, x), t1))] += w2
+        # a point's weight is complete from the first line through it
+        for pt, w in here.items():
+            points[pt] = max(points.get(pt, 0), w1 + w)
+    return _counter_max(points)
+
+
+def _counter_max(counts: dict) -> FiberMax:
     if not counts:
         return FiberMax(value=0, witness=())
     best = max(counts.values())
@@ -101,7 +126,8 @@ def _counter_max(counts: Counter) -> FiberMax:
 @dataclass(frozen=True)
 class HeisProfile:
     base_max: FiberMax  # witness (g1, g2)
-    line_max: FiberMax  # witness (alpha, beta, gamma), direction normalized
+    line_max: FiberMax | None  # witness (alpha, beta, gamma), direction
+    # normalized; None only in CapExceeded.partial
     size: int
 
 
@@ -118,27 +144,42 @@ def count_on_line(A: GroupSet, alpha: int, beta: int, gamma: int) -> int:
     )
 
 
-def line_directions(spec) -> list[tuple[int, int]]:
-    """The q + 1 projective directions, first nonzero coordinate one."""
-    return [(1, beta) for beta in range(spec.q)] + [(0, 1)]
-
-
-def heis_profile(A: GroupSet) -> HeisProfile:
+def heis_profile(A: GroupSet, caps: Caps | None = None) -> HeisProfile:
     if A.group != H:
         raise ParameterError(f"Heisenberg profile of a set in group {A.group}")
-    spec = A.spec
     base: Counter = Counter()
     for w in A.wires:
         base[(w[0], w[1])] += 1
     base_max = _counter_max(base)
+    prof = HeisProfile(base_max=base_max, line_max=None, size=len(A))
+    cap = (caps or Caps()).max_pair_products
+    check_pairs("line profile", len(base), len(base), cap, "distinct base points", prof)
+    return replace(prof, line_max=_heaviest_line(A.spec, base))
 
-    lines: Counter = Counter()
-    for alpha, beta in line_directions(spec):
-        for (g1, g2), n in base.items():
-            gamma = spec.add(spec.mul(alpha, g1), spec.mul(beta, g2))
-            lines[(alpha, beta, gamma)] += n
-    line_max = _counter_max(lines)
-    return HeisProfile(base_max=base_max, line_max=line_max, size=len(A))
+
+def _heaviest_line(spec, base: Counter) -> FiberMax:
+    """Heaviest line alpha g1 + beta g2 = gamma through weighted base points.
+
+    With two or more points a heaviest line holds two of them (adding a
+    second point to a line only adds weight), so the lines through pairs
+    find it.  A lone point's smallest line is the direction (0, 1).
+    """
+    pts = sorted(base.items())
+    if len(pts) == 1:
+        ((_, g2), w), = pts
+        return FiberMax(value=w, witness=(0, 1, g2))
+    lines: dict = {}
+    for i, ((x1, y1), w1) in enumerate(pts):
+        here: Counter = Counter()
+        for (x2, y2), w2 in pts[i + 1:]:
+            dx, dy = spec.sub(x2, x1), spec.sub(y2, y1)
+            # the normal (alpha, beta) of direction (dx, dy), first nonzero one
+            here[(1, spec.div(spec.neg(dx), dy)) if dy else (0, 1)] += w2
+        # a line's weight is complete from the first point on it
+        for (alpha, beta), w in here.items():
+            key = (alpha, beta, spec.add(spec.mul(alpha, x1), spec.mul(beta, y1)))
+            lines[key] = max(lines.get(key, 0), w1 + w)
+    return _counter_max(lines)
 
 
 # -- dyadic decomposition by dilate count --------------------------------------

@@ -83,6 +83,20 @@ def poly_is_irreducible(modulus: Sequence[int], p: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _digits(x: int, p: int, r: int) -> list[int]:
     out = []
     for _ in range(r):
@@ -235,34 +249,66 @@ class FieldSpec:
 
     @cached_property
     def _tables(self) -> tuple[list[int], list[int]]:
-        # exp/log tables over a multiplicative generator; the generator is
-        # found by exact order computation with polynomial multiplication,
-        # so the tables inherit their correctness from the schoolbook path.
+        # exp/log tables over the smallest multiplicative generator.  The
+        # generator test and the columns of "multiply by g" come from
+        # schoolbook polynomial multiplication, so the tables inherit their
+        # correctness from that path; the walk itself is F_p-linear algebra.
         n = self.q - 1
         if n == 1:
             return [1], [0, 0]
-        gen = 0
-        for cand in range(2, self.q):
-            x = 1
-            order = 0
-            for i in range(1, n + 1):
-                x = self._polymul_wire(x, cand)
-                if x == 1:
-                    order = i
-                    break
-            if order == n:
-                gen = cand
-                break
-        if not gen:
-            raise AssertionError("no multiplicative generator found (impossible for a field)")
+        cofactors = [n // l for l in _prime_factors(n)]
+        gen = next(
+            cand
+            for cand in range(2, self.q)
+            if all(self._polypow_wire(cand, e) != 1 for e in cofactors)
+        )
+        step = self._multiply_by(gen)
         exp = [0] * n
         log = [0] * self.q
         x = 1
         for i in range(n):
             exp[i] = x
             log[x] = i
-            x = self._polymul_wire(x, gen)
+            x = step(x)
         return exp, log
+
+    def _multiply_by(self, g: int):
+        """x -> x * g as an F_p-linear map, split into two digit blocks.
+
+        Each block gets a table of the images of all its p**k digit
+        patterns, so one product is two lookups and one vector addition
+        (an XOR when p = 2).
+        """
+        p, r = self.p, self.r
+        cols = [self._polymul_wire(g, p**i) for i in range(r)]
+        low = r // 2
+        lo_table = self._span_table(cols[:low])
+        hi_table = self._span_table(cols[low:])
+        split = p**low
+        if p == 2:
+            return lambda x: lo_table[x & (split - 1)] ^ hi_table[x >> low]
+        add = self.add
+        return lambda x: add(lo_table[x % split], hi_table[x // split])
+
+    def _span_table(self, cols: Sequence[int]) -> list[int]:
+        """table[v] = sum_j v_j * cols[j] for every digit vector v (as a wire)."""
+        table = [0]
+        for col in cols:
+            multiples = [col]
+            for _ in range(self.p - 2):
+                multiples.append(self.add(multiples[-1], col))
+            table = table + [self.add(t, m) for m in multiples for t in table]
+        return table
+
+    def _polypow_wire(self, x: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self._polymul_wire(out, x)
+            e >>= 1
+            if e:
+                x = self._polymul_wire(x, x)
+        return out
 
     def _polymul_wire(self, x: int, y: int) -> int:
         prod = _poly_mul(_digits(x, self.p, self.r), _digits(y, self.p, self.r), self.p)

@@ -444,6 +444,21 @@ class SubgroupTag:
             return on_line and w[2] == 0
         return on_line  # line_center
 
+    def order(self, spec: FieldSpec) -> int:
+        """Size of the member set, in closed form: ``len(self.elements(spec))``."""
+        q = spec.q
+        return {
+            "unipotent": q,
+            "scalars": q - 1,
+            "diagonal": (q - 1) ** 2,
+            "torus": (q - 1) ** 2,
+            "scaled_torus": (q - 1) ** 2,
+            "scaled_unipotent": (q - 1) * q,
+            "center": q,
+            "line": q,
+            "line_center": q * q,
+        }[self.kind]
+
     def elements(self, spec: FieldSpec) -> GroupSet:
         k = self.kind
         q = spec.q

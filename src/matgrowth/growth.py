@@ -28,17 +28,20 @@ from .errors import CapExceeded, ParameterError
 from .groups import GroupSet, Wire, gid, ginv, gmul
 
 
-def _check_pairs(A: GroupSet, B: GroupSet, cap: int) -> None:
-    if len(A) * len(B) > cap:
+def check_pairs(
+    what: str, n: int, m: int, cap: int, items: str = "elements", partial=None
+) -> None:
+    """Refuse an n x m pair loop past the pair cap, before it starts."""
+    if n * m > cap:
         raise CapExceeded(
-            f"product of {len(A)} x {len(B)} elements exceeds pair cap {cap}"
+            f"{what} of {n} x {m} {items} exceeds pair cap {cap}", partial=partial
         )
 
 
 def product_set(A: GroupSet, B: GroupSet, cap: int = Caps.max_pair_products) -> GroupSet:
     """AB = {ab : a in A, b in B}; the pair count is capped, not the result."""
     A.same_ambient(B)
-    _check_pairs(A, B, cap)
+    check_pairs("product", len(A), len(B), cap)
     spec = A.spec
     group = A.group
     out = {gmul(spec, group, a, b) for a in A.wires for b in B.wires}
@@ -179,7 +182,7 @@ class Products:
 
     def _from_counts(self, name: str) -> GroupSet:
         # refuse before the counting pass runs, as product_set does
-        _check_pairs(self.A, self.A, self.caps.max_pair_products)
+        check_pairs("product", len(self.A), len(self.A), self.caps.max_pair_products)
         counts = getattr(self, name)
         return GroupSet(self.A.group, self.A.spec, counts.keys(), _checked=True)
 

@@ -230,11 +230,14 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
         if not tag.is_subgroup(spec):
             return {"error": f"{tag!r} is not closed under the product"}
         counts = {}
-        for name, B in (("set", A), ("quotient", P.quotient), ("subgroup", tag.elements(spec))):
+        for name, B in (("set", A), ("quotient", P.quotient)):
             holds, bound, size = coset_count_check(B, tag)
             counts[name] = {"holds": holds, "bound": bound, "size": size}
             if not holds:
                 issues.append(f"coset_count[{name}]")
+        # H is one coset of itself: the check holds with bound = size = |H|
+        order = tag.order(spec)
+        counts["subgroup"] = {"holds": True, "bound": order, "size": order}
         ih, power_size, window = intersection_power_check(P, tag, opts.intersection_k)
         if not ih:
             issues.append("intersection_power")
@@ -270,10 +273,18 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
         return out
 
     def profile_section():
-        if group == T2:
-            prof = t2_profile(A)
-            flags = t2_flags(A, prof)
+        nonlocal capped
+        pair_max = None
+        try:
+            prof = (t2_profile if group == T2 else heis_profile)(A, opts.caps)
             state["profile"] = prof
+        except CapExceeded as exc:
+            if exc.partial is None:
+                raise
+            # the pair maximum is refused; the O(|A|) fibers and flags stay
+            prof, pair_max, capped = exc.partial, {"error": str(exc)}, True
+        if group == T2:
+            flags = t2_flags(A, prof)
             state["hypothesis_pass"] = flags.whole_set
             if not flags.whole_set:
                 issues.append("flag_whole_set")
@@ -282,12 +293,10 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
             return {
                 "m3": fibermax_json(prof.m3),
                 "m2": fibermax_json(prof.m2),
-                "m1": fibermax_json(prof.m1),
+                "m1": pair_max or fibermax_json(prof.m1),
                 "flags": {"whole_set": flags.whole_set, "per_piece": flags.per_piece},
             }
-        prof = heis_profile(A)
         flags = heis_flags(A, prof)
-        state["profile"] = prof
         state["hypothesis_pass"] = flags.whole_set and flags.square_shape
         if not flags.whole_set:
             issues.append("flag_whole_set")
@@ -295,7 +304,7 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
             issues.append("flag_square_shape")
         return {
             "base_max": fibermax_json(prof.base_max),
-            "line_max": fibermax_json(prof.line_max),
+            "line_max": pair_max or fibermax_json(prof.line_max),
             "flags": {"whole_set": flags.whole_set, "square_shape": flags.square_shape},
         }
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .config import Caps
+from .errors import CapExceeded, ParameterError
 from .ffield import FieldSpec
 from .groups import (
     GROUPS,
@@ -123,19 +124,25 @@ def perturbed_coset(
     return GroupSet(group, spec, current, _checked=True)
 
 
+def _generator_tag(group: str, spec: FieldSpec, gen: dict) -> SubgroupTag:
+    """The recipe's subgroup tag, refused before any build past the set cap."""
+    tag = SubgroupTag.from_json(gen["tag"])
+    if tag.group != group:
+        raise ParameterError(f"tag {tag!r} is not a {group} subgroup")
+    order, cap = tag.order(spec), Caps().max_set_elements
+    if order > cap:
+        raise CapExceeded(f"{tag!r} over F_{spec.q} has {order} elements, above the set cap {cap}")
+    return tag
+
+
 def generate(group: str, spec: FieldSpec, gen: dict) -> GroupSet:
     kind = gen.get("kind")
     if kind == "random":
         return random_set(group, spec, int(gen["size"]), int(gen["seed"]))
     if kind == "subgroup":
-        tag = SubgroupTag.from_json(gen["tag"])
-        if tag.group != group:
-            raise ParameterError(f"tag {tag!r} is not a {group} subgroup")
-        return tag.elements(spec)
+        return _generator_tag(group, spec, gen).elements(spec)
     if kind == "coset":
-        tag = SubgroupTag.from_json(gen["tag"])
-        if tag.group != group:
-            raise ParameterError(f"tag {tag!r} is not a {group} subgroup")
+        tag = _generator_tag(group, spec, gen)
         rep = element(spec, group, tuple(int(x) for x in gen["rep"]))
         return tag.coset(rep)
     if kind == "box":
@@ -143,9 +150,7 @@ def generate(group: str, spec: FieldSpec, gen: dict) -> GroupSet:
             raise ParameterError("box sets live in the Heisenberg group")
         return box_set(spec, int(gen["n"]))
     if kind == "perturbed_coset":
-        tag = SubgroupTag.from_json(gen["tag"])
-        if tag.group != group:
-            raise ParameterError(f"tag {tag!r} is not a {group} subgroup")
+        tag = _generator_tag(group, spec, gen)
         rep = element(spec, group, tuple(int(x) for x in gen["rep"]))
         return perturbed_coset(tag, rep, int(gen["swaps"]), int(gen["seed"]))
     if kind == "union":

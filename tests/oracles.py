@@ -91,6 +91,42 @@ def t2_m3_recount(A):
     return best
 
 
+def t2_m1_sweep(A):
+    """(m1, witness) by sweeping x over F_q: each element's line meets every
+    column once.  The witness is the smallest heaviest (x, y)."""
+    spec = A.spec
+    torus = {}
+    for x in range(spec.q):
+        for a, b, c in A.wires:
+            y = spec.div(spec.add(spec.mul(a, x), b), c)
+            torus[(x, y)] = torus.get((x, y), 0) + 1
+    return _heaviest(torus)
+
+
+def line_directions(spec):
+    """The q + 1 projective directions, first nonzero coordinate one."""
+    return [(1, beta) for beta in range(spec.q)] + [(0, 1)]
+
+
+def heis_line_sweep(A):
+    """(line_max, witness) by sweeping all q + 1 directions over the base
+    points; the witness is the smallest heaviest (alpha, beta, gamma)."""
+    spec = A.spec
+    lines = {}
+    for alpha, beta in line_directions(spec):
+        for g1, g2, _ in A.wires:
+            key = (alpha, beta, spec.add(spec.mul(alpha, g1), spec.mul(beta, g2)))
+            lines[key] = lines.get(key, 0) + 1
+    return _heaviest(lines)
+
+
+def _heaviest(counts):
+    if not counts:
+        return 0, ()
+    best = max(counts.values())
+    return best, min(k for k, v in counts.items() if v == best)
+
+
 def heis_base_recount(A):
     best = 0
     for g1 in range(A.spec.q):
@@ -123,6 +159,47 @@ def heis_line_recount(A):
                 weight += cnt
         best = max(best, weight)
     return best
+
+
+def schoolbook_mul(spec, x, y):
+    """Field product: polynomial product reduced by long division."""
+    p = spec.p
+    xs, ys = spec.coeffs(x), spec.coeffs(y)
+    prod = [0] * (2 * spec.r - 1)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            prod[i + j] = (prod[i + j] + a * b) % p
+    for d in range(len(prod) - 1, spec.r - 1, -1):
+        lead = prod[d]
+        if lead:
+            for k in range(spec.r + 1):
+                prod[d - spec.r + k] = (prod[d - spec.r + k] - lead * spec.modulus[k]) % p
+            assert prod[d] == 0
+    return spec.from_coeffs(prod[: spec.r])
+
+
+def field_tables_by_order_walk(spec):
+    """exp/log tables over the smallest element of order q - 1, found by
+    walking the powers of each candidate until they return to one."""
+    n = spec.q - 1
+    gen = next(
+        cand
+        for cand in range(2, spec.q)
+        if _order_by_walk(spec, cand) == n
+    )
+    exp, log = [0] * n, [0] * spec.q
+    x = 1
+    for i in range(n):
+        exp[i], log[x] = x, i
+        x = schoolbook_mul(spec, x, gen)
+    return exp, log
+
+
+def _order_by_walk(spec, g):
+    x, k = g, 1
+    while x != 1:
+        x, k = schoolbook_mul(spec, x, g), k + 1
+    return k
 
 
 def max_collinear(p, tuples):

@@ -175,6 +175,40 @@ def test_gen_bad_tag_parameter_fails_cleanly(tmp_path, capsys, tag):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--field", "abc", "--kind", "random", "--size", "3", "--seed", "1"],
+        ["--field", "7", "--kind", "coset", "--tag", "unipotent", "--rep", "1,x,3"],
+    ],
+    ids=["field", "rep"],
+)
+def test_gen_non_integer_argument_fails_cleanly(tmp_path, capsys, args):
+    code = main(["gen", "--group", "T2", *args, "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert_one_error_line(capsys)
+
+
+def test_gen_refuses_a_subgroup_past_the_set_cap(tmp_path, capsys, monkeypatch):
+    # |H| = 65520 * 65521; the refusal comes from the closed-form order
+    def no_build(self, spec):
+        raise AssertionError("the subgroup was built")
+
+    monkeypatch.setattr(SubgroupTag, "elements", no_build)
+    for kind, extra in [
+        ("subgroup", []),
+        ("coset", ["--rep", "2,0,1"]),
+        ("perturbed_coset", ["--rep", "2,0,1", "--swaps", "1", "--seed", "1"]),
+    ]:
+        code = main(
+            ["gen", "--group", "T2", "--field", "65521", "--kind", kind,
+             "--tag", "scaled_unipotent", *extra, "--out", str(tmp_path / "x.json")]
+        )
+        assert code == 3
+        assert_one_error_line(capsys)
+    assert not (tmp_path / "x.json").exists()
+
+
 # -- report ---------------------------------------------------------------------
 
 
@@ -246,6 +280,15 @@ def test_incidence_probe_mode(tmp_path, capsys):
 def test_incidence_probe_needs_sizes(tmp_path):
     code = main(["incidence", "--field", "7", "--out", str(tmp_path / "x.json")])
     assert code == 1
+
+
+def test_incidence_probe_without_a_field_fails_cleanly(tmp_path, capsys):
+    code = main(
+        ["incidence", "--points", "5", "--planes", "5", "--seed", "1",
+         "--out", str(tmp_path / "x.json")]
+    )
+    assert code == 1
+    assert_one_error_line(capsys)
 
 
 # -- structure --------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Occupancy profiles, dyadic dilate decomposition, and size-hypothesis flags."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import F5, F7, SMALL_FIELDS, group_sets
+from conftest import F5, F7, F9, SMALL_FIELDS, group_sets
 from matgrowth.errors import ParameterError
 from matgrowth.groups import GroupSet, SubgroupTag, element
 from matgrowth.cosets import (
@@ -17,14 +19,18 @@ from matgrowth.cosets import (
     dyadic_pieces,
     heis_flags,
     heis_profile,
-    line_directions,
     piece_elements,
     t2_flags,
     t2_profile,
 )
+from matgrowth.config import Caps
+from matgrowth.errors import CapExceeded
 from oracles import (
     heis_base_recount,
     heis_line_recount,
+    heis_line_sweep,
+    line_directions,
+    t2_m1_sweep,
     t2_m1_recount,
     t2_m2_recount,
     t2_m3_recount,
@@ -74,6 +80,69 @@ def test_heis_witnesses_recount_to_their_values(a):
     prof = heis_profile(a)
     assert count_in_base_fiber(a, *prof.base_max.witness) == prof.base_max.value
     assert count_on_line(a, *prof.line_max.witness) == prof.line_max.value
+
+
+def fiber(fm):
+    return fm.value, fm.witness
+
+
+@settings(max_examples=60)
+@given(t2_sets())
+def test_t2_m1_matches_the_sweep(a):
+    assert fiber(t2_profile(a).m1) == t2_m1_sweep(a)
+
+
+@settings(max_examples=60)
+@given(heis_sets())
+def test_heis_line_max_matches_the_sweep(a):
+    assert fiber(heis_profile(a).line_max) == heis_line_sweep(a)
+
+
+@pytest.mark.parametrize(
+    "wires",
+    [
+        [(1, 2, 3)],  # a single base point
+        [(2, 4, 0), (2, 4, 1), (2, 4, 5)],  # one base point, weight three
+        [(t, 2 * t % 7, t) for t in range(7)],  # all base points collinear
+        [(t, 3, 0) for t in range(7)] + [(1, 1, 1)],  # a line plus one point
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0)],  # three lines tie at weight two
+    ],
+)
+def test_heis_line_max_edge_cases(wires):
+    a = GroupSet("H", F7, wires)
+    assert fiber(heis_profile(a).line_max) == heis_line_sweep(a)
+
+
+@pytest.mark.parametrize(
+    "wires",
+    [
+        [(3, 1, 2)],  # a single line
+        [(1, 2, 1), (2, 4, 2), (3, 6, 3)],  # one line three times (equal affine parts)
+        [(1, 2, 1), (2, 4, 2), (1, 0, 1), (2, 1, 1)],  # coincident lines that cross another
+        [(2, b, 1) for b in range(5)],  # parallel lines only
+        [(2, 0, 1), (4, 0, 2), (2, 3, 1), (2, 5, 1)],  # parallel lines of unequal weight
+        [(1, 0, 1), (2, 0, 1), (3, 0, 1), (1, 1, 1)],  # three lines through one point
+    ],
+)
+def test_t2_m1_edge_cases(wires):
+    a = GroupSet("T2", F7, wires)
+    assert fiber(t2_profile(a).m1) == t2_m1_sweep(a)
+
+
+def test_profiles_refuse_past_the_pair_cap():
+    t2 = GroupSet("T2", F9, [(1, b, 1) for b in range(9)])
+    heis = GroupSet("H", F9, [(x, 0, 0) for x in range(9)])
+    caps = Caps(max_pair_products=80)
+    with pytest.raises(CapExceeded) as t2_exc:
+        t2_profile(t2, caps)
+    with pytest.raises(CapExceeded) as heis_exc:
+        heis_profile(heis, caps)
+    # the refusal carries the O(|A|) fibers, with the pair maximum left out
+    assert t2_exc.value.partial == replace(t2_profile(t2), m1=None)
+    assert heis_exc.value.partial == replace(heis_profile(heis), line_max=None)
+    # at the cap itself both still count
+    assert t2_profile(t2, Caps(max_pair_products=81)).m1.value == 1
+    assert heis_profile(heis, Caps(max_pair_products=81)).line_max.value == 9
 
 
 def test_witness_is_lexicographically_smallest():

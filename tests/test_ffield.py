@@ -1,5 +1,7 @@
 """Field arithmetic, the shipped modulus table, and subfields."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from matgrowth.ffield import (
     subfield_generated_by,
     subfield_of_degree,
 )
+from oracles import field_tables_by_order_walk, schoolbook_mul
 
 
 def _factor(q):
@@ -79,23 +82,6 @@ def test_json_round_trip():
         again = FieldSpec.from_json(spec.to_json())
         assert again == spec
         assert hash(again) == hash(spec)
-
-
-def schoolbook_mul(spec, x, y):
-    """Independent recount: polynomial product reduced by long division."""
-    p = spec.p
-    xs, ys = spec.coeffs(x), spec.coeffs(y)
-    prod = [0] * (2 * spec.r - 1)
-    for i, a in enumerate(xs):
-        for j, b in enumerate(ys):
-            prod[i + j] = (prod[i + j] + a * b) % p
-    for d in range(len(prod) - 1, spec.r - 1, -1):
-        lead = prod[d]
-        if lead:
-            for k in range(spec.r + 1):
-                prod[d - spec.r + k] = (prod[d - spec.r + k] - lead * spec.modulus[k]) % p
-            assert prod[d] == 0
-    return spec.from_coeffs(prod[: spec.r])
 
 
 @pytest.mark.parametrize("spec", [F9, F16, F25])
@@ -198,3 +184,39 @@ def test_span_over_subfield():
             assert F16.add(u, v) in wires
         for s in f4:
             assert F16.mul(s.wire, u) in wires
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_MODULI))
+def test_tables_match_the_order_walk(q):
+    assert standard_field(q)._tables == field_tables_by_order_walk(standard_field(q))
+
+
+@pytest.mark.parametrize("q", [65536, 59049])
+def test_tables_at_the_top_of_the_range(q):
+    spec = standard_field(q)
+    exp, log = spec._tables
+    assert len(exp) == q - 1 and len(log) == q
+    assert all(log[x] == i for i, x in enumerate(exp))
+    rng = random.Random(q)
+    for _ in range(300):
+        x, y = rng.randrange(q), rng.randrange(q)
+        assert spec.mul(x, y) == spec._polymul_wire(x, y)
+
+
+def test_table_build_needs_few_schoolbook_products(monkeypatch):
+    # each rejected candidate costs one square-and-multiply power per prime
+    # factor of q - 1, and the walk r products for its columns: nothing
+    # grows with q itself
+    calls = []
+    polymul = FieldSpec._polymul_wire
+
+    def counted(self, x, y):
+        calls.append(1)
+        return polymul(self, x, y)
+
+    monkeypatch.setattr(FieldSpec, "_polymul_wire", counted)
+    spec = standard_field(65536)
+    gen = spec._tables[0][1]
+    n = spec.q - 1
+    primes = [3, 5, 17, 257]  # 65535 = 3 * 5 * 17 * 257
+    assert len(calls) <= (gen - 1) * len(primes) * 2 * n.bit_length() + spec.r

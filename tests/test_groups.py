@@ -23,6 +23,8 @@ from matgrowth.groups import (
     gmul,
     wire_key,
 )
+from matgrowth.ffield import standard_field
+from matgrowth.growth import coset_count_check
 from oracles import coset_partition
 
 AMBIENTS = [(spec, group) for spec in SMALL_FIELDS for group in ("T2", "H")]
@@ -383,6 +385,32 @@ def test_subgroup_sizes():
     }
     for tag in ALL_TAGS:
         assert len(tag.elements(F5)) == expected[tag.kind]
+
+
+def tags_over(spec):
+    top = spec.q - 1
+    plain = ("unipotent", "scalars", "diagonal", "scaled_unipotent", "center")
+    return [SubgroupTag(kind) for kind in plain] + [
+        SubgroupTag("torus", x=0),
+        SubgroupTag("torus", x=top),
+        SubgroupTag("scaled_torus", x=1),
+        SubgroupTag("line", direction=(0, 1)),
+        SubgroupTag("line", direction=(1, 0)),
+        SubgroupTag("line", direction=(1, top)),
+        SubgroupTag("line_center", direction=(0, 1)),
+        SubgroupTag("line_center", direction=(1, top)),
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_order_is_the_size_of_the_built_subgroup(q):
+    spec = standard_field(q)
+    for tag in tags_over(spec):
+        hs = tag.elements(spec)
+        assert tag.order(spec) == len(hs), tag
+        if tag.is_subgroup(spec):
+            # what the report's subgroup entry states without building H
+            assert coset_count_check(hs, tag) == (True, len(hs), len(hs)), tag
 
 
 def test_scaled_torus_is_the_torus():

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import F5, F7, F101
+from conftest import F5, F7, F9, F101
 from matgrowth.config import Caps, RunOptions
 from matgrowth.errors import ParameterError
+from matgrowth.ffield import standard_field
 from matgrowth.groups import GroupSet, SubgroupTag
 from matgrowth import growth, structure
 from matgrowth.growth import Products, energy
@@ -105,6 +106,24 @@ def test_caps_exit_three():
     rep, code = run_report(passing_setfile(), opts)
     assert code == EXIT_CAPS
     assert "error" in rep["growth"]
+
+
+@pytest.mark.parametrize(
+    "group, wires, pair_key",
+    [
+        ("T2", [(1, b, 1) for b in range(9)], "m1"),  # nine distinct lines
+        ("H", [(x, 0, 0) for x in range(9)], "line_max"),  # nine base points
+    ],
+)
+def test_profile_cap_keeps_the_linear_fibers(group, wires, pair_key):
+    sf = explicit_setfile(GroupSet(group, F9, wires))
+    full, _ = run_report(sf, RunOptions(bridge="off"))
+    rep, code = run_report(sf, RunOptions(bridge="off", caps=Caps(max_pair_products=80)))
+    assert code == EXIT_CAPS
+    assert "exceeds pair cap 80" in rep["profile"][pair_key]["error"]
+    for key in set(full["profile"]) - {pair_key}:
+        assert rep["profile"][key] == full["profile"][key]
+    assert rep["bounds"] == {"error": "prerequisite section failed"}
 
 
 def test_structure_cap_errors_stay_in_their_scan():
@@ -283,3 +302,21 @@ def test_csv_projection_of_a_real_report(tmp_path):
     keys = [r[0] for r in rows[1:]]
     assert "growth.energy" in keys
     assert "status.exit_code" in keys
+
+
+def test_subgroup_section_builds_no_subgroup(monkeypatch):
+    # at F_1021 the default tag has 1020 * 1021 elements; the entry is closed-form
+    sf = build_setfile("T2", standard_field(1021), {"kind": "random", "size": 12, "seed": 3})
+    opts = RunOptions(bridge="off")
+    before = run_report(sf, opts)
+
+    def no_build(self, spec):
+        raise AssertionError("the subgroup was built")
+
+    monkeypatch.setattr(SubgroupTag, "elements", no_build)
+    after = run_report(sf, opts)
+    assert after == before
+    order = 1020 * 1021
+    assert after[0]["subgroup"]["coset_counts"]["subgroup"] == {
+        "holds": True, "bound": order, "size": order,
+    }
