@@ -63,7 +63,15 @@ def parse_tag(text: str) -> SubgroupTag:
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    """A constant such as 7/2 or 1.5e-3; a ValueError is argparse's usage error."""
+    # bound the digits Fraction would build, so the report can print them
+    exponent = text.lower().partition("e")[2]
+    if len(text) > 64 or (exponent and abs(int(exponent)) > 64):
+        raise ValueError(f"constant {text!r} is too large")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"constant {text!r} divides by zero") from None
 
 
 def parse_triple(text: str) -> tuple[int, int, int]:

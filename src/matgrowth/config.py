@@ -7,6 +7,12 @@ from fractions import Fraction
 
 from .errors import ParameterError
 
+# Largest power a run may ask for: lemma_k, intersection_k, and the
+# structure scan's potent exponent and reach budget.  It bounds the work
+# and keeps the exact integers a report prints (|A(1)|^(k-3) in the lemma
+# check, tripling^exponent in the potent threshold) at a printable size.
+MAX_POWER = 64
+
 
 @dataclass(frozen=True)
 class Caps:
@@ -21,6 +27,12 @@ class StructureOptions:
     potent_exponent: int = 10
     potent_floor: int = 1
     reach_budget: int = 12
+
+    def __post_init__(self):
+        if abs(self.potent_exponent) > MAX_POWER:
+            raise ParameterError(f"potent exponent must be within +-{MAX_POWER}")
+        if self.reach_budget > MAX_POWER:
+            raise ParameterError(f"reach budget must be <= {MAX_POWER}")
 
     def to_json(self) -> dict:
         return {
@@ -64,10 +76,10 @@ class RunOptions:
     def __post_init__(self):
         if self.bridge not in ("on", "off", "auto"):
             raise ParameterError(f"bridge must be on/off/auto, got {self.bridge!r}")
-        if self.lemma_k < 1:
-            raise ParameterError("lemma_k must be >= 1")
-        if self.intersection_k < 1:
-            raise ParameterError("intersection_k must be >= 1")
+        if not 1 <= self.lemma_k <= MAX_POWER:
+            raise ParameterError(f"lemma_k must be in 1..{MAX_POWER}")
+        if not 1 <= self.intersection_k <= MAX_POWER:
+            raise ParameterError(f"intersection_k must be in 1..{MAX_POWER}")
         if self.threads < 1:
             raise ParameterError("threads must be >= 1")
 

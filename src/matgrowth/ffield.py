@@ -122,13 +122,14 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, r: int, modulus: Sequence[int]):
-        if not is_prime(p):
-            raise ParameterError(f"p = {p} is not prime")
         if r < 1:
             raise ParameterError(f"extension degree r = {r} must be >= 1")
+        # bound the size before p^r or trial division of p can take long
+        if r > 16 or p**r > MAX_FIELD_SIZE:  # q <= 2^16 forces r <= 16
+            raise ParameterError(f"field size {p}^{r} exceeds supported maximum {MAX_FIELD_SIZE}")
+        if not is_prime(p):
+            raise ParameterError(f"p = {p} is not prime")
         q = p**r
-        if q > MAX_FIELD_SIZE:
-            raise ParameterError(f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}")
         modulus = tuple(int(c) for c in modulus)
         if len(modulus) != r + 1:
             raise ParameterError(f"modulus must have length r + 1 = {r + 1}, got {len(modulus)}")
@@ -170,7 +171,7 @@ class FieldSpec:
     def from_json(cls, obj: dict) -> "FieldSpec":
         try:
             return cls(int(obj["p"]), int(obj["r"]), obj["modulus"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"malformed field description: {obj!r}") from exc
 
     # -- wire-level arithmetic -------------------------------------------
@@ -481,6 +482,8 @@ FIELD_MODULI: dict[int, tuple[int, ...]] = {
 def _prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ParameterError(f"not a prime power: {q}")
+    if q > MAX_FIELD_SIZE:
+        raise ParameterError(f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}")
     p = q
     for f in range(2, q + 1):
         if f * f > q:

@@ -221,21 +221,65 @@ class GroupSet:
     Elements are stored as wire triples sorted by their packed integer key;
     that order is also the sample space of the random generator, so a
     GroupSet serializes identically no matter how it was assembled.
+
+    A set built by the pair kernel (``_keys``: a sorted, duplicate-free
+    int64 array of packed keys) keeps only that array; ``len``, ``==``,
+    ``hash`` and ``subset_of`` read it, and the wire triples are decoded
+    on first use.
     """
 
-    __slots__ = ("group", "spec", "wires", "_index")
+    __slots__ = ("group", "spec", "_keys", "_wire_tuple", "_wire_index")
 
-    def __init__(self, group: str, spec: FieldSpec, wires: Iterable[Wire], _checked: bool = False):
+    def __init__(
+        self,
+        group: str,
+        spec: FieldSpec,
+        wires: Iterable[Wire] = (),
+        _checked: bool = False,
+        _keys=None,
+    ):
         if group not in GROUPS:
             raise ParameterError(f"unknown group tag {group!r}")
         self.group = group
         self.spec = spec
+        self._keys = _keys
+        self._wire_tuple = self._wire_index = None
+        if _keys is not None:
+            return
         if _checked:
             uniq = set(wires)
         else:
             uniq = {check_group_wire(spec, group, w) for w in wires}
-        self.wires = tuple(sorted(uniq, key=lambda w: wire_key(spec, w)))
-        self._index = frozenset(self.wires)
+        self._wire_tuple = tuple(sorted(uniq, key=lambda w: wire_key(spec, w)))
+        self._wire_index = frozenset(self._wire_tuple)
+
+    @property
+    def wires(self) -> tuple[Wire, ...]:
+        if self._wire_tuple is None:
+            self._wire_tuple = tuple(zip(*self._coord_rows().tolist()))
+        return self._wire_tuple
+
+    def _coord_rows(self):
+        """The (3, |S|) int64 numpy array of the coordinates, in canonical order."""
+        import numpy as np
+
+        if self._keys is None:
+            return np.array(self._wire_tuple, dtype=np.int64).reshape(-1, 3).T
+        q, k = self.spec.q, self._keys
+        return np.stack((k // (q * q), k // q % q, k % q))
+
+    @property
+    def _index(self) -> frozenset[Wire]:
+        if self._wire_index is None:
+            self._wire_index = frozenset(self.wires)
+        return self._wire_index
+
+    def _key_list(self) -> list[int]:
+        """The packed keys ``wire_key`` of the elements, in canonical order."""
+        if self._keys is not None:
+            return self._keys.tolist()
+        spec = self.spec
+        return [wire_key(spec, w) for w in self._wire_tuple]
 
     @classmethod
     def from_members(cls, members: Iterable[GroupElement]) -> "GroupSet":
@@ -253,7 +297,7 @@ class GroupSet:
             yield element(self.spec, self.group, w)
 
     def __len__(self) -> int:
-        return len(self.wires)
+        return len(self._keys) if self._keys is not None else len(self._wire_tuple)
 
     def __iter__(self) -> Iterator[Wire]:
         return iter(self.wires)
@@ -264,18 +308,24 @@ class GroupSet:
         return tuple(item) in self._index
 
     def __eq__(self, other) -> bool:
-        return (
+        if not (
             isinstance(other, GroupSet)
             and self.group == other.group
             and self.spec == other.spec
-            and self.wires == other.wires
-        )
+            and len(self) == len(other)
+        ):
+            return False
+        if self._keys is not None and other._keys is not None:
+            return bool((self._keys == other._keys).all())
+        if self._keys is None and other._keys is None:
+            return self._wire_tuple == other._wire_tuple
+        return self._key_list() == other._key_list()
 
     def __hash__(self) -> int:
-        return hash((self.group, self.spec._hash, self.wires))
+        return hash((self.group, self.spec._hash, tuple(self._key_list())))
 
     def __repr__(self) -> str:
-        return f"GroupSet({self.group}, q={self.spec.q}, n={len(self.wires)})"
+        return f"GroupSet({self.group}, q={self.spec.q}, n={len(self)})"
 
     def same_ambient(self, other: "GroupSet") -> None:
         if self.group != other.group or self.spec != other.spec:
@@ -302,7 +352,8 @@ class GroupSet:
     @property
     def is_symmetric(self) -> bool:
         spec = self.spec
-        return all(ginv(spec, self.group, w) in self._index for w in self.wires)
+        index = self._index
+        return all(ginv(spec, self.group, w) in index for w in self.wires)
 
     @property
     def has_identity(self) -> bool:
@@ -310,7 +361,15 @@ class GroupSet:
 
     def subset_of(self, other: "GroupSet") -> bool:
         self.same_ambient(other)
-        return self._index <= other._index
+        if self._keys is None and other._keys is None:
+            return self._index <= other._index
+        if len(self) > len(other):
+            return False
+        # a key-built operand means numpy is loaded already
+        import numpy as np
+
+        mine, theirs = (s._keys if s._keys is not None else s._key_list() for s in (self, other))
+        return bool(np.isin(mine, theirs, assume_unique=True).all())
 
 
 def generated_closure(seeds: GroupSet, cap: int = 10**6) -> GroupSet:

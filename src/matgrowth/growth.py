@@ -7,10 +7,14 @@ arithmetic.
 
 The energy of a set A counts solutions of g1^-1 h1 = g2^-1 h2 with all
 four elements in A, i.e. the second moment of the representation function
-of the quotient set A^-1 A.  ``energy`` computes it by hash join in
-O(|A|^2); ``energy_oracle`` recounts it by brute force over quadruples
-(via a pairwise-equality matrix) and exists so tests can cross-check the
-fast path on small sets.
+of the quotient set A^-1 A.  ``energy`` computes it from one O(|A|^2)
+counting pass; ``energy_oracle`` recounts it by brute force over
+quadruples (via a pairwise-equality matrix) and exists so tests can
+cross-check the fast path on small sets.
+
+Every n x m pair enumeration with n * m >= ``VECTOR_PAIRS`` runs in the
+numpy kernel of ``matgrowth.kernel``, imported only then.  Smaller ones
+run the pure-Python wire loops here, which stay the oracle.
 
 The checks below take a ``GroupSet`` or the shared ``Products`` of one
 report, which enumerates each product set at most once.
@@ -26,6 +30,14 @@ from functools import cached_property
 from .config import Caps
 from .errors import CapExceeded, ParameterError
 from .groups import GroupSet, Wire, gid, ginv, gmul
+
+# Pair count from which an enumeration runs the numpy kernel.  Importing
+# numpy costs about what the pure-Python loops spend on this many pairs:
+# on a 2-vCPU VM with Python 3.11 and numpy 2.4 the import took 0.13 s and
+# the loops 1.5-3.0 us per pair (break-even 45k-90k pairs; 9.8 us, so 14k,
+# for H over F_59049), against 0.03-0.05 us in the kernel (0.3 us for H
+# over F_59049).  Smaller enumerations never load numpy.
+VECTOR_PAIRS = 1 << 16
 
 
 def check_pairs(
@@ -44,6 +56,10 @@ def product_set(A: GroupSet, B: GroupSet, cap: int = Caps.max_pair_products) -> 
     check_pairs("product", len(A), len(B), cap)
     spec = A.spec
     group = A.group
+    if len(A) * len(B) >= VECTOR_PAIRS:
+        from .kernel import pair_kernel
+
+        return GroupSet(group, spec, _keys=pair_kernel(A, B)[0])
     out = {gmul(spec, group, a, b) for a in A.wires for b in B.wires}
     return GroupSet(group, spec, out, _checked=True)
 
@@ -54,7 +70,9 @@ def power_set(A: GroupSet, k: int, cap: int = Caps.max_pair_products) -> GroupSe
         raise ParameterError(f"power must be >= 1, got {k}")
     out = A
     for _ in range(k - 1):
-        out = product_set(out, A, cap=cap)
+        out, last = product_set(out, A, cap=cap), out
+        if out == last:  # once XA = X, every later power is X
+            break
     return out
 
 
@@ -72,27 +90,49 @@ def rep_function(A: GroupSet, B: GroupSet, mode: str = "inverse_left") -> Counte
     A.same_ambient(B)
     spec = A.spec
     group = A.group
+    left = _left_factors(A, mode)
+    if len(A) * len(B) >= VECTOR_PAIRS:
+        from .kernel import pair_kernel
+
+        keys, mults = pair_kernel(left, B, counts=True)
+        return Counter(dict(zip(GroupSet(group, spec, _keys=keys).wires, mults.tolist())))
     counts: Counter = Counter()
-    if mode == "inverse_left":
-        left = [ginv(spec, group, a) for a in A.wires]
-    elif mode == "plain":
-        left = list(A.wires)
-    else:
-        raise ParameterError(f"unknown rep mode {mode!r}")
-    for a in left:
+    for a in left.wires:
         for b in B.wires:
             counts[gmul(spec, group, a, b)] += 1
     return counts
 
 
+def product_tally(A: GroupSet, B: GroupSet, mode: str = "inverse_left") -> tuple[GroupSet, int]:
+    """The distinct products ``rep_function`` counts, and the sum of their
+    squared multiplicities, from one pass over A x B."""
+    if len(A) * len(B) < VECTOR_PAIRS:
+        counts = rep_function(A, B, mode)
+        distinct = GroupSet(A.group, A.spec, counts.keys(), _checked=True)
+        return distinct, sum(v * v for v in counts.values())
+    from .kernel import pair_kernel, second_moment
+
+    A.same_ambient(B)
+    keys, mults = pair_kernel(_left_factors(A, mode), B, counts=True)
+    return GroupSet(A.group, A.spec, _keys=keys), second_moment(mults, len(A) * len(B))
+
+
+def _left_factors(A: GroupSet, mode: str) -> GroupSet:
+    if mode == "inverse_left":
+        return A.inverses()
+    if mode == "plain":
+        return A
+    raise ParameterError(f"unknown rep mode {mode!r}")
+
+
 def energy(A: GroupSet | Products) -> int:
     """E(A) = #{(g1,h1,g2,h2) in A^4 : g1^-1 h1 = g2^-1 h2}."""
-    return sum(v * v for v in as_products(A).quotient_counts.values())
+    return as_products(A).quotient_tally[1]
 
 
 def product_energy(A: GroupSet | Products) -> int:
     """E*(A), the same second moment for plain products g h."""
-    return sum(v * v for v in as_products(A).square_counts.values())
+    return as_products(A).square_tally[1]
 
 
 def energy_oracle(A: GroupSet, cap: int = 60) -> int:
@@ -126,7 +166,9 @@ class Products:
     ``sym(k)`` is the ladder A(k) = A(k-1) A(1) with A(1) = A u A^-1 u {1};
     when A already is A(1) the two ladders coincide, so sym(2) and sym(3)
     are ``square`` and ``cube``.  Each product refuses, as ``product_set``
-    does, once its pair count passes ``caps.max_pair_products``.
+    does, once its pair count passes ``caps.max_pair_products``.  The two
+    counting passes keep the distinct products (a key-array set above the
+    kernel cutoff) and their second moment, not the per-product counts.
     """
 
     def __init__(self, A: GroupSet, caps: Caps | None = None):
@@ -135,15 +177,17 @@ class Products:
         self._powers = [A]
 
     @cached_property
-    def quotient_counts(self) -> Counter:
-        return rep_function(self.A, self.A, "inverse_left")
+    def quotient_tally(self) -> tuple[GroupSet, int]:
+        """A^-1 A and E(A), from one uncapped counting pass."""
+        return product_tally(self.A, self.A, "inverse_left")
 
     @cached_property
-    def square_counts(self) -> Counter:
+    def square_tally(self) -> tuple[GroupSet, int]:
+        """A^2 and E*(A), likewise."""
         # for A = A^-1 both passes enumerate the same multiset
         if self.A.is_symmetric:
-            return self.quotient_counts
-        return rep_function(self.A, self.A, "plain")
+            return self.quotient_tally
+        return product_tally(self.A, self.A, "plain")
 
     # energy and product_energy are the module-level functions, cached
     @cached_property
@@ -156,11 +200,11 @@ class Products:
 
     @cached_property
     def quotient(self) -> GroupSet:
-        return self._from_counts("quotient_counts")
+        return self._capped("quotient_tally")
 
     @cached_property
     def square(self) -> GroupSet:
-        return self._from_counts("square_counts")
+        return self._capped("square_tally")
 
     @property
     def cube(self) -> GroupSet:
@@ -180,11 +224,10 @@ class Products:
         A = self.A
         return self._powers if A.has_identity and A.is_symmetric else [A.symmetrized()]
 
-    def _from_counts(self, name: str) -> GroupSet:
+    def _capped(self, name: str) -> GroupSet:
         # refuse before the counting pass runs, as product_set does
         check_pairs("product", len(self.A), len(self.A), self.caps.max_pair_products)
-        counts = getattr(self, name)
-        return GroupSet(self.A.group, self.A.spec, counts.keys(), _checked=True)
+        return getattr(self, name)[0]
 
     def _climb(self, powers: list[GroupSet], k: int) -> GroupSet:
         """powers[k - 1], extending powers[j] = powers[j - 1] powers[0]."""
@@ -192,11 +235,12 @@ class Products:
             raise ParameterError(f"power must be >= 1, got {k}")
         while len(powers) < k:
             last = powers[-1]
+            if len(powers) > 1 and last == powers[-2]:
+                return last  # once XA = X, every later power is X
             if last is self.A:
-                last = self.square
-            elif len(powers) == 1 or last != powers[-2]:  # once XA = X, XAA = X
-                last = product_set(last, powers[0], cap=self.caps.max_pair_products)
-            powers.append(last)
+                powers.append(self.square)
+            else:
+                powers.append(product_set(last, powers[0], cap=self.caps.max_pair_products))
         return powers[k - 1]
 
 

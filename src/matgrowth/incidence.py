@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ParameterError
+from .config import Caps
+from .errors import CapExceeded, ParameterError
 from .exact import BoundCheck, incidence_bound
 from .ffield import FieldSpec
 from .groups import H, T2, GroupSet, Wire, ginv, gmul
@@ -349,6 +350,9 @@ def random_instance(
         raise ParameterError("instance needs at least one point and one plane")
     if n_points > domain or n_planes > domain:
         raise ParameterError(f"at most {domain} distinct tuples exist over F_{q}")
+    cap = Caps().max_set_elements
+    if max(n_points, n_planes) > cap:
+        raise CapExceeded(f"instance of {n_points} x {n_planes} exceeds the set cap {cap}")
     rng = SplitMix64(seed)
 
     def draw(n: int, shape) -> dict[tuple, int]:

@@ -203,7 +203,7 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
     def growth_section():
         e, estar = P.energy, P.product_energy
         square, cube = P.square, P.cube
-        quotient_size = len(P.quotient_counts)
+        quotient_size = len(P.quotient)
         state.update(energy=e, quotient_size=quotient_size)
         lemma = tripling_lemma_check(P, k=opts.lemma_k)
         if not (e * quotient_size >= n**4 and estar * len(square) >= n**4):

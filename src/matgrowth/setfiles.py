@@ -69,6 +69,7 @@ def random_set(group: str, spec: FieldSpec, size: int, seed: int) -> GroupSet:
     domain = (q - 1) * q * (q - 1) if group == T2 else q * q * q
     if size < 1 or size > domain:
         raise ParameterError(f"size {size} out of range for a group of order {domain}")
+    _check_set_cap(size, "random set size")
     rng = SplitMix64(seed)
     total = q * q * q
     got: set = set()
@@ -91,6 +92,7 @@ def box_set(spec: FieldSpec, n: int) -> GroupSet:
         raise ParameterError(
             f"box({n}) needs p > {3 * n * n} so that products do not wrap"
         )
+    _check_set_cap(n**4, f"elements of box({n})")
     wires = [
         (x, y, z) for x in range(n) for y in range(n) for z in range(n * n)
     ]
@@ -109,8 +111,10 @@ def perturbed_coset(
     total = q * q * q
     current = set(base)
     order = list(base)
+    _check_set_cap(swaps, "perturbed coset swaps")
     for _ in range(swaps):
-        victim = order[rng.below(len(order))]
+        at = rng.below(len(order))
+        victim = order[at]
         while True:
             w = rng.below(total)
             triple = (w // (q * q), (w // q) % q, w % q)
@@ -120,8 +124,15 @@ def perturbed_coset(
                 break
         current.discard(victim)
         current.add(triple)
-        order[order.index(victim)] = triple
+        order[at] = triple
     return GroupSet(group, spec, current, _checked=True)
+
+
+def _check_set_cap(size: int, what: str) -> None:
+    """Refuse a recipe past ``Caps.max_set_elements`` before it runs."""
+    cap = Caps().max_set_elements
+    if size > cap:
+        raise CapExceeded(f"{what}: {size} is above the set cap {cap}")
 
 
 def _generator_tag(group: str, spec: FieldSpec, gen: dict) -> SubgroupTag:
@@ -129,13 +140,13 @@ def _generator_tag(group: str, spec: FieldSpec, gen: dict) -> SubgroupTag:
     tag = SubgroupTag.from_json(gen["tag"])
     if tag.group != group:
         raise ParameterError(f"tag {tag!r} is not a {group} subgroup")
-    order, cap = tag.order(spec), Caps().max_set_elements
-    if order > cap:
-        raise CapExceeded(f"{tag!r} over F_{spec.q} has {order} elements, above the set cap {cap}")
+    _check_set_cap(tag.order(spec), f"elements of {tag!r} over F_{spec.q}")
     return tag
 
 
 def generate(group: str, spec: FieldSpec, gen: dict) -> GroupSet:
+    if not isinstance(gen, dict):
+        raise ParameterError(f"generator recipe must be an object, got {gen!r}")
     kind = gen.get("kind")
     if kind == "random":
         return random_set(group, spec, int(gen["size"]), int(gen["seed"]))
@@ -175,8 +186,9 @@ def explicit_setfile(elements: GroupSet) -> SetFile:
 
 
 def setfile_from_json(obj: dict) -> SetFile:
-    if obj.get("schema") != SET_SCHEMA:
-        raise ParameterError(f"not a set file (schema {obj.get('schema')!r})")
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema != SET_SCHEMA:
+        raise ParameterError(f"not a set file (schema {schema!r})")
     group = obj.get("group")
     if group not in GROUPS:
         raise ParameterError(f"unknown group {group!r}")
@@ -188,7 +200,7 @@ def setfile_from_json(obj: dict) -> SetFile:
         raise ParameterError("set file has no elements")
     try:
         triples = [tuple(int(x) for x in w) for w in raw]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParameterError("set file elements must be lists of integers") from None
     wires = [check_group_wire(spec, group, t) for t in triples]
     keys = [wire_key(spec, w) for w in wires]
@@ -214,4 +226,7 @@ def regenerate(sf: SetFile) -> GroupSet | None:
     """Rerun the stored recipe; None when the file is an explicit list."""
     if sf.generator is None:
         return None
-    return generate(sf.group, sf.spec, sf.generator)
+    try:
+        return generate(sf.group, sf.spec, sf.generator)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ParameterError(f"malformed generator recipe {sf.generator!r}") from None

@@ -28,7 +28,7 @@ from .config import StructureOptions
 from .errors import CapExceeded, ParameterError
 from .ffield import FieldElement, span_over_subfield, subfield_generated_by
 from .groups import T2, GroupSet, ginv, gmul
-from .growth import Products, as_products, product_set
+from .growth import Products, as_products
 
 POTENT = "POTENT"
 UNIPOTENT = "UNIPOTENT"
@@ -181,13 +181,14 @@ def _cert_span_reachable(P: Products, lifted: GroupSet, budget: int) -> Certific
     certificate with genuine failure modes (budget too small, or the set
     does not actually generate the span).
     """
-    cur = P.sym(1)
+    last = None
     for k in range(1, budget + 1):
-        # P keeps A(k) up to A(4), which the scans read; later powers are dropped
-        if k > 1:
-            cur = P.sym(k) if k <= 4 else product_set(cur, P.sym(1), P.caps.max_pair_products)
+        cur = P.sym(k)
+        if cur is last:  # the ladder has stopped growing
+            break
         if lifted.subset_of(cur):
             return Certificate("span_reachable", True, str(k))
+        last = cur
     return Certificate("span_reachable", False, f"not reached within budget {budget}")
 
 

@@ -360,3 +360,16 @@ def test_verify_catches_tampered_elements(tmp_path, capsys):
     write_json(corpus / "sample.json", obj)
     assert main(["verify", str(corpus)]) == 4
     assert "[FAIL]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "generator", ["random", {"kind": "random"}, {"kind": "random", "size": "x", "seed": 1}]
+)
+def test_verify_reports_a_malformed_generator(tmp_path, capsys, generator):
+    corpus = build_corpus(tmp_path)
+    obj = read_json(corpus / "sample.json")
+    obj["generator"] = generator
+    write_json(corpus / "sample.json", obj)
+    assert main(["verify", str(corpus)]) == 4
+    out = capsys.readouterr().out
+    assert "[FAIL] sample: " in out and "generator recipe" in out

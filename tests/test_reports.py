@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from conftest import F5, F7, F9, F101
-from matgrowth.config import Caps, RunOptions
+from matgrowth.config import Caps, RunOptions, StructureOptions
 from matgrowth.errors import ParameterError
 from matgrowth.ffield import standard_field
 from matgrowth.groups import GroupSet, SubgroupTag
-from matgrowth import growth, structure
+from matgrowth import growth
 from matgrowth.growth import Products, energy
 from matgrowth.jsonio import digest
 from matgrowth.reports import (
@@ -141,9 +141,8 @@ def test_structure_cap_errors_stay_in_their_scan():
     assert "error" in rep["structure"]["sum_product"]
 
 
-@pytest.mark.parametrize("name", ["t2f4_in_f16.json", "t2_f7_random24.json"])
-def test_report_enumerates_each_product_once(monkeypatch, name):
-    """No pair enumeration runs twice over equal operands in one report.
+def log_enumerations(monkeypatch) -> list:
+    """Log the operands of every product set and representation count.
 
     A representation count over (A, B) enumerates the same pairs as the
     product set of (A^-1, B) or (A, B), so all three are logged alike.
@@ -161,9 +160,40 @@ def test_report_enumerates_each_product_once(monkeypatch, name):
         return rep_function(A, B, mode)
 
     monkeypatch.setattr(growth, "product_set", logged_product_set)
-    monkeypatch.setattr(structure, "product_set", logged_product_set)
     monkeypatch.setattr(growth, "rep_function", logged_rep_function)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["t2f4_in_f16.json", "t2_f7_random24.json"])
+def test_report_enumerates_each_product_once(monkeypatch, name):
+    """No pair enumeration runs twice over equal operands in one report."""
+    seen = log_enumerations(monkeypatch)
     run_report(load_setfile(CORPUS / name), RunOptions(structure=True))
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
+REACH_SET = explicit_setfile(GroupSet("T2", F101, [(1, 1, 1), (2, 0, 1), (3, 5, 1)]))
+
+
+@pytest.mark.parametrize(
+    "sf",
+    [
+        load_setfile(CORPUS / "t2f4_in_f16.json"),
+        load_setfile(CORPUS / "t2_f7_random24.json"),
+        REACH_SET,  # the lifted span is reached at A(7), after A(6) was built
+    ],
+    ids=["t2f4_in_f16", "t2_f7_random24", "reach7_f101"],
+)
+def test_deep_powers_are_enumerated_once(monkeypatch, sf):
+    """With intersection_k = 3 the subgroup section builds A(6); the
+    structure scan's reach search reads that ladder instead of rebuilding."""
+    seen = log_enumerations(monkeypatch)
+    opts = RunOptions(
+        structure=True, intersection_k=3, structure_opts=StructureOptions(potent_exponent=0)
+    )
+    rep, _ = run_report(sf, opts)
+    assert "error" not in rep["structure"]
     assert seen
     assert len(seen) == len(set(seen))
 
