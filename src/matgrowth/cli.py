@@ -135,8 +135,6 @@ def build_options(args) -> RunOptions:
         kwargs["energy_constant"] = args.energy_constant
     if getattr(args, "timings", False):
         kwargs["timings"] = True
-    if getattr(args, "threads", None) is not None:
-        kwargs["threads"] = args.threads
     return RunOptions(**kwargs)
 
 
@@ -306,7 +304,6 @@ def make_parser() -> argparse.ArgumentParser:
     r.add_argument("--subgroup", help="override the profiled subgroup tag")
     r.add_argument("--energy-constant", dest="energy_constant", type=parse_fraction)
     r.add_argument("--timings", action="store_true")
-    r.add_argument("--threads", type=int, help="accepted for interface parity; kernels are sequential")
     r.set_defaults(func=cmd_report)
 
     i = sub.add_parser("incidence", help="bridge a set file or probe a random instance")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -12,6 +12,13 @@ from .errors import ParameterError
 # and keeps the exact integers a report prints (|A(1)|^(k-3) in the lemma
 # check, tripling^exponent in the potent threshold) at a printable size.
 MAX_POWER = 64
+
+
+def json_typed(value, kind: type, what: str):
+    """``value`` when its JSON type is exactly ``kind``: 2.5, "2" and true are not ints."""
+    if type(value) is not kind:
+        raise ParameterError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -43,21 +50,16 @@ class StructureOptions:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StructureOptions":
-        return cls(
-            potent_exponent=int(obj.get("potent_exponent", 10)),
-            potent_floor=int(obj.get("potent_floor", 1)),
-            reach_budget=int(obj.get("reach_budget", 12)),
-        )
+        names = {f.name for f in fields(cls)}  # all int-valued
+        return cls(**{k: json_typed(v, int, k) for k, v in obj.items() if k in names})
 
 
 @dataclass(frozen=True)
 class RunOptions:
     """Knobs of a report run.  Serialized into manifests verbatim.
 
-    ``threads`` is accepted for interface stability; the counting kernels
-    are sequential and deterministic, so the value never changes any
-    output byte.  Wall-clock timings are off by default for the same
-    reason: a report is a pure function of the set file and the options.
+    Wall-clock timings are off by default: a report is a pure function of
+    the set file and the options.
     """
 
     lemma_k: int = 3
@@ -70,7 +72,6 @@ class RunOptions:
     energy_constant: Fraction | None = None
     incidence_constant: Fraction | None = None
     timings: bool = False
-    threads: int = 1
     caps: Caps = field(default_factory=Caps)
 
     def __post_init__(self):
@@ -80,8 +81,6 @@ class RunOptions:
             raise ParameterError(f"lemma_k must be in 1..{MAX_POWER}")
         if not 1 <= self.intersection_k <= MAX_POWER:
             raise ParameterError(f"intersection_k must be in 1..{MAX_POWER}")
-        if self.threads < 1:
-            raise ParameterError("threads must be >= 1")
 
     def to_json(self) -> dict:
         out = {
@@ -109,21 +108,26 @@ class RunOptions:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunOptions":
+        """Options from a manifest entry; keys it does not know are ignored."""
         from .groups import SubgroupTag
 
         kwargs: dict = {}
-        for key in ("lemma_k", "intersection_k", "bridge_threshold"):
-            if key in obj:
-                kwargs[key] = int(obj[key])
-        if "bridge" in obj:
-            kwargs["bridge"] = str(obj["bridge"])
-        if "structure" in obj:
-            kwargs["structure"] = bool(obj["structure"])
-        if "structure_opts" in obj:
-            kwargs["structure_opts"] = StructureOptions.from_json(obj["structure_opts"])
-        if obj.get("subgroup") is not None:
-            kwargs["subgroup"] = SubgroupTag.from_json(obj["subgroup"])
-        for key in ("energy_constant", "incidence_constant"):
-            if obj.get(key) is not None:
-                kwargs[key] = Fraction(int(obj[key]["num"]), int(obj[key]["den"]))
+        try:
+            for key in ("lemma_k", "intersection_k", "bridge_threshold"):
+                if key in obj:
+                    kwargs[key] = json_typed(obj[key], int, key)
+            if "bridge" in obj:
+                kwargs["bridge"] = str(obj["bridge"])
+            if "structure" in obj:
+                kwargs["structure"] = json_typed(obj["structure"], bool, "structure")
+            if "structure_opts" in obj:
+                kwargs["structure_opts"] = StructureOptions.from_json(obj["structure_opts"])
+            if obj.get("subgroup") is not None:
+                kwargs["subgroup"] = SubgroupTag.from_json(obj["subgroup"])
+            for key in ("energy_constant", "incidence_constant"):
+                if obj.get(key) is not None:
+                    num, den = obj[key]["num"], obj[key]["den"]
+                    kwargs[key] = Fraction(json_typed(num, int, key), json_typed(den, int, key))
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParameterError(f"malformed run options: {obj!r}") from exc
         return cls(**kwargs)

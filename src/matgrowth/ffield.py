@@ -15,9 +15,11 @@ arithmetic; there is no floating point anywhere in this module.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
+from .config import Caps, json_typed
 from .errors import CapExceeded, MismatchError, ParameterError
 
 # Fields larger than this are out of scope: table construction and the
@@ -170,7 +172,8 @@ class FieldSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "FieldSpec":
         try:
-            return cls(int(obj["p"]), int(obj["r"]), obj["modulus"])
+            p, r = json_typed(obj["p"], int, "field p"), json_typed(obj["r"], int, "field r")
+            return cls(p, r, [json_typed(c, int, "modulus coefficient") for c in obj["modulus"]])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"malformed field description: {obj!r}") from exc
 
@@ -605,20 +608,14 @@ def subfield_generated_by(elems: Iterable[FieldElement]) -> SubfieldSpec:
     s = 1
     for e in elems:
         d = element_degree(e)
-        s = s * d // _gcd(s, d)
+        s = s * d // math.gcd(s, d)
     return subfield_of_degree(spec, s)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def span_over_subfield(
     xs: Iterable[FieldElement],
     sub: SubfieldSpec,
-    cap: int = 10**6,
+    cap: int = Caps.max_set_elements,
 ) -> tuple[FieldElement, ...]:
     """Closure of {0} + sub * x over every x: the sub-linear span inside F_q.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+from .config import Caps
 from .errors import CapExceeded, MismatchError, ParameterError
 from .ffield import FieldElement, FieldSpec
 
@@ -372,7 +373,7 @@ class GroupSet:
         return bool(np.isin(mine, theirs, assume_unique=True).all())
 
 
-def generated_closure(seeds: GroupSet, cap: int = 10**6) -> GroupSet:
+def generated_closure(seeds: GroupSet, cap: int = Caps.max_set_elements) -> GroupSet:
     """Subgroup generated by the seeds, by breadth-first products.
 
     Raises :class:`CapExceeded` (with the partial size) if the closure

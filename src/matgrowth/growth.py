@@ -374,23 +374,21 @@ def covering_check(A: GroupSet | Products, tag) -> tuple[bool, int]:
     """A is covered by per-coset translates of A^-1 A n N, for normal N.
 
     Picks one representative per N-coset met by A and verifies
-    A <= reps * ((A^-1 A n N) u {1}) elementwise.  Returns (holds, #reps).
+    A <= reps * ((A^-1 A n N) u {1}) elementwise.  The core lies in N, so
+    a is covered iff r^-1 a is in it for the representative r of a's own
+    coset: at most |A| products.  Returns (holds, #reps).
     """
     P = as_products(A)
     A = P.A
     spec = A.spec
     group = A.group
-    cap = P.caps.max_pair_products
     if not tag.is_normal:
         raise ParameterError(f"covering check needs a normal subgroup, not {tag.kind}")
     core = set(P.quotient_slice(tag).wires) | {gid(group)}
     reps: dict[tuple, Wire] = {}
+    holds = True
     for a in A.wires:
-        reps.setdefault(tag.coset_key(spec, a), a)
-    if len(reps) * len(core) > cap:
-        raise CapExceeded(f"covering product exceeds pair cap {cap}")
-    covered = set()
-    for r in reps.values():
-        for h in core:
-            covered.add(gmul(spec, group, r, h))
-    return all(w in covered for w in A.wires), len(reps)
+        r = reps.setdefault(tag.coset_key(spec, a), a)
+        if r is not a:  # a representative covers itself: r^-1 r = 1
+            holds = holds and gmul(spec, group, ginv(spec, group, r), a) in core
+    return holds, len(reps)

@@ -198,11 +198,10 @@ def setfile_from_json(obj: dict) -> SetFile:
     raw = obj.get("elements")
     if not isinstance(raw, list) or not raw:
         raise ParameterError("set file has no elements")
-    try:
-        triples = [tuple(int(x) for x in w) for w in raw]
-    except (TypeError, ValueError, OverflowError):
-        raise ParameterError("set file elements must be lists of integers") from None
-    wires = [check_group_wire(spec, group, t) for t in triples]
+    # real JSON integers only: int() would truncate 2.5 and accept "2" or true
+    if not all(type(w) is list and all(type(x) is int for x in w) for w in raw):
+        raise ParameterError("set file elements must be lists of integers")
+    wires = [check_group_wire(spec, group, tuple(w)) for w in raw]
     keys = [wire_key(spec, w) for w in wires]
     if any(b <= a for a, b in zip(keys, keys[1:])):
         raise ParameterError("element list is not in canonical sorted order")

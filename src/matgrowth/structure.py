@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import StructureOptions
-from .errors import CapExceeded, ParameterError
+from .errors import ParameterError
 from .ffield import FieldElement, span_over_subfield, subfield_generated_by
 from .groups import T2, GroupSet, ginv, gmul
-from .growth import Products, as_products
+from .growth import Products, as_products, check_pairs
 
 POTENT = "POTENT"
 UNIPOTENT = "UNIPOTENT"
@@ -160,8 +160,7 @@ def _cert_dilated_sums_in_span(spec, X, D, span_wires, cap: int) -> Certificate:
     True for any F-subspace containing X once D generates F; evaluated
     exhaustively anyway as a consistency check on the span computation.
     """
-    if len(X) * len(X) * len(D) > cap:
-        raise CapExceeded("dilated-sum certificate too large to enumerate")
+    check_pairs("dilated-sum certificate", len(X) * len(D), len(X), cap)
     for x1 in X:
         for d in D:
             for x2 in X:
@@ -205,8 +204,7 @@ def _cert_conjugation_stable(spec, D, span_wires) -> Certificate:
 def _cert_commutators_in_span(work: GroupSet, span_wires, cap: int) -> Certificate:
     """Commutators of working-set elements land in the lifted span."""
     spec = work.spec
-    if len(work) * len(work) > cap:
-        raise CapExceeded("commutator certificate too large to enumerate")
+    check_pairs("commutator certificate", len(work), len(work), cap)
     inv = {w: ginv(spec, T2, w) for w in work.wires}
     for a in work.wires:
         for b in work.wires:

@@ -58,6 +58,18 @@ def coset_partition(A, tag):
     return sorted(sorted(block) for block in blocks.values())
 
 
+def covering_by_coset_table(A, tag):
+    """(holds, #reps) for A <= reps * ((A^-1 A n N) u {1}): one representative
+    per explicit coset block, and every reps x core product multiplied out."""
+    spec, group = A.spec, A.group
+    members = set(tag.elements(spec).wires)
+    quotients = {gmul(spec, group, ginv(spec, group, a), b) for a in A.wires for b in A.wires}
+    core = (quotients & members) | {gid(group)}
+    reps = [block[0] for block in coset_partition(A, tag)]
+    covered = {gmul(spec, group, r, h) for r in reps for h in core}
+    return all(w in covered for w in A.wires), len(reps)
+
+
 def t2_m1_recount(A):
     """Max torus-coset fiber by looping over every (x, y) pair."""
     spec = A.spec

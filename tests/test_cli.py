@@ -373,3 +373,53 @@ def test_verify_reports_a_malformed_generator(tmp_path, capsys, generator):
     assert main(["verify", str(corpus)]) == 4
     out = capsys.readouterr().out
     assert "[FAIL] sample: " in out and "generator recipe" in out
+
+
+def test_report_refuses_the_deleted_threads_flag(tmp_path, capsys):
+    path = gen_random(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(path), "--threads", "2", "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --threads 2" in err
+    assert "Traceback" not in err
+
+
+def _set_element(obj, value):
+    obj["elements"][0] = value
+
+
+def _set_field_p(obj, value):
+    obj["field"]["p"] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, value, message",
+    [
+        (_set_element, [2.5, 0, 1], "set file elements must be lists of integers"),
+        (_set_element, ["2", 0, 1], "set file elements must be lists of integers"),
+        (_set_element, [True, 0, 1], "set file elements must be lists of integers"),
+        (_set_field_p, "7", "field p must be a JSON int, got '7'"),
+    ],
+    ids=["float_coordinate", "string_coordinate", "bool_coordinate", "string_p"],
+)
+def test_set_files_need_json_integers(tmp_path, capsys, mutate, value, message):
+    corpus = build_corpus(tmp_path)
+    obj = read_json(corpus / "sample.json")
+    mutate(obj, value)
+    write_json(corpus / "sample.json", obj)
+    assert main(["report", str(corpus / "sample.json"), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert main(["verify", str(corpus)]) == 4
+    assert f"[FAIL] sample: {message}" in capsys.readouterr().out
+
+
+def test_verify_needs_a_json_bool_for_structure(tmp_path, capsys):
+    corpus = build_corpus(tmp_path)
+    manifest = read_json(corpus / "manifest.json")
+    manifest["sets"][0]["options"] = {"structure": "false"}
+    write_json(corpus / "manifest.json", manifest)
+    assert main(["verify", str(corpus)]) == 4
+    out = capsys.readouterr().out
+    assert "[FAIL] sample: structure must be a JSON bool, got 'false'" in out

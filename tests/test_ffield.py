@@ -84,6 +84,15 @@ def test_json_round_trip():
         assert hash(again) == hash(spec)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("p", "7"), ("p", 7.0), ("r", True), ("modulus", [1, 0.0, 1])]
+)
+def test_json_needs_json_integers(key, value):
+    obj = dict(F9.to_json(), **{key: value})
+    with pytest.raises(ParameterError, match="must be a JSON int"):
+        FieldSpec.from_json(obj)
+
+
 @pytest.mark.parametrize("spec", [F9, F16, F25])
 def test_mul_matches_schoolbook(spec):
     for x in range(spec.q):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import F5, F7, F101, group_sets, small_sets
+from conftest import F5, F7, F9, F101, group_sets, small_sets
 from matgrowth import growth
 from matgrowth.config import Caps
 from matgrowth.errors import CapExceeded, ParameterError
@@ -28,7 +28,7 @@ from matgrowth.growth import (
     tripling_constant,
     tripling_lemma_check,
 )
-from oracles import pair_products, quad_energy, quad_product_energy
+from oracles import covering_by_coset_table, pair_products, quad_energy, quad_product_energy
 
 UNIPOTENT_F7 = SubgroupTag("unipotent").elements(F7)
 
@@ -322,6 +322,38 @@ def test_covering_check_always_holds_for_normal_tags(data):
     holds, reps = covering_check(a, tag)
     assert holds
     assert 1 <= reps <= len(a)
+
+
+NORMAL_TAGS = {
+    "T2": [SubgroupTag("unipotent"), SubgroupTag("scalars"), SubgroupTag("scaled_unipotent")],
+    "H": [
+        SubgroupTag("center"),
+        SubgroupTag("line_center", direction=(1, 0)),
+        SubgroupTag("line_center", direction=(1, 2)),
+    ],
+}
+
+
+@given(st.data())
+def test_covering_check_matches_coset_table_oracle(data):
+    group = data.draw(st.sampled_from(["T2", "H"]))
+    spec = data.draw(st.sampled_from([F5, F9]))
+    a = data.draw(group_sets(spec, group, max_size=8))
+    tag = data.draw(st.sampled_from(NORMAL_TAGS[group]))
+    assert covering_check(a, tag) == covering_by_coset_table(a, tag)
+
+
+def test_covering_check_runs_past_reps_times_core():
+    """|reps| * |core| may pass the pair cap when |A|^2 does not: the check
+    takes |A| products, so it completes where a reps x core loop refuses."""
+    block = [(1, pow(2, i, 101), 1) for i in range(10)]  # one unipotent coset
+    singles = [(x, 0, z) for x in range(2, 12) for z in range(1, 6)]  # 50 more
+    a = GroupSet("T2", F101, block + singles)
+    tag = SubgroupTag("unipotent")
+    caps = Caps(max_pair_products=len(a) ** 2)
+    core = len(Products(a).quotient_slice(tag))  # 77 differences, 0 among them
+    assert 51 * core > caps.max_pair_products
+    assert covering_check(Products(a, caps), tag) == covering_by_coset_table(a, tag) == (True, 51)
 
 
 def test_covering_check_requires_normality():

@@ -1,6 +1,7 @@
 """Report assembly: sections, exit codes, determinism, flat CSV projection."""
 
 import csv
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,13 +261,13 @@ def test_structure_section_when_enabled():
     assert rep["structure"] == {"skipped": "structure scan applies to T2 sets"}
 
 
-def test_reports_are_deterministic_across_threads():
+def test_reports_are_deterministic_across_runs():
     sf = passing_setfile()
-    rep1, _ = run_report(sf, RunOptions(threads=1))
-    rep4, _ = run_report(sf, RunOptions(threads=4))
-    assert digest(rep1) == digest(rep4)
-    rep1b, _ = run_report(sf, RunOptions(threads=1))
-    assert rep1 == rep1b
+    rep1, _ = run_report(sf, RunOptions())
+    rep2, _ = run_report(sf, RunOptions())
+    assert digest(rep1) == digest(rep2)
+    rep3, _ = run_report(sf, RunOptions())
+    assert rep1 == rep3
 
 
 def test_timings_are_opt_in():
@@ -282,8 +283,43 @@ def test_run_options_validation():
         RunOptions(bridge="sometimes")
     with pytest.raises(ParameterError):
         RunOptions(lemma_k=0)
+
+
+def test_run_options_json_ignores_unknown_keys():
+    assert RunOptions.from_json({"threads": 8, "lemma_k": 4}) == RunOptions(lemma_k=4)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"structure": "false"}, {"structure": 1}, {"lemma_k": 2.5}, {"lemma_k": "4"},
+     {"lemma_k": True}, {"structure_opts": {"reach_budget": "3"}}, {"structure_opts": 3},
+     {"energy_constant": {"num": 1, "den": 0}}, []],
+)
+def test_run_options_json_needs_json_types(obj):
     with pytest.raises(ParameterError):
-        RunOptions(threads=0)
+        RunOptions.from_json(obj)
+
+
+def test_every_run_option_is_in_the_manifest_or_out_of_band():
+    """A field that is neither written by to_json() nor out of band (wall
+    times, resource caps) cannot change a report: a dead knob."""
+    opts = RunOptions(
+        lemma_k=4,
+        intersection_k=2,
+        bridge="on",
+        bridge_threshold=9,
+        structure=True,
+        structure_opts=StructureOptions(potent_exponent=3, potent_floor=2, reach_budget=5),
+        subgroup=SubgroupTag("torus", x=3),
+        energy_constant=Fraction(7, 2),
+        incidence_constant=Fraction(1, 3),
+        timings=True,
+        caps=Caps(max_set_elements=99, max_pair_products=999),
+    )
+    written = set(opts.to_json())
+    assert {f.name for f in fields(RunOptions)} == written | {"timings", "caps"}
+    assert set(opts.structure_opts.to_json()) == {f.name for f in fields(StructureOptions)}
+    assert RunOptions.from_json(opts.to_json()) == replace(opts, timings=False, caps=Caps())
 
 
 def test_run_options_json_round_trip():

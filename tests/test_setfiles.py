@@ -152,6 +152,14 @@ def test_setfile_rejects_unsorted_elements():
         setfile_from_json(obj)
 
 
+@pytest.mark.parametrize("bad", [[2.5, 0, 1], ["2", 0, 1], [True, 0, 1], "201", 2])
+def test_setfile_elements_need_json_integers(bad):
+    obj = explicit_setfile(GroupSet("T2", F5, [(1, 0, 1)])).to_json()
+    obj["elements"] = [bad]
+    with pytest.raises(ParameterError, match="lists of integers"):
+        setfile_from_json(obj)
+
+
 def test_setfile_rejects_corrupt_shapes():
     sf = explicit_setfile(GroupSet("T2", F5, [(1, 0, 1)]))
     good = sf.to_json()
