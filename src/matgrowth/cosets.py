@@ -16,9 +16,9 @@ For A in H two are measured:
       elements of A whose base point lies on the line.
 
 Each maximum ships with the lexicographically smallest witness achieving
-it, and with a ``count_in_*`` helper so a report consumer can recount the
-witness fiber from scratch.  m1 and line_max come from pairs of lines and
-of base points, so no profile costs more than O(|A|^2) at any q; past
+it, so a report consumer can recount the witness fiber from scratch.  m1
+and line_max come from pairs of lines and of base points, so no profile
+costs more than O(|A|^2) at any q; past
 ``Caps.max_pair_products`` pairs the profile raises ``CapExceeded`` whose
 ``partial`` is the profile with that maximum left None.
 """
@@ -46,29 +46,6 @@ class T2Profile:
     m2: FiberMax  # witness (chi,)
     m1: FiberMax | None  # witness (x, y); None only in CapExceeded.partial
     size: int
-
-
-def count_in_diag_fiber(A: GroupSet, a: int, c: int) -> int:
-    return sum(1 for w in A.wires if w[0] == a and w[2] == c)
-
-
-def count_in_ratio_fiber(A: GroupSet, chi: int) -> int:
-    spec = A.spec
-    return sum(1 for w in A.wires if spec.div(w[0], w[2]) == chi)
-
-
-def count_in_torus_coset(A: GroupSet, x: int, y: int) -> int:
-    """#{g in A : g.a * x + g.b = g.c * y}.
-
-    Varying (x, y) over F_q^2 ranges over every left coset of every torus
-    stabilizer, so the max of this count over (x, y) is the m1 profile.
-    """
-    spec = A.spec
-    return sum(
-        1
-        for w in A.wires
-        if spec.add(spec.mul(w[0], x), w[1]) == spec.mul(w[2], y)
-    )
 
 
 def t2_profile(A: GroupSet, caps: Caps | None = None) -> T2Profile:
@@ -129,19 +106,6 @@ class HeisProfile:
     line_max: FiberMax | None  # witness (alpha, beta, gamma), direction
     # normalized; None only in CapExceeded.partial
     size: int
-
-
-def count_in_base_fiber(A: GroupSet, g1: int, g2: int) -> int:
-    return sum(1 for w in A.wires if w[0] == g1 and w[1] == g2)
-
-
-def count_on_line(A: GroupSet, alpha: int, beta: int, gamma: int) -> int:
-    spec = A.spec
-    return sum(
-        1
-        for w in A.wires
-        if spec.add(spec.mul(alpha, w[0]), spec.mul(beta, w[1])) == gamma
-    )
 
 
 def heis_profile(A: GroupSet, caps: Caps | None = None) -> HeisProfile:
@@ -239,17 +203,6 @@ def dyadic_pieces(A: GroupSet) -> list[DyadicPiece]:
             )
         )
     return pieces
-
-
-def piece_elements(A: GroupSet, piece: DyadicPiece) -> GroupSet:
-    spec = A.spec
-    keys = set(piece.keys)
-    return GroupSet(
-        T2,
-        spec,
-        (w for w in A.wires if _dilate_key(spec, w) in keys),
-        _checked=True,
-    )
 
 
 # -- p-constraint flags -------------------------------------------------------

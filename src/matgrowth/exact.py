@@ -6,8 +6,11 @@ never decides anything: the comparison is rearranged so that a single
 square eliminates the root, and all arithmetic is Fraction/int.  Floats
 appear only in ``display_ratio`` fields meant for human-readable output.
 
-Constants are pinned as fractions with denominator 10**6, found by exact
-binary search for the least numerator making the bound hold.
+Constants are pinned as fractions with denominator 10**6.  A fitted
+constant is the least numerator making the bound hold: every fitted bound
+has the shape ``lhs <= C * (a + b * sqrt(R))``, so ``least_grid_constant``
+estimates it in closed form and settles the last step with exact tests.
+``min_constant`` is the generic binary search over any monotone predicate.
 """
 
 from __future__ import annotations
@@ -70,6 +73,48 @@ def min_constant(holds: Callable[[Fraction], bool], hi_cap: int = 10**18) -> Fra
     return Fraction(hi, CONSTANT_DENOM)
 
 
+# the least numerator ``min_constant`` reaches before its doubling passes 10**18
+GRID_LIMIT = 2**59
+
+
+def least_grid_constant(lhs: Fraction | int, a: int, b: int, R: int) -> Fraction:
+    """Least C = N / 10**6 with lhs <= C * (a + b * sqrt(R)), for a, b, R >= 0.
+
+    The same constant ``min_constant`` finds for that predicate, and it
+    refuses the same inputs: N past ``GRID_LIMIT`` (which covers a = 0
+    with b * R = 0).  N is estimated from an integer square root scaled
+    by 2^64 and then stepped by exact integer tests; no float decides.
+    """
+    if a < 0 or b < 0 or R < 0:
+        raise ParameterError("grid constant needs nonnegative a, b and R")
+    u, v = lhs.numerator, lhs.denominator
+    if u <= 0:
+        return Fraction(0)
+    target = u * CONSTANT_DENOM  # lhs * 10**6 = target / v
+
+    def holds(N: int) -> bool:  # target <= N * v * (a + b * sqrt(R))
+        z = target - N * v * a
+        return z <= 0 or z * z <= (N * v * b) ** 2 * R
+
+    if not holds(GRID_LIMIT):
+        raise ParameterError("no constant below cap satisfies the bound")
+    # r / s <= sqrt(R) < (r + 1) / s, so N <= 2^59 puts the estimate at
+    # most one step above the least N (and never below it)
+    s = 1 << 64
+    r = math.isqrt(R * s * s)
+    N = -(-target * s // (v * (a * s + b * r)))
+    while N > 1 and holds(N - 1):
+        N -= 1
+    return Fraction(N, CONSTANT_DENOM)
+
+
+def _fit(lhs: int, a: int, b: int, R: int, constant: Fraction | None) -> tuple[Fraction, bool]:
+    """(constant, holds) of lhs <= C (a + b sqrt(R)): fitted when no constant is pinned."""
+    if constant is None:
+        return least_grid_constant(lhs, a, b, R), True
+    return constant, le_linear_plus_sqrt(lhs, constant * a, constant * b, R)
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     holds: bool
@@ -79,18 +124,6 @@ class BoundCheck:
 
 
 # -- energy against the coset profile ----------------------------------------
-
-def _t2_energy_holds(energy: int, n: int, m1: int, m2: int, c: Fraction) -> bool:
-    # E <= c * L * (n^2 * m1 + n^2 * sqrt(n * m2)),  L = bit_log(n)
-    big = c * bit_log(n) * n * n
-    return le_linear_plus_sqrt(energy, big * m1, big, n * m2)
-
-
-def _heis_energy_holds(energy: int, n: int, m: int, line_max: int, c: Fraction) -> bool:
-    # E <= c * (n^2 * line_max + n^2 * m * sqrt(n))
-    big = c * n * n
-    return le_linear_plus_sqrt(energy, big * line_max, big * m, n)
-
 
 def t2_energy_bound(
     energy: int, n: int, m1: int, m2: int, constant: Fraction | None = None
@@ -102,11 +135,8 @@ def t2_energy_bound(
     """
     if n < 1:
         raise ParameterError("energy bound of an empty set")
-    if constant is None:
-        constant = min_constant(lambda c: _t2_energy_holds(energy, n, m1, m2, c))
-        holds = True
-    else:
-        holds = _t2_energy_holds(energy, n, m1, m2, constant)
+    big = bit_log(n) * n * n  # E <= C * big * (m1 + sqrt(n * m2))
+    constant, holds = _fit(energy, big * m1, big, n * m2, constant)
     rhs = bit_log(n) * (n * n * math.sqrt(n * m2) + n * n * m1)
     return BoundCheck(
         holds=holds,
@@ -122,11 +152,7 @@ def heis_energy_bound(
     """E(A) <= C * (|A|^(5/2) m + |A|^2 line_max)."""
     if n < 1:
         raise ParameterError("energy bound of an empty set")
-    if constant is None:
-        constant = min_constant(lambda c: _heis_energy_holds(energy, n, m, line_max, c))
-        holds = True
-    else:
-        holds = _heis_energy_holds(energy, n, m, line_max, constant)
+    constant, holds = _fit(energy, n * n * line_max, n * n * m, n, constant)
     rhs = n * n * m * math.sqrt(n) + n * n * line_max
     return BoundCheck(
         holds=holds,
@@ -197,17 +223,7 @@ def incidence_bound(
     small, large = min(points, planes), max(points, planes)
     if small < 1:
         raise ParameterError("incidence bound needs nonempty sides")
-
-    def holds_at(c: Fraction) -> bool:
-        return le_linear_plus_sqrt(
-            incidences, c * max_collinear * large, c * large, small
-        )
-
-    if constant is None:
-        constant = min_constant(holds_at)
-        holds = True
-    else:
-        holds = holds_at(constant)
+    constant, holds = _fit(incidences, max_collinear * large, large, small, constant)
     rhs = large * math.sqrt(small) + max_collinear * large
     return BoundCheck(
         holds=holds,
@@ -219,7 +235,3 @@ def incidence_bound(
 
 def fraction_json(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
-
-
-def fraction_from_json(obj: dict) -> Fraction:
-    return Fraction(obj["num"], obj["den"])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .config import Caps
+from .config import Caps, json_typed
 from .errors import CapExceeded, MismatchError, ParameterError
 from .ffield import FieldElement, FieldSpec
 
@@ -197,17 +197,6 @@ def diag_ratio(g: T2Element) -> FieldElement:
 def diag_part(g: T2Element) -> T2Element:
     """Forget the corner: (a, 0, c).  A homomorphism onto the diagonal."""
     return T2Element(g.spec, (g.wires[0], 0, g.wires[2]))
-
-
-def affine_part(g: T2Element) -> T2Element:
-    """Scale to unit determinant on the (2,2) slot: (a/c, b/c, 1).
-
-    This is the projection to the affine group {(a, b, 1)}; its kernel is
-    the scalar subgroup.
-    """
-    spec = g.spec
-    ci = spec.inv(g.wires[2])
-    return T2Element(spec, (spec.mul(g.wires[0], ci), spec.mul(g.wires[1], ci), 1))
 
 
 # -- canonical element order and sets ----------------------------------------
@@ -602,10 +591,17 @@ class SubgroupTag:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SubgroupTag":
+        """A tag from its JSON form; every field must have its exact JSON type."""
+        obj = json_typed(obj, dict, "subgroup tag")
+        x = obj.get("x")
+        if x is not None:
+            x = json_typed(x, int, "subgroup x")
         direction = obj.get("direction")
         if direction is not None:
-            direction = (int(direction[0]), int(direction[1]))
-        return cls(obj["kind"], x=obj.get("x"), direction=direction)
+            if type(direction) is not list or len(direction) != 2:
+                raise ParameterError(f"subgroup direction must be two JSON ints, got {direction!r}")
+            direction = tuple(json_typed(d, int, "subgroup direction") for d in direction)
+        return cls(json_typed(obj.get("kind"), str, "subgroup kind"), x=x, direction=direction)
 
     def __eq__(self, other) -> bool:
         return (

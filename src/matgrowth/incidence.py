@@ -26,7 +26,7 @@ from .errors import CapExceeded, ParameterError
 from .exact import BoundCheck, incidence_bound
 from .ffield import FieldSpec
 from .groups import H, T2, GroupSet, Wire, ginv, gmul
-from .growth import Products, as_products
+from .growth import Products, as_products, check_pairs
 from .rng import SplitMix64
 
 Pair = tuple[Wire, Wire]
@@ -38,8 +38,11 @@ def class_key(spec: FieldSpec, group: str, g: Wire, v: Wire) -> tuple[int, int]:
     return (spec.add(g[0], v[0]), spec.add(g[1], v[1]))
 
 
-def pair_classes(A: GroupSet) -> dict[tuple[int, int], list[Pair]]:
+def pair_classes(
+    A: GroupSet, cap: int = Caps.max_pair_products
+) -> dict[tuple[int, int], list[Pair]]:
     """All of A x A binned by class key, keys in sorted order."""
+    check_pairs("pair classes", len(A), len(A), cap)
     spec = A.spec
     group = A.group
     out: dict[tuple[int, int], list[Pair]] = {}
@@ -49,12 +52,15 @@ def pair_classes(A: GroupSet) -> dict[tuple[int, int], list[Pair]]:
     return {k: out[k] for k in sorted(out)}
 
 
-def quadruple_count(spec: FieldSpec, group: str, pairs: list[Pair]) -> int:
+def quadruple_count(
+    spec: FieldSpec, group: str, pairs: list[Pair], cap: int = Caps.max_pair_products
+) -> int:
     """Solutions of g^-1 h = u^-1 v with (g, v), (h, u) from the class.
 
     Evaluated straight from the definition with cached inverses; shares
     no code with the incidence path, which is the point.
     """
+    check_pairs("quadruple count", len(pairs), len(pairs), cap, "pairs")
     inv: dict[Wire, Wire] = {}
     for g, v in pairs:
         if g not in inv:
@@ -149,64 +155,140 @@ def build_instance(
     return WeightedInstance(spec=spec, points=points, planes=planes, group=group, key=key)
 
 
-def incidence_count(inst: WeightedInstance) -> int:
+def incidence_count(inst: WeightedInstance, cap: int = Caps.max_pair_products) -> int:
     """Weighted incidences: sum of w(p) w(pi) over pairs with p . pi = 0."""
     spec = inst.spec
+    check_pairs("incidence count", len(inst.points), len(inst.planes), cap, "tuples")
     total = 0
     planes = list(inst.planes.items())
-    for p, wp in inst.points.items():
+    if spec.r == 1:
+        # plain integer dot products: every sum stays below 4 p^2 < 2^34
+        p = spec.p
+        for (x0, x1, x2, x3), wp in inst.points.items():
+            for (y0, y1, y2, y3), wpl in planes:
+                if not (x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3) % p:
+                    total += wp * wpl
+        return total
+    for pt, wp in inst.points.items():
         for pl, wpl in planes:
-            if dot4(spec, p, pl) == 0:
+            if dot4(spec, pt, pl) == 0:
                 total += wp * wpl
     return total
 
 
 # -- collinearity -------------------------------------------------------------
+#
+# Nonzero 4-tuples are points of projective 3-space; a line is the span of
+# two non-proportional tuples, and its members are all the tuples in that
+# span (so a tuple joins every line through any tuple it is proportional
+# to, and the zero tuple joins none).  A line is keyed by the reduced row
+# echelon form of its 2 x 4 basis, which is unique.
 
-def _rref2(spec: FieldSpec, row1: tuple, row2: tuple) -> tuple | None:
-    """Canonical reduced form of the 2 x 4 matrix [row1; row2].
 
-    Two point tuples span the same projective line exactly when they give
-    the same reduced form.  Returns None when the rows are proportional
-    (rank < 2), which cannot happen for distinct tuples sharing a unit
-    coordinate.
+def _normalise(spec: FieldSpec, t: tuple) -> tuple | None:
+    """t scaled so that its first nonzero coordinate is one; None for zero."""
+    for x in t:
+        if x:
+            s = spec.inv(x)
+            return tuple(spec.mul(y, s) for y in t)
+    return None
+
+
+def _direction(spec: FieldSpec):
+    """direction(a, f, t) = normalise(t - t[f] a), for a normalised a with pivot f.
+
+    Tuples t, t' not proportional to a lie on one line through a exactly
+    when their directions agree; a tuple proportional to a has direction
+    None.
     """
-    rows = [list(row1), list(row2)]
-    piv = 0
-    for col in range(4):
-        sel = None
-        for i in range(piv, 2):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[piv], rows[sel] = rows[sel], rows[piv]
-        s = spec.inv(rows[piv][col])
-        rows[piv] = [spec.mul(s, t) for t in rows[piv]]
-        for i in range(2):
-            if i != piv and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [spec.sub(rows[i][j], spec.mul(f, rows[piv][j])) for j in range(4)]
-        piv += 1
-        if piv == 2:
-            break
-    if piv < 2:
-        return None
-    return (tuple(rows[0]), tuple(rows[1]))
+    if spec.r != 1:
+
+        def direction(a, f, t):
+            c = t[f]
+            return _normalise(spec, tuple(spec.sub(x, spec.mul(c, y)) for x, y in zip(t, a)))
+
+        return direction
+    p = spec.p
+
+    def direction(a, f, t):
+        c = t[f]
+        w0 = (t[0] - c * a[0]) % p
+        w1 = (t[1] - c * a[1]) % p
+        w2 = (t[2] - c * a[2]) % p
+        w3 = (t[3] - c * a[3]) % p
+        if w0:
+            s = pow(w0, -1, p)
+            return (1, w1 * s % p, w2 * s % p, w3 * s % p)
+        if w1:
+            s = pow(w1, -1, p)
+            return (0, 1, w2 * s % p, w3 * s % p)
+        if w2:
+            return (0, 0, 1, w3 * pow(w2, -1, p) % p)
+        return (0, 0, 0, 1) if w3 else None
+
+    return direction
+
+
+def _lines(spec: FieldSpec, pts: list[tuple], cap: int):
+    """Every line through two of the sorted nonzero tuples ``pts``, once.
+
+    Yields (a, w, members): the normalised smallest member a, the
+    direction w of the line from it, and the sorted indices of all members.
+    Each anchor groups the later tuples by direction; a line is yielded
+    from its smallest member, and the later anchors that see it again are
+    told apart by marking, for each member, the next member not
+    proportional to it (the first tuple of that anchor's group).
+    """
+    n = len(pts)
+    check_pairs("collinearity pass", n, n, cap, "tuples")
+    direction = _direction(spec)
+    norm = [_normalise(spec, t) for t in pts]
+    seen: set[tuple[int, int]] = set()
+    for i, a in enumerate(norm):
+        f = a.index(1)
+        same: list[int] = []
+        groups: dict[tuple, list[int]] = {}
+        for j in range(i + 1, n):
+            w = direction(a, f, norm[j])
+            if w is None:
+                same.append(j)
+            elif w in groups:
+                groups[w].append(j)
+            else:
+                groups[w] = [j]
+        for w, later in groups.items():
+            if (i, later[0]) in seen:
+                continue
+            members = sorted([i, *same, *later])
+            last = len(members) - 1
+            for pos in range(1, last):  # a two-member line is seen once
+                x, k = members[pos], pos + 1
+                while k < last and norm[members[k]] == norm[x]:
+                    k += 1
+                if norm[members[k]] != norm[x]:
+                    seen.add((x, members[k]))
+            yield a, w, members
+
+
+def _line_key(spec: FieldSpec, a: tuple, w: tuple) -> tuple:
+    """Reduced row echelon form of the line spanned by a and w = direction(a, ., .)."""
+    # a and w are normalised and w vanishes at a's pivot, so only a's
+    # coordinate at w's pivot needs clearing, and only when that pivot is later
+    g = next(k for k, x in enumerate(w) if x)
+    if g < a.index(1):
+        return (w, a)
+    c = a[g]
+    return (tuple(spec.sub(x, spec.mul(c, y)) for x, y in zip(a, w)), w)
 
 
 def line_groups(spec: FieldSpec, tuples: Iterable[tuple]) -> dict[tuple, tuple]:
     """Lines spanned by pairs of distinct tuples, as line key -> members."""
-    pts = sorted(tuples)
-    lines: dict[tuple, set[int]] = {}
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            key = _rref2(spec, pts[i], pts[j])
-            if key is None:
-                continue
-            lines.setdefault(key, set()).update((i, j))
-    return {k: tuple(pts[i] for i in sorted(idx)) for k, idx in sorted(lines.items())}
+    pts = sorted(t for t in tuples if any(t))
+    lines = {
+        _line_key(spec, a, w): tuple(pts[k] for k in members)
+        for a, w, members in _lines(spec, pts, Caps.max_pair_products)
+    }
+    return dict(sorted(lines.items()))
 
 
 @dataclass(frozen=True)
@@ -218,20 +300,29 @@ class CollinearStats:
     witness: tuple | None  # canonical key of a line with max_distinct
 
 
-def collinear_stats(spec: FieldSpec, weighted: dict[tuple, int]) -> CollinearStats:
+def collinear_stats(
+    spec: FieldSpec, weighted: dict[tuple, int], cap: int = Caps.max_pair_products
+) -> CollinearStats:
+    """Line statistics of positively weighted 4-tuples; the pair pass is capped."""
     total = sum(weighted.values())
     n = len(weighted)
     if n <= 1:
         return CollinearStats(
             count=n, total_weight=total, max_distinct=n, max_weight=total, witness=None
         )
-    lines = line_groups(spec, weighted.keys())
-    if not lines:
-        heaviest = max(weighted.values())
-        return CollinearStats(n, total, 1, heaviest, None)
-    max_distinct = max(len(members) for members in lines.values())
-    max_weight = max(sum(weighted[t] for t in members) for members in lines.values())
-    witness = min(k for k, members in lines.items() if len(members) == max_distinct)
+    pts = sorted(t for t in weighted if any(t))
+    weights = [weighted[t] for t in pts]
+    max_distinct = max_weight = 0
+    witness = None
+    for a, w, members in _lines(spec, pts, cap):
+        max_weight = max(max_weight, sum(map(weights.__getitem__, members)))
+        size = len(members)
+        if size >= max_distinct:
+            key = _line_key(spec, a, w)
+            if size > max_distinct or key < witness:
+                max_distinct, witness = size, key
+    if witness is None:
+        return CollinearStats(n, total, 1, max(weighted.values()), None)
     return CollinearStats(
         count=n,
         total_weight=total,
@@ -286,13 +377,18 @@ def oriented_bound(
 
 
 def class_report(
-    spec: FieldSpec, group: str, key: tuple, pairs: list[Pair], constant=None
+    spec: FieldSpec,
+    group: str,
+    key: tuple,
+    pairs: list[Pair],
+    constant=None,
+    cap: int = Caps.max_pair_products,
 ) -> ClassReport:
-    quad = quadruple_count(spec, group, pairs)
+    quad = quadruple_count(spec, group, pairs, cap)
     inst = build_instance(spec, group, key, pairs)
-    inc = incidence_count(inst)
-    pstats = collinear_stats(spec, inst.points)
-    plstats = collinear_stats(spec, inst.planes)
+    inc = incidence_count(inst, cap)
+    pstats = collinear_stats(spec, inst.points, cap)
+    plstats = collinear_stats(spec, inst.planes, cap)
     p2 = spec.p * spec.p
     return ClassReport(
         key=key,
@@ -315,9 +411,10 @@ def bridge_report(A: GroupSet | Products, constant=None) -> BridgeReport:
         raise ParameterError("bridge report of an empty set")
     spec = A.spec
     group = A.group
-    classes = pair_classes(A)
+    cap = P.caps.max_pair_products
+    classes = pair_classes(A, cap)
     reports = [
-        class_report(spec, group, key, pairs, constant)
+        class_report(spec, group, key, pairs, constant, cap)
         for key, pairs in classes.items()
     ]
     total_quad = sum(r.quadruples for r in reports)

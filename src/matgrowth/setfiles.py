@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import Caps
+from .config import Caps, json_typed
 from .errors import CapExceeded, ParameterError
 from .ffield import FieldSpec
 from .groups import (
@@ -148,22 +148,28 @@ def generate(group: str, spec: FieldSpec, gen: dict) -> GroupSet:
     if not isinstance(gen, dict):
         raise ParameterError(f"generator recipe must be an object, got {gen!r}")
     kind = gen.get("kind")
+
+    def integer(key: str) -> int:
+        return json_typed(gen[key], int, f"generator recipe {key}")
+
+    def rep():
+        coords = json_typed(gen["rep"], list, "generator recipe rep")
+        coords = [json_typed(x, int, "generator recipe rep coordinate") for x in coords]
+        return element(spec, group, tuple(coords))
+
     if kind == "random":
-        return random_set(group, spec, int(gen["size"]), int(gen["seed"]))
+        return random_set(group, spec, integer("size"), integer("seed"))
     if kind == "subgroup":
         return _generator_tag(group, spec, gen).elements(spec)
     if kind == "coset":
-        tag = _generator_tag(group, spec, gen)
-        rep = element(spec, group, tuple(int(x) for x in gen["rep"]))
-        return tag.coset(rep)
+        return _generator_tag(group, spec, gen).coset(rep())
     if kind == "box":
         if group != H:
             raise ParameterError("box sets live in the Heisenberg group")
-        return box_set(spec, int(gen["n"]))
+        return box_set(spec, integer("n"))
     if kind == "perturbed_coset":
         tag = _generator_tag(group, spec, gen)
-        rep = element(spec, group, tuple(int(x) for x in gen["rep"]))
-        return perturbed_coset(tag, rep, int(gen["swaps"]), int(gen["seed"]))
+        return perturbed_coset(tag, rep(), integer("swaps"), integer("seed"))
     if kind == "union":
         parts = gen.get("parts") or []
         if not parts:

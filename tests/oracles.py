@@ -5,11 +5,12 @@ tables, determinant minors.  Slow and obviously correct is the point;
 none of it shares code with the library kernels it checks.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from matgrowth.groups import gid, ginv, gmul
+from matgrowth.groups import T2, GroupSet, T2Element, gid, ginv, gmul
 
 
 def quad_energy(A):
@@ -243,3 +244,110 @@ def max_collinear(p, tuples):
         dets = (pts @ coef.T) % p
         best = max(best, int(np.count_nonzero(~dets.any(axis=1))))
     return best
+
+
+def rref2(spec, row1, row2):
+    """Canonical reduced form of the 2 x 4 matrix [row1; row2], or None
+    when the rows are proportional (rank < 2)."""
+    rows = [list(row1), list(row2)]
+    piv = 0
+    for col in range(4):
+        sel = next((i for i in range(piv, 2) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[piv], rows[sel] = rows[sel], rows[piv]
+        s = spec.inv(rows[piv][col])
+        rows[piv] = [spec.mul(s, t) for t in rows[piv]]
+        for i in range(2):
+            if i != piv and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [spec.sub(rows[i][j], spec.mul(f, rows[piv][j])) for j in range(4)]
+        piv += 1
+        if piv == 2:
+            break
+    if piv < 2:
+        return None
+    return (tuple(rows[0]), tuple(rows[1]))
+
+
+def line_groups_by_pairs(spec, tuples):
+    """Line key -> member tuples, from one reduced form per pair of tuples."""
+    pts = sorted(tuples)
+    lines = {}
+    for i, j in combinations(range(len(pts)), 2):
+        key = rref2(spec, pts[i], pts[j])
+        if key is not None:
+            lines.setdefault(key, set()).update((i, j))
+    return {k: tuple(pts[i] for i in sorted(idx)) for k, idx in sorted(lines.items())}
+
+
+def collinear_stats_by_pairs(spec, weighted):
+    """(max_distinct, max_weight, witness) from ``line_groups_by_pairs``."""
+    lines = line_groups_by_pairs(spec, weighted)
+    if not lines:
+        return min(len(weighted), 1), max(weighted.values(), default=0), None
+    max_distinct = max(len(members) for members in lines.values())
+    max_weight = max(sum(weighted[t] for t in members) for members in lines.values())
+    witness = min(k for k, members in lines.items() if len(members) == max_distinct)
+    return max_distinct, max_weight, witness
+
+
+# -- witness recounts: one fiber of a profile, from its witness ----------------
+
+
+def count_in_diag_fiber(A, a, c):
+    return sum(1 for w in A.wires if w[0] == a and w[2] == c)
+
+
+def count_in_ratio_fiber(A, chi):
+    spec = A.spec
+    return sum(1 for w in A.wires if spec.div(w[0], w[2]) == chi)
+
+
+def count_in_torus_coset(A, x, y):
+    """#{g in A : g.a * x + g.b = g.c * y}.
+
+    Varying (x, y) over F_q^2 ranges over every left coset of every torus
+    stabilizer, so the max of this count over (x, y) is the m1 profile.
+    """
+    spec = A.spec
+    return sum(
+        1 for w in A.wires if spec.add(spec.mul(w[0], x), w[1]) == spec.mul(w[2], y)
+    )
+
+
+def count_in_base_fiber(A, g1, g2):
+    return sum(1 for w in A.wires if w[0] == g1 and w[1] == g2)
+
+
+def count_on_line(A, alpha, beta, gamma):
+    spec = A.spec
+    return sum(
+        1 for w in A.wires if spec.add(spec.mul(alpha, w[0]), spec.mul(beta, w[1])) == gamma
+    )
+
+
+def piece_elements(A, piece):
+    """The elements of A whose scalar coset (b/a, c/a) is one of the piece's keys."""
+    spec = A.spec
+    keys = set(piece.keys)
+    return GroupSet(
+        T2,
+        spec,
+        [w for w in A.wires if (spec.div(w[1], w[0]), spec.div(w[2], w[0])) in keys],
+    )
+
+
+def affine_part(g):
+    """Scale to unit determinant on the (2,2) slot: (a/c, b/c, 1).
+
+    This is the projection to the affine group {(a, b, 1)}; its kernel is
+    the scalar subgroup.
+    """
+    spec = g.spec
+    ci = spec.inv(g.wires[2])
+    return T2Element(spec, (spec.mul(g.wires[0], ci), spec.mul(g.wires[1], ci), 1))
+
+
+def fraction_from_json(obj):
+    return Fraction(obj["num"], obj["den"])

@@ -18,7 +18,6 @@ from matgrowth import standard_field
 from matgrowth.config import RunOptions
 from matgrowth.cosets import heis_profile, t2_profile
 from matgrowth.exact import (
-    fraction_from_json,
     heis_energy_bound,
     heis_product_prediction,
     t2_energy_bound,
@@ -39,7 +38,7 @@ from matgrowth.jsonio import digest, read_json
 from matgrowth.reports import run_report
 from matgrowth.setfiles import load_setfile, random_set, regenerate
 from matgrowth.structure import structure_scan
-from oracles import max_collinear
+from oracles import fraction_from_json, max_collinear
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 

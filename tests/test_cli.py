@@ -1,6 +1,7 @@
 """End-to-end runs of the five subcommands against temp directories."""
 
 import json
+import time
 
 import pytest
 
@@ -277,6 +278,23 @@ def test_incidence_probe_mode(tmp_path, capsys):
     assert "incidences=275" in capsys.readouterr().out
 
 
+def test_bridge_on_a_large_unipotent_subgroup_is_refused(tmp_path, capsys):
+    # one class of 101^2 pairs: every bridge loop would take 10^8 steps
+    sub = tmp_path / "u101.json"
+    main(["gen", "--group", "T2", "--field", "101", "--kind", "subgroup",
+          "--tag", "unipotent", "--out", str(sub)])
+    capsys.readouterr()
+    start = time.perf_counter()
+    out = tmp_path / "r.json"
+    assert main(["report", str(sub), "--bridge", "on", "--out", str(out)]) == 3
+    bridge = read_json(out)["bridge"]
+    assert bridge == {"error": "quadruple count of 10201 x 10201 pairs exceeds pair cap 10000000"}
+    capsys.readouterr()
+    assert main(["incidence", "--set", str(sub), "--out", str(tmp_path / "i.json")]) == 3
+    assert_one_error_line(capsys)
+    assert time.perf_counter() - start < 30
+
+
 def test_incidence_probe_needs_sizes(tmp_path):
     code = main(["incidence", "--field", "7", "--out", str(tmp_path / "x.json")])
     assert code == 1
@@ -373,6 +391,36 @@ def test_verify_reports_a_malformed_generator(tmp_path, capsys, generator):
     assert main(["verify", str(corpus)]) == 4
     out = capsys.readouterr().out
     assert "[FAIL] sample: " in out and "generator recipe" in out
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("size", "12", "generator recipe size must be a JSON int, got '12'"),
+        ("size", 12.9, "generator recipe size must be a JSON int, got 12.9"),
+        ("seed", True, "generator recipe seed must be a JSON int, got True"),
+    ],
+    ids=["string_size", "float_size", "bool_seed"],
+)
+def test_verify_needs_json_ints_in_the_recipe(tmp_path, capsys, key, value, message):
+    corpus = build_corpus(tmp_path)
+    obj = read_json(corpus / "sample.json")
+    obj["generator"][key] = value
+    write_json(corpus / "sample.json", obj)
+    assert main(["verify", str(corpus)]) == 4
+    assert f"[FAIL] sample: {message}" in capsys.readouterr().out
+
+
+def test_verify_needs_json_ints_in_a_subgroup_direction(tmp_path, capsys):
+    corpus = build_corpus(tmp_path)
+    manifest = read_json(corpus / "manifest.json")
+    manifest["sets"][0]["options"] = {
+        "subgroup": {"kind": "line_center", "direction": ["1", 2.5]}
+    }
+    write_json(corpus / "manifest.json", manifest)
+    assert main(["verify", str(corpus)]) == 4
+    out = capsys.readouterr().out
+    assert "[FAIL] sample: subgroup direction must be a JSON int, got '1'" in out
 
 
 def test_report_refuses_the_deleted_threads_flag(tmp_path, capsys):

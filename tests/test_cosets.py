@@ -11,25 +11,25 @@ from matgrowth.errors import ParameterError
 from matgrowth.groups import GroupSet, SubgroupTag, element
 from matgrowth.cosets import (
     ConstraintFlags,
-    count_in_base_fiber,
-    count_in_diag_fiber,
-    count_in_ratio_fiber,
-    count_in_torus_coset,
-    count_on_line,
     dyadic_pieces,
     heis_flags,
     heis_profile,
-    piece_elements,
     t2_flags,
     t2_profile,
 )
 from matgrowth.config import Caps
 from matgrowth.errors import CapExceeded
 from oracles import (
+    count_in_base_fiber,
+    count_in_diag_fiber,
+    count_in_ratio_fiber,
+    count_in_torus_coset,
+    count_on_line,
     heis_base_recount,
     heis_line_recount,
     heis_line_sweep,
     line_directions,
+    piece_elements,
     t2_m1_sweep,
     t2_m1_recount,
     t2_m2_recount,

@@ -1,5 +1,6 @@
 """Root-free inequality decisions and pinned-constant search."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,17 +14,19 @@ from matgrowth.errors import ParameterError
 from matgrowth.exact import (
     CONSTANT_DENOM,
     bit_log,
-    fraction_from_json,
     fraction_json,
     heis_energy_bound,
     heis_product_prediction,
     incidence_bound,
+    GRID_LIMIT,
     le_linear_plus_sqrt,
+    least_grid_constant,
     min_constant,
     t2_energy_bound,
     t2_product_prediction,
 )
 from matgrowth.growth import energy, quotient_set
+from oracles import fraction_from_json
 
 STEP = Fraction(1, CONSTANT_DENOM)
 
@@ -87,6 +90,60 @@ def test_min_constant_trivial_and_hopeless():
     assert min_constant(lambda c: True) == 0
     with pytest.raises(ParameterError):
         min_constant(lambda c: False, hi_cap=10**9)
+
+
+def _by_search(lhs, a, b, R):
+    try:
+        return min_constant(lambda c: le_linear_plus_sqrt(lhs, c * a, c * b, R))
+    except ParameterError:
+        return "refused"
+
+
+def _closed_form(lhs, a, b, R):
+    try:
+        return least_grid_constant(lhs, a, b, R)
+    except ParameterError:
+        return "refused"
+
+
+def _parts(bits):
+    return st.one_of(st.just(0), st.integers(0, 2**bits))
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(
+        st.integers(-5, 2**80),
+        st.fractions(min_value=-5, max_value=2**40, max_denominator=2**30),
+    ),
+    st.sampled_from([4, 20, 40, 70]).flatmap(_parts),
+    st.sampled_from([4, 20, 40, 70]).flatmap(_parts),
+    st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 2**70)),
+)
+def test_least_grid_constant_matches_the_search(lhs, a, b, R):
+    assert _closed_form(lhs, a, b, R) == _by_search(lhs, a, b, R)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("a, b, R", [(1, 0, 0), (0, 1, 1), (3, 2, 4)])
+def test_least_grid_constant_refuses_past_the_search_limit(offset, a, b, R):
+    # sqrt(R) is an integer, so the least constant is exactly N / 10**6
+    N = GRID_LIMIT + offset
+    lhs = Fraction(N, CONSTANT_DENOM) * (a + b * math.isqrt(R))
+    want = _by_search(lhs, a, b, R)
+    assert want == ("refused" if offset > 0 else Fraction(N, CONSTANT_DENOM))
+    assert _closed_form(lhs, a, b, R) == want
+
+
+def test_least_grid_constant_zero_parts():
+    assert least_grid_constant(0, 0, 0, 0) == 0
+    assert least_grid_constant(Fraction(-1, 3), 5, 1, 1) == 0
+    with pytest.raises(ParameterError):
+        least_grid_constant(1, 0, 5, 0)
+    with pytest.raises(ParameterError):
+        least_grid_constant(1, 0, 0, 5)
+    with pytest.raises(ParameterError):
+        least_grid_constant(1, -1, 0, 5)
 
 
 # -- energy bounds -------------------------------------------------------------

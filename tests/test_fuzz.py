@@ -1,8 +1,9 @@
-"""Input-boundary fuzz: mutated corpus set files and CLI arguments.
+"""Input-boundary fuzz: mutated corpus set files, recipes and CLI arguments.
 
 Every run goes through ``cli.main`` in process.  Whatever the input, the
 command must end with an exit code in {0, 1, 2, 3} (argparse's usage
-error is 2) and must not print a traceback.
+error is 2; ``verify`` may also end with 4) and must not print a
+traceback.
 """
 
 import contextlib
@@ -44,6 +45,25 @@ fractions = st.one_of(
     numbers,
     st.sampled_from(["1/0", "7/2", "-1/3", "1e-6", "1e99", "inf", "nan", "0.5"]),
 )
+# recipe fields: well-typed values next to the near misses a typed JSON
+# boundary must refuse ("12", 12.9, true, a list with a string in it)
+recipe_values = st.one_of(
+    st.sampled_from([
+        "12", 12.9, 12.0, True, False, None, -1, 0, 1, 3, 12,
+        [], {}, [2, 0, 1], ["2", 0, 1], [1, 2.5],
+    ]),
+    st.text(max_size=3),
+)
+recipe_kinds = st.sampled_from(
+    ["random", "subgroup", "coset", "box", "perturbed_coset", "union", "warp"]
+)
+tag_objects = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["unipotent", "torus", "line", "line_center", "center", "bogus"])},
+    optional={
+        "x": recipe_values,
+        "direction": st.one_of(recipe_values, st.lists(recipe_values, max_size=3)),
+    },
+)
 tags = st.sampled_from(
     ["scaled_unipotent", "unipotent", "center", "torus:3", "torus:x", "line:1,2",
      "line:1", "line_center:0,4", "bogus", ""]
@@ -55,7 +75,8 @@ def mutated_set_file(draw):
     doc = json.loads((CORPUS / draw(st.sampled_from(SET_FILES))).read_text())
     for _ in range(draw(st.integers(0, 3))):
         how = draw(st.sampled_from(
-            ["key", "drop", "field", "element", "coordinate", "order", "truncate", "whole"]
+            ["key", "drop", "field", "element", "coordinate", "order", "truncate", "whole",
+             "recipe"]
         ))
         elements = doc.get("elements") if isinstance(doc, dict) else None
         if how == "key" and isinstance(doc, dict):
@@ -77,6 +98,12 @@ def mutated_set_file(draw):
             del elements[draw(st.integers(0, len(elements))):]
         elif how == "whole":
             doc = draw(json_values)
+        elif how == "recipe" and isinstance(doc, dict):
+            if not isinstance(doc.get("generator"), dict):
+                doc["generator"] = {"kind": draw(recipe_kinds)}
+            key = draw(st.sampled_from(["kind", "size", "seed", "n", "swaps", "rep", "tag"]))
+            values = {"kind": recipe_kinds, "tag": tag_objects}.get(key, recipe_values)
+            doc["generator"][key] = draw(values)
     return doc
 
 
@@ -119,14 +146,25 @@ probe_flags = st.one_of(
 
 
 @st.composite
-def command_lines(draw, setfile: str, out: str):
-    command = draw(st.sampled_from(["report", "structure", "incidence", "probe", "gen"]))
+def command_lines(draw, setfile: Path, out: str):
+    command = draw(st.sampled_from(["report", "structure", "incidence", "probe", "gen", "verify"]))
+    if command == "verify":
+        # a one-set corpus: regenerates the (mutated) recipe and reads the
+        # manifest options, with a subgroup tag that may be mistyped
+        options = draw(st.one_of(st.just({}), st.fixed_dictionaries({"subgroup": tag_objects})))
+        corpus = setfile.parent
+        entry = {"name": "set", "file": setfile.name, "options": options}
+        (corpus / "manifest.json").write_text(json.dumps({"sets": [entry]}))
+        (corpus / "expected.json").write_text(
+            json.dumps({"set": {"elements_sha256": "", "report_sha256": ""}})
+        )
+        return ["verify", str(corpus)]
     if command == "report":
-        head, flags = ["report", setfile], report_flags
+        head, flags = ["report", str(setfile)], report_flags
     elif command == "structure":
-        head, flags = ["structure", setfile], structure_flags
+        head, flags = ["structure", str(setfile)], structure_flags
     elif command == "incidence":
-        head, flags = ["incidence", "--set", setfile], flag("--constant", fractions)
+        head, flags = ["incidence", "--set", str(setfile)], flag("--constant", fractions)
     elif command == "probe":
         head, flags = ["incidence"], probe_flags
     else:
@@ -144,12 +182,12 @@ def test_cli_survives_mutated_inputs(data):
             setfile.write_text(json.dumps(data.draw(mutated_set_file())))
         else:
             setfile.write_text(data.draw(st.text(max_size=40)))
-        argv = data.draw(command_lines(str(setfile), str(Path(tmp) / "out.json")))
+        argv = data.draw(command_lines(setfile, str(Path(tmp) / "out.json")))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
-        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert code in (0, 1, 2, 3) or (argv[0] == "verify" and code == 4), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue(), (argv, err.getvalue())

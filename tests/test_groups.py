@@ -11,7 +11,6 @@ from matgrowth.groups import (
     HeisElement,
     SubgroupTag,
     T2Element,
-    affine_part,
     check_group_wire,
     commutator,
     diag_part,
@@ -25,7 +24,7 @@ from matgrowth.groups import (
 )
 from matgrowth.ffield import standard_field
 from matgrowth.growth import coset_count_check
-from oracles import coset_partition
+from oracles import affine_part, coset_partition
 
 AMBIENTS = [(spec, group) for spec in SMALL_FIELDS for group in ("T2", "H")]
 AMBIENT_IDS = [f"{group}-q{spec.q}" for spec, group in AMBIENTS]
@@ -494,6 +493,25 @@ def test_explicit_coset():
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=tag_id)
 def test_tag_json_round_trip(tag):
     assert SubgroupTag.from_json(tag.to_json()) == tag
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "line_center", "direction": ["1", 2.5]},
+        {"kind": "line_center", "direction": [1, 2.5]},
+        {"kind": "line", "direction": [True, 1]},
+        {"kind": "line", "direction": [1, 2, 3]},
+        {"kind": "line", "direction": "12"},
+        {"kind": "torus", "x": 2.0},
+        {"kind": "torus", "x": "2"},
+        {"kind": ["torus"], "x": 2},
+        ["unipotent"],
+    ],
+)
+def test_tag_from_json_needs_exact_json_types(obj):
+    with pytest.raises(ParameterError):
+        SubgroupTag.from_json(obj)
 
 
 def test_direction_is_stored_projectively():

@@ -1,14 +1,22 @@
 """The energy-to-incidence bridge and the synthetic probe instances."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import F5, F7, group_sets, small_sets
+from conftest import F5, F7, F9, F16, F25, F101, group_sets, small_sets
+from matgrowth import standard_field
+from matgrowth.config import Caps, RunOptions
 from matgrowth.cosets import heis_profile, t2_profile
-from matgrowth.errors import ParameterError
+from matgrowth.errors import CapExceeded, ParameterError
 from matgrowth.groups import GroupSet, ginv, gmul
-from matgrowth.growth import energy
+from matgrowth.growth import Products, energy
+from matgrowth.jsonio import digest
+from matgrowth.reports import run_report
+from matgrowth.setfiles import load_setfile
 from matgrowth.incidence import (
     WeightedInstance,
     bridge_report,
@@ -28,7 +36,7 @@ from matgrowth.incidence import (
     t2_plane,
     t2_point,
 )
-from oracles import max_collinear
+from oracles import collinear_stats_by_pairs, line_groups_by_pairs, max_collinear
 
 
 # -- classes and the corner identity -------------------------------------------
@@ -168,6 +176,99 @@ def test_collinear_stats_match_minor_oracle(seed, n_points, n_planes):
     assert plstats.max_distinct == max_collinear(7, list(inst.planes))
 
 
+@st.composite
+def weighted_tuples(draw):
+    """Weighted 4-tuples over prime and extension fields, some all on one
+    line, with proportional copies mixed in."""
+    spec = draw(st.sampled_from([standard_field(4), F5, F7, F9, F16, F25]))
+    coord = st.integers(0, spec.q - 1)
+    vec = st.tuples(coord, coord, coord, coord)
+    if draw(st.booleans()):
+        u, v = draw(vec), draw(vec)
+        pts = [
+            tuple(spec.add(spec.mul(s, x), spec.mul(t, y)) for x, y in zip(u, v))
+            for s, t in draw(st.lists(st.tuples(coord, coord), max_size=12))
+        ]
+    else:
+        pts = draw(st.lists(vec, max_size=12))
+    copies = st.tuples(st.integers(0, 11), st.integers(1, spec.q - 1))
+    for at, c in draw(st.lists(copies, max_size=4)):
+        if at < len(pts):
+            pts.append(tuple(spec.mul(c, x) for x in pts[at]))
+    return spec, {t: draw(st.integers(1, 9)) for t in pts}
+
+
+@settings(max_examples=300)
+@given(weighted_tuples())
+def test_collinearity_matches_the_pair_oracle(case):
+    # one reduced form per pair of tuples, against the anchor-key pass
+    spec, weighted = case
+    assert line_groups(spec, weighted) == line_groups_by_pairs(spec, weighted)
+    stats = collinear_stats(spec, weighted)
+    assert (stats.count, stats.total_weight) == (len(weighted), sum(weighted.values()))
+    assert (stats.max_distinct, stats.max_weight, stats.witness) == collinear_stats_by_pairs(
+        spec, weighted
+    )
+
+
+def test_proportional_tuples_join_every_line_through_their_twin():
+    # (2,0,0,0) ~ (1,0,0,0) sits on both lines through (1,0,0,0)
+    pts = [(1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+    lines = line_groups(F5, pts)
+    assert lines == line_groups_by_pairs(F5, pts)
+    assert sorted(len(m) for m in lines.values()) == [2, 3, 3]
+    stats = collinear_stats(F5, {(1, 0, 0, 0): 1, (2, 0, 0, 0): 1})
+    assert (stats.max_distinct, stats.witness) == (1, None)
+
+
+@settings(max_examples=40)
+@given(small_sets(max_size=6))
+def test_incidence_count_matches_dot4(a):
+    # prime fields test integer dot products directly; F9 keeps dot4
+    for key, pairs in pair_classes(a).items():
+        inst = build_instance(a.spec, a.group, key, pairs)
+        want = sum(
+            wp * wpl
+            for pt, wp in inst.points.items()
+            for pl, wpl in inst.planes.items()
+            if dot4(a.spec, pt, pl) == 0
+        )
+        assert incidence_count(inst) == want
+
+
+def test_bridge_loops_refuse_past_the_pair_cap():
+    a = GroupSet("T2", F5, [(1, b, 1) for b in range(5)])
+    (key, pairs), = pair_classes(a).items()
+    inst = build_instance(F5, "T2", key, pairs)
+    n_pts, n_pls = len(inst.points), len(inst.planes)
+    with pytest.raises(CapExceeded, match="pair classes of 5 x 5 elements"):
+        pair_classes(a, cap=24)
+    with pytest.raises(CapExceeded, match="quadruple count of 25 x 25 pairs"):
+        quadruple_count(F5, "T2", pairs, cap=624)
+    with pytest.raises(CapExceeded, match="incidence count of"):
+        incidence_count(inst, cap=n_pts * n_pls - 1)
+    with pytest.raises(CapExceeded, match="collinearity pass of"):
+        collinear_stats(F5, inst.points, cap=n_pts * n_pts - 1)
+    # at the cap each loop runs
+    assert quadruple_count(F5, "T2", pairs, cap=625) == incidence_count(inst, cap=n_pts * n_pls)
+    # bridge_report takes its cap from the shared Products
+    with pytest.raises(CapExceeded, match="quadruple count"):
+        bridge_report(Products(a, Caps(max_pair_products=600)))
+    assert bridge_report(Products(a, Caps(max_pair_products=625))).matches_energy
+
+
+def test_probe_refuses_past_the_default_pair_cap():
+    # 3163^2 > 10^7: refused before the first dot product
+    side = range(3163)
+    inst = WeightedInstance(
+        spec=F101,
+        points={(1, i % 101, i // 101, 0): 1 for i in side},
+        planes={(i % 101, i // 101, 1, 0): 1 for i in side},
+    )
+    with pytest.raises(CapExceeded, match="incidence count of 3163 x 3163 tuples"):
+        probe_instance(inst)
+
+
 def test_weighted_incidence_count():
     inst = WeightedInstance(
         spec=F5,
@@ -225,3 +326,38 @@ def test_probe_anchor():
     assert probe.bound.holds
     assert probe.points_within_field_square
     assert not probe.planes_within_field_square
+
+
+# -- the whole bridge on the pinned corpus ------------------------------------
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+# report digest and exit code of every corpus set with ``bridge`` forced
+# "on", pinned from the per-pair collinearity and binary-search constants
+BRIDGE_ON_DIGESTS = {
+    "t2_f5_random20": ("759e4bd2d872f3c1c66788f76661e15c95af29f4a8d9455340a8bb849da98aa9", 2),
+    "t2_f5_random24": ("7cf4fe6314fd300331648268362d90cf6f62cee4be714efdd88bc5c7446f1c68", 2),
+    "t2_f9_random25": ("118b744395f544f2118a383faa7d261c199537205a6d81bffc19ff78940c3a6b", 2),
+    "t2_f7_random24": ("8e3710d907a93f2350275f6faaeecf5b1a123aab9d5533cab70240dc1123e00a", 0),
+    "t2_f7_random40": ("6f67330acd4af9a32b82ccbe5ead17fef76919d0096202f746064f9cdec90607", 2),
+    "t2_f25_random20": ("9fb30af7da398ef8cb14961141d4b6d1b81f2de5fd2eefdfdbef29ff2a40c8fd", 0),
+    "t2_f101_random30": ("ea05310726d4f30f88cdc5b0498633a7bd23fe54f34f6e14ee472589d60001d3", 0),
+    "h_f5_random20": ("fa081189f39c2075520a563d19f29d5d5ebfbea1df0d35a1c70b70d986373ff8", 2),
+    "h_f25_random12": ("bb693b327346f0d946cf169d84e343bb03c31e8f79e91b6a1fad5f5e8ae788af", 0),
+    "h_f101_random30": ("a86a751348f0ef0b18b72f48d2feb80c7134ba898af1bb550e8250fd8df294b8", 0),
+    "box2_f101": ("8d23f710887f0de8b7296ee4c5c1d4a999f0ddef5ffd729d96e66590858962ad", 0),
+    "box3_f101": ("25ba6eaf55ccc2d92003d38e26a1d02e346f90ede2a0e34663a81683e1a98eb0", 0),
+    "u2_f7": ("964827a5afae1ea262ff34aa5211f7a3086922ef55cd7d9e8fe455c48198c0a2", 0),
+    "torus0_f5": ("6c6ef1dc59b197f2b45428809c11b9eede822df66e760bdaf9f3410f522e7db5", 0),
+    "lambdau2_coset_f7_sample30": ("59b853781b248b9ad37a72bcd3d506cb7a8bb39196795d9b9879e4171a3bc684", 2),
+    "t2f4_in_f16": ("024257a03f28108d501ba32e89c9c601848bd529501656e91e2723007217490e", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRIDGE_ON_DIGESTS))
+def test_corpus_bridge_on_digests_are_pinned(name):
+    manifest = json.loads((CORPUS / "manifest.json").read_text())
+    (entry,) = [e for e in manifest["sets"] if e["name"] == name]
+    sf = load_setfile(CORPUS / entry["file"])
+    report, code = run_report(sf, RunOptions.from_json({**entry["options"], "bridge": "on"}))
+    assert "error" not in report["bridge"]
+    assert (digest(report), code) == BRIDGE_ON_DIGESTS[name]

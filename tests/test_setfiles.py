@@ -122,6 +122,26 @@ def test_generate_rejections():
         generate("T2", F5, {"kind": "union", "parts": []})
 
 
+@pytest.mark.parametrize(
+    "group, gen",
+    [
+        ("T2", {"kind": "random", "size": "12", "seed": 1}),
+        ("T2", {"kind": "random", "size": 12.9, "seed": 1}),
+        ("T2", {"kind": "random", "size": 12, "seed": True}),
+        ("H", {"kind": "box", "n": 3.0}),
+        ("T2", {"kind": "coset", "tag": {"kind": "unipotent"}, "rep": ["2", 0, 1]}),
+        ("T2", {"kind": "coset", "tag": {"kind": "unipotent"}, "rep": "201"}),
+        ("T2", {"kind": "perturbed_coset", "tag": {"kind": "unipotent"},
+                "rep": [2, 0, 1], "swaps": "1", "seed": 3}),
+        ("T2", {"kind": "subgroup", "tag": {"kind": "torus", "x": 1.0}}),
+        ("H", {"kind": "subgroup", "tag": {"kind": "line", "direction": ["1", 2.5]}}),
+    ],
+)
+def test_generate_needs_json_integers(group, gen):
+    with pytest.raises(ParameterError, match="must be a JSON"):
+        generate(group, F101, gen)
+
+
 # -- file round trips ------------------------------------------------------------
 
 
