@@ -159,6 +159,10 @@ class DyadicPiece:
     fiber_max: int  # largest unipotent-coset fiber within the piece
     keys: tuple[tuple[int, int], ...] = field(repr=False)
 
+    def within_budget(self, p: int) -> bool:
+        """|piece| * fiber_max <= 2^j * p^2."""
+        return self.element_count * self.fiber_max <= (1 << self.j) * p * p
+
 
 def _dilate_key(spec, w: tuple) -> tuple[int, int]:
     # scalar coset of (a, b, c): all (la, lb, lc), so normalize by a
@@ -224,13 +228,11 @@ class ConstraintFlags:
     square_shape: bool | None
 
 
-def t2_flags(A: GroupSet, profile: T2Profile) -> ConstraintFlags:
+def t2_flags(A: GroupSet, profile: T2Profile, pieces=None) -> ConstraintFlags:
+    """The flags of A; ``pieces`` are its ``dyadic_pieces`` if already built."""
     p = A.spec.p
     whole = len(A) * profile.m3.value <= p * p
-    per_piece = all(
-        pc.element_count * pc.fiber_max <= (1 << pc.j) * p * p
-        for pc in dyadic_pieces(A)
-    )
+    per_piece = all(pc.within_budget(p) for pc in pieces or dyadic_pieces(A))
     return ConstraintFlags(whole_set=whole, per_piece=per_piece, square_shape=None)
 
 

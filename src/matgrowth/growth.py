@@ -12,9 +12,11 @@ counting pass; ``energy_oracle`` recounts it by brute force over
 quadruples (via a pairwise-equality matrix) and exists so tests can
 cross-check the fast path on small sets.
 
-Every n x m pair enumeration with n * m >= ``VECTOR_PAIRS`` runs in the
-numpy kernel of ``matgrowth.kernel``, imported only then.  Smaller ones
-run the pure-Python wire loops here, which stay the oracle.
+Every pair enumeration goes through ``_enumerate``, the one place that
+picks a path: an n x m enumeration runs the numpy kernel of
+``matgrowth.kernel`` when n * m >= ``VECTOR_PAIRS`` or numpy is already
+loaded, and the pure-Python wire loops, which stay the oracle, otherwise.
+So a run whose enumerations all stay below the cutoff never loads numpy.
 
 The checks below take a ``GroupSet`` or the shared ``Products`` of one
 report, which enumerates each product set at most once.
@@ -22,6 +24,7 @@ report, which enumerates each product set at most once.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +39,9 @@ from .groups import GroupSet, Wire, gid, ginv, gmul
 # on a 2-vCPU VM with Python 3.11 and numpy 2.4 the import took 0.13 s and
 # the loops 1.5-3.0 us per pair (break-even 45k-90k pairs; 9.8 us, so 14k,
 # for H over F_59049), against 0.03-0.05 us in the kernel (0.3 us for H
-# over F_59049).  Smaller enumerations never load numpy.
+# over F_59049).  Once numpy is loaded, every enumeration runs the kernel:
+# with the decode, it takes 44 us against the loops' 33 us for 25 pairs
+# of T2 over F_101, and 92 us against 543 us for 400.
 VECTOR_PAIRS = 1 << 16
 
 
@@ -54,31 +59,18 @@ def product_set(A: GroupSet, B: GroupSet, cap: int = Caps.max_pair_products) -> 
     """AB = {ab : a in A, b in B}; the pair count is capped, not the result."""
     A.same_ambient(B)
     check_pairs("product", len(A), len(B), cap)
-    spec = A.spec
-    group = A.group
-    if len(A) * len(B) >= VECTOR_PAIRS:
-        from .kernel import pair_kernel
-
-        return GroupSet(group, spec, _keys=pair_kernel(A, B)[0])
-    out = {gmul(spec, group, a, b) for a in A.wires for b in B.wires}
-    return GroupSet(group, spec, out, _checked=True)
+    return _enumerate(A, B)[0]
 
 
 def power_set(A: GroupSet, k: int, cap: int = Caps.max_pair_products) -> GroupSet:
     """A^k for k >= 1 by repeated one-sided products."""
-    if k < 1:
-        raise ParameterError(f"power must be >= 1, got {k}")
-    out = A
-    for _ in range(k - 1):
-        out, last = product_set(out, A, cap=cap), out
-        if out == last:  # once XA = X, every later power is X
-            break
-    return out
+    P = Products(A, Caps(max_pair_products=cap))
+    return P._climb(P._powers, k)
 
 
 def symmetrized_power(A: GroupSet, k: int, cap: int = Caps.max_pair_products) -> GroupSet:
     """(A u A^-1 u {1})^k, the k-th symmetrized power."""
-    return power_set(A.symmetrized(), k, cap=cap)
+    return Products(A, Caps(max_pair_products=cap)).sym(k)
 
 
 def rep_function(A: GroupSet, B: GroupSet, mode: str = "inverse_left") -> Counter:
@@ -87,42 +79,45 @@ def rep_function(A: GroupSet, B: GroupSet, mode: str = "inverse_left") -> Counte
     mode "inverse_left" counts a^-1 b (the quotient-set multiplicities);
     mode "plain" counts ab.  Keys are wire triples; values sum to |A||B|.
     """
-    A.same_ambient(B)
-    spec = A.spec
-    group = A.group
-    left = _left_factors(A, mode)
-    if len(A) * len(B) >= VECTOR_PAIRS:
+    if mode not in ("inverse_left", "plain"):
+        raise ParameterError(f"unknown rep mode {mode!r}")
+    distinct, mults = _enumerate(A.inverses() if mode == "inverse_left" else A, B, counts=True)
+    return Counter(dict(zip(distinct.wires, map(int, mults))))
+
+
+def product_tally(A: GroupSet, B: GroupSet) -> tuple[GroupSet, int]:
+    """The distinct products over A x B, and the sum of their squared
+    multiplicities, from one counting pass."""
+    distinct, mults = _enumerate(A, B, counts=True)
+    if isinstance(mults, list):
+        return distinct, sum(c * c for c in mults)
+    from .kernel import second_moment
+
+    return distinct, second_moment(mults, len(A) * len(B))
+
+
+def _use_kernel(pairs: int) -> bool:
+    """Whether an enumeration of ``pairs`` pairs runs the numpy kernel."""
+    return pairs >= VECTOR_PAIRS or "numpy" in sys.modules
+
+
+def _enumerate(X: GroupSet, Y: GroupSet, counts: bool = False):
+    """The distinct products x y over X x Y in canonical order, and their
+    multiplicities in that order when ``counts`` is set (else None): a
+    list from the wire loops, an int64 array from the kernel."""
+    X.same_ambient(Y)
+    if _use_kernel(len(X) * len(Y)):
         from .kernel import pair_kernel
 
-        keys, mults = pair_kernel(left, B, counts=True)
-        return Counter(dict(zip(GroupSet(group, spec, _keys=keys).wires, mults.tolist())))
-    counts: Counter = Counter()
-    for a in left.wires:
-        for b in B.wires:
-            counts[gmul(spec, group, a, b)] += 1
-    return counts
-
-
-def product_tally(A: GroupSet, B: GroupSet, mode: str = "inverse_left") -> tuple[GroupSet, int]:
-    """The distinct products ``rep_function`` counts, and the sum of their
-    squared multiplicities, from one pass over A x B."""
-    if len(A) * len(B) < VECTOR_PAIRS:
-        counts = rep_function(A, B, mode)
-        distinct = GroupSet(A.group, A.spec, counts.keys(), _checked=True)
-        return distinct, sum(v * v for v in counts.values())
-    from .kernel import pair_kernel, second_moment
-
-    A.same_ambient(B)
-    keys, mults = pair_kernel(_left_factors(A, mode), B, counts=True)
-    return GroupSet(A.group, A.spec, _keys=keys), second_moment(mults, len(A) * len(B))
-
-
-def _left_factors(A: GroupSet, mode: str) -> GroupSet:
-    if mode == "inverse_left":
-        return A.inverses()
-    if mode == "plain":
-        return A
-    raise ParameterError(f"unknown rep mode {mode!r}")
+        keys, mults = pair_kernel(X, Y, counts)
+        return GroupSet(X.group, X.spec, _keys=keys), mults
+    spec, group = X.spec, X.group
+    products = (gmul(spec, group, x, y) for x in X.wires for y in Y.wires)
+    if not counts:
+        return GroupSet(group, spec, set(products), _checked=True), None
+    tally = Counter(products)
+    distinct = GroupSet(group, spec, tally, _checked=True)
+    return distinct, [tally[w] for w in distinct.wires]
 
 
 def energy(A: GroupSet | Products) -> int:
@@ -167,8 +162,8 @@ class Products:
     when A already is A(1) the two ladders coincide, so sym(2) and sym(3)
     are ``square`` and ``cube``.  Each product refuses, as ``product_set``
     does, once its pair count passes ``caps.max_pair_products``.  The two
-    counting passes keep the distinct products (a key-array set above the
-    kernel cutoff) and their second moment, not the per-product counts.
+    counting passes keep the distinct products (a key-array set when the
+    kernel ran) and their second moment, not the per-product counts.
     """
 
     def __init__(self, A: GroupSet, caps: Caps | None = None):
@@ -179,7 +174,7 @@ class Products:
     @cached_property
     def quotient_tally(self) -> tuple[GroupSet, int]:
         """A^-1 A and E(A), from one uncapped counting pass."""
-        return product_tally(self.A, self.A, "inverse_left")
+        return product_tally(self.A.inverses(), self.A)
 
     @cached_property
     def square_tally(self) -> tuple[GroupSet, int]:
@@ -187,7 +182,7 @@ class Products:
         # for A = A^-1 both passes enumerate the same multiset
         if self.A.is_symmetric:
             return self.quotient_tally
-        return product_tally(self.A, self.A, "plain")
+        return product_tally(self.A, self.A)
 
     # energy and product_energy are the module-level functions, cached
     @cached_property

@@ -1,9 +1,9 @@
 """The numpy pair kernel behind every large product set and energy.
 
-``growth`` imports this module, and so numpy, only for an enumeration of
-at least ``growth.VECTOR_PAIRS`` pairs.  X x Y is enumerated in row
-blocks as packed int64 keys (x * q + y) * q + z (the ``wire_key`` order
-of ``GroupSet``), which fit because q^3 <= 2^48.  Prime fields use plain
+``growth`` imports this module, and so numpy, for an enumeration of at
+least ``growth.VECTOR_PAIRS`` pairs, or of any size once numpy is loaded.
+X x Y is enumerated in row blocks as packed int64 keys (x * q + y) * q + z
+(the ``wire_key`` order of ``GroupSet``), which fit because q^3 <= 2^48.  Prime fields use plain
 modular arithmetic (every product is below 2^32); extension fields
 multiply through numpy copies of the exp/log tables and add by XOR when
 p = 2, digit by digit otherwise.  Sorting each block removes duplicates

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import time
 from fractions import Fraction
+from functools import cache
 
 from .config import RunOptions
 from .cosets import (
@@ -284,7 +285,7 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
             # the pair maximum is refused; the O(|A|) fibers and flags stay
             prof, pair_max, capped = exc.partial, {"error": str(exc)}, True
         if group == T2:
-            flags = t2_flags(A, prof)
+            flags = t2_flags(A, prof, pieces())
             state["hypothesis_pass"] = flags.whole_set
             if not flags.whole_set:
                 issues.append("flag_whole_set")
@@ -308,22 +309,22 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
             "flags": {"whole_set": flags.whole_set, "square_shape": flags.square_shape},
         }
 
+    @cache  # read by the T2 flags and the dyadic section
+    def pieces():
+        return dyadic_pieces(A)
+
     def dyadic_section():
-        p2 = spec.p * spec.p
-        pieces = []
-        for pc in dyadic_pieces(A):
-            pieces.append(
-                {
-                    "band": pc.j,
-                    "coset_count": pc.coset_count,
-                    "element_count": pc.element_count,
-                    "fiber_max": pc.fiber_max,
-                    "coset_keys": [list(k) for k in pc.keys],
-                    "within_band_budget": pc.element_count * pc.fiber_max
-                    <= (1 << pc.j) * p2,
-                }
-            )
-        return pieces
+        return [
+            {
+                "band": pc.j,
+                "coset_count": pc.coset_count,
+                "element_count": pc.element_count,
+                "fiber_max": pc.fiber_max,
+                "coset_keys": [list(k) for k in pc.keys],
+                "within_band_budget": pc.within_budget(spec.p),
+            }
+            for pc in pieces()
+        ]
 
     def bounds_section():
         e = state["energy"]

@@ -71,15 +71,20 @@ def random_set(group: str, spec: FieldSpec, size: int, seed: int) -> GroupSet:
         raise ParameterError(f"size {size} out of range for a group of order {domain}")
     _check_set_cap(size, "random set size")
     rng = SplitMix64(seed)
-    total = q * q * q
     got: set = set()
     while len(got) < size:
-        w = rng.below(total)
-        triple = (w // (q * q), (w // q) % q, w % q)
-        if group == T2 and (triple[0] == 0 or triple[2] == 0):
-            continue
-        got.add(triple)
+        got.add(_random_wire(rng, group, q))
     return GroupSet(group, spec, got, _checked=True)
+
+
+def _random_wire(rng: SplitMix64, group: str, q: int) -> tuple[int, int, int]:
+    """A uniform wire of the group: packed keys below q^3, rejecting the
+    triples with a zero diagonal entry for T2."""
+    while True:
+        w = rng.below(q * q * q)
+        triple = (w // (q * q), (w // q) % q, w % q)
+        if group != T2 or (triple[0] != 0 and triple[2] != 0):
+            return triple
 
 
 def box_set(spec: FieldSpec, n: int) -> GroupSet:
@@ -107,21 +112,15 @@ def perturbed_coset(
     group = tag.group
     base = list(tag.coset(rep).wires)
     rng = SplitMix64(seed)
-    q = spec.q
-    total = q * q * q
     current = set(base)
     order = list(base)
     _check_set_cap(swaps, "perturbed coset swaps")
     for _ in range(swaps):
         at = rng.below(len(order))
         victim = order[at]
-        while True:
-            w = rng.below(total)
-            triple = (w // (q * q), (w // q) % q, w % q)
-            if group == T2 and (triple[0] == 0 or triple[2] == 0):
-                continue
-            if triple not in current:
-                break
+        triple = _random_wire(rng, group, spec.q)
+        while triple in current:
+            triple = _random_wire(rng, group, spec.q)
         current.discard(victim)
         current.add(triple)
         order[at] = triple

@@ -140,7 +140,7 @@ def test_products_refuse_before_counting(monkeypatch, wires):
     def no_counting(*args, **kwargs):
         raise AssertionError("counted the pairs of a refused product")
 
-    monkeypatch.setattr(growth, "rep_function", no_counting)
+    monkeypatch.setattr(growth, "_enumerate", no_counting)
     p = Products(GroupSet("T2", F101, wires), Caps(max_pair_products=99))
     for build in (lambda: p.square, lambda: p.quotient, lambda: p.sym(2)):
         with pytest.raises(CapExceeded):

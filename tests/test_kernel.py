@@ -1,8 +1,10 @@
 """The numpy pair kernel against the pure-Python wire loops it replaces.
 
-``growth.VECTOR_PAIRS`` picks the path: pushed to 0 every enumeration
-runs the kernel, pushed past any pair count none does.  Small
-``kernel.BLOCK_PAIRS`` values split one product over many row blocks.
+``growth._use_kernel`` picks the path of every enumeration.  Collecting
+this module loads numpy, so unpatched every enumeration here runs the
+kernel; ``paths`` swaps in a plain pair-count cutoff: 0 runs the kernel
+everywhere, ``LOOPS`` nowhere.  Small ``kernel.BLOCK_PAIRS`` values split
+one product over many row blocks.
 """
 
 import os
@@ -27,11 +29,21 @@ LOOPS = 1 << 62
 
 @contextmanager
 def paths(cutoff, block):
-    """Patch the path choice and the block size of the kernel."""
-    with mock.patch.object(growth, "VECTOR_PAIRS", cutoff), mock.patch.object(
-        kernel, "BLOCK_PAIRS", block
-    ):
+    """Run the kernel from ``cutoff`` pairs on, in blocks of ``block`` pairs."""
+    with mock.patch.object(
+        growth, "_use_kernel", lambda pairs: pairs >= cutoff
+    ), mock.patch.object(kernel, "BLOCK_PAIRS", block):
         yield
+
+
+def run_fresh(script: str) -> str:
+    """The stdout of ``script`` run in a new interpreter on this checkout."""
+    src = str(Path(growth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return out.stdout.strip()
 
 
 @st.composite
@@ -101,8 +113,24 @@ def test_key_built_sets_behave_like_tuple_built_ones(operands):
 
 
 def test_kernel_runs_from_the_cutoff_on():
+    """Without numpy the kernel runs from the cutoff on, and loads numpy;
+    with numpy loaded it runs below the cutoff too."""
     spec = standard_field(101)
     a = GroupSet("T2", spec, [(1 + i % 100, i % 101, 1 + i // 100) for i in range(256)])
+    b = GroupSet("T2", spec, a.wires[:255])
+    assert len(a) * len(b) < growth.VECTOR_PAIRS == len(a) * len(a)
+    script = f"""
+import sys
+from matgrowth import growth, standard_field
+from matgrowth.groups import GroupSet
+
+a = GroupSet("T2", standard_field(101), {list(a.wires)!r})
+b = GroupSet("T2", a.spec, a.wires[:255])
+kernel_built = [growth.product_set(x, y)._keys is not None for x, y in [(a, b), (a, a), (a, b)]]
+print(kernel_built, "numpy" in sys.modules)
+"""
+    assert run_fresh(script) == "[False, True, True] True"
+
     calls = []
     pair_kernel = kernel.pair_kernel
 
@@ -110,11 +138,10 @@ def test_kernel_runs_from_the_cutoff_on():
         calls.append(len(args[0]) * len(args[1]))
         return pair_kernel(*args, **kwargs)
 
-    b = GroupSet("T2", spec, a.wires[:255])
     with mock.patch.object(kernel, "pair_kernel", counted):
         below = product_set(a, b)
         at = product_set(a, a)
-    assert calls == [growth.VECTOR_PAIRS]
+    assert calls == [len(a) * len(b), growth.VECTOR_PAIRS]
     with paths(LOOPS, 1 << 18):
         assert below == product_set(a, b) and at == product_set(a, a)
 
@@ -165,9 +192,4 @@ run_report(random_set(101, 40), RunOptions(bridge="off"))
 seen.append(loaded())
 print(seen)
 """
-    src = str(Path(growth.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "[False, False, False, True]"
+    assert run_fresh(script) == "[False, False, False, True]"

@@ -143,35 +143,40 @@ def test_structure_cap_errors_stay_in_their_scan():
 
 
 def log_enumerations(monkeypatch) -> list:
-    """Log the operands of every product set and representation count.
-
-    A representation count over (A, B) enumerates the same pairs as the
-    product set of (A^-1, B) or (A, B), so all three are logged alike.
-    """
+    """Log the operands of every pair enumeration: product sets and
+    counting passes, on the wire loops or the kernel."""
     seen = []
-    product_set, rep_function = growth.product_set, growth.rep_function
+    enumerate_pairs = growth._enumerate
 
-    def logged_product_set(A, B, *args, **kwargs):
-        seen.append((A.wires, B.wires))
-        return product_set(A, B, *args, **kwargs)
+    def logged(X, Y, *args, **kwargs):
+        seen.append((X.wires, Y.wires))
+        return enumerate_pairs(X, Y, *args, **kwargs)
 
-    def logged_rep_function(A, B, mode="inverse_left"):
-        left = A.inverses() if mode == "inverse_left" else A
-        seen.append((left.wires, B.wires))
-        return rep_function(A, B, mode)
-
-    monkeypatch.setattr(growth, "product_set", logged_product_set)
-    monkeypatch.setattr(growth, "rep_function", logged_rep_function)
+    monkeypatch.setattr(growth, "_enumerate", logged)
     return seen
 
 
-@pytest.mark.parametrize("name", ["t2f4_in_f16.json", "t2_f7_random24.json"])
-def test_report_enumerates_each_product_once(monkeypatch, name):
+# A(2) A(1) takes 6349 x 81 pairs, past growth.VECTOR_PAIRS
+CROSSING_SET = build_setfile("T2", F101, {"kind": "random", "size": 40, "seed": 1})
+
+
+@pytest.mark.parametrize(
+    "sf",
+    [
+        load_setfile(CORPUS / "t2f4_in_f16.json"),
+        load_setfile(CORPUS / "t2_f7_random24.json"),
+        CROSSING_SET,
+    ],
+    ids=["t2f4_in_f16.json", "t2_f7_random24.json", "t2_f101_random40"],
+)
+def test_report_enumerates_each_product_once(monkeypatch, sf):
     """No pair enumeration runs twice over equal operands in one report."""
     seen = log_enumerations(monkeypatch)
-    run_report(load_setfile(CORPUS / name), RunOptions(structure=True))
+    run_report(sf, RunOptions(structure=True))
     assert seen
     assert len(seen) == len(set(seen))
+    if sf is CROSSING_SET:
+        assert max(len(x) * len(y) for x, y in seen) >= growth.VECTOR_PAIRS
 
 
 REACH_SET = explicit_setfile(GroupSet("T2", F101, [(1, 1, 1), (2, 0, 1), (3, 5, 1)]))
