@@ -14,9 +14,9 @@ cross-check the fast path on small sets.
 
 Every pair enumeration goes through ``_enumerate``, the one place that
 picks a path: an n x m enumeration runs the numpy kernel of
-``matgrowth.kernel`` when n * m >= ``VECTOR_PAIRS`` or numpy is already
-loaded, and the pure-Python wire loops, which stay the oracle, otherwise.
-So a run whose enumerations all stay below the cutoff never loads numpy.
+``matgrowth.kernel`` once numpy is loaded, or once n * m plus the pairs
+the pure-Python wire loops have already enumerated in this process reach
+``VECTOR_PAIRS``; otherwise it runs those loops, which stay the oracle.
 
 The checks below take a ``GroupSet`` or the shared ``Products`` of one
 report, which enumerates each product set at most once.
@@ -34,15 +34,23 @@ from .config import Caps
 from .errors import CapExceeded, ParameterError
 from .groups import GroupSet, Wire, gid, ginv, gmul
 
-# Pair count from which an enumeration runs the numpy kernel.  Importing
-# numpy costs about what the pure-Python loops spend on this many pairs:
-# on a 2-vCPU VM with Python 3.11 and numpy 2.4 the import took 0.13 s and
-# the loops 1.5-3.0 us per pair (break-even 45k-90k pairs; 9.8 us, so 14k,
-# for H over F_59049), against 0.03-0.05 us in the kernel (0.3 us for H
-# over F_59049).  Once numpy is loaded, every enumeration runs the kernel:
-# with the decode, it takes 44 us against the loops' 33 us for 25 pairs
-# of T2 over F_101, and 92 us against 543 us for 400.
+# Pairs the loops may spend in one process before the kernel takes over,
+# so a run whose enumerations total below the cutoff never loads numpy.
+# Importing numpy costs about what the pure-Python loops spend on this many
+# pairs: on a 2-vCPU VM with Python 3.11 and numpy 2.4 the import took
+# 0.13 s and the loops 1.5-3.0 us per pair (break-even 45k-90k pairs; 9.8
+# us, so 14k, for H over F_59049), against 0.03-0.05 us in the kernel (0.3
+# us for H over F_59049).  Counting the pairs already spent, not only the
+# next enumeration's, stops the loops once they have cost about one import
+# (a report's many products just below the cutoff would each run the loops).
+# Once numpy is loaded, every enumeration runs the kernel: with the decode,
+# it takes 44 us against the loops' 33 us for 25 pairs of T2 over F_101,
+# and 92 us against 543 us for 400.
 VECTOR_PAIRS = 1 << 16
+
+# The pairs the wire loops have enumerated in this process.  Process-wide,
+# like the numpy import it weighs against; it picks a path, never a result.
+_loop_pairs = 0
 
 
 def check_pairs(
@@ -97,8 +105,10 @@ def product_tally(A: GroupSet, B: GroupSet) -> tuple[GroupSet, int]:
 
 
 def _use_kernel(pairs: int) -> bool:
-    """Whether an enumeration of ``pairs`` pairs runs the numpy kernel."""
-    return pairs >= VECTOR_PAIRS or "numpy" in sys.modules
+    """Whether an enumeration of ``pairs`` pairs runs the numpy kernel: once
+    numpy is loaded, or once the loops' spent pairs plus these reach
+    ``VECTOR_PAIRS``."""
+    return "numpy" in sys.modules or _loop_pairs + pairs >= VECTOR_PAIRS
 
 
 def _enumerate(X: GroupSet, Y: GroupSet, counts: bool = False):
@@ -111,6 +121,8 @@ def _enumerate(X: GroupSet, Y: GroupSet, counts: bool = False):
 
         keys, mults = pair_kernel(X, Y, counts)
         return GroupSet(X.group, X.spec, _keys=keys), mults
+    global _loop_pairs
+    _loop_pairs += len(X) * len(Y)
     spec, group = X.spec, X.group
     products = (gmul(spec, group, x, y) for x in X.wires for y in Y.wires)
     if not counts:

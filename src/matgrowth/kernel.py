@@ -1,13 +1,20 @@
 """The numpy pair kernel behind every large product set and energy.
 
-``growth`` imports this module, and so numpy, for an enumeration of at
-least ``growth.VECTOR_PAIRS`` pairs, or of any size once numpy is loaded.
-X x Y is enumerated in row blocks as packed int64 keys (x * q + y) * q + z
-(the ``wire_key`` order of ``GroupSet``), which fit because q^3 <= 2^48.  Prime fields use plain
-modular arithmetic (every product is below 2^32); extension fields
+``growth`` imports this module, and so numpy, once an enumeration and the
+pairs the pure-Python loops have already spent in the process reach
+``growth.VECTOR_PAIRS`` (see ``growth._use_kernel``).  X x Y is enumerated
+in row blocks as packed int64 keys (x * q + y) * q + z (the ``wire_key``
+order of ``GroupSet``), which fit because q^3 <= 2^48.  Prime fields use
+plain modular arithmetic (every product is below 2^32); extension fields
 multiply through numpy copies of the exp/log tables and add by XOR when
-p = 2, digit by digit otherwise.  Sorting each block removes duplicates
-and gives the canonical order; the same pass counts multiplicities.
+p = 2, digit by digit otherwise.
+
+Peak memory follows the output plus one block, not the pair count.  When
+a bool mask over all q^3 keys is no larger than the pairs' int64 keys, a
+set-only enumeration marks each block in the mask and reads the sorted
+distinct keys off it.  Otherwise sorting each block removes duplicates and
+counts multiplicities, and the pending blocks are merged into the running
+result whenever they outgrow it.
 """
 
 from __future__ import annotations
@@ -19,8 +26,11 @@ import numpy as np
 from .ffield import FieldSpec
 from .groups import T2, GroupSet
 
-# Pairs per row block; bounds the working memory of one enumeration.
-BLOCK_PAIRS = 1 << 18
+# Pairs per row block.  A block's few int64 temporaries (0.5 MB each) are
+# the working memory beyond the output: on the products benchmark, 2^16
+# peaked 0.3 MB below 2^17 at the same wall time, and 2^18 used 25 MB of
+# temporaries on a 6349 x 81 enumeration whose output fits in 4 MB.
+BLOCK_PAIRS = 1 << 16
 
 
 @lru_cache(maxsize=16)  # equal specs share an entry
@@ -58,36 +68,75 @@ def vector_field(spec: FieldSpec):
 def pair_kernel(X: GroupSet, Y: GroupSet, counts: bool = False):
     """Sorted distinct packed keys of x y over X x Y, and their multiplicities
     when ``counts`` is set (else None).  Works in row blocks of about
-    ``BLOCK_PAIRS`` pairs, each deduplicated by sorting before the merge.
+    ``BLOCK_PAIRS`` pairs, so memory follows the output, not the pair count.
     """
     q = X.spec.q
     add, mul = vector_field(X.spec)
     x, y = X._coord_rows(), Y._coord_rows()[:, None, :]
     rows = max(1, BLOCK_PAIRS // max(1, len(Y)))
-    keys, mults = [], []
-    for start in range(0, max(len(X), 1), rows):  # one empty block for an empty X
-        a, b = x[:, start : start + rows, None], y
-        if X.group == T2:
-            z = (mul(a[0], b[0]), add(mul(a[0], b[1]), mul(a[1], b[2])), mul(a[2], b[2]))
-        else:
-            z = (add(a[0], b[0]), add(a[1], b[1]), add(add(a[2], b[2]), mul(a[0], b[1])))
-        block = np.sort(((z[0] * q + z[1]) * q + z[2]).ravel())
-        starts = np.flatnonzero(np.diff(block, prepend=-1))
-        keys.append(block[starts])
-        if counts:
-            mults.append(np.diff(starts, append=len(block)))
-    if len(keys) > 1:
-        merged = np.concatenate(keys)
-        if counts:
-            order = np.argsort(merged, kind="stable")
-            merged = merged[order]
-        else:
-            merged.sort()
-        starts = np.flatnonzero(np.diff(merged, prepend=-1))
-        keys = [merged[starts]]
-        if counts:
-            mults = [np.add.reduceat(np.concatenate(mults)[order], starts)]
-    return keys[0], mults[0] if counts else None
+    blocks = (
+        _block_keys(X.group, add, mul, q, x[:, start : start + rows, None], y)
+        for start in range(0, max(len(X), 1), rows)  # one empty block for an empty X
+    )
+    if not counts and _dense(q, len(X) * len(Y)):
+        seen = np.zeros(q**3, dtype=bool)
+        for block in blocks:
+            seen[block] = True
+        return np.flatnonzero(seen).astype(np.int64, copy=False), None
+    # parts[0] is the running result; the later parts are pending blocks,
+    # folded in once they outgrow it: a fold costs at most twice its pending
+    # keys, and they exceed the result by at most one block
+    parts = []
+    for block in blocks:
+        block.sort()
+        starts = np.flatnonzero(_first_of_runs(block))
+        parts.append((block[starts], np.diff(starts, append=len(block)) if counts else None))
+        if sum(len(k) for k, _ in parts[1:]) >= len(parts[0][0]):
+            parts = [_merge(parts, counts)]
+    return _merge(parts, counts)
+
+
+def _dense(q: int, pairs: int) -> bool:
+    """Whether a bool mask over all q^3 keys is no larger than the pairs'
+    int64 keys, so dedup marks the mask instead of sorting."""
+    return q**3 <= 8 * pairs
+
+
+def _block_keys(group, add, mul, q, a, b):
+    """The packed keys of the products over one row block, rows x |Y|; its
+    temporaries are freed on return."""
+    if group == T2:
+        z = (mul(a[0], b[0]), add(mul(a[0], b[1]), mul(a[1], b[2])), mul(a[2], b[2]))
+    else:
+        z = (add(a[0], b[0]), add(a[1], b[1]), add(add(a[2], b[2]), mul(a[0], b[1])))
+    return ((z[0] * q + z[1]) * q + z[2]).ravel()
+
+
+def _first_of_runs(keys):
+    """Mask of the first entry of each run of equal values in sorted ``keys``."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _merge(parts: list, counts: bool):
+    """The union of ``parts``, sorted distinct key arrays with their counts
+    (or None), with the counts summed.  Empties ``parts`` before sorting."""
+    if len(parts) == 1:
+        return parts[0]
+    keys = np.concatenate([k for k, _ in parts])
+    mults = np.concatenate([m for _, m in parts]) if counts else None
+    parts.clear()
+    if not counts:
+        keys.sort()
+        return keys[_first_of_runs(keys)], None
+    # a stable argsort is a timsort, which gains from the sorted runs
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    mults = mults[order]
+    del order
+    starts = np.flatnonzero(_first_of_runs(keys))
+    return keys[starts], np.add.reduceat(mults, starts)
 
 
 def second_moment(counts, pairs: int) -> int:

@@ -4,13 +4,16 @@
 this module loads numpy, so unpatched every enumeration here runs the
 kernel; ``paths`` swaps in a plain pair-count cutoff: 0 runs the kernel
 everywhere, ``LOOPS`` nowhere.  Small ``kernel.BLOCK_PAIRS`` values split
-one product over many row blocks.
+one product over many row blocks, so the sparse path merges many times;
+``dense`` forces the bool-mask dedup on or off.
 """
 
+import json
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
+import tracemalloc
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -19,21 +22,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matgrowth import growth, kernel, standard_field
+from matgrowth import build_setfile, growth, kernel, standard_field
 from matgrowth.groups import GroupSet
 from matgrowth.growth import Products, energy, product_energy, product_set, rep_function
 
 FIELDS = [standard_field(q) for q in (101, 65521, 256, 65536, 25, 59049)]
+# over F_5 a product of two drawn sets can be all of T2(F_5)
+ORACLE_FIELDS = [standard_field(5)] + FIELDS
 LOOPS = 1 << 62
+RANDOM40 = {"kind": "random", "size": 40, "seed": 1}
 
 
 @contextmanager
-def paths(cutoff, block):
-    """Run the kernel from ``cutoff`` pairs on, in blocks of ``block`` pairs."""
-    with mock.patch.object(
-        growth, "_use_kernel", lambda pairs: pairs >= cutoff
-    ), mock.patch.object(kernel, "BLOCK_PAIRS", block):
+def paths(cutoff, block, dense=None):
+    """Run the kernel from ``cutoff`` pairs on, in blocks of ``block`` pairs,
+    deduplicating sets in a bool mask when ``dense`` (None: as the kernel picks)."""
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(growth, "_use_kernel", lambda pairs: pairs >= cutoff))
+        stack.enter_context(mock.patch.object(kernel, "BLOCK_PAIRS", block))
+        if dense is not None:
+            stack.enter_context(mock.patch.object(kernel, "_dense", lambda q, pairs: dense))
         yield
+
+
+def mask_fits(spec) -> bool:
+    """Whether a forced dense path may allocate the q^3 mask (16 MB at most)."""
+    return spec.q**3 <= 1 << 24
 
 
 def run_fresh(script: str) -> str:
@@ -47,23 +61,31 @@ def run_fresh(script: str) -> str:
 
 
 @st.composite
-def operand_pairs(draw):
+def operand_pairs(draw, min_x=1, fields=FIELDS):
     """Two sets of one ambient group; small coordinates make products collide."""
-    spec = draw(st.sampled_from(FIELDS))
+    spec = draw(st.sampled_from(fields))
     group = draw(st.sampled_from(["T2", "H"]))
     low = 1 if group == "T2" else 0
     coord = st.one_of(st.integers(0, 3), st.integers(0, spec.q - 1))
     unit = st.one_of(st.integers(1, 3), st.integers(1, spec.q - 1))
     wire = st.tuples(unit, coord, unit) if low else st.tuples(coord, coord, coord)
-    sets = st.lists(wire, min_size=1, max_size=12, unique=True)
-    return GroupSet(group, spec, draw(sets)), GroupSet(group, spec, draw(sets))
+    x = draw(st.lists(wire, min_size=min_x, max_size=12, unique=True))
+    y = draw(st.lists(wire, min_size=1, max_size=12, unique=True))
+    return GroupSet(group, spec, x), GroupSet(group, spec, y)
 
 
-@settings(max_examples=120)
-@given(operand_pairs(), st.integers(0, 150), st.sampled_from([1, 7, 1 << 18]))
-def test_kernel_matches_the_loops(operands, cutoff, block):
-    # the cutoff straddles |A||B| <= 144, so both paths run across examples
+@settings(max_examples=160)
+@given(
+    operand_pairs(min_x=0, fields=ORACLE_FIELDS),
+    st.integers(0, 150),
+    st.sampled_from([1, 7, 1 << 16]),
+    st.booleans(),
+)
+def test_kernel_matches_the_loops(operands, cutoff, block, dense):
+    # the cutoff straddles |A||B| <= 144, so both paths run across examples;
+    # an empty A enumerates one empty block
     a, b = operands
+    dense = dense and mask_fits(a.spec)
     with paths(LOOPS, block):
         want = (
             product_set(a, b),
@@ -72,7 +94,7 @@ def test_kernel_matches_the_loops(operands, cutoff, block):
             energy(a),
             product_energy(a),
         )
-    with paths(cutoff, block):
+    with paths(cutoff, block, dense):
         got = (
             product_set(a, b),
             rep_function(a, b, "inverse_left"),
@@ -146,26 +168,123 @@ print(kernel_built, "numpy" in sys.modules)
         assert below == product_set(a, b) and at == product_set(a, a)
 
 
+def test_loops_hand_over_once_their_spent_pairs_reach_the_cutoff():
+    """In fresh interpreters: of two enumerations below the cutoff whose sum
+    crosses it, the second runs the kernel; in a report, the cube A^2 A
+    (1587 x 40 pairs, below the cutoff) runs the kernel, because the
+    counting passes the loops ran before it bring the sum past the cutoff."""
+    assert 200 * 200 < growth.VECTOR_PAIRS <= 200 * 200 + 180 * 180
+    script = """
+import sys
+from matgrowth import growth, standard_field
+from matgrowth.groups import GroupSet
+
+a = GroupSet("T2", standard_field(101), [(1 + i % 100, i % 101, 1 + i // 100) for i in range(200)])
+b = GroupSet("T2", a.spec, a.wires[:180])
+first = growth.product_set(a, a)._keys is not None, "numpy" in sys.modules
+print(first, growth.product_set(b, b)._keys is not None, growth._loop_pairs)
+"""
+    assert run_fresh(script) == "(False, False) True 40000"
+
+    script = f"""
+import json
+import matgrowth as mg
+from matgrowth import growth
+from matgrowth.config import RunOptions
+from matgrowth.reports import run_report
+
+log = []
+enumerate_pairs = growth._enumerate
+
+def logged(X, Y, *args, **kwargs):
+    out = enumerate_pairs(X, Y, *args, **kwargs)
+    log.append((len(X), len(Y), out[0]._keys is not None))
+    return out
+
+growth._enumerate = logged
+sf = mg.build_setfile("T2", mg.standard_field(101), {RANDOM40!r})
+run_report(sf, RunOptions(bridge="off"))
+print(json.dumps([len(growth.Products(sf.elements).square), log]))
+"""
+    square, log = json.loads(run_fresh(script))
+    spent = 0
+    for x, y, on_kernel in log:
+        spent += x * y
+        assert on_kernel == (spent >= growth.VECTOR_PAIRS)
+    cube = log.index([square, 40, True])
+    assert square * 40 < growth.VECTOR_PAIRS
+    assert not any(on_kernel for _, _, on_kernel in log[:cube])
+
+
+def sym3_operands(q):
+    """A(2) x A(1) of a random 40-element set: 6349 x 81 pairs over F_101,
+    nearly all products distinct."""
+    P = Products(build_setfile("T2", standard_field(q), RANDOM40).elements)
+    return P.sym(2), P.sym(1)
+
+
+def unipotent_operands(q):
+    """3000 x 3000 pairs of unipotent elements with only 5999 products."""
+    X = GroupSet("T2", standard_field(q), [(1, b, 1) for b in range(3000)])
+    return X, X
+
+
+@pytest.mark.parametrize(
+    "operands,q,counts,copies",
+    [
+        (sym3_operands, 101, False, 1),
+        (sym3_operands, 65521, False, 3),
+        (unipotent_operands, 65521, False, 3),
+        (unipotent_operands, 65521, True, 3),
+    ],
+    ids=["sym3-F101-dense", "sym3-F65521", "unipotent-F65521", "unipotent-F65521-counts"],
+)
+def test_kernel_memory_follows_the_output(operands, q, counts, copies):
+    """Under tracemalloc, which sees numpy's buffers, an enumeration peaks
+    at its output plus eight block-sized int64 temporaries, not at its pair
+    count: plus the q^3 mask on the dense path, and with ``copies`` output-
+    sized arrays while a merge holds the result, the pending blocks and
+    their union on the sparse path."""
+    X, Y = operands(q)
+    tracemalloc.start()
+    try:
+        keys, mults = kernel.pair_kernel(X, Y, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = kernel._dense(q, len(X) * len(Y)) and not counts
+    output = keys.nbytes + (mults.nbytes if counts else 0)
+    assert peak <= copies * output + (q**3 if dense else 0) + 8 * 8 * kernel.BLOCK_PAIRS
+    assert dense == (q == 101)
+
+
 def test_second_moment_is_exact_past_int64():
     counts = np.array([2**32, 3], dtype=np.int64)
     pairs = 2**32 + 3
     assert kernel.second_moment(counts, pairs) == 2**64 + 9
 
 
-@pytest.mark.parametrize("q", [101, 256, 25])
+@pytest.mark.parametrize("q", [101, 256, 25, 5, 65521])
 def test_products_ladder_on_the_kernel(q):
+    """The ladder over H and T2, on the dense path (where the q^3 mask may
+    be allocated) and on the sparse path, against the loops."""
     spec = standard_field(q)
-    a = GroupSet("H", spec, [(1, 0, 0), (0, 1, 0), (1, 1, 3), (2, 0, 1)])
-    with paths(LOOPS, 1 << 18):
-        loops = Products(a)
-        want = [loops.sym(k) for k in range(1, 6)] + [loops.cube, loops.quotient]
-        moments = loops.energy, loops.product_energy
-    with paths(0, 3):
-        vec = Products(a)
-        got = [vec.sym(k) for k in range(1, 6)] + [vec.cube, vec.quotient]
-        assert (vec.energy, vec.product_energy) == moments
-    assert got == want
-    assert [s.wires for s in got] == [s.wires for s in want]
+    h = [(1, 0, 0), (0, 1, 0), (1, 1, 3), (2, 0, 1)]
+    sets = {"H": h, "T2": [(x + 1, y, z + 1) for x, y, z in h]}
+    for group, dense in [("H", False), ("H", True), ("T2", False), ("T2", True)]:
+        if dense and not mask_fits(spec):
+            continue
+        a = GroupSet(group, spec, [tuple(c % q for c in w) for w in sets[group]])
+        with paths(LOOPS, 1 << 18):
+            loops = Products(a)
+            want = [loops.sym(k) for k in range(1, 6)] + [loops.cube, loops.quotient]
+            moments = loops.energy, loops.product_energy
+        with paths(0, 3, dense):
+            vec = Products(a)
+            got = [vec.sym(k) for k in range(1, 6)] + [vec.cube, vec.quotient]
+            assert (vec.energy, vec.product_energy) == moments
+        assert got == want
+        assert [s.wires for s in got] == [s.wires for s in want]
 
 
 def test_small_runs_never_import_numpy():
