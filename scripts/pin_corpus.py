@@ -26,7 +26,7 @@ from matgrowth.exact import (
     t2_energy_bound,
 )
 from matgrowth.ffield import subfield_of_degree
-from matgrowth.groups import GroupSet, SubgroupTag, element
+from matgrowth.groups import GroupSet, SubgroupTag
 from matgrowth.growth import energy
 from matgrowth.incidence import probe_instance, random_instance
 from matgrowth.jsonio import digest, write_json
@@ -52,7 +52,7 @@ def t2_over_subfield():
 
 def ratio_coset_sample():
     """30 of the 42 elements of one scaled-unipotent coset in T2(F7)."""
-    coset = SubgroupTag("scaled_unipotent").coset(element(F7, "T2", (3, 0, 1)))
+    coset = SubgroupTag("scaled_unipotent").coset(F7, (3, 0, 1))
     wires = coset.wires
     rng = SplitMix64(1011)
     picked = set()

@@ -19,16 +19,7 @@ from .ffield import (
     subfield_generated_by,
     subfield_of_degree,
 )
-from .groups import (
-    GroupSet,
-    HeisElement,
-    SubgroupTag,
-    T2Element,
-    commutator,
-    diag_part,
-    diag_ratio,
-    generated_closure,
-)
+from .groups import GroupSet, SubgroupTag, generated_closure
 from .growth import (
     Products,
     coset_count_check,
@@ -67,7 +58,6 @@ __all__ = [
     "FieldElement",
     "FieldSpec",
     "GroupSet",
-    "HeisElement",
     "MatGrowthError",
     "MismatchError",
     "ParameterError",
@@ -77,16 +67,12 @@ __all__ = [
     "SplitMix64",
     "StructureOptions",
     "SubgroupTag",
-    "T2Element",
     "bridge_report",
     "build_setfile",
     "collinear_stats",
-    "commutator",
     "coset_count_check",
     "covering_check",
     "default_modulus",
-    "diag_part",
-    "diag_ratio",
     "dyadic_pieces",
     "energy",
     "energy_oracle",

@@ -11,16 +11,17 @@ from pathlib import Path
 from .config import RunOptions, StructureOptions
 from .errors import CapExceeded, MatGrowthError, ParameterError
 from .ffield import FieldSpec, _prime_power, standard_field
-from .groups import SubgroupTag, element
+from .groups import SubgroupTag
 from .growth import Products
 from .incidence import bridge_report, probe_instance, random_instance
 from .jsonio import digest, read_json, write_json
 from .reports import (
     EXIT_CAPS,
+    EXIT_FLAGS,
     EXIT_OK,
     EXIT_VERIFY,
-    bound_json,
     bridge_json,
+    probe_json,
     run_report,
     set_json,
     structure_json,
@@ -170,33 +171,20 @@ def cmd_incidence(args) -> int:
             f" quadruples={br.total_quadruples} energy={br.energy}"
             f" match={br.matches_energy}"
         )
-        return EXIT_OK if br.matches_energy else 2
+        return EXIT_OK if br.matches_energy else EXIT_FLAGS
     if args.field is None or args.points is None or args.planes is None or args.seed is None:
         raise MatGrowthError("probe mode needs --field, --points, --planes and --seed")
     spec = parse_field(args.field, args.modulus)
     inst = random_instance(spec, args.points, args.planes, args.seed)
     probe = probe_instance(inst, args.constant)
-    payload = {
-        "schema": "matgrowth.incidence.v1",
-        "probe": {
-            "field": spec.to_json(),
-            "seed": args.seed,
-            "point_count": probe.point_count,
-            "plane_count": probe.plane_count,
-            "incidences": probe.incidences,
-            "max_collinear": probe.max_collinear,
-            "bound": bound_json(probe.bound),
-            "points_within_field_square": probe.points_within_field_square,
-            "planes_within_field_square": probe.planes_within_field_square,
-        },
-    }
+    payload = {"schema": "matgrowth.incidence.v1", "probe": probe_json(probe, spec, args.seed)}
     write_json(args.out, payload)
     print(
         f"probe over F_{spec.q}: incidences={probe.incidences}"
         f" max_collinear={probe.max_collinear}"
         f" ratio={probe.bound.display_ratio:.4f}"
     )
-    return EXIT_OK if probe.bound.holds else 2
+    return EXIT_OK if probe.bound.holds else EXIT_FLAGS
 
 
 def cmd_structure(args) -> int:

@@ -7,17 +7,19 @@ vectors in reduced form; the canonical integer serialization of an element
 ("wire form") is ``sum(coeffs[i] * p**i)``, which is a bijection onto
 ``range(p**r)``.
 
-Prime fields (r == 1) use residue arithmetic directly.  Extensions build
-discrete exp/log tables once, from schoolbook polynomial multiplication,
-and multiply through the tables afterwards.  Everything is exact integer
-arithmetic; there is no floating point anywhere in this module.
+The package computes on wire forms only: ``FieldSpec`` does the arithmetic
+on them, and ``FieldElement`` just pairs a wire with its spec for the
+subfield functions.  Prime fields (r == 1) use residue arithmetic directly.
+Extensions build discrete exp/log tables once, from schoolbook polynomial
+multiplication, and multiply through the tables afterwards.  Everything is
+exact integer arithmetic; there is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .config import Caps, json_typed
 from .errors import CapExceeded, MismatchError, ParameterError
@@ -117,10 +119,8 @@ def _undigits(ds: Sequence[int], p: int) -> int:
 class FieldSpec:
     """Immutable description of F_{p^r}; also the arithmetic engine.
 
-    The wire-level methods (``add``, ``mul``, ``inv``, ...) operate on
-    integer wire forms and are what the set-level kernels use.  The
-    ``element`` constructor wraps wires into :class:`FieldElement` for the
-    operator-based API.
+    Its methods (``add``, ``mul``, ``inv``, ...) take and return integer
+    wire forms; a field element is its wire everywhere in the package.
     """
 
     def __init__(self, p: int, r: int, modulus: Sequence[int]):
@@ -329,30 +329,12 @@ class FieldSpec:
         padded = [c % self.p for c in cs] + [0] * (self.r - len(cs))
         return _undigits(padded, self.p)
 
-    # -- element construction ---------------------------------------------
-
-    def element(self, value: Union[int, Sequence[int]]) -> "FieldElement":
-        """Build an element from a wire integer or a coefficient vector."""
-        if isinstance(value, int):
-            return FieldElement(self, self.check_wire(value))
-        return FieldElement(self, self.from_coeffs(value))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for w in range(self.q):
-            yield FieldElement(self, w)
-
 
 class FieldElement:
-    """A reduced-form field element: a spec plus its wire integer.
+    """A field element as the subfield API passes it: a spec plus its wire.
 
-    Supports the usual operators.  Plain Python ints coerce through the
-    prime subfield, so ``x + 1`` means adding the field's one.
+    A plain value with equality and hashing, and no arithmetic: compute on
+    the wires with the :class:`FieldSpec` methods.
     """
 
     __slots__ = ("spec", "wire")
@@ -361,67 +343,7 @@ class FieldElement:
         self.spec = spec
         self.wire = wire
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise MismatchError(f"elements of {self.spec!r} and {other.spec!r} do not mix")
-            return other
-        if isinstance(other, int):
-            return FieldElement(self.spec, other % self.spec.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add(self.wire, other.wire))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(self.wire, other.wire))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(other.wire, self.wire))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.wire, other.wire))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.div(self.wire, other.wire))
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.div(other.wire, self.wire))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.wire))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.power(self.wire, e))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.wire))
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.wire == other % self.spec.p and self.wire < self.spec.p
         return (
             isinstance(other, FieldElement)
             and self.spec == other.spec
@@ -430,16 +352,6 @@ class FieldElement:
 
     def __hash__(self) -> int:
         return hash((self.spec._hash, self.wire))
-
-    def __bool__(self) -> bool:
-        return self.wire != 0
-
-    def __int__(self) -> int:
-        return self.wire
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.spec.coeffs(self.wire)
 
     def __repr__(self) -> str:
         return f"ff({self.spec.q}, {self.wire})"

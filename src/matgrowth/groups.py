@@ -6,10 +6,11 @@ Heisenberg group of unitriangular 3x3 matrices, stored as the free triple
 (g1, g2, g3) for the two superdiagonal entries and the corner.  No matrix
 type is involved; multiplication uses the closed-form products directly.
 
-Wire-level kernels (``gmul``, ``ginv``, ...) act on integer wire triples
-and are what the counting code uses.  ``T2Element``/``HeisElement`` wrap
-triples for the operator API.  ``GroupSet`` is a deduplicated, canonically
-ordered set of wire triples with its ambient group tag.
+An element is its wire triple, a plain tuple of three field wires; it
+carries no field or group, so every kernel (``gmul``, ``ginv``, ...) takes
+the field spec and the group tag next to it.  ``check_group_wire`` is the
+one validity check.  ``GroupSet`` is a deduplicated, canonically ordered
+set of wire triples with its ambient group tag.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import Caps, json_typed
 from .errors import CapExceeded, MismatchError, ParameterError
-from .ffield import FieldElement, FieldSpec
+from .ffield import FieldSpec
 
 T2 = "T2"
 H = "H"
@@ -83,122 +84,6 @@ def check_group_wire(spec: FieldSpec, group: str, w: Sequence[int]) -> Wire:
     return t
 
 
-# -- element wrappers -------------------------------------------------------
-
-class T2Element:
-    """Upper-triangular [[a, b], [0, c]] with a, c nonzero."""
-
-    __slots__ = ("spec", "wires")
-    group = T2
-
-    def __init__(self, spec: FieldSpec, wires: Sequence[int]):
-        self.spec = spec
-        self.wires = check_group_wire(spec, T2, wires)
-
-    @classmethod
-    def identity(cls, spec: FieldSpec) -> "T2Element":
-        return cls(spec, (1, 0, 1))
-
-    @property
-    def a(self) -> FieldElement:
-        return FieldElement(self.spec, self.wires[0])
-
-    @property
-    def b(self) -> FieldElement:
-        return FieldElement(self.spec, self.wires[1])
-
-    @property
-    def c(self) -> FieldElement:
-        return FieldElement(self.spec, self.wires[2])
-
-    def __mul__(self, other: "T2Element") -> "T2Element":
-        if not isinstance(other, T2Element):
-            return NotImplemented
-        if other.spec != self.spec:
-            raise MismatchError("elements over different fields")
-        return T2Element(self.spec, t2_mul(self.spec, self.wires, other.wires))
-
-    def inv(self) -> "T2Element":
-        return T2Element(self.spec, t2_inv(self.spec, self.wires))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, T2Element)
-            and self.spec == other.spec
-            and self.wires == other.wires
-        )
-
-    def __hash__(self) -> int:
-        return hash((T2, self.spec._hash, self.wires))
-
-    def __repr__(self) -> str:
-        return f"T2{self.wires}"
-
-
-class HeisElement:
-    """Unitriangular 3x3 element (g1, g2, g3); all coordinates are free."""
-
-    __slots__ = ("spec", "wires")
-    group = H
-
-    def __init__(self, spec: FieldSpec, wires: Sequence[int]):
-        self.spec = spec
-        self.wires = check_group_wire(spec, H, wires)
-
-    @classmethod
-    def identity(cls, spec: FieldSpec) -> "HeisElement":
-        return cls(spec, (0, 0, 0))
-
-    def __mul__(self, other: "HeisElement") -> "HeisElement":
-        if not isinstance(other, HeisElement):
-            return NotImplemented
-        if other.spec != self.spec:
-            raise MismatchError("elements over different fields")
-        return HeisElement(self.spec, heis_mul(self.spec, self.wires, other.wires))
-
-    def inv(self) -> "HeisElement":
-        return HeisElement(self.spec, heis_inv(self.spec, self.wires))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeisElement)
-            and self.spec == other.spec
-            and self.wires == other.wires
-        )
-
-    def __hash__(self) -> int:
-        return hash((H, self.spec._hash, self.wires))
-
-    def __repr__(self) -> str:
-        return f"H{self.wires}"
-
-
-GroupElement = T2Element | HeisElement
-
-
-def element(spec: FieldSpec, group: str, wires: Sequence[int]) -> GroupElement:
-    return T2Element(spec, wires) if group == T2 else HeisElement(spec, wires)
-
-
-def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
-    """g^-1 h^-1 g h; lands in the unipotent part of either group."""
-    if type(g) is not type(h):
-        raise MismatchError("commutator of elements from different groups")
-    return g.inv() * h.inv() * g * h
-
-
-# -- T2 structure maps -------------------------------------------------------
-
-def diag_ratio(g: T2Element) -> FieldElement:
-    """a / c.  Multiplicative onto F_q*; its fibers partition T2."""
-    return FieldElement(g.spec, g.spec.div(g.wires[0], g.wires[2]))
-
-
-def diag_part(g: T2Element) -> T2Element:
-    """Forget the corner: (a, 0, c).  A homomorphism onto the diagonal."""
-    return T2Element(g.spec, (g.wires[0], 0, g.wires[2]))
-
-
 # -- canonical element order and sets ----------------------------------------
 
 def wire_key(spec: FieldSpec, w: Wire) -> int:
@@ -215,7 +100,8 @@ class GroupSet:
     A set built by the pair kernel (``_keys``: a sorted, duplicate-free
     int64 array of packed keys) keeps only that array; ``len``, ``==``,
     ``hash`` and ``subset_of`` read it, and the wire triples are decoded
-    on first use.
+    on first use.  The membership index behind ``in`` is built on the
+    first membership query, whichever way the set was built.
     """
 
     __slots__ = ("group", "spec", "_keys", "_wire_tuple", "_wire_index")
@@ -241,7 +127,6 @@ class GroupSet:
         else:
             uniq = {check_group_wire(spec, group, w) for w in wires}
         self._wire_tuple = tuple(sorted(uniq, key=lambda w: wire_key(spec, w)))
-        self._wire_index = frozenset(self._wire_tuple)
 
     @property
     def wires(self) -> tuple[Wire, ...]:
@@ -271,21 +156,6 @@ class GroupSet:
         spec = self.spec
         return [wire_key(spec, w) for w in self._wire_tuple]
 
-    @classmethod
-    def from_members(cls, members: Iterable[GroupElement]) -> "GroupSet":
-        members = list(members)
-        if not members:
-            raise ParameterError("cannot infer group from an empty member list")
-        first = members[0]
-        for m in members:
-            if type(m) is not type(first) or m.spec != first.spec:
-                raise MismatchError("members from different groups or fields")
-        return cls(first.group, first.spec, (m.wires for m in members), _checked=True)
-
-    def members(self) -> Iterator[GroupElement]:
-        for w in self.wires:
-            yield element(self.spec, self.group, w)
-
     def __len__(self) -> int:
         return len(self._keys) if self._keys is not None else len(self._wire_tuple)
 
@@ -293,8 +163,6 @@ class GroupSet:
         return iter(self.wires)
 
     def __contains__(self, item) -> bool:
-        if isinstance(item, (T2Element, HeisElement)):
-            return item.group == self.group and item.spec == self.spec and item.wires in self._index
         return tuple(item) in self._index
 
     def __eq__(self, other) -> bool:
@@ -337,7 +205,7 @@ class GroupSet:
 
     def union(self, other: "GroupSet") -> "GroupSet":
         self.same_ambient(other)
-        return GroupSet(self.group, self.spec, self._index | other._index, _checked=True)
+        return GroupSet(self.group, self.spec, self.wires + other.wires, _checked=True)
 
     @property
     def is_symmetric(self) -> bool:
@@ -352,7 +220,7 @@ class GroupSet:
     def subset_of(self, other: "GroupSet") -> bool:
         self.same_ambient(other)
         if self._keys is None and other._keys is None:
-            return self._index <= other._index
+            return other._index.issuperset(self.wires)
         if len(self) > len(other):
             return False
         # a key-built operand means numpy is loaded already
@@ -568,16 +436,13 @@ class SubgroupTag:
             return (w[1], w[2])
         return (w[0], spec.sub(w[2], spec.mul(w[0], w[1])))
 
-    def coset(self, rep: GroupElement) -> GroupSet:
-        """Left coset rep * subgroup as an explicit set."""
-        if rep.group != self.group:
-            raise MismatchError(f"representative is in {rep.group}, tag is for {self.group}")
-        spec = rep.spec
-        base = self.elements(spec)
+    def coset(self, spec: FieldSpec, rep: Sequence[int]) -> GroupSet:
+        """Left coset rep * subgroup as an explicit set; rep is a wire triple."""
+        rep = check_group_wire(spec, self.group, rep)
         return GroupSet(
             self.group,
             spec,
-            (gmul(spec, self.group, rep.wires, w) for w in base.wires),
+            (gmul(spec, self.group, rep, w) for w in self.elements(spec).wires),
             _checked=True,
         )
 

@@ -126,8 +126,6 @@ class WeightedInstance:
     spec: FieldSpec
     points: dict[tuple, int]
     planes: dict[tuple, int]
-    group: str | None = None
-    key: tuple | None = None
 
     @property
     def point_weight(self) -> int:
@@ -152,7 +150,7 @@ def build_instance(
             pl = heis_plane(spec, g, v, key[1])
         points[pt] = points.get(pt, 0) + 1
         planes[pl] = planes.get(pl, 0) + 1
-    return WeightedInstance(spec=spec, points=points, planes=planes, group=group, key=key)
+    return WeightedInstance(spec=spec, points=points, planes=planes)
 
 
 def incidence_count(inst: WeightedInstance, cap: int = Caps.max_pair_products) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
+from dataclasses import fields
 from fractions import Fraction
 from functools import cache
 
@@ -111,6 +112,13 @@ def bridge_json(br) -> dict:
         "matches_energy": br.matches_energy,
         "classes": [class_json(c) for c in br.classes],
     }
+
+
+def probe_json(probe, spec, seed: int) -> dict:
+    """A ProbeReport with the field and seed of its random instance."""
+    out = {f.name: getattr(probe, f.name) for f in fields(probe)}
+    out.update(field=spec.to_json(), seed=seed, bound=bound_json(probe.bound))
+    return out
 
 
 def certificate_json(c) -> dict:

@@ -33,7 +33,6 @@ from .groups import (
     GroupSet,
     SubgroupTag,
     check_group_wire,
-    element,
     wire_key,
 )
 from .jsonio import digest, read_json, write_json
@@ -105,12 +104,12 @@ def box_set(spec: FieldSpec, n: int) -> GroupSet:
 
 
 def perturbed_coset(
-    tag: SubgroupTag, rep, swaps: int, seed: int
+    tag: SubgroupTag, spec: FieldSpec, rep: tuple[int, int, int], swaps: int, seed: int
 ) -> GroupSet:
-    """A left coset with ``swaps`` members traded for random outsiders."""
-    spec = rep.spec
+    """The left coset rep * subgroup with ``swaps`` members traded for
+    random outsiders."""
     group = tag.group
-    base = list(tag.coset(rep).wires)
+    base = list(tag.coset(spec, rep).wires)
     rng = SplitMix64(seed)
     current = set(base)
     order = list(base)
@@ -134,9 +133,15 @@ def _check_set_cap(size: int, what: str) -> None:
         raise CapExceeded(f"{what}: {size} is above the set cap {cap}")
 
 
+def _recipe_field(gen: dict, key: str):
+    if key not in gen:
+        raise ParameterError(f"{gen.get('kind')} generator recipe has no {key!r} field")
+    return gen[key]
+
+
 def _generator_tag(group: str, spec: FieldSpec, gen: dict) -> SubgroupTag:
     """The recipe's subgroup tag, refused before any build past the set cap."""
-    tag = SubgroupTag.from_json(gen["tag"])
+    tag = SubgroupTag.from_json(_recipe_field(gen, "tag"))
     if tag.group != group:
         raise ParameterError(f"tag {tag!r} is not a {group} subgroup")
     _check_set_cap(tag.order(spec), f"elements of {tag!r} over F_{spec.q}")
@@ -149,30 +154,30 @@ def generate(group: str, spec: FieldSpec, gen: dict) -> GroupSet:
     kind = gen.get("kind")
 
     def integer(key: str) -> int:
-        return json_typed(gen[key], int, f"generator recipe {key}")
+        return json_typed(_recipe_field(gen, key), int, f"generator recipe {key}")
 
-    def rep():
-        coords = json_typed(gen["rep"], list, "generator recipe rep")
+    def rep() -> tuple[int, int, int]:
+        coords = json_typed(_recipe_field(gen, "rep"), list, "generator recipe rep")
         coords = [json_typed(x, int, "generator recipe rep coordinate") for x in coords]
-        return element(spec, group, tuple(coords))
+        return check_group_wire(spec, group, coords)
 
     if kind == "random":
         return random_set(group, spec, integer("size"), integer("seed"))
     if kind == "subgroup":
         return _generator_tag(group, spec, gen).elements(spec)
     if kind == "coset":
-        return _generator_tag(group, spec, gen).coset(rep())
+        return _generator_tag(group, spec, gen).coset(spec, rep())
     if kind == "box":
         if group != H:
             raise ParameterError("box sets live in the Heisenberg group")
         return box_set(spec, integer("n"))
     if kind == "perturbed_coset":
         tag = _generator_tag(group, spec, gen)
-        return perturbed_coset(tag, rep(), integer("swaps"), integer("seed"))
+        return perturbed_coset(tag, spec, rep(), integer("swaps"), integer("seed"))
     if kind == "union":
-        parts = gen.get("parts") or []
-        if not parts:
-            raise ParameterError("union generator needs at least one part")
+        parts = gen.get("parts")
+        if type(parts) is not list or not parts:
+            raise ParameterError("union generator needs a list of at least one part")
         out = generate(group, spec, parts[0])
         for part in parts[1:]:
             out = out.union(generate(group, spec, part))

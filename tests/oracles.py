@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from matgrowth.groups import T2, GroupSet, T2Element, gid, ginv, gmul
+from matgrowth.groups import T2, GroupSet, gid, ginv, gmul
 
 
 def quad_energy(A):
@@ -338,15 +338,14 @@ def piece_elements(A, piece):
     )
 
 
-def affine_part(g):
-    """Scale to unit determinant on the (2,2) slot: (a/c, b/c, 1).
+def affine_part(spec, g):
+    """Scale the T2 triple g to a unit (2,2) slot: (a/c, b/c, 1).
 
     This is the projection to the affine group {(a, b, 1)}; its kernel is
     the scalar subgroup.
     """
-    spec = g.spec
-    ci = spec.inv(g.wires[2])
-    return T2Element(spec, (spec.mul(g.wires[0], ci), spec.mul(g.wires[1], ci), 1))
+    ci = spec.inv(g[2])
+    return (spec.mul(g[0], ci), spec.mul(g[1], ci), 1)
 
 
 def fraction_from_json(obj):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import F5, F7, F9, SMALL_FIELDS, group_sets
 from matgrowth.errors import ParameterError
-from matgrowth.groups import GroupSet, SubgroupTag, element
+from matgrowth.groups import GroupSet, SubgroupTag
 from matgrowth.cosets import (
     ConstraintFlags,
     dyadic_pieces,
@@ -176,8 +176,7 @@ def test_profile_of_a_diagonal_slice():
 
 
 def test_profile_of_a_ratio_coset():
-    rep = element(F7, "T2", (3, 0, 1))
-    a = SubgroupTag("scaled_unipotent").coset(rep)
+    a = SubgroupTag("scaled_unipotent").coset(F7, (3, 0, 1))
     prof = t2_profile(a)
     assert prof.m2.value == len(a) == 42
     assert prof.m2.witness == (3,)

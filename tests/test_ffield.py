@@ -10,6 +10,7 @@ from conftest import F5, F7, F9, F16, F25
 from matgrowth.errors import ParameterError
 from matgrowth.ffield import (
     FIELD_MODULI,
+    FieldElement,
     FieldSpec,
     default_modulus,
     element_degree,
@@ -144,22 +145,23 @@ def test_division_by_zero():
 
 
 def test_element_operators():
-    a = F9.element(3)
-    b = F9.element(5)
-    assert (a + b).wire == F9.add(3, 5)
-    assert (a * b).wire == F9.mul(3, 5)
-    assert (a - a).wire == 0
-    assert (a / a).wire == 1
-    assert (-a + a).wire == 0
-    assert a.inv() * a == F9.one()
+    # a FieldElement is a (spec, wire) value: equality and hashing only
+    a = FieldElement(F9, 3)
+    assert a == FieldElement(F9, 3)
+    assert hash(a) == hash(FieldElement(F9, 3))
+    assert a != FieldElement(F9, 5)
+    assert a != FieldElement(F7, 3)
+    assert FieldElement(F9, 1) != 1  # no coercion from int
+    with pytest.raises(TypeError):
+        a + a
 
 
 def test_element_degree_layers():
     # F16 contains F4 (degree 2) and F2 (degree 1)
-    degrees = sorted({element_degree(x) for x in F16.elements()})
+    degrees = sorted({element_degree(FieldElement(F16, w)) for w in range(16)})
     assert degrees == [1, 2, 4]
-    assert element_degree(F16.zero()) == 1
-    assert element_degree(F16.one()) == 1
+    assert element_degree(FieldElement(F16, 0)) == 1
+    assert element_degree(FieldElement(F16, 1)) == 1
 
 
 def test_subfield_of_degree():
@@ -173,19 +175,19 @@ def test_subfield_of_degree():
 
 
 def test_subfield_generated_by():
-    gen = subfield_generated_by([F16.one()])
+    gen = subfield_generated_by([FieldElement(F16, 1)])
     assert gen.degree == 1 and len(gen) == 2
     # an element of degree 4 generates everything
-    full = subfield_generated_by(list(F16.elements())[:5])
+    full = subfield_generated_by(FieldElement(F16, w) for w in range(5))
     assert full.degree in (1, 2, 4)
 
 
 def test_span_over_subfield():
     f4 = subfield_of_degree(F16, 2)
-    span = span_over_subfield([F16.one()], f4)
+    span = span_over_subfield([FieldElement(F16, 1)], f4)
     assert {e.wire for e in span} == {x.wire for x in f4}
     # spans are F-submodules: closed under addition and scaling
-    xs = [F16.element(6), F16.element(9)]
+    xs = [FieldElement(F16, 6), FieldElement(F16, 9)]
     wires = {e.wire for e in span_over_subfield(xs, f4)}
     assert 0 in wires
     for u in wires:

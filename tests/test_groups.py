@@ -8,14 +8,8 @@ from conftest import F5, F7, F9, F101, SMALL_FIELDS, group_wires
 from matgrowth.errors import CapExceeded, MismatchError, ParameterError
 from matgrowth.groups import (
     GroupSet,
-    HeisElement,
     SubgroupTag,
-    T2Element,
     check_group_wire,
-    commutator,
-    diag_part,
-    diag_ratio,
-    element,
     generated_closure,
     gid,
     ginv,
@@ -107,84 +101,63 @@ def test_check_group_wire_rejects_bad_triples():
     assert check_group_wire(F5, "H", (0, 0, 0)) == (0, 0, 0)
 
 
-# -- element wrappers ---------------------------------------------------------
-
-
-def test_element_factory_picks_the_right_class():
-    assert isinstance(element(F5, "T2", (2, 1, 3)), T2Element)
-    assert isinstance(element(F5, "H", (0, 0, 0)), HeisElement)
-
-
-def test_element_operators():
-    g = T2Element(F5, (2, 1, 3))
-    h = T2Element(F5, (4, 2, 2))
-    assert (g * h).wires == (3, 1, 1)
-    assert g.inv().wires == (3, 4, 2)
-    assert g * g.inv() == T2Element.identity(F5)
-    assert g.a.wire == 2 and g.b.wire == 1 and g.c.wire == 3
-    assert hash(g) == hash(T2Element(F5, (2, 1, 3)))
-    assert g != h
-    assert g != HeisElement(F5, (2, 1, 3))
-
-
-def test_heis_element_operators():
-    g = HeisElement(F5, (1, 2, 3))
-    assert (g * g.inv()) == HeisElement.identity(F5)
-    assert g.inv().wires == (4, 3, 4)
-
-
 # -- structure maps -----------------------------------------------------------
 
 
+def commutator(spec, group, g, h):
+    """g^-1 h^-1 g h on wire triples."""
+    gi, hi = ginv(spec, group, g), ginv(spec, group, h)
+    return gmul(spec, group, gmul(spec, group, gi, hi), gmul(spec, group, g, h))
+
+
 def test_commutator_is_central_in_heisenberg():
-    g = HeisElement(F5, (1, 2, 3))
-    h = HeisElement(F5, (2, 0, 4))
-    c = commutator(g, h)
     # base coordinates cancel, the corner keeps g1*h2 - g2*h1
-    assert c.wires == (0, 0, 1)
+    c = commutator(F5, "H", (1, 2, 3), (2, 0, 4))
+    assert c == (0, 0, 1)
+    for x in all_wires(F5, "H"):
+        assert gmul(F5, "H", c, x) == gmul(F5, "H", x, c)
 
 
 @given(data=st.data())
 def test_commutator_lands_in_unipotent(data):
-    g = T2Element(F7, data.draw(group_wires(F7, "T2")))
-    h = T2Element(F7, data.draw(group_wires(F7, "T2")))
-    c = commutator(g, h)
-    assert c.wires[0] == 1 and c.wires[2] == 1
-
-
-def test_commutator_rejects_mixed_groups():
-    with pytest.raises(MismatchError):
-        commutator(T2Element(F5, (1, 0, 1)), HeisElement(F5, (0, 0, 0)))
+    g = data.draw(group_wires(F7, "T2"))
+    h = data.draw(group_wires(F7, "T2"))
+    c = commutator(F7, "T2", g, h)
+    assert c[0] == 1 and c[2] == 1
 
 
 @given(data=st.data())
 def test_diag_ratio_is_multiplicative(data):
-    g = T2Element(F9, data.draw(group_wires(F9, "T2")))
-    h = T2Element(F9, data.draw(group_wires(F9, "T2")))
-    assert diag_ratio(g * h) == diag_ratio(g) * diag_ratio(h)
+    # a / c maps T2 onto F_q*; its fibers are the scaled-unipotent cosets
+    g = data.draw(group_wires(F9, "T2"))
+    h = data.draw(group_wires(F9, "T2"))
+    gh = gmul(F9, "T2", g, h)
+    assert F9.div(gh[0], gh[2]) == F9.mul(F9.div(g[0], g[2]), F9.div(h[0], h[2]))
 
 
 @given(data=st.data())
 def test_diag_part_is_a_homomorphism(data):
-    g = T2Element(F5, data.draw(group_wires(F5, "T2")))
-    h = T2Element(F5, data.draw(group_wires(F5, "T2")))
-    assert diag_part(g * h) == diag_part(g) * diag_part(h)
-    assert diag_part(g).wires == (g.wires[0], 0, g.wires[2])
+    def diag_part(w):
+        return (w[0], 0, w[2])
+
+    g = data.draw(group_wires(F5, "T2"))
+    h = data.draw(group_wires(F5, "T2"))
+    assert diag_part(gmul(F5, "T2", g, h)) == gmul(F5, "T2", diag_part(g), diag_part(h))
 
 
 @given(data=st.data())
 def test_affine_part_is_a_homomorphism(data):
-    g = T2Element(F7, data.draw(group_wires(F7, "T2")))
-    h = T2Element(F7, data.draw(group_wires(F7, "T2")))
-    assert affine_part(g * h) == affine_part(g) * affine_part(h)
-    assert affine_part(g).wires[2] == 1
+    g = data.draw(group_wires(F7, "T2"))
+    h = data.draw(group_wires(F7, "T2"))
+    assert affine_part(F7, gmul(F7, "T2", g, h)) == gmul(
+        F7, "T2", affine_part(F7, g), affine_part(F7, h)
+    )
+    assert affine_part(F7, g)[2] == 1
 
 
 def test_affine_part_kernel_is_the_scalars():
-    e = T2Element.identity(F5)
     for w in all_wires(F5, "T2"):
-        g = T2Element(F5, w)
-        in_kernel = affine_part(g) == e
+        in_kernel = affine_part(F5, w) == gid("T2")
         assert in_kernel == (w[0] == w[2] and w[1] == 0)
 
 
@@ -221,16 +194,14 @@ def test_group_set_contains_both_forms():
     a = GroupSet("T2", F5, [(2, 1, 3)])
     assert (2, 1, 3) in a
     assert [2, 1, 3] in a
-    assert T2Element(F5, (2, 1, 3)) in a
-    assert T2Element(F7, (2, 1, 3)) not in a
     assert (1, 0, 1) not in a
 
 
-def test_from_members_round_trip():
-    members = [T2Element(F5, (2, 1, 3)), T2Element(F5, (1, 0, 1))]
-    a = GroupSet.from_members(members)
-    assert a.wires == ((1, 0, 1), (2, 1, 3))
-    assert sorted(m.wires for m in a.members()) == [(1, 0, 1), (2, 1, 3)]
+def test_membership_index_is_built_on_first_query():
+    a = GroupSet("T2", F5, [(2, 1, 3), (1, 0, 1)])
+    assert a._wire_index is None
+    assert (1, 0, 1) in a
+    assert a._wire_index == frozenset(a.wires)
 
 
 @given(data=st.data())
@@ -482,12 +453,22 @@ def test_coset_key_rejects_skew_line():
 
 def test_explicit_coset():
     tag = SubgroupTag("unipotent")
-    rep = T2Element(F7, (3, 0, 1))
-    cs = tag.coset(rep)
+    rep = (3, 0, 1)
+    cs = tag.coset(F7, rep)
     assert len(cs) == 7
     keys = {tag.coset_key(F7, w) for w in cs.wires}
-    assert keys == {tag.coset_key(F7, rep.wires)}
-    assert set(cs.wires) == {gmul(F7, "T2", (3, 0, 1), h) for h in tag.elements(F7).wires}
+    assert keys == {tag.coset_key(F7, rep)}
+    assert set(cs.wires) == {gmul(F7, "T2", rep, h) for h in tag.elements(F7).wires}
+    assert tag.coset(F7, [3, 0, 1]) == cs
+
+
+def test_coset_validates_the_representative():
+    with pytest.raises(ParameterError):
+        SubgroupTag("unipotent").coset(F7, (0, 0, 1))  # not invertible
+    with pytest.raises(ParameterError):
+        SubgroupTag("center").coset(F5, (1, 2, 5))  # coordinate out of range
+    with pytest.raises(ParameterError):
+        SubgroupTag("center").coset(F5, (1, 2))
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=tag_id)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import F5, F7, F9, F101
 from matgrowth.errors import ParameterError
-from matgrowth.groups import GroupSet, SubgroupTag, element
+from matgrowth.groups import GroupSet, SubgroupTag
 from matgrowth.setfiles import (
     SET_SCHEMA,
     box_set,
@@ -67,12 +67,12 @@ def test_box_set_guards():
 
 def test_perturbed_coset_anchor():
     tag = SubgroupTag("scaled_unipotent")
-    rep = element(F7, "T2", (3, 0, 1))
-    a = perturbed_coset(tag, rep, swaps=4, seed=77)
-    b = perturbed_coset(tag, rep, swaps=4, seed=77)
+    rep = (3, 0, 1)
+    a = perturbed_coset(tag, F7, rep, swaps=4, seed=77)
+    b = perturbed_coset(tag, F7, rep, swaps=4, seed=77)
     assert a == b
     assert len(a) == 42
-    base = tag.coset(rep)
+    base = tag.coset(F7, rep)
     swapped_out = [w for w in base.wires if w not in a]
     swapped_in = [w for w in a.wires if w not in base]
     assert len(swapped_out) == len(swapped_in) == 4
@@ -80,8 +80,8 @@ def test_perturbed_coset_anchor():
 
 def test_perturbed_coset_zero_swaps_is_the_coset():
     tag = SubgroupTag("unipotent")
-    rep = element(F5, "T2", (2, 0, 1))
-    assert perturbed_coset(tag, rep, swaps=0, seed=9) == tag.coset(rep)
+    rep = (2, 0, 1)
+    assert perturbed_coset(tag, F5, rep, swaps=0, seed=9) == tag.coset(F5, rep)
 
 
 def test_generate_dispatch():
@@ -120,6 +120,34 @@ def test_generate_rejections():
         generate("T2", F5, {"kind": "box", "n": 1})
     with pytest.raises(ParameterError):
         generate("T2", F5, {"kind": "union", "parts": []})
+    with pytest.raises(ParameterError):
+        generate("T2", F5, {"kind": "union", "parts": {"0": {"kind": "subgroup"}}})
+
+
+UNIPOTENT = {"kind": "unipotent"}
+FULL_RECIPES = [
+    ("T2", {"kind": "random", "size": 12, "seed": 1}),
+    ("T2", {"kind": "subgroup", "tag": UNIPOTENT}),
+    ("T2", {"kind": "coset", "tag": UNIPOTENT, "rep": [2, 0, 1]}),
+    ("H", {"kind": "box", "n": 3}),
+    ("T2", {"kind": "perturbed_coset", "tag": UNIPOTENT, "rep": [2, 0, 1], "swaps": 1, "seed": 3}),
+]
+
+
+@pytest.mark.parametrize(
+    "group, gen, missing",
+    [
+        pytest.param(group, gen, key, id=f"{gen['kind']}-{key}")
+        for group, gen in FULL_RECIPES
+        for key in gen
+        if key != "kind"
+    ],
+)
+def test_generate_names_a_missing_recipe_field(group, gen, missing):
+    assert len(build_setfile(group, F101, gen).elements) > 0
+    partial = {k: v for k, v in gen.items() if k != missing}
+    with pytest.raises(ParameterError, match=f"{gen['kind']} generator recipe has no '{missing}'"):
+        build_setfile(group, F101, partial)
 
 
 @pytest.mark.parametrize(
