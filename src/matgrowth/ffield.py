@@ -11,8 +11,14 @@ The package computes on wire forms only: ``FieldSpec`` does the arithmetic
 on them, and ``FieldElement`` just pairs a wire with its spec for the
 subfield functions.  Prime fields (r == 1) use residue arithmetic directly.
 Extensions build discrete exp/log tables once, from schoolbook polynomial
-multiplication, and multiply through the tables afterwards.  Everything is
-exact integer arithmetic; there is no floating point anywhere in this module.
+multiplication, and multiply through the tables afterwards.  Addition in
+characteristic 2 is XOR on wires.  In odd characteristic it goes through a
+Zech table, built on first use: zech[d] = log(1 + g^d), so that
+x + y = x (1 + y/x) is two lookups; each entry costs O(1), because adding
+one changes only the constant digit of a wire.  Negation is
+x -> x g^((q-1)/2).  Digit-by-digit addition is left only where the exp/log
+tables are built.  Everything is exact integer arithmetic; there is no
+floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -116,6 +122,21 @@ def _undigits(ds: Sequence[int], p: int) -> int:
     return out
 
 
+def _digit_add(x: int, y: int, p: int) -> int:
+    """x + y digit by digit in base p (XOR when p = 2): the sum the field
+    tables are built from."""
+    if p == 2:
+        return x ^ y
+    out = 0
+    mult = 1
+    while x or y:
+        out += ((x + y) % p) * mult
+        x //= p
+        y //= p
+        mult *= p
+    return out
+
+
 class FieldSpec:
     """Immutable description of F_{p^r}; also the arithmetic engine.
 
@@ -189,29 +210,25 @@ class FieldSpec:
             return (x + y) % self.p
         if self.p == 2:
             return x ^ y
-        p = self.p
-        out = 0
-        mult = 1
-        while x or y:
-            out += ((x + y) % p) * mult
-            x //= p
-            y //= p
-            mult *= p
-        return out
+        if not x:
+            return y
+        if not y:
+            return x
+        exp, log = self._tables
+        n = self.q - 1
+        lx = log[x]
+        z = self._zech[(log[y] - lx) % n]
+        return exp[(lx + z) % n] if z >= 0 else 0
 
     def neg(self, x: int) -> int:
         if self.r == 1:
             return (-x) % self.p
-        if self.p == 2:
+        if self.p == 2 or not x:
             return x
-        p = self.p
-        out = 0
-        mult = 1
-        while x:
-            out += (-x % p) * mult
-            x //= p
-            mult *= p
-        return out
+        exp, log = self._tables
+        n = self.q - 1
+        # -1 = g^((q-1)/2) in odd characteristic
+        return exp[(log[x] + n // 2) % n]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -276,6 +293,20 @@ class FieldSpec:
             x = step(x)
         return exp, log
 
+    @cached_property
+    def _zech(self) -> list[int]:
+        # Zech logarithms over the table generator g: zech[d] = log(1 + g^d),
+        # or -1 where 1 + g^d = 0, so x + y = x (1 + y/x) is two lookups.
+        # Adding one changes only the constant digit of a wire.
+        exp, log = self._tables
+        p = self.p
+        zech = []
+        for w in exp:
+            c = w % p
+            w1 = w - c + (c + 1) % p
+            zech.append(log[w1] if w1 else -1)
+        return zech
+
     def _multiply_by(self, g: int):
         """x -> x * g as an F_p-linear map, split into two digit blocks.
 
@@ -291,17 +322,17 @@ class FieldSpec:
         split = p**low
         if p == 2:
             return lambda x: lo_table[x & (split - 1)] ^ hi_table[x >> low]
-        add = self.add
-        return lambda x: add(lo_table[x % split], hi_table[x // split])
+        return lambda x: _digit_add(lo_table[x % split], hi_table[x // split], p)
 
     def _span_table(self, cols: Sequence[int]) -> list[int]:
         """table[v] = sum_j v_j * cols[j] for every digit vector v (as a wire)."""
+        p = self.p
         table = [0]
         for col in cols:
             multiples = [col]
-            for _ in range(self.p - 2):
-                multiples.append(self.add(multiples[-1], col))
-            table = table + [self.add(t, m) for m in multiples for t in table]
+            for _ in range(p - 2):
+                multiples.append(_digit_add(multiples[-1], col, p))
+            table = table + [_digit_add(t, m, p) for m in multiples for t in table]
         return table
 
     def _polypow_wire(self, x: int, e: int) -> int:

@@ -12,13 +12,17 @@ plane built from (h, u) in four coordinates.
 So each class induces a weighted incidence instance whose incidence
 count equals the class's quadruple count exactly, and the counts summed
 over classes equal the energy of A.  ``bridge_report`` verifies this
-chain end to end; ``random_instance``/``probe_instance`` exercise the
-same incidence counting on synthetic unit-weight instances.
+chain end to end, against quadruple counts that one quotient join over
+A x A makes for every class at once; ``random_instance``/``probe_instance``
+exercise the same incidence counting on synthetic unit-weight instances.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress
 from typing import Iterable
 
 from .config import Caps
@@ -53,27 +57,65 @@ def pair_classes(
 
 
 def quadruple_count(
-    spec: FieldSpec, group: str, pairs: list[Pair], cap: int = Caps.max_pair_products
-) -> int:
-    """Solutions of g^-1 h = u^-1 v with (g, v), (h, u) from the class.
+    A: GroupSet,
+    classes: dict[tuple[int, int], list[Pair]],
+    cap: int = Caps.max_pair_products,
+) -> dict[tuple[int, int], int]:
+    """Per class key, the solutions of g^-1 h = u^-1 v with (g, v), (h, u) in that class.
 
-    Evaluated straight from the definition with cached inverses; shares
-    no code with the incidence path, which is the point.
+    One join serves every class of ``classes`` (``pair_classes(A)``): A x A
+    is bucketed by the quotient g^-1 h, and two entries (g, h), (u, v) of
+    one bucket solve the equation; the solution counts for the class of
+    (g, v) when (h, u) has the same key, and cross-class solutions are
+    dropped.  That is |A|^2 group products and E(A) bucket-pair steps,
+    never more than the sum of |C|^2.  Only the group law and the class
+    keys enter; the count shares no code with the incidence path, which
+    is the point.  Each class is refused past the cap as its own |C|^2
+    loop would be.
     """
-    check_pairs("quadruple count", len(pairs), len(pairs), cap, "pairs")
-    inv: dict[Wire, Wire] = {}
-    for g, v in pairs:
-        if g not in inv:
-            inv[g] = ginv(spec, group, g)
-        if v not in inv:
-            inv[v] = ginv(spec, group, v)
-    count = 0
-    for g, v in pairs:
-        gi = inv[g]
-        for h, u in pairs:
-            if gmul(spec, group, gi, h) == gmul(spec, group, inv[u], v):
-                count += 1
-    return count
+    for pairs in classes.values():
+        check_pairs("quadruple count", len(pairs), len(pairs), cap, "pairs")
+    spec, group, wires = A.spec, A.group, A.wires
+    n = len(wires)
+    index = {g: i for i, g in enumerate(wires)}
+    # class_of[i][l]: position in ``classes`` of the class of (wires[i], wires[l])
+    class_of = [[0] * n for _ in wires]
+    for c, pairs in enumerate(classes.values()):
+        for g, v in pairs:
+            class_of[index[g]][index[v]] = c
+    # bucket of the quotient x: its entries (wires[k // n], wires[k % n]),
+    # as the one int k while it has one entry and as a list after that
+    buckets: dict[Wire, int | list[int]] = {}
+    get = buckets.get
+    k = 0
+    for g in wires:
+        gi = ginv(spec, group, g)
+        for h in wires:
+            x = gmul(spec, group, gi, h)
+            b = get(x)
+            if b is None:
+                buckets[x] = k
+            elif b.__class__ is int:
+                buckets[x] = [b, k]
+            else:
+                b.append(k)
+            k += 1
+    tally: Counter[int] = Counter()
+    for b in buckets.values():
+        if b.__class__ is int:  # (g, h) solves only with itself
+            i, j = divmod(b, n)
+            if class_of[i][j] == class_of[j][i]:
+                tally[class_of[i][j]] += 1
+            continue
+        us = [k // n for k in b]
+        vs = [k % n for k in b]
+        for i, j in zip(us, vs):
+            # (g, h) = (wires[i], wires[j]); over the bucket's (u, v), the
+            # class of (g, v) and that of (h, u)
+            gv = map(class_of[i].__getitem__, vs)
+            hu = map(class_of[j].__getitem__, us)
+            tally.update(c for c, d in zip(gv, hu) if c == d)
+    return {key: tally[c] for c, key in enumerate(classes)}
 
 
 # -- instance construction ----------------------------------------------------
@@ -183,109 +225,206 @@ def incidence_count(inst: WeightedInstance, cap: int = Caps.max_pair_products) -
 # echelon form of its 2 x 4 basis, which is unique.
 
 
-def _normalise(spec: FieldSpec, t: tuple) -> tuple | None:
-    """t scaled so that its first nonzero coordinate is one; None for zero."""
-    for x in t:
-        if x:
-            s = spec.inv(x)
-            return tuple(spec.mul(y, s) for y in t)
-    return None
+def _normalise(spec: FieldSpec, t: tuple) -> tuple:
+    """The nonzero tuple t scaled so that its first nonzero coordinate is one."""
+    x = next(x for x in t if x)
+    if x == 1:
+        return tuple(t)
+    s = spec.inv(x)
+    return tuple(spec.mul(y, s) for y in t)
 
 
-def _direction(spec: FieldSpec):
-    """direction(a, f, t) = normalise(t - t[f] a), for a normalised a with pivot f.
+# Extension fields up to this size get dense addition and multiplication
+# tables for the collinearity pass.  Up to q = 128 the tables build in at
+# most 7 ms, about what they save on one 25-element T2 bridge; from F_169
+# to F_256 the build takes 13-26 ms against 4-6 ms saved (2 vCPUs,
+# Python 3.11).
+DENSE_FIELD = 128
 
-    Tuples t, t' not proportional to a lie on one line through a exactly
-    when their directions agree; a tuple proportional to a has direction
-    None.
+
+def _directions(spec: FieldSpec):
+    """directions(a, f, ts): normalise(t - t[f] a) for each t in ts.
+
+    a is normalised with pivot f, and no t is proportional to a.  Tuples
+    t, t' lie on one line through a exactly when their directions agree.
+    Prime fields reduce integer sums mod p, small extension fields look
+    everything up in dense tables, and larger ones call the field's own
+    arithmetic.
     """
+    if spec.r != 1 and spec.q > DENSE_FIELD:
+        add, mul, neg = spec.add, spec.mul, spec.neg
+
+        def directions(a, f, ts):
+            scaled = {}  # c -> -c a
+            out = []
+            for t in ts:
+                c = t[f]
+                b = scaled.get(c)
+                if b is None:
+                    b = scaled[c] = tuple(mul(neg(c), y) for y in a)
+                out.append(_normalise(spec, tuple(map(add, t, b))))
+            return out
+
+        return directions
     if spec.r != 1:
+        q = spec.q
+        add, mul, inv_row, neg_row = _dense_tables(spec)
 
-        def direction(a, f, t):
-            c = t[f]
-            return _normalise(spec, tuple(spec.sub(x, spec.mul(c, y)) for x, y in zip(t, a)))
+        def directions(a, f, ts):
+            a0, a1, a2, a3 = a
+            out = []
+            put = out.append
+            for t0, t1, t2, t3 in ts:
+                c = neg_row[(t0, t1, t2, t3)[f]]
+                w0 = add[t0 * q + mul[c + a0]]
+                w1 = add[t1 * q + mul[c + a1]]
+                w2 = add[t2 * q + mul[c + a2]]
+                w3 = add[t3 * q + mul[c + a3]]
+                if w0:
+                    s = inv_row[w0]
+                    put((1, mul[s + w1], mul[s + w2], mul[s + w3]))
+                elif w1:
+                    s = inv_row[w1]
+                    put((0, 1, mul[s + w2], mul[s + w3]))
+                elif w2:
+                    put((0, 0, 1, mul[inv_row[w2] + w3]))
+                else:
+                    put((0, 0, 0, 1))
+            return out
 
-        return direction
+        return directions
     p = spec.p
 
-    def direction(a, f, t):
-        c = t[f]
-        w0 = (t[0] - c * a[0]) % p
-        w1 = (t[1] - c * a[1]) % p
-        w2 = (t[2] - c * a[2]) % p
-        w3 = (t[3] - c * a[3]) % p
-        if w0:
-            s = pow(w0, -1, p)
-            return (1, w1 * s % p, w2 * s % p, w3 * s % p)
-        if w1:
-            s = pow(w1, -1, p)
-            return (0, 1, w2 * s % p, w3 * s % p)
-        if w2:
-            return (0, 0, 1, w3 * pow(w2, -1, p) % p)
-        return (0, 0, 0, 1) if w3 else None
-
-    return direction
-
-
-def _lines(spec: FieldSpec, pts: list[tuple], cap: int):
-    """Every line through two of the sorted nonzero tuples ``pts``, once.
-
-    Yields (a, w, members): the normalised smallest member a, the
-    direction w of the line from it, and the sorted indices of all members.
-    Each anchor groups the later tuples by direction; a line is yielded
-    from its smallest member, and the later anchors that see it again are
-    told apart by marking, for each member, the next member not
-    proportional to it (the first tuple of that anchor's group).
-    """
-    n = len(pts)
-    check_pairs("collinearity pass", n, n, cap, "tuples")
-    direction = _direction(spec)
-    norm = [_normalise(spec, t) for t in pts]
-    seen: set[tuple[int, int]] = set()
-    for i, a in enumerate(norm):
-        f = a.index(1)
-        same: list[int] = []
-        groups: dict[tuple, list[int]] = {}
-        for j in range(i + 1, n):
-            w = direction(a, f, norm[j])
-            if w is None:
-                same.append(j)
-            elif w in groups:
-                groups[w].append(j)
+    def directions(a, f, ts):
+        a0, a1, a2, a3 = a
+        out = []
+        put = out.append
+        for t0, t1, t2, t3 in ts:
+            c = (t0, t1, t2, t3)[f]
+            w0 = (t0 - c * a0) % p
+            w1 = (t1 - c * a1) % p
+            w2 = (t2 - c * a2) % p
+            w3 = (t3 - c * a3) % p
+            if w0:
+                s = pow(w0, -1, p)
+                put((1, w1 * s % p, w2 * s % p, w3 * s % p))
+            elif w1:
+                s = pow(w1, -1, p)
+                put((0, 1, w2 * s % p, w3 * s % p))
+            elif w2:
+                put((0, 0, 1, w3 * pow(w2, -1, p) % p))
             else:
-                groups[w] = [j]
-        for w, later in groups.items():
-            if (i, later[0]) in seen:
-                continue
-            members = sorted([i, *same, *later])
-            last = len(members) - 1
-            for pos in range(1, last):  # a two-member line is seen once
-                x, k = members[pos], pos + 1
-                while k < last and norm[members[k]] == norm[x]:
-                    k += 1
-                if norm[members[k]] != norm[x]:
-                    seen.add((x, members[k]))
-            yield a, w, members
+                put((0, 0, 0, 1))
+        return out
+
+    return directions
+
+
+@cache
+def _dense_tables(spec: FieldSpec) -> tuple[list[int], list[int], list[int], list[int]]:
+    """x + y and x y at x q + y, and the rows 1/x q and -x q, of a small field."""
+    q = spec.q
+    field = range(q)
+    add = [spec.add(x, y) for x in field for y in field]
+    mul = [spec.mul(x, y) for x in field for y in field]
+    inv_row = [0] + [spec.inv(x) * q for x in range(1, q)]
+    neg_row = [spec.neg(x) * q for x in field]
+    return add, mul, inv_row, neg_row
+
+
+def _projective(spec: FieldSpec, pts: list[tuple]) -> tuple[list[tuple], list[list[int]]]:
+    """The distinct points of the sorted tuples ``pts``, normalised, in order
+    of their first tuple, and for each point the indices of its tuples."""
+    twins: dict[tuple, list[int]] = {}
+    for k, t in enumerate(pts):
+        twins.setdefault(_normalise(spec, t), []).append(k)
+    return list(twins), list(twins.values())
+
+
+_FREE = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _lines(spec: FieldSpec, points: list[tuple]):
+    """Every line through two of the distinct normalised ``points``, once, in one anchor pass.
+
+    Yields (i, big, pairs) for each anchor i: ``big`` lists (w, members)
+    for the lines of three or more points whose first point is i, with w
+    the line's direction from points[i] and members the sorted indices of
+    its points; ``pairs`` maps the direction of each two-point line {i, j}
+    to j, and those are never handled one by one.  Once a line is taken,
+    each of its later points records the line's points in a bit set, so
+    a later anchor neither meets the line again nor computes a direction
+    to them: the pass takes one direction per point of a line beyond its
+    first.
+    """
+    m = len(points)
+    directions = _directions(spec)
+    taken = [0] * m  # bit y of taken[x]: the line through points x and y is taken
+    for i in range(m - 1):
+        a = points[i]
+        later = range(i + 1, m)
+        ts = points[i + 1 :]
+        if taken[i]:  # leave out the points on lines through a taken already
+            bits = format(taken[i] >> (i + 1), f"0{m - i - 1}b")[::-1]
+            row = bits.encode().translate(_FREE)  # byte k: point i + 1 + k is free
+            later = list(compress(later, row))
+            ts = list(compress(ts, row))
+        first: dict[tuple, int] = {}  # direction -> its first later point
+        more: dict[tuple, list[int]] = {}  # direction -> its later points, if two or more
+        for j, w in zip(later, directions(a, a.index(1), ts)):
+            if w not in first:
+                first[w] = j
+            elif w in more:
+                more[w].append(j)
+            else:
+                more[w] = [first[w], j]
+        big = []
+        for w, js in more.items():
+            line = sum(1 << j for j in js)
+            for j in js:
+                taken[j] |= line
+            big.append((w, [i, *js]))
+        pairs = {w: j for w, j in first.items() if w not in more} if more else first
+        yield i, big, pairs
 
 
 def _line_key(spec: FieldSpec, a: tuple, w: tuple) -> tuple:
-    """Reduced row echelon form of the line spanned by a and w = direction(a, ., .)."""
+    """Reduced row echelon form of the line spanned by a and its direction w."""
     # a and w are normalised and w vanishes at a's pivot, so only a's
     # coordinate at w's pivot needs clearing, and only when that pivot is later
-    g = next(k for k, x in enumerate(w) if x)
+    g = 0 if w[0] else 1 if w[1] else 2 if w[2] else 3
     if g < a.index(1):
         return (w, a)
     c = a[g]
+    if spec.r == 1:
+        p = spec.p
+        return (tuple((x - c * y) % p for x, y in zip(a, w)), w)
+    if spec.q <= DENSE_FIELD:
+        q = spec.q
+        add, mul, _, neg_row = _dense_tables(spec)
+        c = neg_row[c]
+        return (tuple(add[x * q + mul[c + y]] for x, y in zip(a, w)), w)
     return (tuple(spec.sub(x, spec.mul(c, y)) for x, y in zip(a, w)), w)
+
+
+def _collinear_points(tuples: Iterable[tuple], cap: int) -> list[tuple]:
+    """The nonzero tuples, sorted; the pass over them is refused past the cap."""
+    pts = sorted(tuples)
+    if pts and not any(pts[0]):  # a zero tuple sorts first
+        del pts[: pts.count(pts[0])]
+    check_pairs("collinearity pass", len(pts), len(pts), cap, "tuples")
+    return pts
 
 
 def line_groups(spec: FieldSpec, tuples: Iterable[tuple]) -> dict[tuple, tuple]:
     """Lines spanned by pairs of distinct tuples, as line key -> members."""
-    pts = sorted(t for t in tuples if any(t))
-    lines = {
-        _line_key(spec, a, w): tuple(pts[k] for k in members)
-        for a, w, members in _lines(spec, pts, Caps.max_pair_products)
-    }
+    pts = _collinear_points(tuples, Caps.max_pair_products)
+    points, twins = _projective(spec, pts)
+    lines = {}
+    for i, big, pairs in _lines(spec, points):
+        for w, members in big + [(w, (i, j)) for w, j in pairs.items()]:
+            on_line = sorted(k for x in members for k in twins[x])
+            lines[_line_key(spec, points[i], w)] = tuple(pts[k] for k in on_line)
     return dict(sorted(lines.items()))
 
 
@@ -301,24 +440,42 @@ class CollinearStats:
 def collinear_stats(
     spec: FieldSpec, weighted: dict[tuple, int], cap: int = Caps.max_pair_products
 ) -> CollinearStats:
-    """Line statistics of positively weighted 4-tuples; the pair pass is capped."""
+    """Line statistics of positively weighted 4-tuples; the pair pass is capped.
+
+    Two-point lines only feed running maxima of their weights and sizes,
+    and their keys are built only while they can still hold the most
+    tuples.
+    """
     total = sum(weighted.values())
     n = len(weighted)
     if n <= 1:
         return CollinearStats(
             count=n, total_weight=total, max_distinct=n, max_weight=total, witness=None
         )
-    pts = sorted(t for t in weighted if any(t))
-    weights = [weighted[t] for t in pts]
+    pts = _collinear_points(weighted, cap)
+    points, twins = _projective(spec, pts)
+    count = [len(ks) for ks in twins]
+    weight = [sum(weighted[pts[k]] for k in ks) for ks in twins]
     max_distinct = max_weight = 0
     witness = None
-    for a, w, members in _lines(spec, pts, cap):
-        max_weight = max(max_weight, sum(map(weights.__getitem__, members)))
-        size = len(members)
-        if size >= max_distinct:
-            key = _line_key(spec, a, w)
-            if size > max_distinct or key < witness:
-                max_distinct, witness = size, key
+    for i, big, pairs in _lines(spec, points):
+        a = points[i]
+        for w, members in big:
+            max_weight = max(max_weight, sum(map(weight.__getitem__, members)))
+            size = sum(map(count.__getitem__, members))
+            if size >= max_distinct:
+                key = _line_key(spec, a, w)
+                if size > max_distinct or key < witness:
+                    max_distinct, witness = size, key
+        if pairs:
+            max_weight = max(max_weight, weight[i] + max(map(weight.__getitem__, pairs.values())))
+            size = count[i] + max(map(count.__getitem__, pairs.values()))
+            if size >= max_distinct:
+                key = min(
+                    _line_key(spec, a, w) for w, j in pairs.items() if count[i] + count[j] == size
+                )
+                if size > max_distinct or key < witness:
+                    max_distinct, witness = size, key
     if witness is None:
         return CollinearStats(n, total, 1, max(weighted.values()), None)
     return CollinearStats(
@@ -379,10 +536,10 @@ def class_report(
     group: str,
     key: tuple,
     pairs: list[Pair],
+    quadruples: int,
     constant=None,
     cap: int = Caps.max_pair_products,
 ) -> ClassReport:
-    quad = quadruple_count(spec, group, pairs, cap)
     inst = build_instance(spec, group, key, pairs)
     inc = incidence_count(inst, cap)
     pstats = collinear_stats(spec, inst.points, cap)
@@ -391,9 +548,9 @@ def class_report(
     return ClassReport(
         key=key,
         pair_count=len(pairs),
-        quadruples=quad,
+        quadruples=quadruples,
         incidences=inc,
-        match=quad == inc,
+        match=quadruples == inc,
         point_stats=pstats,
         plane_stats=plstats,
         bound=oriented_bound(inc, pstats, plstats, constant),
@@ -411,8 +568,13 @@ def bridge_report(A: GroupSet | Products, constant=None) -> BridgeReport:
     group = A.group
     cap = P.caps.max_pair_products
     classes = pair_classes(A, cap)
+    # A class has at most |C| points and planes, so its incidence and
+    # collinearity loops are never longer than its |C|^2 quadruple loop:
+    # the join, which checks every class before it starts, refuses first
+    # and at the class where the per-class loops were refused.
+    quadruples = quadruple_count(A, classes, cap)
     reports = [
-        class_report(spec, group, key, pairs, constant, cap)
+        class_report(spec, group, key, pairs, quadruples[key], constant, cap)
         for key, pairs in classes.items()
     ]
     total_quad = sum(r.quadruples for r in reports)

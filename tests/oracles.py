@@ -43,6 +43,18 @@ def quad_product_energy(A):
     return total
 
 
+def quadruple_count_by_definition(spec, group, pairs):
+    """Solutions of g^-1 h = u^-1 v with (g, v), (h, u) from one class's pairs,
+    by the per-class double loop over the class."""
+    count = 0
+    for g, v in pairs:
+        gi = ginv(spec, group, g)
+        for h, u in pairs:
+            if gmul(spec, group, gi, h) == gmul(spec, group, ginv(spec, group, u), v):
+                count += 1
+    return count
+
+
 def pair_products(A, B):
     return {gmul(A.spec, A.group, a, b) for a in A.wires for b in B.wires}
 

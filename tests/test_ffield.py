@@ -202,6 +202,22 @@ def test_tables_match_the_order_walk(q):
     assert standard_field(q)._tables == field_tables_by_order_walk(standard_field(q))
 
 
+def _digit_sum(spec, x, y, sign=1):
+    """x + sign * y coefficient by coefficient, reduced mod p."""
+    return spec.from_coeffs([a + sign * b for a, b in zip(spec.coeffs(x), spec.coeffs(y))])
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81])
+def test_zech_add_neg_sub_match_digit_arithmetic(q):
+    # every pair of the field, against arithmetic on the base-p digits
+    spec = standard_field(q)
+    for x in range(q):
+        assert spec.neg(x) == _digit_sum(spec, 0, x, -1)
+        for y in range(q):
+            assert spec.add(x, y) == _digit_sum(spec, x, y)
+            assert spec.sub(x, y) == _digit_sum(spec, x, y, -1)
+
+
 @pytest.mark.parametrize("q", [65536, 59049])
 def test_tables_at_the_top_of_the_range(q):
     spec = standard_field(q)
@@ -212,6 +228,8 @@ def test_tables_at_the_top_of_the_range(q):
     for _ in range(300):
         x, y = rng.randrange(q), rng.randrange(q)
         assert spec.mul(x, y) == spec._polymul_wire(x, y)
+        assert spec.add(x, y) == _digit_sum(spec, x, y)
+        assert spec.sub(x, y) == _digit_sum(spec, x, y, -1)
 
 
 def test_table_build_needs_few_schoolbook_products(monkeypatch):

@@ -4,19 +4,19 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import F5, F7, F9, F16, F25, F101, group_sets, small_sets
-from matgrowth import standard_field
+from conftest import F5, F7, F9, F16, F25, F101, group_sets, group_wires, small_sets
+from matgrowth import incidence, standard_field
 from matgrowth.config import Caps, RunOptions
 from matgrowth.cosets import heis_profile, t2_profile
 from matgrowth.errors import CapExceeded, ParameterError
-from matgrowth.groups import GroupSet, ginv, gmul
+from matgrowth.groups import GroupSet, SubgroupTag, ginv, gmul
 from matgrowth.growth import Products, energy
 from matgrowth.jsonio import digest
 from matgrowth.reports import run_report
-from matgrowth.setfiles import load_setfile
+from matgrowth.setfiles import box_set, load_setfile
 from matgrowth.incidence import (
     WeightedInstance,
     bridge_report,
@@ -36,7 +36,12 @@ from matgrowth.incidence import (
     t2_plane,
     t2_point,
 )
-from oracles import collinear_stats_by_pairs, line_groups_by_pairs, max_collinear
+from oracles import (
+    collinear_stats_by_pairs,
+    line_groups_by_pairs,
+    max_collinear,
+    quadruple_count_by_definition,
+)
 
 
 # -- classes and the corner identity -------------------------------------------
@@ -145,6 +150,81 @@ def test_bridge_on_a_subgroup():
     assert report.classes[0].key == (1, 1)
 
 
+@st.composite
+def bridge_sets(draw):
+    """Random sets, coordinate boxes, Heisenberg bricks, subgroups and cosets
+    of T2 and H over prime and extension fields."""
+    spec = draw(st.sampled_from([F5, F7, F9, F25, F101]))
+    group = draw(st.sampled_from(["T2", "H"]))
+    kind = draw(st.sampled_from(["random", "box", "subgroup", "coset"]))
+    if kind == "random":
+        return draw(group_sets(spec, group, 1, 12))
+    if kind == "box":
+        if group == "H" and spec is F101 and draw(st.booleans()):
+            return box_set(spec, 2)
+        low = 1 if group == "T2" else 0
+        xs, ys, zs = [
+            draw(st.lists(st.integers(lo, spec.q - 1), min_size=1, max_size=3, unique=True))
+            for lo in (low, 0, low)
+        ]
+        return GroupSet(group, spec, [(x, y, z) for x in xs for y in ys for z in zs])
+    if group == "T2":
+        kinds = ["unipotent", "scalars", "diagonal", "torus", "scaled_torus", "scaled_unipotent"]
+    else:
+        kinds = ["center", "line", "line_center"]
+    tag_kind = draw(st.sampled_from(kinds))
+    coord = st.integers(0, spec.q - 1)
+    if tag_kind in ("torus", "scaled_torus"):
+        tag = SubgroupTag(tag_kind, x=draw(coord))
+    elif tag_kind in ("line", "line_center"):
+        tag = SubgroupTag(tag_kind, direction=draw(st.tuples(coord, coord).filter(any)))
+    else:
+        tag = SubgroupTag(tag_kind)
+    assume(tag.order(spec) <= 30)
+    if kind == "subgroup":
+        return tag.elements(spec)
+    return tag.coset(spec, draw(group_wires(spec, group)))
+
+
+@settings(max_examples=120)
+@given(bridge_sets())
+def test_quadruple_join_matches_the_per_class_loop(a):
+    classes = pair_classes(a)
+    assume(sum(len(pairs) ** 2 for pairs in classes.values()) <= 20_000)
+    counts = quadruple_count(a, classes)
+    assert list(counts) == list(classes)
+    for key, pairs in classes.items():
+        assert counts[key] == quadruple_count_by_definition(a.spec, a.group, pairs)
+    # every solution lies inside one class, so the classes add up to the energy
+    assert sum(counts.values()) == energy(a)
+
+
+def merged_key(spec, group, g, v):
+    return (0, 0)
+
+
+def split_key(spec, group, g, v):
+    # ``class_key`` here stays the real one while the module's is patched
+    return (*class_key(spec, group, g, v), g[1] % 2)
+
+
+@pytest.mark.parametrize("group", ["T2", "H"])
+@pytest.mark.parametrize("sabotage", [merged_key, split_key])
+def test_a_sabotaged_class_key_breaks_the_energy_match(monkeypatch, group, sabotage):
+    a = GroupSet(group, F7, [(1 + i % 6, (3 * i) % 7, 1 + (5 * i) % 6) for i in range(12)])
+    assert bridge_report(a).matches_energy
+    monkeypatch.setattr(incidence, "class_key", sabotage)
+    classes = pair_classes(a)
+    counts = quadruple_count(a, classes)
+    for key, pairs in classes.items():
+        assert counts[key] == quadruple_count_by_definition(a.spec, a.group, pairs)
+    report = bridge_report(a)
+    assert not report.matches_energy
+    if sabotage is split_key:
+        # solutions across the split are dropped by the join itself
+        assert report.total_quadruples < report.energy
+
+
 # -- collinearity -------------------------------------------------------------
 
 
@@ -178,17 +258,28 @@ def test_collinear_stats_match_minor_oracle(seed, n_points, n_planes):
 
 @st.composite
 def weighted_tuples(draw):
-    """Weighted 4-tuples over prime and extension fields, some all on one
-    line, with proportional copies mixed in."""
-    spec = draw(st.sampled_from([standard_field(4), F5, F7, F9, F16, F25]))
+    """Weighted 4-tuples over prime and extension fields (F_256 and F_343
+    are past the dense-table size): all on one line, free, on the twisted
+    cubic (only two-point lines) or just two, with proportional copies
+    mixed in."""
+    spec = draw(st.sampled_from(
+        [standard_field(4), F5, F7, F9, F16, F25, standard_field(256), standard_field(343)]
+    ))
     coord = st.integers(0, spec.q - 1)
     vec = st.tuples(coord, coord, coord, coord)
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["line", "free", "cubic", "two"]))
+    if shape == "line":
         u, v = draw(vec), draw(vec)
         pts = [
             tuple(spec.add(spec.mul(s, x), spec.mul(t, y)) for x, y in zip(u, v))
             for s, t in draw(st.lists(st.tuples(coord, coord), max_size=12))
         ]
+    elif shape == "cubic":
+        # no three points of (1, t, t^2, t^3) are collinear
+        ts = draw(st.lists(coord, max_size=12, unique=True))
+        pts = [(1, t, spec.mul(t, t), spec.power(t, 3)) for t in ts]
+    elif shape == "two":
+        pts = draw(st.lists(vec, min_size=2, max_size=2))
     else:
         pts = draw(st.lists(vec, max_size=12))
     copies = st.tuples(st.integers(0, 11), st.integers(1, spec.q - 1))
@@ -238,23 +329,63 @@ def test_incidence_count_matches_dot4(a):
 
 def test_bridge_loops_refuse_past_the_pair_cap():
     a = GroupSet("T2", F5, [(1, b, 1) for b in range(5)])
-    (key, pairs), = pair_classes(a).items()
+    classes = pair_classes(a)
+    (key, pairs), = classes.items()
     inst = build_instance(F5, "T2", key, pairs)
     n_pts, n_pls = len(inst.points), len(inst.planes)
     with pytest.raises(CapExceeded, match="pair classes of 5 x 5 elements"):
         pair_classes(a, cap=24)
     with pytest.raises(CapExceeded, match="quadruple count of 25 x 25 pairs"):
-        quadruple_count(F5, "T2", pairs, cap=624)
+        quadruple_count(a, classes, cap=624)
     with pytest.raises(CapExceeded, match="incidence count of"):
         incidence_count(inst, cap=n_pts * n_pls - 1)
     with pytest.raises(CapExceeded, match="collinearity pass of"):
         collinear_stats(F5, inst.points, cap=n_pts * n_pts - 1)
     # at the cap each loop runs
-    assert quadruple_count(F5, "T2", pairs, cap=625) == incidence_count(inst, cap=n_pts * n_pls)
+    assert quadruple_count(a, classes, cap=625) == {key: incidence_count(inst, cap=n_pts * n_pls)}
     # bridge_report takes its cap from the shared Products
     with pytest.raises(CapExceeded, match="quadruple count"):
         bridge_report(Products(a, Caps(max_pair_products=600)))
     assert bridge_report(Products(a, Caps(max_pair_products=625))).matches_energy
+
+
+def per_class_refusal(a, cap):
+    """The first refusal of the per-class loops, walked class by class:
+    quadruples, incidences, then collinearity of points and of planes."""
+    for key, pairs in pair_classes(a).items():
+        inst = build_instance(a.spec, a.group, key, pairs)
+        pts, pls = (sum(1 for t in side if any(t)) for side in (inst.points, inst.planes))
+        for what, n, m, items in (
+            ("quadruple count", len(pairs), len(pairs), "pairs"),
+            ("incidence count", len(inst.points), len(inst.planes), "tuples"),
+            ("collinearity pass", pts, pts, "tuples"),
+            ("collinearity pass", pls, pls, "tuples"),
+        ):
+            if n * m > cap:
+                return f"{what} of {n} x {m} {items} exceeds pair cap {cap}"
+    return None
+
+
+def test_bridge_refuses_where_the_per_class_loops_did(monkeypatch):
+    # classes of 25, 30 and 9 pairs, each longer than |A|^2 = 64 but the last:
+    # at every cap the bridge gives the per-class walk's first refusal, and
+    # no group product of the join runs
+    a = GroupSet("T2", F7, [(1, b, 1) for b in range(5)] + [(2, b, 2) for b in range(3)])
+    sizes = {len(pairs) for pairs in pair_classes(a).values()}
+    products = []
+    monkeypatch.setattr(incidence, "gmul", lambda *args: products.append(1) or gmul(*args))
+    for cap in sorted({len(a) ** 2} | {c * c - 1 for c in sizes} | {c * c for c in sizes}):
+        if cap < len(a) ** 2:
+            continue
+        want = per_class_refusal(a, cap)
+        products.clear()
+        if want is None:
+            assert bridge_report(Products(a, Caps(max_pair_products=cap))).matches_energy
+        else:
+            with pytest.raises(CapExceeded) as refused:
+                bridge_report(Products(a, Caps(max_pair_products=cap)))
+            assert str(refused.value) == want
+            assert not products
 
 
 def test_probe_refuses_past_the_default_pair_cap():
