@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable
 
@@ -208,6 +209,7 @@ def heis_product_prediction(
 
 # -- point-plane incidence bound ----------------------------------------------
 
+@lru_cache(maxsize=256, typed=True)
 def incidence_bound(
     incidences: int,
     points: int,
@@ -219,6 +221,8 @@ def incidence_bound(
 
     If the point side is larger the roles are swapped first (the bound is
     symmetric once oriented).  k is the largest number of collinear points.
+    Memoised on its exact arguments: the small classes of a bridge repeat
+    a handful of them.
     """
     small, large = min(points, planes), max(points, planes)
     if small < 1:

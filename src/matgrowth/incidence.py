@@ -227,11 +227,16 @@ def incidence_count(inst: WeightedInstance, cap: int = Caps.max_pair_products) -
 
 def _normalise(spec: FieldSpec, t: tuple) -> tuple:
     """The nonzero tuple t scaled so that its first nonzero coordinate is one."""
-    x = next(x for x in t if x)
+    for x in t:
+        if x:
+            break
     if x == 1:
         return tuple(t)
     s = spec.inv(x)
-    return tuple(spec.mul(y, s) for y in t)
+    if spec.r == 1:
+        p = spec.p
+        return tuple([y * s % p for y in t])
+    return tuple([spec.mul(y, s) for y in t])
 
 
 # Extension fields up to this size get dense addition and multiplication
@@ -243,81 +248,122 @@ DENSE_FIELD = 128
 
 
 def _directions(spec: FieldSpec):
-    """directions(a, f, ts): normalise(t - t[f] a) for each t in ts.
+    """group(a, f, points, later): the points at ``later`` grouped by direction from a.
 
-    a is normalised with pivot f, and no t is proportional to a.  Tuples
-    t, t' lie on one line through a exactly when their directions agree.
-    Prime fields reduce integer sums mod p, small extension fields look
+    a is normalised with pivot f.  Points t, t' not proportional to a lie
+    on one line through a exactly when their directions
+    normalise(t - t[f] a) agree; a point proportional to a gets the
+    direction None.  One loop computes each direction and files it:
+    group returns (lines, more), where lines maps each direction to the
+    index of its first point, turned into a list of indices when a second
+    one arrives, and more lists the directions that got a list.  Prime
+    fields reduce integer sums mod p, small extension fields look
     everything up in dense tables, and larger ones call the field's own
     arithmetic.
     """
     if spec.r != 1 and spec.q > DENSE_FIELD:
         add, mul, neg = spec.add, spec.mul, spec.neg
 
-        def directions(a, f, ts):
+        def group(a, f, points, later):
             scaled = {}  # c -> -c a
-            out = []
-            for t in ts:
+            lines = {}
+            get = lines.get
+            more = []
+            for j in later:
+                t = points[j]
                 c = t[f]
                 b = scaled.get(c)
                 if b is None:
                     b = scaled[c] = tuple(mul(neg(c), y) for y in a)
-                out.append(_normalise(spec, tuple(map(add, t, b))))
-            return out
+                w = tuple(map(add, t, b))
+                w = _normalise(spec, w) if any(w) else None
+                js = get(w)
+                if js is None:
+                    lines[w] = j
+                elif js.__class__ is int:
+                    lines[w] = [js, j]
+                    more.append(w)
+                else:
+                    js.append(j)
+            return lines, more
 
-        return directions
+        return group
     if spec.r != 1:
         q = spec.q
         add, mul, inv_row, neg_row = _dense_tables(spec)
 
-        def directions(a, f, ts):
+        def group(a, f, points, later):
             a0, a1, a2, a3 = a
-            out = []
-            put = out.append
-            for t0, t1, t2, t3 in ts:
-                c = neg_row[(t0, t1, t2, t3)[f]]
+            lines = {}
+            get = lines.get
+            more = []
+            for j in later:
+                t = t0, t1, t2, t3 = points[j]
+                c = neg_row[t[f]]
                 w0 = add[t0 * q + mul[c + a0]]
                 w1 = add[t1 * q + mul[c + a1]]
                 w2 = add[t2 * q + mul[c + a2]]
                 w3 = add[t3 * q + mul[c + a3]]
                 if w0:
                     s = inv_row[w0]
-                    put((1, mul[s + w1], mul[s + w2], mul[s + w3]))
+                    w = (1, mul[s + w1], mul[s + w2], mul[s + w3])
                 elif w1:
                     s = inv_row[w1]
-                    put((0, 1, mul[s + w2], mul[s + w3]))
+                    w = (0, 1, mul[s + w2], mul[s + w3])
                 elif w2:
-                    put((0, 0, 1, mul[inv_row[w2] + w3]))
+                    w = (0, 0, 1, mul[inv_row[w2] + w3])
+                elif w3:
+                    w = (0, 0, 0, 1)
                 else:
-                    put((0, 0, 0, 1))
-            return out
+                    w = None
+                js = get(w)
+                if js is None:
+                    lines[w] = j
+                elif js.__class__ is int:
+                    lines[w] = [js, j]
+                    more.append(w)
+                else:
+                    js.append(j)
+            return lines, more
 
-        return directions
+        return group
     p = spec.p
 
-    def directions(a, f, ts):
+    def group(a, f, points, later):
         a0, a1, a2, a3 = a
-        out = []
-        put = out.append
-        for t0, t1, t2, t3 in ts:
-            c = (t0, t1, t2, t3)[f]
+        lines = {}
+        get = lines.get
+        more = []
+        for j in later:
+            t = t0, t1, t2, t3 = points[j]
+            c = t[f]
             w0 = (t0 - c * a0) % p
             w1 = (t1 - c * a1) % p
             w2 = (t2 - c * a2) % p
             w3 = (t3 - c * a3) % p
             if w0:
                 s = pow(w0, -1, p)
-                put((1, w1 * s % p, w2 * s % p, w3 * s % p))
+                w = (1, w1 * s % p, w2 * s % p, w3 * s % p)
             elif w1:
                 s = pow(w1, -1, p)
-                put((0, 1, w2 * s % p, w3 * s % p))
+                w = (0, 1, w2 * s % p, w3 * s % p)
             elif w2:
-                put((0, 0, 1, w3 * pow(w2, -1, p) % p))
+                w = (0, 0, 1, w3 * pow(w2, -1, p) % p)
+            elif w3:
+                w = (0, 0, 0, 1)
             else:
-                put((0, 0, 0, 1))
-        return out
+                w = None
+            js = get(w)
+            if js is None:
+                lines[w] = j
+            elif js.__class__ is int:
+                lines[w] = [js, j]
+                more.append(w)
+            else:
+                js.append(j)
+        return lines, more
 
-    return directions
+    return group
 
 
 @cache
@@ -358,33 +404,23 @@ def _lines(spec: FieldSpec, points: list[tuple]):
     first.
     """
     m = len(points)
-    directions = _directions(spec)
+    group = _directions(spec)
     taken = [0] * m  # bit y of taken[x]: the line through points x and y is taken
     for i in range(m - 1):
         a = points[i]
         later = range(i + 1, m)
-        ts = points[i + 1 :]
         if taken[i]:  # leave out the points on lines through a taken already
             bits = format(taken[i] >> (i + 1), f"0{m - i - 1}b")[::-1]
             row = bits.encode().translate(_FREE)  # byte k: point i + 1 + k is free
             later = list(compress(later, row))
-            ts = list(compress(ts, row))
-        first: dict[tuple, int] = {}  # direction -> its first later point
-        more: dict[tuple, list[int]] = {}  # direction -> its later points, if two or more
-        for j, w in zip(later, directions(a, a.index(1), ts)):
-            if w not in first:
-                first[w] = j
-            elif w in more:
-                more[w].append(j)
-            else:
-                more[w] = [first[w], j]
+        pairs, more = group(a, a.index(1), points, later)
         big = []
-        for w, js in more.items():
+        for w in more:
+            js = pairs.pop(w)
             line = sum(1 << j for j in js)
             for j in js:
                 taken[j] |= line
             big.append((w, [i, *js]))
-        pairs = {w: j for w, j in first.items() if w not in more} if more else first
         yield i, big, pairs
 
 
@@ -442,9 +478,10 @@ def collinear_stats(
 ) -> CollinearStats:
     """Line statistics of positively weighted 4-tuples; the pair pass is capped.
 
-    Two-point lines only feed running maxima of their weights and sizes,
-    and their keys are built only while they can still hold the most
-    tuples.
+    At most two nonzero tuples span one line or none, which is returned
+    in closed form.  Otherwise two-point lines only feed running maxima of
+    their weights and sizes, and their keys are built only while they can
+    still hold the most tuples.
     """
     total = sum(weighted.values())
     n = len(weighted)
@@ -453,6 +490,14 @@ def collinear_stats(
             count=n, total_weight=total, max_distinct=n, max_weight=total, witness=None
         )
     pts = _collinear_points(weighted, cap)
+    if len(pts) == 2:  # in closed form: one line, or none when the two are proportional
+        a = _normalise(spec, pts[0])
+        (w,) = _directions(spec)(a, a.index(1), pts, (1,))[0]
+        if w is not None:
+            max_weight = weighted[pts[0]] + weighted[pts[1]]
+            return CollinearStats(n, total, 2, max_weight, _line_key(spec, a, w))
+    if len(pts) <= 2:
+        return CollinearStats(n, total, 1, max(weighted.values()), None)
     points, twins = _projective(spec, pts)
     count = [len(ks) for ks in twins]
     weight = [sum(weighted[pts[k]] for k in ks) for ks in twins]

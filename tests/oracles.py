@@ -5,6 +5,7 @@ tables, determinant minors.  Slow and obviously correct is the point;
 none of it shares code with the library kernels it checks.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -362,3 +363,11 @@ def affine_part(spec, g):
 
 def fraction_from_json(obj):
     return Fraction(obj["num"], obj["den"])
+
+
+# -- the written JSON form ------------------------------------------------------
+
+
+def canonical_text(obj):
+    """The stdlib's canonical indented rendering, which ``write_json`` streams."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

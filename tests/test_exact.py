@@ -229,8 +229,36 @@ def test_incidence_bound_minimality():
 
 
 def test_incidence_bound_rejects_empty():
-    with pytest.raises(ParameterError):
-        incidence_bound(0, 0, 5, 1)
+    # a refusal is never memoised: every call raises
+    for _ in range(3):
+        with pytest.raises(ParameterError):
+            incidence_bound(0, 0, 5, 1)
+        with pytest.raises(ParameterError):
+            incidence_bound(3, 4, 0, 1, constant=Fraction(1))
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 10**4),
+    st.integers(1, 10**4),
+    st.integers(1, 50),
+    st.none() | st.fractions(min_value=0, max_value=100, max_denominator=CONSTANT_DENOM),
+)
+def test_memoised_incidence_bound_equals_a_fresh_fit(incidences, points, planes, k, constant):
+    small, large = min(points, planes), max(points, planes)
+    if constant is None:
+        want_constant = least_grid_constant(incidences, k * large, large, small)
+        want_holds = True
+    else:
+        want_constant = constant
+        want_holds = le_linear_plus_sqrt(incidences, constant * k * large, constant * large, small)
+    fresh = incidence_bound.__wrapped__(incidences, points, planes, k, constant)
+    assert (fresh.constant, fresh.holds, fresh.lhs) == (want_constant, want_holds, incidences)
+    hits = incidence_bound.cache_info().hits
+    first = incidence_bound(incidences, points, planes, k, constant)
+    again = incidence_bound(incidences, points, planes, k, constant)
+    assert first == again == fresh
+    assert incidence_bound.cache_info().hits >= hits + 1
 
 
 @given(st.fractions(min_value=0, max_value=100, max_denominator=10**6))

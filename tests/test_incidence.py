@@ -15,8 +15,8 @@ from matgrowth.errors import CapExceeded, ParameterError
 from matgrowth.groups import GroupSet, SubgroupTag, ginv, gmul
 from matgrowth.growth import Products, energy
 from matgrowth.jsonio import digest
-from matgrowth.reports import run_report
-from matgrowth.setfiles import box_set, load_setfile
+from matgrowth.reports import bridge_json, run_report
+from matgrowth.setfiles import box_set, build_setfile, load_setfile
 from matgrowth.incidence import (
     WeightedInstance,
     bridge_report,
@@ -259,15 +259,18 @@ def test_collinear_stats_match_minor_oracle(seed, n_points, n_planes):
 @st.composite
 def weighted_tuples(draw):
     """Weighted 4-tuples over prime and extension fields (F_256 and F_343
-    are past the dense-table size): all on one line, free, on the twisted
-    cubic (only two-point lines) or just two, with proportional copies
-    mixed in."""
-    spec = draw(st.sampled_from(
-        [standard_field(4), F5, F7, F9, F16, F25, standard_field(256), standard_field(343)]
-    ))
+    are past the dense-table size, F_257 is a prime past it): all
+    on one line, free, on the twisted cubic (only two-point lines), just
+    two, the zero tuple beside one or two others, or two shaped like a
+    bridge's points (1, x, y, z) or planes (a, b, 1, c), with proportional
+    copies mixed in."""
+    spec = draw(st.sampled_from([
+        standard_field(4), F5, F7, F9, F16, F25, F101,
+        standard_field(256), standard_field(257), standard_field(343),
+    ]))
     coord = st.integers(0, spec.q - 1)
     vec = st.tuples(coord, coord, coord, coord)
-    shape = draw(st.sampled_from(["line", "free", "cubic", "two"]))
+    shape = draw(st.sampled_from(["line", "free", "cubic", "two", "zero", "unit"]))
     if shape == "line":
         u, v = draw(vec), draw(vec)
         pts = [
@@ -280,6 +283,12 @@ def weighted_tuples(draw):
         pts = [(1, t, spec.mul(t, t), spec.power(t, 3)) for t in ts]
     elif shape == "two":
         pts = draw(st.lists(vec, min_size=2, max_size=2))
+    elif shape == "zero":
+        pts = [(0, 0, 0, 0), *draw(st.lists(vec, min_size=1, max_size=2))]
+    elif shape == "unit":
+        point = st.tuples(st.just(1), coord, coord, coord)
+        plane = st.tuples(coord, coord, st.just(1), coord)
+        pts = draw(st.lists(draw(st.sampled_from([point, plane])), min_size=2, max_size=2))
     else:
         pts = draw(st.lists(vec, max_size=12))
     copies = st.tuples(st.integers(0, 11), st.integers(1, spec.q - 1))
@@ -289,7 +298,7 @@ def weighted_tuples(draw):
     return spec, {t: draw(st.integers(1, 9)) for t in pts}
 
 
-@settings(max_examples=300)
+@settings(max_examples=500)
 @given(weighted_tuples())
 def test_collinearity_matches_the_pair_oracle(case):
     # one reduced form per pair of tuples, against the anchor-key pass
@@ -492,3 +501,20 @@ def test_corpus_bridge_on_digests_are_pinned(name):
     report, code = run_report(sf, RunOptions.from_json({**entry["options"], "bridge": "on"}))
     assert "error" not in report["bridge"]
     assert (digest(report), code) == BRIDGE_ON_DIGESTS[name]
+
+
+# the incidence benchmark workload's seed-1 bridge sets: mostly classes of
+# two pairs, whose collinearity is closed-form; digests of ``bridge_json``
+# pinned from the anchor pass that handled every class alike
+SEEDED_BRIDGE_DIGESTS = {
+    ("T2", 2163162059): (750, "bcfa639aed365cade5e251b235c6ef8c91d5a0f780a0b75a9ea2efe31d833eac"),
+    ("H", 3820259167): (794, "0fe2397491feb80b1eb33ff2c7d0bf61c49cee6c06f6585f5a017d70421183f2"),
+}
+
+
+@pytest.mark.parametrize("group, seed", sorted(SEEDED_BRIDGE_DIGESTS))
+def test_seeded_f101_bridge_digests_are_pinned(group, seed):
+    sf = build_setfile(group, F101, {"kind": "random", "size": 40, "seed": seed})
+    br = bridge_report(sf.elements)
+    assert br.matches_energy
+    assert (br.class_count, digest(bridge_json(br))) == SEEDED_BRIDGE_DIGESTS[group, seed]
