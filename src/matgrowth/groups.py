@@ -8,7 +8,8 @@ type is involved; multiplication uses the closed-form products directly.
 
 An element is its wire triple, a plain tuple of three field wires; it
 carries no field or group, so every kernel (``gmul``, ``ginv``, ...) takes
-the field spec and the group tag next to it.  ``check_group_wire`` is the
+the field spec and the group tag next to it; ``pair_keys`` is ``gmul``
+written out for a whole pair loop.  ``check_group_wire`` is the
 one validity check.  ``GroupSet`` is a deduplicated, canonically ordered
 set of wire triples with its ambient group tag.
 """
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import Caps, json_typed
 from .errors import CapExceeded, MismatchError, ParameterError
-from .ffield import FieldSpec
+from .ffield import DENSE_FIELD, FieldSpec, _dense_tables
 
 T2 = "T2"
 H = "H"
@@ -90,6 +91,61 @@ def wire_key(spec: FieldSpec, w: Wire) -> int:
     return (w[0] * spec.q + w[1]) * spec.q + w[2]
 
 
+def group_order(spec: FieldSpec, group: str) -> int:
+    """|T2(F_q)| = (q - 1)^2 q, |H(F_q)| = q^3."""
+    q = spec.q
+    return (q - 1) * (q - 1) * q if group == T2 else q * q * q
+
+
+def pair_keys(spec: FieldSpec, group: str, xs: Sequence[Wire], ys: Sequence[Wire]) -> Iterator[int]:
+    """The key ``wire_key`` of every product x y over xs x ys, in row-major order.
+
+    ``gmul`` with the arithmetic written out: prime fields reduce integer
+    sums mod p, extension fields up to ``DENSE_FIELD`` elements look sums
+    and products up in dense tables, and larger ones go through ``gmul``.
+    """
+    q = spec.q
+    if spec.r == 1:
+        p = q
+        if group == T2:
+            for a, b, c in xs:
+                yield from (
+                    ((a * a2 % p) * q + (a * b2 + b * c2) % p) * q + c * c2 % p
+                    for a2, b2, c2 in ys
+                )
+        else:
+            for a, b, c in xs:
+                yield from (
+                    ((a + a2) % p * q + (b + b2) % p) * q + (c + c2 + a * b2) % p
+                    for a2, b2, c2 in ys
+                )
+    elif q <= DENSE_FIELD:
+        add, mul, _, _ = _dense_tables(spec)  # x + y and x y at x q + y
+        rows = ((a * q, b * q, c * q) for a, b, c in xs)
+        if group == T2:
+            for aq, bq, cq in rows:
+                yield from (
+                    (mul[aq + a2] * q + add[mul[aq + b2] * q + mul[bq + c2]]) * q + mul[cq + c2]
+                    for a2, b2, c2 in ys
+                )
+        else:
+            for aq, bq, cq in rows:
+                yield from (
+                    (add[aq + a2] * q + add[bq + b2]) * q + add[add[cq + c2] * q + mul[aq + b2]]
+                    for a2, b2, c2 in ys
+                )
+    else:
+        for x in xs:
+            yield from (wire_key(spec, gmul(spec, group, x, y)) for y in ys)
+
+
+def key_wires(spec: FieldSpec, keys: Iterable[int]) -> list[Wire]:
+    """The wire triples of packed keys, in the keys' order."""
+    q = spec.q
+    qq = q * q
+    return [(k // qq, k // q % q, k % q) for k in keys]
+
+
 class GroupSet:
     """A multiplicity-free set of group elements in canonical order.
 
@@ -113,6 +169,7 @@ class GroupSet:
         wires: Iterable[Wire] = (),
         _checked: bool = False,
         _keys=None,
+        _sorted: bool = False,
     ):
         if group not in GROUPS:
             raise ParameterError(f"unknown group tag {group!r}")
@@ -121,6 +178,9 @@ class GroupSet:
         self._keys = _keys
         self._wire_tuple = self._wire_index = None
         if _keys is not None:
+            return
+        if _sorted:  # valid, distinct and in canonical order already
+            self._wire_tuple = tuple(wires)
             return
         if _checked:
             uniq = set(wires)

@@ -13,10 +13,14 @@ quadruples (via a pairwise-equality matrix) and exists so tests can
 cross-check the fast path on small sets.
 
 Every pair enumeration goes through ``_enumerate``, the one place that
-picks a path: an n x m enumeration runs the numpy kernel of
-``matgrowth.kernel`` once numpy is loaded, or once n * m plus the pairs
-the pure-Python wire loops have already enumerated in this process reach
-``VECTOR_PAIRS``; otherwise it runs those loops, which stay the oracle.
+picks a path.  A product set of nonempty X and Y with |X| + |Y| > |G| is
+G itself, and is returned without enumerating a pair.  Otherwise an
+n x m enumeration runs the numpy kernel of ``matgrowth.kernel`` once
+numpy is loaded, or once n * m plus the pairs the pure-Python loops have
+already enumerated in this process reach ``VECTOR_PAIRS``; else it runs
+those loops, which feed the packed keys of ``groups.pair_keys`` into a
+set or a counter and decode the distinct keys once.  ``gmul`` stays their
+oracle.
 
 The checks below take a ``GroupSet`` or the shared ``Products`` of one
 report, which enumerates each product set at most once.
@@ -29,23 +33,26 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .config import Caps
 from .errors import CapExceeded, ParameterError
-from .groups import GroupSet, Wire, gid, ginv, gmul
+from .groups import T2, GroupSet, Wire, gid, ginv, gmul, group_order, key_wires, pair_keys
 
 # Pairs the loops may spend in one process before the kernel takes over,
 # so a run whose enumerations total below the cutoff never loads numpy.
 # Importing numpy costs about what the pure-Python loops spend on this many
 # pairs: on a 2-vCPU VM with Python 3.11 and numpy 2.4 the import took
-# 0.13 s and the loops 1.5-3.0 us per pair (break-even 45k-90k pairs; 9.8
-# us, so 14k, for H over F_59049), against 0.03-0.05 us in the kernel (0.3
-# us for H over F_59049).  Counting the pairs already spent, not only the
-# next enumeration's, stops the loops once they have cost about one import
-# (a report's many products just below the cutoff would each run the loops).
-# Once numpy is loaded, every enumeration runs the kernel: with the decode,
-# it takes 44 us against the loops' 33 us for 25 pairs of T2 over F_101,
-# and 92 us against 543 us for 400.
+# 0.14 s, and the loops, with their decode, 0.8-1.1 us per pair over F_101
+# and F_128 and 1.8-2.0 us over F_256 (break-even 65k-170k pairs; 4.3-5.6
+# us, so 25k-34k, for H over F_59049), against 0.02-0.05 us in the kernel
+# (0.25 us for H over F_59049).  The cutoff sits inside that range.
+# Counting the pairs already spent, not only the next enumeration's, stops
+# the loops once they have cost about one import (a report's many products
+# just below the cutoff would each run the loops).  Once numpy is loaded,
+# every enumeration runs the kernel: with the decode, it takes 58-63 us
+# against the loops' 23 us for 25 pairs of T2 over F_101, and 118-135 us
+# against 256 us for 400.
 VECTOR_PAIRS = 1 << 16
 
 # The pairs the wire loops have enumerated in this process.  Process-wide,
@@ -114,22 +121,46 @@ def _use_kernel(pairs: int) -> bool:
 def _enumerate(X: GroupSet, Y: GroupSet, counts: bool = False):
     """The distinct products x y over X x Y in canonical order, and their
     multiplicities in that order when ``counts`` is set (else None): a
-    list from the wire loops, an int64 array from the kernel."""
+    list from the wire loops, an int64 array from the kernel.
+
+    Without counts, nonempty X and Y with |X| + |Y| > |G| give all of G
+    unenumerated: x^-1 g lies in Y for some x, as |X^-1 g| = |X| and
+    only |G| - |Y| < |X| elements lie outside Y."""
     X.same_ambient(Y)
+    spec, group = X.spec, X.group
+    if not counts and X and Y and len(X) + len(Y) > group_order(spec, group):
+        return _whole_group(spec, group), None
     if _use_kernel(len(X) * len(Y)):
         from .kernel import pair_kernel
 
         keys, mults = pair_kernel(X, Y, counts)
-        return GroupSet(X.group, X.spec, _keys=keys), mults
+        return GroupSet(group, spec, _keys=keys), mults
     global _loop_pairs
     _loop_pairs += len(X) * len(Y)
-    spec, group = X.spec, X.group
-    products = (gmul(spec, group, x, y) for x in X.wires for y in Y.wires)
+    keys = pair_keys(spec, group, X.wires, Y.wires)
     if not counts:
-        return GroupSet(group, spec, set(products), _checked=True), None
-    tally = Counter(products)
-    distinct = GroupSet(group, spec, tally, _checked=True)
-    return distinct, [tally[w] for w in distinct.wires]
+        return _from_keys(spec, group, sorted(set(keys))), None
+    tally = Counter(keys)
+    distinct = sorted(tally)
+    return _from_keys(spec, group, distinct), [tally[k] for k in distinct]
+
+
+def _from_keys(spec, group: str, keys: list[int]) -> GroupSet:
+    """The set of sorted, distinct packed keys, decoded once."""
+    return GroupSet(group, spec, key_wires(spec, keys), _sorted=True)
+
+
+def _whole_group(spec, group: str) -> GroupSet:
+    """G as a set: a key array once numpy is loaded, as the kernel would
+    give, else wire triples."""
+    if "numpy" in sys.modules:
+        from .kernel import group_keys
+
+        return GroupSet(group, spec, _keys=group_keys(spec.q, group))
+    field = range(spec.q)
+    units = field[1:] if group == T2 else field
+    # lexicographic order is key order
+    return GroupSet(group, spec, product(units, field, units), _sorted=True)
 
 
 def energy(A: GroupSet | Products) -> int:
@@ -240,10 +271,14 @@ class Products:
         """powers[k - 1], extending powers[j] = powers[j - 1] powers[0]."""
         if k < 1:
             raise ParameterError(f"power must be >= 1, got {k}")
+        order = group_order(self.A.spec, self.A.group)
         while len(powers) < k:
             last = powers[-1]
             if len(powers) > 1 and last == powers[-2]:
                 return last  # once XA = X, every later power is X
+            if len(last) == order:  # G A = G, refused as that product would be
+                check_pairs("product", order, len(powers[0]), self.caps.max_pair_products)
+                return last
             if last is self.A:
                 powers.append(self.square)
             else:

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from itertools import compress
 from typing import Iterable
 
 from .config import Caps
 from .errors import CapExceeded, ParameterError
 from .exact import BoundCheck, incidence_bound
-from .ffield import FieldSpec
-from .groups import H, T2, GroupSet, Wire, ginv, gmul
+from .ffield import DENSE_FIELD, FieldSpec, _dense_tables
+from .groups import H, T2, GroupSet, Wire, ginv, pair_keys
 from .growth import Products, as_products, check_pairs
 from .rng import SplitMix64
 
@@ -83,23 +82,20 @@ def quadruple_count(
     for c, pairs in enumerate(classes.values()):
         for g, v in pairs:
             class_of[index[g]][index[v]] = c
-    # bucket of the quotient x: its entries (wires[k // n], wires[k % n]),
-    # as the one int k while it has one entry and as a list after that
-    buckets: dict[Wire, int | list[int]] = {}
+    # bucket of the quotient's packed key x: its entries (wires[k // n],
+    # wires[k % n]), as the one int k while it has one entry and as a list
+    # after that
+    buckets: dict[int, int | list[int]] = {}
     get = buckets.get
-    k = 0
-    for g in wires:
-        gi = ginv(spec, group, g)
-        for h in wires:
-            x = gmul(spec, group, gi, h)
-            b = get(x)
-            if b is None:
-                buckets[x] = k
-            elif b.__class__ is int:
-                buckets[x] = [b, k]
-            else:
-                b.append(k)
-            k += 1
+    inverses = [ginv(spec, group, g) for g in wires]
+    for k, x in enumerate(pair_keys(spec, group, inverses, wires)):
+        b = get(x)
+        if b is None:
+            buckets[x] = k
+        elif b.__class__ is int:
+            buckets[x] = [b, k]
+        else:
+            b.append(k)
     tally: Counter[int] = Counter()
     for b in buckets.values():
         if b.__class__ is int:  # (g, h) solves only with itself
@@ -181,15 +177,35 @@ class WeightedInstance:
 def build_instance(
     spec: FieldSpec, group: str, key: tuple[int, int], pairs: list[Pair]
 ) -> WeightedInstance:
+    """The point and the plane of every pair (g, v) of one class, weighted by
+    multiplicity: ``t2_point``/``t2_plane`` or ``heis_point``/``heis_plane``
+    of (g, v), with their arithmetic written out over a prime field."""
+    c2 = key[1]
+    if spec.r == 1:
+        p = spec.p
+        if group == T2:
+            tuples = (
+                (
+                    (1, g1 * pow(g2, -1, p) % p, g0 * v1 % p, g0 * v2 % p),
+                    (-v0 * g1 % p, v0 * g2 % p, 1, -v1 * pow(v2, -1, p) % p),
+                )
+                for (g0, g1, g2), (v0, v1, v2) in pairs
+            )
+        else:
+            tuples = (
+                (
+                    ((g0 * g1 - g2 - v2 - c2 * g0) % p, g0, g1, 1),
+                    (1, v1, -v0 % p, (g2 + v2 - v0 * v1 + c2 * v0) % p),
+                )
+                for (g0, g1, g2), (v0, v1, v2) in pairs
+            )
+    elif group == T2:
+        tuples = ((t2_point(spec, g, v), t2_plane(spec, g, v)) for g, v in pairs)
+    else:
+        tuples = ((heis_point(spec, g, v, c2), heis_plane(spec, g, v, c2)) for g, v in pairs)
     points: dict[tuple, int] = {}
     planes: dict[tuple, int] = {}
-    for g, v in pairs:
-        if group == T2:
-            pt = t2_point(spec, g, v)
-            pl = t2_plane(spec, g, v)
-        else:
-            pt = heis_point(spec, g, v, key[1])
-            pl = heis_plane(spec, g, v, key[1])
+    for pt, pl in tuples:
         points[pt] = points.get(pt, 0) + 1
         planes[pl] = planes.get(pl, 0) + 1
     return WeightedInstance(spec=spec, points=points, planes=planes)
@@ -207,6 +223,16 @@ def incidence_count(inst: WeightedInstance, cap: int = Caps.max_pair_products) -
         for (x0, x1, x2, x3), wp in inst.points.items():
             for (y0, y1, y2, y3), wpl in planes:
                 if not (x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3) % p:
+                    total += wp * wpl
+        return total
+    if spec.q <= DENSE_FIELD:
+        q = spec.q
+        add, mul, _, _ = _dense_tables(spec)
+        for (x0, x1, x2, x3), wp in inst.points.items():
+            x0, x1, x2, x3 = x0 * q, x1 * q, x2 * q, x3 * q
+            for (y0, y1, y2, y3), wpl in planes:
+                s01 = add[mul[x0 + y0] * q + mul[x1 + y1]]
+                if not add[s01 * q + add[mul[x2 + y2] * q + mul[x3 + y3]]]:
                     total += wp * wpl
         return total
     for pt, wp in inst.points.items():
@@ -237,14 +263,6 @@ def _normalise(spec: FieldSpec, t: tuple) -> tuple:
         p = spec.p
         return tuple([y * s % p for y in t])
     return tuple([spec.mul(y, s) for y in t])
-
-
-# Extension fields up to this size get dense addition and multiplication
-# tables for the collinearity pass.  Up to q = 128 the tables build in at
-# most 7 ms, about what they save on one 25-element T2 bridge; from F_169
-# to F_256 the build takes 13-26 ms against 4-6 ms saved (2 vCPUs,
-# Python 3.11).
-DENSE_FIELD = 128
 
 
 def _directions(spec: FieldSpec):
@@ -364,18 +382,6 @@ def _directions(spec: FieldSpec):
         return lines, more
 
     return group
-
-
-@cache
-def _dense_tables(spec: FieldSpec) -> tuple[list[int], list[int], list[int], list[int]]:
-    """x + y and x y at x q + y, and the rows 1/x q and -x q, of a small field."""
-    q = spec.q
-    field = range(q)
-    add = [spec.add(x, y) for x in field for y in field]
-    mul = [spec.mul(x, y) for x in field for y in field]
-    inv_row = [0] + [spec.inv(x) * q for x in range(1, q)]
-    neg_row = [spec.neg(x) * q for x in field]
-    return add, mul, inv_row, neg_row
 
 
 def _projective(spec: FieldSpec, pts: list[tuple]) -> tuple[list[tuple], list[list[int]]]:

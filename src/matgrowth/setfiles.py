@@ -33,6 +33,7 @@ from .groups import (
     GroupSet,
     SubgroupTag,
     check_group_wire,
+    group_order,
     wire_key,
 )
 from .jsonio import digest, read_json, write_json
@@ -64,15 +65,14 @@ class SetFile:
 
 def random_set(group: str, spec: FieldSpec, size: int, seed: int) -> GroupSet:
     """Uniform sample of distinct elements, by rejection over wire triples."""
-    q = spec.q
-    domain = (q - 1) * q * (q - 1) if group == T2 else q * q * q
+    domain = group_order(spec, group)
     if size < 1 or size > domain:
         raise ParameterError(f"size {size} out of range for a group of order {domain}")
     _check_set_cap(size, "random set size")
     rng = SplitMix64(seed)
     got: set = set()
     while len(got) < size:
-        got.add(_random_wire(rng, group, q))
+        got.add(_random_wire(rng, group, spec.q))
     return GroupSet(group, spec, got, _checked=True)
 
 

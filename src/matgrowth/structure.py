@@ -124,7 +124,7 @@ def structure_scan(
     certs = [
         _cert_dilated_sums_in_span(spec, X, D, span_wires, cap),
         _cert_span_reachable(P, lifted, opts.reach_budget),
-        _cert_conjugation_stable(spec, D, span_wires),
+        _cert_conjugation_stable(spec, D, span_wires, cap),
         _cert_commutators_in_span(work, span_wires, cap),
     ]
     reach = next(
@@ -191,9 +191,10 @@ def _cert_span_reachable(P: Products, lifted: GroupSet, budget: int) -> Certific
     return Certificate("span_reachable", False, f"not reached within budget {budget}")
 
 
-def _cert_conjugation_stable(spec, D, span_wires) -> Certificate:
+def _cert_conjugation_stable(spec, D, span_wires, cap: int) -> Certificate:
     """Conjugating u(w) by any a in A scales the corner by the ratio of a,
     so stability of the span under D-dilation is what is checked."""
+    check_pairs("conjugation certificate", len(D), len(span_wires), cap)
     for d in D:
         for w in span_wires:
             if spec.mul(d, w) not in span_wires:

@@ -14,6 +14,9 @@ from matgrowth.groups import (
     gid,
     ginv,
     gmul,
+    group_order,
+    key_wires,
+    pair_keys,
     wire_key,
 )
 from matgrowth.ffield import standard_field
@@ -162,6 +165,26 @@ def test_affine_part_kernel_is_the_scalars():
 
 
 # -- canonical sets -----------------------------------------------------------
+
+
+PAIR_KEY_FIELDS = [standard_field(q) for q in (5, 9, 16, 25, 101, 128, 256, 65521)]
+
+
+@pytest.mark.parametrize("group", ["T2", "H"])
+@pytest.mark.parametrize("spec", PAIR_KEY_FIELDS, ids=lambda spec: f"q{spec.q}")
+@given(data=st.data())
+def test_pair_keys_are_the_keys_of_the_products(spec, group, data):
+    # prime fields, dense tables (F_9 to F_128) and gmul (F_256) alike
+    wires = st.lists(group_wires(spec, group), max_size=6)
+    xs, ys = data.draw(wires), data.draw(wires)
+    want = [wire_key(spec, gmul(spec, group, x, y)) for x in xs for y in ys]
+    assert list(pair_keys(spec, group, xs, ys)) == want
+    assert key_wires(spec, want) == [gmul(spec, group, x, y) for x in xs for y in ys]
+
+
+@pytest.mark.parametrize("spec,group", AMBIENTS, ids=AMBIENT_IDS)
+def test_group_order_counts_the_wires(spec, group):
+    assert group_order(spec, group) == len(all_wires(spec, group))
 
 
 def test_wire_key_is_injective():

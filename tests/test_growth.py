@@ -1,16 +1,19 @@
 """Product sets, energies, and the exact growth-lemma verdicts."""
 
+import sys
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import F5, F7, F9, F101, group_sets, small_sets
-from matgrowth import growth
+from matgrowth import growth, kernel, standard_field
 from matgrowth.config import Caps
 from matgrowth.errors import CapExceeded, ParameterError
-from matgrowth.groups import GroupSet, SubgroupTag, gid, ginv, gmul
+from matgrowth.groups import GroupSet, SubgroupTag, gid, ginv, gmul, group_order
 from matgrowth.growth import (
     Products,
     coset_count_check,
@@ -98,6 +101,99 @@ def test_quotient_set_is_symmetric(a):
     assert q.is_symmetric
     assert q.has_identity
     assert len(q) <= len(a) ** 2
+
+
+# -- products that must fill the group -----------------------------------------
+
+
+def whole_group(spec, group):
+    q = spec.q
+    units = range(1, q) if group == "T2" else range(q)
+    return GroupSet(group, spec, [(a, b, c) for a in units for b in range(q) for c in units])
+
+
+def no_enumeration(*args, **kwargs):
+    raise AssertionError("enumerated the pairs of a saturated product")
+
+
+@contextmanager
+def saturated_path(on_kernel):
+    """The loop or the kernel path picked, with both enumerations refused."""
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(growth, "_use_kernel", lambda pairs: on_kernel))
+        stack.enter_context(mock.patch.object(growth, "pair_keys", no_enumeration))
+        stack.enter_context(mock.patch.object(kernel, "pair_kernel", no_enumeration))
+        yield
+
+
+SATURATING = [(standard_field(q), group) for q, group in [(3, "T2"), (4, "T2"), (2, "H"), (3, "H")]]
+
+
+@pytest.mark.parametrize("spec,group", SATURATING, ids=lambda x: getattr(x, "q", x))
+@given(data=st.data())
+def test_products_past_the_group_order_fill_the_group(spec, group, data):
+    # |X| + |Y| = |G| + 1: the pigeonhole fact, on either path, with no pairs spent
+    G = whole_group(spec, group)
+    order = group_order(spec, group)
+    assert len(G) == order
+    k = data.draw(st.integers(1, order))
+    X = GroupSet(group, spec, data.draw(st.permutations(G.wires))[:k])
+    Y = GroupSet(group, spec, data.draw(st.permutations(G.wires))[: order + 1 - k])
+    assert pair_products(X, Y) == set(G.wires)
+    for on_kernel in (False, True):
+        spent = growth._loop_pairs
+        with saturated_path(on_kernel):
+            assert product_set(X, Y) == G
+        assert growth._loop_pairs == spent
+
+
+@pytest.mark.parametrize(
+    "spec,group,wires",
+    [
+        (standard_field(3), "T2", [(1, b, c) for b in range(3) for c in (1, 2)]),  # a = 1
+        (standard_field(2), "H", [(0, b, c) for b in range(2) for c in range(2)]),  # g1 = 0
+    ],
+)
+def test_half_the_group_times_itself_need_not_fill_it(spec, group, wires):
+    # |X| + |Y| = |G| for a subgroup X: the inequality must be strict
+    X = GroupSet(group, spec, wires)
+    assert 2 * len(X) == group_order(spec, group)
+    assert pair_products(X, X) == set(X.wires)
+    for on_kernel in (False, True):
+        with mock.patch.object(growth, "_use_kernel", lambda pairs: on_kernel):
+            assert product_set(X, X) == X
+
+
+def test_saturated_products_are_still_refused_past_the_cap():
+    G = whole_group(standard_field(3), "T2")
+    with pytest.raises(CapExceeded, match="product of 12 x 12 elements"):
+        product_set(G, G, cap=143)
+    assert product_set(G, G, cap=144) == G
+
+
+def test_the_whole_group_in_both_forms(monkeypatch):
+    for spec, group in SATURATING + [(F7, "T2"), (F5, "H")]:
+        keyed = growth._whole_group(spec, group)
+        assert keyed._keys is not None and keyed == whole_group(spec, group)
+        with monkeypatch.context() as m:
+            m.delitem(sys.modules, "numpy")
+            wired = growth._whole_group(spec, group)
+        assert wired._keys is None and wired.wires == whole_group(spec, group).wires
+
+
+def test_the_ladder_stops_at_the_whole_group(monkeypatch):
+    G = whole_group(standard_field(3), "T2")
+    a = GroupSet("T2", G.spec, G.wires[:7])
+    p = Products(a)
+    assert p.sym(2) == G and p.cube == G
+    monkeypatch.setattr(growth, "_enumerate", no_enumeration)
+    assert p.sym(6) is p.sym(2)
+    assert p._climb(p._powers, 5) is p.cube
+    assert Products(G).sym(4) is G and Products(G).cube is G
+    # the stop is refused where G A would have been
+    with pytest.raises(CapExceeded, match="product of 12 x 12 elements"):
+        Products(G, Caps(max_pair_products=143)).cube
+    assert Products(G, Caps(max_pair_products=144)).cube is G
 
 
 # -- the shared product ladder -------------------------------------------------

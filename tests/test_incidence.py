@@ -1,6 +1,7 @@
 """The energy-to-incidence bridge and the synthetic probe instances."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,61 @@ def test_incidence_count_matches_dot4(a):
         assert incidence_count(inst) == want
 
 
+F128 = standard_field(128)
+
+
+def sets_over(*specs, max_size=10):
+    return st.sampled_from(specs).flatmap(
+        lambda spec: st.sampled_from(["T2", "H"]).flatmap(
+            lambda group: group_sets(spec, group, 1, max_size)
+        )
+    )
+
+
+def incidences_by_dot4(inst):
+    return sum(
+        wp * wpl
+        for pt, wp in inst.points.items()
+        for pl, wpl in inst.planes.items()
+        if dot4(inst.spec, pt, pl) == 0
+    )
+
+
+@settings(max_examples=60)
+@given(sets_over(F5, F7, F101))
+def test_build_instance_matches_the_point_and_plane_maps(a):
+    # prime fields write the arithmetic out; the maps stay its oracle
+    spec, group = a.spec, a.group
+    for key, pairs in pair_classes(a).items():
+        inst = build_instance(spec, group, key, pairs)
+        if group == "T2":
+            points = Counter(t2_point(spec, g, v) for g, v in pairs)
+            planes = Counter(t2_plane(spec, g, v) for g, v in pairs)
+        else:
+            points = Counter(heis_point(spec, g, v, key[1]) for g, v in pairs)
+            planes = Counter(heis_plane(spec, g, v, key[1]) for g, v in pairs)
+        assert inst.points == points and inst.planes == planes
+
+
+@settings(max_examples=60)
+@given(sets_over(F9, F25, F128))
+def test_join_and_incidences_match_their_oracles_over_extension_fields(a):
+    # the join keys its buckets and the incidence count adds through dense tables
+    classes = pair_classes(a)
+    counts = quadruple_count(a, classes)
+    for key, pairs in classes.items():
+        assert counts[key] == quadruple_count_by_definition(a.spec, a.group, pairs)
+        inst = build_instance(a.spec, a.group, key, pairs)
+        assert incidence_count(inst) == incidences_by_dot4(inst) == counts[key]
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([F9, F25, F128]), st.integers(0, 2**32 - 1))
+def test_probe_incidences_match_dot4_over_extension_fields(spec, seed):
+    inst = random_instance(spec, 25, 30, seed)
+    assert incidence_count(inst) == incidences_by_dot4(inst)
+
+
 def test_bridge_loops_refuse_past_the_pair_cap():
     a = GroupSet("T2", F5, [(1, b, 1) for b in range(5)])
     classes = pair_classes(a)
@@ -382,7 +438,8 @@ def test_bridge_refuses_where_the_per_class_loops_did(monkeypatch):
     a = GroupSet("T2", F7, [(1, b, 1) for b in range(5)] + [(2, b, 2) for b in range(3)])
     sizes = {len(pairs) for pairs in pair_classes(a).values()}
     products = []
-    monkeypatch.setattr(incidence, "gmul", lambda *args: products.append(1) or gmul(*args))
+    pair_keys = incidence.pair_keys
+    monkeypatch.setattr(incidence, "pair_keys", lambda *args: products.append(1) or pair_keys(*args))
     for cap in sorted({len(a) ** 2} | {c * c - 1 for c in sizes} | {c * c for c in sizes}):
         if cap < len(a) ** 2:
             continue

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import F5, F16, group_sets
-from matgrowth.config import StructureOptions
-from matgrowth.errors import ParameterError
+from matgrowth.config import Caps, StructureOptions
+from matgrowth.errors import CapExceeded, ParameterError
 from matgrowth.ffield import subfield_of_degree
 from matgrowth.groups import GroupSet, SubgroupTag
 from matgrowth.structure import (
     INCONCLUSIVE,
     POTENT,
     UNIPOTENT,
+    _cert_conjugation_stable,
     ratio_image,
     structure_scan,
     sum_product_scan,
@@ -97,6 +98,17 @@ def test_subfield_copy_is_unipotent():
         "conjugation_stable",
         "commutators_in_span",
     }
+
+
+def test_conjugation_certificate_is_refused_past_the_pair_cap():
+    # D of three ratios against a span of four corners: 12 steps
+    sub = sorted(e.wire for e in subfield_of_degree(F16, 2).embedding)
+    D = [w for w in sub if w]
+    span = frozenset(sub)
+    with pytest.raises(CapExceeded, match="conjugation certificate of 3 x 4 elements"):
+        _cert_conjugation_stable(F16, D, span, Caps(max_pair_products=11).max_pair_products)
+    cert = _cert_conjugation_stable(F16, D, span, Caps(max_pair_products=12).max_pair_products)
+    assert cert.holds
 
 
 def test_potent_floor_flips_the_verdict():
