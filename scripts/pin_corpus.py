@@ -44,7 +44,7 @@ F16 = standard_field(16)
 
 def t2_over_subfield():
     """All 36 elements of T2 with entries in the quartic subfield of F16."""
-    sub = sorted(e.wire for e in subfield_of_degree(F16, 2).embedding)
+    sub = list(subfield_of_degree(F16, 2).wires)
     nz = [w for w in sub if w]
     wires = [(a, b, c) for a in nz for b in sub for c in nz]
     return explicit_setfile(GroupSet("T2", F16, wires))

@@ -11,7 +11,6 @@ from .exact import (
     t2_energy_bound,
 )
 from .ffield import (
-    FieldElement,
     FieldSpec,
     default_modulus,
     span_over_subfield,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Caps",
     "CapExceeded",
-    "FieldElement",
     "FieldSpec",
     "GroupSet",
     "MatGrowthError",

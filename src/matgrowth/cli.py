@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -330,7 +329,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPS
-    except (MatGrowthError, OSError, json.JSONDecodeError) as exc:
+    except (MatGrowthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,8 +8,11 @@ vectors in reduced form; the canonical integer serialization of an element
 ``range(p**r)``.
 
 The package computes on wire forms only: ``FieldSpec`` does the arithmetic
-on them, and ``FieldElement`` just pairs a wire with its spec for the
-subfield functions.  Prime fields (r == 1) use residue arithmetic directly.
+on them, and a subfield (``SubfieldSpec``) is the sorted tuple of its
+wires, read off the exp table.  ``FieldElement`` survives only as the
+entry type of a subfield's read-only ``embedding`` view.  The modulus of
+``standard_field(q)`` is always ``default_modulus``, computed on each
+call.  Prime fields (r == 1) use residue arithmetic directly.
 Extensions build discrete exp/log tables once, from schoolbook polynomial
 multiplication, and multiply through the tables afterwards.  Addition in
 characteristic 2 is XOR on wires.  In odd characteristic it goes through a
@@ -27,10 +30,10 @@ from __future__ import annotations
 
 import math
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .config import Caps, json_typed
-from .errors import CapExceeded, MismatchError, ParameterError
+from .errors import CapExceeded, ParameterError
 
 # Fields larger than this are out of scope: table construction and the
 # exhaustive checks used elsewhere assume desk-scale q.
@@ -385,10 +388,10 @@ def _dense_tables(spec: FieldSpec) -> tuple[list[int], list[int], list[int], lis
 
 
 class FieldElement:
-    """A field element as the subfield API passes it: a spec plus its wire.
+    """One entry of :attr:`SubfieldSpec.embedding`: a wire with its field.
 
-    A plain value with equality and hashing, and no arithmetic: compute on
-    the wires with the :class:`FieldSpec` methods.
+    It carries no arithmetic: compute on the wires with the
+    :class:`FieldSpec` methods.
     """
 
     __slots__ = ("spec", "wire")
@@ -396,19 +399,6 @@ class FieldElement:
     def __init__(self, spec: FieldSpec, wire: int):
         self.spec = spec
         self.wire = wire
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.wire == other.wire
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spec._hash, self.wire))
-
-    def __repr__(self) -> str:
-        return f"ff({self.spec.q}, {self.wire})"
 
 
 # -- default moduli -------------------------------------------------------
@@ -424,28 +414,6 @@ def default_modulus(p: int, r: int) -> tuple[int, ...]:
         if poly_is_irreducible(cand, p):
             return cand
     raise AssertionError("irreducible polynomial exists for every (p, r)")
-
-
-# Shipped table for the supported prebuilt sizes.  Values equal
-# default_modulus(p, r); a unit test pins that equality.
-FIELD_MODULI: dict[int, tuple[int, ...]] = {
-    4: (1, 1, 1),
-    8: (1, 1, 0, 1),
-    9: (1, 0, 1),
-    16: (1, 1, 0, 0, 1),
-    25: (2, 0, 1),
-    27: (1, 2, 0, 1),
-    32: (1, 0, 1, 0, 0, 1),
-    49: (1, 0, 1),
-    64: (1, 1, 0, 0, 0, 0, 1),
-    81: (2, 1, 0, 0, 1),
-    121: (1, 0, 1),
-    125: (1, 1, 0, 1),
-    128: (1, 1, 0, 0, 0, 0, 0, 1),
-    169: (2, 0, 1),
-    243: (1, 2, 0, 0, 0, 1),
-    256: (1, 1, 0, 1, 1, 0, 0, 0, 1),
-}
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -471,139 +439,83 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 def standard_field(q: int) -> FieldSpec:
-    """F_q with the shipped modulus (or the default rule off-table)."""
+    """F_q with the default modulus."""
     p, r = _prime_power(q)
     if r == 1:
         return FieldSpec(p, 1, (0, 1))
-    modulus = FIELD_MODULI.get(q) or default_modulus(p, r)
-    return FieldSpec(p, r, modulus)
+    return FieldSpec(p, r, default_modulus(p, r))
 
 
 # -- subfields ------------------------------------------------------------
 
 class SubfieldSpec:
-    """A subfield of an ambient field, carried as an explicit embedding."""
+    """The subfield of size p**degree of an ambient field, as its sorted wires."""
 
-    def __init__(self, ambient: FieldSpec, degree: int, embedding: Iterable[FieldElement]):
+    def __init__(self, ambient: FieldSpec, degree: int, wires: Iterable[int]):
         self.ambient = ambient
         self.degree = degree
-        self.embedding = tuple(sorted(embedding, key=lambda e: e.wire))
+        self.wires = tuple(sorted(wires))
         self.size = ambient.p**degree
-        if len(self.embedding) != self.size:
-            raise ParameterError(
-                f"embedding has {len(self.embedding)} elements, expected {self.size}"
-            )
-        self._wires = frozenset(e.wire for e in self.embedding)
+        if len(self.wires) != self.size:
+            raise ParameterError(f"subfield has {len(self.wires)} elements, expected {self.size}")
 
-    def __contains__(self, x) -> bool:
-        if isinstance(x, FieldElement):
-            return x.spec == self.ambient and x.wire in self._wires
-        return x in self._wires
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubfieldSpec)
-            and self.ambient == other.ambient
-            and self._wires == other._wires
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self._wires))
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self) -> Iterator[FieldElement]:
-        return iter(self.embedding)
-
-    def __repr__(self) -> str:
-        return f"SubfieldSpec(q={self.ambient.q}, degree={self.degree})"
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "size": self.size,
-            "embedding": [e.wire for e in self.embedding],
-        }
+    @property
+    def embedding(self) -> tuple:
+        """The wires, each paired with the ambient field."""
+        return tuple(FieldElement(self.ambient, w) for w in self.wires)
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def element_degree(x: FieldElement) -> int:
-    """Degree over the prime field: the least s | r fixing x under x -> x**(p**s)."""
-    spec = x.spec
-    for s in _divisors(spec.r):
-        y = x.wire
-        for _ in range(s):
-            y = spec.frobenius(y)
-        if y == x.wire:
-            return s
-    raise AssertionError("every element is fixed by the full power map")
+def element_degree(spec: FieldSpec, x: int) -> int:
+    """Degree over the prime field: the least s | r with x**(p**s) == x."""
+    return next(
+        s for s in range(1, spec.r + 1) if spec.r % s == 0 and spec.power(x, spec.p**s) == x
+    )
 
 
 def subfield_of_degree(spec: FieldSpec, s: int) -> SubfieldSpec:
-    """The unique subfield of size p**s (s must divide r)."""
-    if spec.r % s != 0:
-        raise ParameterError(f"degree {s} does not divide extension degree {spec.r}")
-    fixed = []
-    for w in range(spec.q):
-        y = w
-        for _ in range(s):
-            y = spec.frobenius(y)
-        if y == w:
-            fixed.append(FieldElement(spec, w))
-    return SubfieldSpec(spec, s, fixed)
+    """The unique subfield of size p**s (s must divide r).
 
-
-def subfield_generated_by(elems: Iterable[FieldElement]) -> SubfieldSpec:
-    """Smallest subfield containing every given element.
-
-    Computed from element degrees: the generated subfield has degree equal
-    to the lcm of the individual degrees (and always contains the prime
-    field, so an empty-ish input degenerates to degree 1).
+    It is 0 and the powers of g**((q - 1)/(p**s - 1)) for the table
+    generator g, read off the exp table; for s = r it is the whole field.
     """
-    elems = list(elems)
-    if not elems:
+    if s < 1 or spec.r % s != 0:
+        raise ParameterError(f"degree {s} does not divide extension degree {spec.r}")
+    if s == spec.r:
+        return SubfieldSpec(spec, s, range(spec.q))
+    step = (spec.q - 1) // (spec.p**s - 1)
+    return SubfieldSpec(spec, s, [0, *spec._tables[0][::step]])
+
+
+def subfield_generated_by(spec: FieldSpec, xs: Iterable[int]) -> SubfieldSpec:
+    """Smallest subfield containing every given wire: its degree is the lcm
+    of their degrees."""
+    degrees = {element_degree(spec, x) for x in xs}
+    if not degrees:
         raise ParameterError("need at least one element")
-    spec = elems[0].spec
-    for e in elems:
-        if e.spec != spec:
-            raise MismatchError("elements from different fields")
-    s = 1
-    for e in elems:
-        d = element_degree(e)
-        s = s * d // math.gcd(s, d)
-    return subfield_of_degree(spec, s)
+    return subfield_of_degree(spec, math.lcm(*degrees))
 
 
 def span_over_subfield(
-    xs: Iterable[FieldElement],
+    xs: Iterable[int],
     sub: SubfieldSpec,
     cap: int = Caps.max_set_elements,
-) -> tuple[FieldElement, ...]:
-    """Closure of {0} + sub * x over every x: the sub-linear span inside F_q.
+) -> tuple[int, ...]:
+    """Closure of {0} + sub * x over every wire x: the sub-linear span inside F_q.
 
     The result size is |sub| ** d for d independent inputs; the cap guards
     the blowup before each expansion step.
     """
-    xs = sorted(xs, key=lambda e: e.wire)
+    xs = sorted(xs)
     if not xs:
         raise ParameterError("need at least one element")
-    spec = xs[0].spec
-    if spec != sub.ambient:
-        raise MismatchError("span inputs and subfield live in different fields")
-    sub_wires = [e.wire for e in sub.embedding]
+    spec = sub.ambient
     span = {0}
     for x in xs:
-        if x.spec != spec:
-            raise MismatchError("elements from different fields")
-        if x.wire in span:
+        if x in span:
             continue
-        if len(span) * len(sub_wires) > cap:
+        if len(span) * sub.size > cap:
             raise CapExceeded(
                 f"span would exceed cap {cap}", partial_size=len(span)
             )
-        span = {spec.add(s, spec.mul(f, x.wire)) for s in span for f in sub_wires}
-    return tuple(FieldElement(spec, w) for w in sorted(span))
+        span = {spec.add(s, spec.mul(f, x)) for s in span for f in sub.wires}
+    return tuple(sorted(span))

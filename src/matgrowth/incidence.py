@@ -165,14 +165,6 @@ class WeightedInstance:
     points: dict[tuple, int]
     planes: dict[tuple, int]
 
-    @property
-    def point_weight(self) -> int:
-        return sum(self.points.values())
-
-    @property
-    def plane_weight(self) -> int:
-        return sum(self.planes.values())
-
 
 def build_instance(
     spec: FieldSpec, group: str, key: tuple[int, int], pairs: list[Pair]

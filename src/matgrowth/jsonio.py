@@ -22,6 +22,8 @@ import tempfile
 from json.encoder import encode_basestring
 from pathlib import Path
 
+from .errors import ParameterError
+
 _CHUNK = 4096  # pieces held before they are written out
 _INF = float("inf")
 
@@ -157,4 +159,13 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The value in the JSON file at path.
+
+    Text that does not decode (not UTF-8, not JSON, an integer literal past
+    Python's digit limit, or nesting past the recursion limit) is a
+    ParameterError; an unreadable file stays an OSError.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ParameterError(f"{path}: not a JSON file: {exc}") from None

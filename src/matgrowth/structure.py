@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .config import StructureOptions
 from .errors import ParameterError
-from .ffield import FieldElement, span_over_subfield, subfield_generated_by
+from .ffield import span_over_subfield, subfield_generated_by
 from .groups import T2, GroupSet, ginv, gmul
 from .growth import Products, as_products, check_pairs
 
@@ -147,11 +147,8 @@ def _corner_span(P: Products, D) -> tuple:
     """X, the corners of A(4); F, the subfield D generates; Span_F(X) as wires."""
     spec = P.A.spec
     X = unipotent_corners(P.sym(4))
-    F = subfield_generated_by(FieldElement(spec, d) for d in D)
-    span = span_over_subfield(
-        (FieldElement(spec, x) for x in X), F, cap=P.caps.max_set_elements
-    )
-    return X, F, frozenset(e.wire for e in span)
+    F = subfield_generated_by(spec, D)
+    return X, F, frozenset(span_over_subfield(X, F, cap=P.caps.max_set_elements))
 
 
 def _cert_dilated_sums_in_span(spec, X, D, span_wires, cap: int) -> Certificate:
@@ -253,7 +250,9 @@ def sum_product_scan(A: GroupSet | Products) -> SumProductReport:
     D = ratio_image(P.sym(1))
     X, F, span_wires = _corner_span(P, D)
 
+    check_pairs("dilate set", len(D), len(X), cap)
     DX = sorted({spec.mul(d, x) for d in D for x in X})
+    check_pairs("sum set", len(X), len(DX), cap)
     sums = {spec.add(x, t) for x in X for t in DX}
     expansion = Fraction(len(sums), len(X))
     low = expansion**10 >= len(D)

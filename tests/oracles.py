@@ -221,6 +221,13 @@ def field_tables_by_order_walk(spec):
     return exp, log
 
 
+def frobenius_fixed(spec, s):
+    """The wires x with x ** (p ** s) == x, in order: by definition, the
+    subfield of size p ** s when s divides r."""
+    e = spec.p**s
+    return tuple(x for x in range(spec.q) if spec.power(x, e) == x)
+
+
 def _order_by_walk(spec, g):
     x, k = g, 1
     while x != 1:

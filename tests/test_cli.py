@@ -7,10 +7,12 @@ import pytest
 
 from matgrowth.cli import main, parse_field, parse_tag, parse_triple
 from matgrowth.errors import MatGrowthError
-from matgrowth.groups import SubgroupTag
+from matgrowth.ffield import standard_field
+from matgrowth.groups import GroupSet, SubgroupTag
 from matgrowth.jsonio import digest, read_json, write_json
 from matgrowth.reports import run_report
-from matgrowth.setfiles import load_setfile
+from matgrowth.rng import SplitMix64
+from matgrowth.setfiles import explicit_setfile, load_setfile, save_setfile
 
 
 def gen_random(tmp_path, name="a.json", group="T2", field="7", size=12, seed=5):
@@ -143,6 +145,32 @@ def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+MALFORMED_JSON = {
+    "long_integer": b'{"p": ' + b"9" * 5000 + b"}",
+    "not_utf8": b'{"p": "\xff"}',
+    "deep_nesting": b"[" * 100_000,
+    "not_json": b"{not json",
+}
+
+
+@pytest.mark.parametrize("command", ["report", "structure", "incidence", "verify"])
+@pytest.mark.parametrize("content", sorted(MALFORMED_JSON))
+def test_malformed_json_is_one_error_line(tmp_path, capsys, command, content):
+    # past Python's integer digit limit, not UTF-8, nested past the
+    # recursion limit, or not JSON: each exits 1 with one line, no traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(MALFORMED_JSON[content])
+    out = str(tmp_path / "r.json")
+    argv = {
+        "report": ["report", str(bad), "--out", out],
+        "structure": ["structure", str(bad), "--out", out],
+        "incidence": ["incidence", "--set", str(bad), "--out", out],
+        "verify": ["verify", str(tmp_path), "--manifest", str(bad)],
+    }[command]
+    assert main(argv) == 1
+    assert_one_error_line(capsys)
 
 
 def report_on_edited_set(tmp_path, edit):
@@ -292,6 +320,25 @@ def test_bridge_on_a_large_unipotent_subgroup_is_refused(tmp_path, capsys):
     capsys.readouterr()
     assert main(["incidence", "--set", str(sub), "--out", str(tmp_path / "i.json")]) == 3
     assert_one_error_line(capsys)
+    assert time.perf_counter() - start < 30
+
+
+def test_sum_set_past_the_pair_cap_is_refused(tmp_path, capsys):
+    # 70 unipotent elements over F_65521: A(4) fits under the pair cap and
+    # its corners fill the field, so X + DX would take 65521^2 steps
+    rng = SplitMix64(3)
+    spec = standard_field(65521)
+    A = GroupSet("T2", spec, [(1, rng.below(65521), 1) for _ in range(70)])
+    path = tmp_path / "u.json"
+    save_setfile(path, explicit_setfile(A))
+    start = time.perf_counter()
+    out = tmp_path / "r.json"
+    assert main(["report", str(path), "--structure", "--out", str(out)]) == 3
+    refusal = "sum set of 65521 x 65521 elements exceeds pair cap 10000000"
+    assert read_json(out)["structure"]["sum_product"] == {"error": refusal}
+    capsys.readouterr()
+    assert main(["structure", str(path), "--out", str(tmp_path / "s.json")]) == 3
+    assert capsys.readouterr().err == f"error: {refusal}\n"
     assert time.perf_counter() - start < 30
 
 

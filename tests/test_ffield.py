@@ -1,4 +1,4 @@
-"""Field arithmetic, the shipped modulus table, and subfields."""
+"""Field arithmetic, the pinned default moduli, and subfields."""
 
 import random
 
@@ -7,10 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import F5, F7, F9, F16, F25
-from matgrowth.errors import ParameterError
+from matgrowth.errors import CapExceeded, ParameterError
 from matgrowth.ffield import (
-    FIELD_MODULI,
-    FieldElement,
     FieldSpec,
     default_modulus,
     element_degree,
@@ -20,7 +18,28 @@ from matgrowth.ffield import (
     subfield_generated_by,
     subfield_of_degree,
 )
-from oracles import field_tables_by_order_walk, schoolbook_mul
+from oracles import field_tables_by_order_walk, frobenius_fixed, schoolbook_mul
+
+# The moduli standard_field has always given the extension fields up to
+# q = 256: a moved modulus would change the set files gen writes.
+SHIPPED_MODULI = {
+    4: (1, 1, 1),
+    8: (1, 1, 0, 1),
+    9: (1, 0, 1),
+    16: (1, 1, 0, 0, 1),
+    25: (2, 0, 1),
+    27: (1, 2, 0, 1),
+    32: (1, 0, 1, 0, 0, 1),
+    49: (1, 0, 1),
+    64: (1, 1, 0, 0, 0, 0, 1),
+    81: (2, 1, 0, 0, 1),
+    121: (1, 0, 1),
+    125: (1, 1, 0, 1),
+    128: (1, 1, 0, 0, 0, 0, 0, 1),
+    169: (2, 0, 1),
+    243: (1, 2, 0, 0, 0, 1),
+    256: (1, 1, 0, 1, 1, 0, 0, 0, 1),
+}
 
 
 def _factor(q):
@@ -33,14 +52,15 @@ def _factor(q):
 
 
 def test_shipped_moduli_match_default_rule():
-    # the table is a cache of default_modulus, never an override
-    for q, coeffs in sorted(FIELD_MODULI.items()):
+    # standard_field keeps the moduli it has always shipped
+    for q, coeffs in sorted(SHIPPED_MODULI.items()):
         p, r = _factor(q)
         assert default_modulus(p, r) == coeffs, q
+        assert standard_field(q).modulus == coeffs, q
 
 
 def test_shipped_moduli_are_monic_irreducible():
-    for q, coeffs in FIELD_MODULI.items():
+    for q, coeffs in SHIPPED_MODULI.items():
         p, r = _factor(q)
         assert len(coeffs) == r + 1
         assert coeffs[-1] == 1
@@ -145,59 +165,81 @@ def test_division_by_zero():
 
 
 def test_element_operators():
-    # a FieldElement is a (spec, wire) value: equality and hashing only
-    a = FieldElement(F9, 3)
-    assert a == FieldElement(F9, 3)
-    assert hash(a) == hash(FieldElement(F9, 3))
-    assert a != FieldElement(F9, 5)
-    assert a != FieldElement(F7, 3)
-    assert FieldElement(F9, 1) != 1  # no coercion from int
+    # an embedding entry pairs a wire with its field, and has no arithmetic
+    a = subfield_of_degree(F9, 1).embedding[1]
+    assert (a.spec, a.wire) == (F9, 1)
     with pytest.raises(TypeError):
         a + a
 
 
 def test_element_degree_layers():
     # F16 contains F4 (degree 2) and F2 (degree 1)
-    degrees = sorted({element_degree(FieldElement(F16, w)) for w in range(16)})
+    degrees = sorted({element_degree(F16, w) for w in range(16)})
     assert degrees == [1, 2, 4]
-    assert element_degree(FieldElement(F16, 0)) == 1
-    assert element_degree(FieldElement(F16, 1)) == 1
+    assert element_degree(F16, 0) == 1
+    assert element_degree(F16, 1) == 1
+    assert {w for w in range(16) if element_degree(F16, w) <= 2} == set(
+        subfield_of_degree(F16, 2).wires
+    )
 
 
 def test_subfield_of_degree():
     f4 = subfield_of_degree(F16, 2)
-    assert len(f4) == 4
-    for x in f4:
+    assert f4.size == len(f4.wires) == 4
+    assert list(f4.wires) == sorted(f4.wires)
+    for x in f4.wires:
         # fixed by the square of frobenius
-        assert F16.frobenius(F16.frobenius(x.wire)) == x.wire
-    with pytest.raises(ParameterError):
-        subfield_of_degree(F16, 3)
+        assert F16.frobenius(F16.frobenius(x)) == x
+    assert [e.wire for e in f4.embedding] == list(f4.wires)
+    for s in (0, 3):
+        with pytest.raises(ParameterError):
+            subfield_of_degree(F16, s)
+
+
+def _is_prime_power(q):
+    p, r = _factor(q)
+    return p**r == q
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 257) if _is_prime_power(q)] + [59049, 65536])
+def test_subfield_of_degree_is_the_frobenius_fixed_set(q):
+    spec = standard_field(q)
+    for s in range(1, spec.r + 1):
+        if spec.r % s == 0:
+            assert subfield_of_degree(spec, s).wires == frobenius_fixed(spec, s), s
 
 
 def test_subfield_generated_by():
-    gen = subfield_generated_by([FieldElement(F16, 1)])
-    assert gen.degree == 1 and len(gen) == 2
+    gen = subfield_generated_by(F16, [1])
+    assert gen.degree == 1 and gen.size == 2
+    # the lcm of the degrees: two elements of degree 2 stay in F4
+    f4 = subfield_of_degree(F16, 2).wires
+    assert subfield_generated_by(F16, f4).degree == 2
     # an element of degree 4 generates everything
-    full = subfield_generated_by(FieldElement(F16, w) for w in range(5))
-    assert full.degree in (1, 2, 4)
+    top = next(w for w in range(16) if element_degree(F16, w) == 4)
+    assert subfield_generated_by(F16, [1, top]).wires == tuple(range(16))
+    with pytest.raises(ParameterError):
+        subfield_generated_by(F16, [])
 
 
 def test_span_over_subfield():
     f4 = subfield_of_degree(F16, 2)
-    span = span_over_subfield([FieldElement(F16, 1)], f4)
-    assert {e.wire for e in span} == {x.wire for x in f4}
+    assert span_over_subfield([1], f4) == f4.wires
     # spans are F-submodules: closed under addition and scaling
-    xs = [FieldElement(F16, 6), FieldElement(F16, 9)]
-    wires = {e.wire for e in span_over_subfield(xs, f4)}
+    wires = set(span_over_subfield([6, 9], f4))
     assert 0 in wires
     for u in wires:
         for v in wires:
             assert F16.add(u, v) in wires
-        for s in f4:
-            assert F16.mul(s.wire, u) in wires
+        for s in f4.wires:
+            assert F16.mul(s, u) in wires
+    with pytest.raises(ParameterError):
+        span_over_subfield([], f4)
+    with pytest.raises(CapExceeded):
+        span_over_subfield([6, 9], f4, cap=15)
 
 
-@pytest.mark.parametrize("q", sorted(FIELD_MODULI))
+@pytest.mark.parametrize("q", sorted(SHIPPED_MODULI))
 def test_tables_match_the_order_walk(q):
     assert standard_field(q)._tables == field_tables_by_order_walk(standard_field(q))
 

@@ -1,4 +1,4 @@
-"""Input-boundary fuzz: mutated corpus set files, recipes and CLI arguments.
+"""Input-boundary fuzz: mutated corpus set files, raw text and bytes, recipes and CLI arguments.
 
 Every run goes through ``cli.main`` in process.  Whatever the input, the
 command must end with an exit code in {0, 1, 2, 3} (argparse's usage
@@ -178,10 +178,13 @@ def command_lines(draw, setfile: Path, out: str):
 def test_cli_survives_mutated_inputs(data):
     with tempfile.TemporaryDirectory() as tmp:
         setfile = Path(tmp) / "set.json"
-        if data.draw(st.integers(0, 9)):
+        how = data.draw(st.integers(0, 9))
+        if how > 1:
             setfile.write_text(json.dumps(data.draw(mutated_set_file())))
-        else:
+        elif how:
             setfile.write_text(data.draw(st.text(max_size=40)))
+        else:
+            setfile.write_bytes(data.draw(st.binary(max_size=40)))
         argv = data.draw(command_lines(setfile, str(Path(tmp) / "out.json")))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

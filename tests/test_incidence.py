@@ -111,7 +111,7 @@ def test_class_weights_count_pairs(a):
     for cls, (key, pairs) in zip(report.classes, pair_classes(a).items()):
         assert cls.key == key
         inst = build_instance(a.spec, a.group, key, pairs)
-        assert inst.point_weight == inst.plane_weight == len(pairs)
+        assert sum(inst.points.values()) == sum(inst.planes.values()) == len(pairs)
 
 
 @settings(max_examples=20)

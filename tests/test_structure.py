@@ -25,7 +25,7 @@ from matgrowth.structure import (
 def embedded_t2_over_f4():
     """All 36 elements of the triangular group with entries in the
     quartic subfield of F16."""
-    sub = sorted(e.wire for e in subfield_of_degree(F16, 2).embedding)
+    sub = list(subfield_of_degree(F16, 2).wires)
     nz = [w for w in sub if w]
     return GroupSet("T2", F16, [(a, b, c) for a in nz for b in sub for c in nz])
 
@@ -102,7 +102,7 @@ def test_subfield_copy_is_unipotent():
 
 def test_conjugation_certificate_is_refused_past_the_pair_cap():
     # D of three ratios against a span of four corners: 12 steps
-    sub = sorted(e.wire for e in subfield_of_degree(F16, 2).embedding)
+    sub = list(subfield_of_degree(F16, 2).wires)
     D = [w for w in sub if w]
     span = frozenset(sub)
     with pytest.raises(CapExceeded, match="conjugation certificate of 3 x 4 elements"):

@@ -1,12 +1,15 @@
-"""The benchmark tracer, the scripts and the package's public names.
+"""The benchmark tracer and input builder, the scripts and the package's public names.
 
-``perfbench/tracing.py`` rebinds package functions by name, and the scripts
-under ``scripts/`` import them, so a renamed or deleted function breaks a
-traced benchmark run or a script without failing any other test.
+``perfbench/tracing.py`` rebinds package functions by name,
+``perfbench/workloads.py`` builds the benchmark's inputs through the
+package API, and the scripts under ``scripts/`` import package names, so a
+renamed or deleted function breaks a benchmark run or a script without
+failing any other test.
 """
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +41,24 @@ def test_tracer_installs_and_every_export_resolves():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "installed"
+
+
+@pytest.mark.parametrize("workload", ["corpus", "products", "wide_field", "incidence"])
+def test_benchmark_inputs_build_in_a_fresh_interpreter(workload, tmp_path):
+    out = tmp_path / workload
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "workloads.py"),
+         "--workload", workload, "--seed", "1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["workload"] == workload
+    assert plan["ops"]
+    assert all(op["input"] in plan["inputs"] for op in plan["ops"] if "input" in op)
+    assert all(Path(path).is_file() for path in plan["inputs"].values())
 
 
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
