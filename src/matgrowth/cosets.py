@@ -1,26 +1,34 @@
 """Coset occupancy profiles: the fiber maxima the energy bounds consume.
 
-For A in T2 three maxima are measured:
+Every fiber here is a coset fiber of a named ``SubgroupTag``, which owns
+the coset keys; a report hands in the ones its ``Products`` keeps per tag
+for its subgroup section too.  For A in T2 three maxima are measured:
 
-  m3  largest fiber of the diagonal-forgetting map g -> (a, c);
-  m2  largest fiber of the diagonal ratio g -> a/c, i.e. the most
-      populated coset of the scaled-unipotent subgroup;
+  m3  largest fiber of the unipotent cosets, keyed (a, c);
+  m2  largest fiber of the scaled-unipotent cosets, keyed by the diagonal
+      ratio a/c;
   m1  largest number of elements of A in a single left coset of a torus
       stabilizer: max over (x, y) of #{g in A : g.a x + g.b = g.c y}.
 
 For A in H two are measured:
 
-  base_max (m)  largest fiber of the base projection g -> (g1, g2);
+  base_max (m)  largest fiber of the center cosets, keyed by the base
+      point (g1, g2);
   line_max (M)  largest total occupancy of the ``line_center`` cosets,
       max over affine lines alpha g1 + beta g2 = gamma of the number of
       elements of A whose base point lies on the line.
 
+m1 and line_max are one kernel, ``heaviest_line``, by point-line duality:
+line_max is the heaviest line through the weighted base points, and m1
+the heaviest line alpha = 1 through the dual points (b/c, a/c) of A's
+scalar cosets, whose witness (1, x, y) is read back as (x, y).
+
 Each maximum ships with the lexicographically smallest witness achieving
-it, so a report consumer can recount the witness fiber from scratch.  m1
-and line_max come from pairs of lines and of base points, so no profile
-costs more than O(|A|^2) at any q; past
-``Caps.max_pair_products`` pairs the profile raises ``CapExceeded`` whose
-``partial`` is the profile with that maximum left None.
+it, so a report consumer can recount the witness fiber from scratch.  The
+line maxima come from pairs of points, so no profile costs more than
+O(|A|^2) at any q; past ``Caps.max_pair_products`` pairs the profile
+raises ``CapExceeded`` whose ``partial`` is the profile with that maximum
+left None.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 from .config import Caps
 from .errors import ParameterError
-from .groups import H, T2, GroupSet, Wire
+from .groups import H, T2, GroupSet, SubgroupTag
 from .growth import check_pairs
 
 
@@ -48,48 +56,55 @@ class T2Profile:
     size: int
 
 
-def t2_profile(A: GroupSet, caps: Caps | None = None) -> T2Profile:
+def t2_profile(A: GroupSet, caps: Caps | None = None, fibers=None) -> T2Profile:
+    """The T2 maxima; ``fibers(tag)`` gives A's coset fibers under a tag
+    (a report passes its memoised ``Products.fibers``)."""
     if A.group != T2:
         raise ParameterError(f"T2 profile of a set in group {A.group}")
     spec = A.spec
-    diag: Counter = Counter()
-    ratio: Counter = Counter()
-    lines: Counter = Counter()
-    for a, b, c in A.wires:
-        diag[(a, c)] += 1
-        ci = spec.inv(c)
-        s = spec.mul(a, ci)
-        ratio[(s,)] += 1
-        # the (x, y) with a x + b = c y form the line y = (a/c) x + b/c
-        lines[(s, spec.mul(b, ci))] += 1
-    prof = T2Profile(m3=_counter_max(diag), m2=_counter_max(ratio), m1=None, size=len(A))
+    fibers = fibers or (lambda tag: tag.fibers(A))
+    dilates = fibers(SubgroupTag("scalars"))
+    m3, m2 = (_counter_max(fibers(SubgroupTag(k))) for k in ("unipotent", "scaled_unipotent"))
+    prof = T2Profile(m3=m3, m2=m2, m1=None, size=len(A))
     cap = (caps or Caps()).max_pair_products
-    check_pairs("torus-coset profile", len(lines), len(lines), cap, "distinct lines", prof)
-    return replace(prof, m1=_heaviest_crossing(spec, lines))
+    check_pairs("torus-coset profile", len(dilates), len(dilates), cap, "distinct lines", prof)
+    # the (x, y) with a x + b = c y form one line per scalar coset (t, u) =
+    # (b/a, c/a): y = x/u + t/u, through (x, y) when (t/u, 1/u) lies on the
+    # dual line 1 * t/u + x * 1/u = y
+    points = {(spec.div(t, u), spec.inv(u)): w for (t, u), w in dilates.items()}
+    m1 = heaviest_line(spec, points, unit_alpha=True)
+    return replace(prof, m1=FiberMax(value=m1.value, witness=m1.witness[1:]))
 
 
-def _heaviest_crossing(spec, lines: Counter) -> FiberMax:
-    """Heaviest point (x, y) of weighted lines y = s x + t, keyed (s, t).
+def heaviest_line(spec, points: dict, unit_alpha: bool = False) -> FiberMax:
+    """Heaviest line alpha u + beta v = gamma through weighted points (u, v),
+    its normal (alpha, beta) scaled so the first nonzero entry is one; with
+    ``unit_alpha``, only the lines with alpha = 1.
 
-    When two slopes differ, every line meets a line of another slope, so
-    a heaviest point is a crossing and the pairs of lines find it.  When
-    all lines are parallel no two meet, and the smallest heaviest point is
-    where the heaviest line with the smallest intercept crosses x = 0.
+    A line through two points outweighs a line through either alone, so the
+    lines through pairs of points find a heaviest one whenever some line
+    holds two.  When none does (a lone point, or with ``unit_alpha`` points
+    that all share v) the smallest heaviest line is the smallest line
+    through a heaviest point: (0, 1, v), or (1, 0, u) with ``unit_alpha``.
     """
-    if len({s for s, _ in lines}) < 2:
-        return _counter_max({(0, t): w for (_, t), w in lines.items()})
-    items = sorted(lines.items())
-    points: dict = {}
-    for i, ((s1, t1), w1) in enumerate(items):
+    pts = sorted(points.items())
+    lines: dict = {}
+    for i, ((x1, y1), w1) in enumerate(pts):
         here: Counter = Counter()
-        for (s2, t2), w2 in items[i + 1:]:
-            if s2 != s1:
-                x = spec.div(spec.sub(t2, t1), spec.sub(s1, s2))
-                here[(x, spec.add(spec.mul(s1, x), t1))] += w2
-        # a point's weight is complete from the first line through it
-        for pt, w in here.items():
-            points[pt] = max(points.get(pt, 0), w1 + w)
-    return _counter_max(points)
+        for (x2, y2), w2 in pts[i + 1:]:
+            dy = spec.sub(y2, y1)
+            # the normal (alpha, beta) of direction (x2 - x1, dy), first nonzero one
+            if dy:
+                here[(1, spec.div(spec.sub(x1, x2), dy))] += w2
+            elif not unit_alpha:
+                here[(0, 1)] += w2
+        # a line's weight is complete from the first point on it
+        for (alpha, beta), w in here.items():
+            key = (alpha, beta, spec.add(x1, spec.mul(beta, y1)) if alpha else y1)
+            lines[key] = max(lines.get(key, 0), w1 + w)
+    if not lines:
+        lines = {((1, 0, u) if unit_alpha else (0, 1, v)): w for (u, v), w in pts}
+    return _counter_max(lines)
 
 
 def _counter_max(counts: dict) -> FiberMax:
@@ -108,42 +123,16 @@ class HeisProfile:
     size: int
 
 
-def heis_profile(A: GroupSet, caps: Caps | None = None) -> HeisProfile:
+def heis_profile(A: GroupSet, caps: Caps | None = None, fibers=None) -> HeisProfile:
+    """The H maxima; ``fibers`` as for ``t2_profile``."""
     if A.group != H:
         raise ParameterError(f"Heisenberg profile of a set in group {A.group}")
-    base: Counter = Counter()
-    for w in A.wires:
-        base[(w[0], w[1])] += 1
-    base_max = _counter_max(base)
-    prof = HeisProfile(base_max=base_max, line_max=None, size=len(A))
+    center = SubgroupTag("center")
+    base = fibers(center) if fibers else center.fibers(A)
+    prof = HeisProfile(base_max=_counter_max(base), line_max=None, size=len(A))
     cap = (caps or Caps()).max_pair_products
     check_pairs("line profile", len(base), len(base), cap, "distinct base points", prof)
-    return replace(prof, line_max=_heaviest_line(A.spec, base))
-
-
-def _heaviest_line(spec, base: Counter) -> FiberMax:
-    """Heaviest line alpha g1 + beta g2 = gamma through weighted base points.
-
-    With two or more points a heaviest line holds two of them (adding a
-    second point to a line only adds weight), so the lines through pairs
-    find it.  A lone point's smallest line is the direction (0, 1).
-    """
-    pts = sorted(base.items())
-    if len(pts) == 1:
-        ((_, g2), w), = pts
-        return FiberMax(value=w, witness=(0, 1, g2))
-    lines: dict = {}
-    for i, ((x1, y1), w1) in enumerate(pts):
-        here: Counter = Counter()
-        for (x2, y2), w2 in pts[i + 1:]:
-            dx, dy = spec.sub(x2, x1), spec.sub(y2, y1)
-            # the normal (alpha, beta) of direction (dx, dy), first nonzero one
-            here[(1, spec.div(spec.neg(dx), dy)) if dy else (0, 1)] += w2
-        # a line's weight is complete from the first point on it
-        for (alpha, beta), w in here.items():
-            key = (alpha, beta, spec.add(spec.mul(alpha, x1), spec.mul(beta, y1)))
-            lines[key] = max(lines.get(key, 0), w1 + w)
-    return _counter_max(lines)
+    return replace(prof, line_max=heaviest_line(A.spec, base))
 
 
 # -- dyadic decomposition by dilate count --------------------------------------
@@ -164,48 +153,31 @@ class DyadicPiece:
         return self.element_count * self.fiber_max <= (1 << self.j) * p * p
 
 
-def _dilate_key(spec, w: tuple) -> tuple[int, int]:
-    # scalar coset of (a, b, c): all (la, lb, lc), so normalize by a
-    return (spec.div(w[1], w[0]), spec.div(w[2], w[0]))
-
-
-def dyadic_pieces(A: GroupSet) -> list[DyadicPiece]:
+def dyadic_pieces(A: GroupSet, keys=None) -> list[DyadicPiece]:
     """Split A by the dyadic size class of its scalar-coset fiber.
 
     Two elements share a fiber exactly when one is a dilate of the other
     (equal up to a scalar matrix), so the fiber key is the projective
     pair (b/a, c/a).  Each piece also records its own largest
     unipotent-coset fiber, which the p-constraint check needs.
+    ``keys(tag)`` gives the coset keys of A's elements in canonical order
+    (a report passes its memoised ``Products.coset_keys``).
     """
     if A.group != T2:
         raise ParameterError("dyadic dilate decomposition applies to T2 sets")
-    spec = A.spec
-    fibers: Counter = Counter()
-    for w in A.wires:
-        fibers[_dilate_key(spec, w)] += 1
+    keys = keys or (lambda tag: tag.keys(A))
+    dilates = keys(SubgroupTag("scalars"))
+    fibers = Counter(dilates)
     band_of = {key: n.bit_length() - 1 for key, n in fibers.items()}
-    diag: Counter = Counter()
-    for w in A.wires:
-        diag[(band_of[_dilate_key(spec, w)], w[0], w[2])] += 1
+    bands = [band_of[key] for key in dilates]
     diag_max: dict[int, int] = {}
-    for (j, _, _), n in diag.items():
+    for (j, _), n in Counter(zip(bands, keys(SubgroupTag("unipotent")))).items():
         diag_max[j] = max(diag_max.get(j, 0), n)
-    by_band: dict[int, list[tuple[int, int]]] = {}
-    for key, j in band_of.items():
-        by_band.setdefault(j, []).append(key)
+    sizes = Counter(bands)
     pieces = []
-    for j in sorted(by_band):
-        keys = tuple(sorted(by_band[j]))
-        count = sum(fibers[k] for k in keys)
-        pieces.append(
-            DyadicPiece(
-                j=j,
-                coset_count=len(keys),
-                element_count=count,
-                fiber_max=diag_max[j],
-                keys=keys,
-            )
-        )
+    for j in sorted(sizes):
+        cosets = tuple(sorted(key for key, band in band_of.items() if band == j))
+        pieces.append(DyadicPiece(j, len(cosets), sizes[j], diag_max[j], cosets))
     return pieces
 
 

@@ -16,7 +16,8 @@ set of wire triples with its ambient group tag.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import Caps, json_typed
 from .errors import CapExceeded, MismatchError, ParameterError
@@ -330,8 +331,16 @@ _H_KINDS = ("center", "line", "line_center")
 _NORMAL_KINDS = frozenset({"unipotent", "scalars", "scaled_unipotent", "center", "line_center"})
 
 
+def _no_cosets(w: Wire) -> tuple:
+    raise ParameterError("this line is not a subgroup; cosets are undefined")
+
+
 class SubgroupTag:
     """A named coordinate subgroup (or section) used for membership counting.
+
+    The one place that computes the subgroup's cosets: ``fibers`` and
+    ``keys`` read the coset keys of a set, ``members`` its slice S n H;
+    ``coset_key`` and ``member`` are their one-element forms.
 
     T2 kinds: unipotent (a=c=1), scalars (a=c, b=0), diagonal (b=0),
     torus(x) (b=(a-c)x), scaled_unipotent (a=c), scaled_torus(x) (alias of
@@ -384,42 +393,81 @@ class SubgroupTag:
         nonzero: there the corner of a product picks up a nonzero cross
         term and leaves the g3 = 0 slice.
         """
-        if self.kind != "line":
-            return True
-        alpha, beta = self._normal_wires(spec)
-        return alpha == 0 or beta == 0
+        return self.kind != "line" or 0 in self._normal_wires(spec)
 
     def _normal_wires(self, spec: FieldSpec) -> tuple[int, int]:
         # normalize the direction projectively: first nonzero becomes 1
-        alpha, beta = self.direction
-        alpha = spec.check_wire(alpha)
-        beta = spec.check_wire(beta)
-        if alpha != 0:
-            s = spec.inv(alpha)
-        else:
-            s = spec.inv(beta)
+        alpha, beta = map(spec.check_wire, self.direction)
+        s = spec.inv(alpha or beta)
         return spec.mul(alpha, s), spec.mul(beta, s)
 
     def member(self, spec: FieldSpec, w: Wire) -> bool:
-        k = self.kind
-        if k == "unipotent":
-            return w[0] == 1 and w[2] == 1
-        if k == "scalars":
-            return w[0] == w[2] and w[1] == 0
-        if k == "diagonal":
-            return w[1] == 0
-        if k == "scaled_unipotent":
-            return w[0] == w[2]
-        if k in ("torus", "scaled_torus"):
+        return self._forms(spec)[1](w)
+
+    def coset_key(self, spec: FieldSpec, w: Wire) -> tuple:
+        """Invariant separating left cosets: equal keys, same coset gH."""
+        return self._forms(spec)[0](w)
+
+    def fibers(self, S: GroupSet) -> Counter:
+        """How many elements of S lie in each left coset, by coset key."""
+        return Counter(self.keys(S))
+
+    def keys(self, S: GroupSet) -> list[tuple]:
+        """The coset key of each element of S, in S's canonical order."""
+        self.check_group(S.group)
+        return list(map(self._forms(S.spec)[0], S.wires))
+
+    def members(self, S: GroupSet) -> GroupSet:
+        """S n H; a filtered canonical tuple stays canonical."""
+        self.check_group(S.group)
+        return GroupSet(S.group, S.spec, filter(self._forms(S.spec)[1], S.wires), _sorted=True)
+
+    def check_group(self, group: str) -> None:
+        """Refuse to act on a set of the other group."""
+        if group != self.group:
+            raise ParameterError(f"tag {self!r} is not a {group} subgroup")
+
+    def _forms(self, spec: FieldSpec) -> tuple[Callable[[Wire], tuple], Callable[[Wire], bool]]:
+        """The coset key and the membership test of a wire, with the tag's
+        parameters resolved once.
+
+        Each key is a closed-form invariant of the left cosets gH (checked
+        against explicit coset enumeration in the test suite), so coset
+        bookkeeping never multiplies out a coset.  A line that is not a
+        subgroup has no cosets: its key raises.
+        """
+        add, sub, mul, div = spec.add, spec.sub, spec.mul, spec.div
+        if self.kind in ("torus", "scaled_torus"):
             x = spec.check_wire(self.x)
-            return w[1] == spec.mul(spec.sub(w[0], w[2]), x)
-        if k == "center":
-            return w[0] == 0 and w[1] == 0
-        alpha, beta = self._normal_wires(spec)
-        on_line = spec.add(spec.mul(alpha, w[0]), spec.mul(beta, w[1])) == 0
-        if k == "line":
-            return on_line and w[2] == 0
-        return on_line  # line_center
+            return (
+                lambda w: (div(sub(w[1], mul(w[0], x)), w[2]),),
+                lambda w: w[1] == mul(sub(w[0], w[2]), x),
+            )
+        if self.kind in ("line", "line_center"):
+            alpha, beta = self._normal_wires(spec)
+
+            def base(w: Wire) -> int:  # alpha g1 + beta g2
+                return add(mul(alpha, w[0]), mul(beta, w[1]))
+
+            if self.kind == "line_center":
+                return (lambda w: (base(w),)), (lambda w: base(w) == 0)
+            if alpha == 0:
+                key = lambda w: (w[1], w[2])
+            elif beta == 0:
+                key = lambda w: (w[0], sub(w[2], mul(w[0], w[1])))
+            else:
+                key = _no_cosets
+            return key, (lambda w: w[2] == 0 and base(w) == 0)
+        return {
+            "unipotent": (lambda w: (w[0], w[2]), lambda w: w[0] == 1 and w[2] == 1),
+            "scalars": (  # a dilate (la, lb, lc) normalized by a
+                lambda w: (div(w[1], w[0]), div(w[2], w[0])),
+                lambda w: w[0] == w[2] and w[1] == 0,
+            ),
+            "diagonal": (lambda w: (div(w[1], w[2]),), lambda w: w[1] == 0),
+            "scaled_unipotent": (lambda w: (div(w[0], w[2]),), lambda w: w[0] == w[2]),
+            "center": (lambda w: (w[0], w[1]), lambda w: w[0] == 0 and w[1] == 0),
+        }[self.kind]
 
     def order(self, spec: FieldSpec) -> int:
         """Size of the member set, in closed form: ``len(self.elements(spec))``."""
@@ -464,37 +512,6 @@ class SubgroupTag:
             else:
                 wires = [(b1, b2, t) for b1, b2 in bases for t in range(q)]
         return GroupSet(self.group, spec, wires, _checked=True)
-
-    def coset_key(self, spec: FieldSpec, w: Wire) -> tuple:
-        """Invariant separating left cosets: equal keys, same coset gH.
-
-        Each kind has a closed-form invariant (checked against explicit
-        coset enumeration in the test suite), so coset bookkeeping never
-        needs to multiply out a coset.  Only defined when the member set
-        is an actual subgroup.
-        """
-        k = self.kind
-        if k == "unipotent":
-            return (w[0], w[2])
-        if k == "scalars":
-            return (spec.div(w[1], w[0]), spec.div(w[2], w[0]))
-        if k == "diagonal":
-            return (spec.div(w[1], w[2]),)
-        if k in ("torus", "scaled_torus"):
-            x = spec.check_wire(self.x)
-            return (spec.div(spec.sub(w[1], spec.mul(w[0], x)), w[2]),)
-        if k == "scaled_unipotent":
-            return (spec.div(w[0], w[2]),)
-        if k == "center":
-            return (w[0], w[1])
-        alpha, beta = self._normal_wires(spec)
-        if k == "line_center":
-            return (spec.add(spec.mul(alpha, w[0]), spec.mul(beta, w[1])),)
-        if alpha != 0 and beta != 0:
-            raise ParameterError("this line is not a subgroup; cosets are undefined")
-        if alpha == 0:
-            return (w[1], w[2])
-        return (w[0], spec.sub(w[2], spec.mul(w[0], w[1])))
 
     def coset(self, spec: FieldSpec, rep: Sequence[int]) -> GroupSet:
         """Left coset rep * subgroup as an explicit set; rep is a wire triple."""

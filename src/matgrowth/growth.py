@@ -23,7 +23,8 @@ set or a counter and decode the distinct keys once.  ``gmul`` stays their
 oracle.
 
 The checks below take a ``GroupSet`` or the shared ``Products`` of one
-report, which enumerates each product set at most once.
+report, which enumerates each product set at most once, and builds A's
+coset keys and the slice A^-1 A n H at most once per subgroup tag.
 """
 
 from __future__ import annotations
@@ -213,6 +214,7 @@ class Products:
         self.A = A
         self.caps = caps or Caps()
         self._powers = [A]
+        self._memo: dict = {}
 
     @cached_property
     def quotient_tally(self) -> tuple[GroupSet, int]:
@@ -248,11 +250,23 @@ class Products:
     def cube(self) -> GroupSet:
         return self._climb(self._powers, 3)
 
+    def coset_keys(self, tag) -> list[tuple]:
+        """The tag's coset key of each element of A, built once per tag."""
+        return self.memo(("keys", tag), lambda: tag.keys(self.A))
+
+    def fibers(self, tag) -> Counter:
+        """A's fibers over the tagged subgroup's left cosets, by coset key."""
+        return self.memo(("fibers", tag), lambda: Counter(self.coset_keys(tag)))
+
     def quotient_slice(self, tag) -> GroupSet:
-        """A^-1 A n H for the tagged subgroup H."""
-        spec = self.A.spec
-        wires = (w for w in self.quotient.wires if tag.member(spec, w))
-        return GroupSet(self.A.group, spec, wires, _checked=True)
+        """A^-1 A n H for the tagged subgroup H, built once per tag."""
+        return self.memo(("slice", tag), lambda: tag.members(self.quotient))
+
+    def memo(self, key, build):
+        """build(), run once per key for this A."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def sym(self, k: int) -> GroupSet:
         return self._climb(self._sym_powers, k)
@@ -369,30 +383,22 @@ def quotient_set(A: GroupSet, cap: int = Caps.max_pair_products) -> GroupSet:
     return product_set(A.inverses(), A, cap=cap)
 
 
-def coset_count_check(B: GroupSet, tag) -> tuple[bool, int, int]:
+def coset_count_check(B: GroupSet | Products, tag) -> tuple[bool, int, int]:
     """|B| <= #left-cosets of the tagged subgroup met by B, times the
-    largest coset fiber.  Returns (holds, coset_count * max_fiber, |B|)."""
-    spec = B.spec
-    fibers: Counter = Counter()
-    for w in B.wires:
-        fibers[tag.coset_key(spec, w)] += 1
-    if not fibers:
-        return True, 0, 0
-    bound = len(fibers) * max(fibers.values())
-    return len(B) <= bound, bound, len(B)
+    largest coset fiber.  Returns (holds, coset_count * max_fiber, |B|);
+    for ``Products`` B is A, with its memoised fibers."""
+    fibers = B.fibers(tag) if isinstance(B, Products) else tag.fibers(B)
+    size, bound = sum(fibers.values()), len(fibers) * max(fibers.values(), default=0)
+    return size <= bound, bound, size
 
 
 def orbit_stabilizer_check(A: GroupSet | Products, B: GroupSet, tag) -> tuple[bool, int, int]:
     """|AB| >= |H n B| * #(distinct cosets AH), the set-level
     orbit-stabiliser inequality.  Returns (holds, |AB|, bound)."""
     P = as_products(A)
-    A = P.A
-    A.same_ambient(B)
-    spec = A.spec
-    cosets = {tag.coset_key(spec, w) for w in A.wires}
-    slab = sum(1 for w in B.wires if tag.member(spec, w))
-    bound = slab * len(cosets)
-    AB = P.square if B == A else product_set(A, B, cap=P.caps.max_pair_products)
+    P.A.same_ambient(B)
+    bound = len(tag.members(B)) * len(P.fibers(tag))
+    AB = P.square if B == P.A else product_set(P.A, B, cap=P.caps.max_pair_products)
     return len(AB) >= bound, len(AB), bound
 
 
@@ -408,7 +414,7 @@ def intersection_power_check(A: GroupSet | Products, tag, k: int) -> tuple[bool,
     if len(B) == 0:
         return True, 0, 0
     Bk = power_set(B, k, cap=P.caps.max_pair_products)
-    cut = sum(1 for w in P.sym(2 * k).wires if tag.member(P.A.spec, w))
+    cut = len(tag.members(P.sym(2 * k)))
     return len(Bk) <= cut, len(Bk), cut
 
 
@@ -421,16 +427,14 @@ def covering_check(A: GroupSet | Products, tag) -> tuple[bool, int]:
     coset: at most |A| products.  Returns (holds, #reps).
     """
     P = as_products(A)
-    A = P.A
-    spec = A.spec
-    group = A.group
+    spec, group = P.A.spec, P.A.group
     if not tag.is_normal:
         raise ParameterError(f"covering check needs a normal subgroup, not {tag.kind}")
     core = set(P.quotient_slice(tag).wires) | {gid(group)}
     reps: dict[tuple, Wire] = {}
     holds = True
-    for a in A.wires:
-        r = reps.setdefault(tag.coset_key(spec, a), a)
+    for a, key in zip(P.A.wires, P.coset_keys(tag)):
+        r = reps.setdefault(key, a)
         if r is not a:  # a representative covers itself: r^-1 r = 1
             holds = holds and gmul(spec, group, ginv(spec, group, r), a) in core
     return holds, len(reps)

@@ -179,6 +179,8 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
     group = A.group
     n = len(A)
     P = Products(A, opts.caps)
+    tag = opts.subgroup or default_subgroup(group)
+    tag.check_group(group)  # before any section runs
 
     report: dict = {
         "schema": REPORT_SCHEMA,
@@ -235,11 +237,10 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
         }
 
     def subgroup_section():
-        tag = opts.subgroup or default_subgroup(group)
         if not tag.is_subgroup(spec):
             return {"error": f"{tag!r} is not closed under the product"}
         counts = {}
-        for name, B in (("set", A), ("quotient", P.quotient)):
+        for name, B in (("set", P), ("quotient", P.quotient)):
             holds, bound, size = coset_count_check(B, tag)
             counts[name] = {"holds": holds, "bound": bound, "size": size}
             if not holds:
@@ -250,9 +251,8 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
         ih, power_size, window = intersection_power_check(P, tag, opts.intersection_k)
         if not ih:
             issues.append("intersection_power")
-        slab = P.quotient_slice(tag)
         orbit = {}
-        for name, B in (("set", A), ("subgroup_slice", slab)):
+        for name, B in (("set", A), ("subgroup_slice", P.quotient_slice(tag))):
             if len(B) == 0:
                 orbit[name] = {"skipped": "empty sample"}
                 continue
@@ -285,7 +285,7 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
         nonlocal capped
         pair_max = None
         try:
-            prof = (t2_profile if group == T2 else heis_profile)(A, opts.caps)
+            prof = (t2_profile if group == T2 else heis_profile)(A, opts.caps, fibers=P.fibers)
             state["profile"] = prof
         except CapExceeded as exc:
             if exc.partial is None:
@@ -319,7 +319,7 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
 
     @cache  # read by the T2 flags and the dyadic section
     def pieces():
-        return dyadic_pieces(A)
+        return dyadic_pieces(A, keys=P.coset_keys)
 
     def dyadic_section():
         return [

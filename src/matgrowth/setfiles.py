@@ -142,8 +142,7 @@ def _recipe_field(gen: dict, key: str):
 def _generator_tag(group: str, spec: FieldSpec, gen: dict) -> SubgroupTag:
     """The recipe's subgroup tag, refused before any build past the set cap."""
     tag = SubgroupTag.from_json(_recipe_field(gen, "tag"))
-    if tag.group != group:
-        raise ParameterError(f"tag {tag!r} is not a {group} subgroup")
+    tag.check_group(group)
     _check_set_cap(tag.order(spec), f"elements of {tag!r} over F_{spec.q}")
     return tag
 

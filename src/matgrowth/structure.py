@@ -27,7 +27,7 @@ from fractions import Fraction
 from .config import StructureOptions
 from .errors import ParameterError
 from .ffield import span_over_subfield, subfield_generated_by
-from .groups import T2, GroupSet, ginv, gmul
+from .groups import T2, GroupSet, SubgroupTag, ginv, gmul
 from .growth import Products, as_products, check_pairs
 
 POTENT = "POTENT"
@@ -40,13 +40,13 @@ def unipotent_lift(spec, corner_wires) -> GroupSet:
 
 
 def unipotent_corners(S: GroupSet) -> tuple[int, ...]:
-    """Corner entries of the elements with trivial diagonal, sorted."""
-    return tuple(sorted(w[1] for w in S.wires if w[0] == 1 and w[2] == 1))
+    """Corner entries of the elements with trivial diagonal, sorted (as S n U is)."""
+    return tuple(w[1] for w in SubgroupTag("unipotent").members(S).wires)
 
 
 def ratio_image(S: GroupSet) -> tuple[int, ...]:
-    spec = S.spec
-    return tuple(sorted({spec.div(w[0], w[2]) for w in S.wires}))
+    """The diagonal ratios a/c met by S, sorted: its scaled-unipotent cosets."""
+    return tuple(sorted(chi for chi, in SubgroupTag("scaled_unipotent").fibers(S)))
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def structure_scan(
     spec = P.A.spec
     work, symmetrized = working_set(P)
     tripling = Fraction(len(P.sym(3)), len(work))
-    D = ratio_image(work)
+    D = P.memo("ratio_image", lambda: ratio_image(P.sym(1)))  # shared by both scans
     threshold = max(tripling**opts.potent_exponent, Fraction(opts.potent_floor))
     base = dict(
         symmetrized=symmetrized,
@@ -109,7 +109,7 @@ def structure_scan(
     )
 
     if len(D) <= threshold:
-        overlap = sum(1 for w in P.sym(2).wires if w[0] == w[2])
+        overlap = len(SubgroupTag("scaled_unipotent").members(P.sym(2)))
         return StructureReport(
             verdict=POTENT,
             overlap=overlap,
@@ -144,11 +144,15 @@ def structure_scan(
 
 
 def _corner_span(P: Products, D) -> tuple:
-    """X, the corners of A(4); F, the subfield D generates; Span_F(X) as wires."""
-    spec = P.A.spec
-    X = unipotent_corners(P.sym(4))
-    F = subfield_generated_by(spec, D)
-    return X, F, frozenset(span_over_subfield(X, F, cap=P.caps.max_set_elements))
+    """X, the corners of A(4); F, the subfield D generates; Span_F(X) as
+    wires: built once per ``Products``, for both scans."""
+
+    def build():
+        X = unipotent_corners(P.sym(4))
+        F = subfield_generated_by(P.A.spec, D)
+        return X, F, frozenset(span_over_subfield(X, F, cap=P.caps.max_set_elements))
+
+    return P.memo("corner_span", build)
 
 
 def _cert_dilated_sums_in_span(spec, X, D, span_wires, cap: int) -> Certificate:
@@ -247,7 +251,7 @@ def sum_product_scan(A: GroupSet | Products) -> SumProductReport:
         raise ParameterError("sum-product scan is defined for T2 sets")
     spec = P.A.spec
     cap = P.caps.max_pair_products
-    D = ratio_image(P.sym(1))
+    D = P.memo("ratio_image", lambda: ratio_image(P.sym(1)))  # shared by both scans
     X, F, span_wires = _corner_span(P, D)
 
     check_pairs("dilate set", len(D), len(X), cap)

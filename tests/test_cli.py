@@ -518,3 +518,40 @@ def test_verify_needs_a_json_bool_for_structure(tmp_path, capsys):
     assert main(["verify", str(corpus)]) == 4
     out = capsys.readouterr().out
     assert "[FAIL] sample: structure must be a JSON bool, got 'false'" in out
+
+
+WRONG_GROUP_TAGS = [("T2", "center"), ("H", "unipotent")]
+
+
+@pytest.mark.parametrize("group, tag", WRONG_GROUP_TAGS)
+def test_report_refuses_a_tag_of_the_other_group(tmp_path, capsys, group, tag):
+    # the T2 set once ran with a spurious covering issue (exit 2), the H set
+    # with a meaningless subgroup section (exit 0)
+    path = gen_random(tmp_path, group=group, size=10, seed=1)
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    assert main(["report", str(path), "--subgroup", tag, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: tag {parse_tag(tag)!r} is not a {group} subgroup\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("group, tag", WRONG_GROUP_TAGS)
+def test_verify_refuses_a_manifest_tag_of_the_other_group(tmp_path, capsys, group, tag):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    sf = load_setfile(gen_random(corpus, name="sample.json", group=group, size=10, seed=1))
+    write_json(
+        corpus / "manifest.json",
+        {"sets": [{"name": "sample", "file": "sample.json",
+                   "options": {"subgroup": parse_tag(tag).to_json()}}]},
+    )
+    write_json(
+        corpus / "expected.json",
+        {"sample": {"elements_sha256": sf.elements_digest, "report_sha256": "", "exit_code": 0}},
+    )
+    capsys.readouterr()
+    assert main(["verify", str(corpus)]) == 4
+    assert capsys.readouterr().out == (
+        f"[FAIL] sample: tag {parse_tag(tag)!r} is not a {group} subgroup\n"
+    )

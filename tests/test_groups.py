@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import F5, F7, F9, F101, SMALL_FIELDS, group_wires
+from conftest import F5, F7, F9, F16, F101, SMALL_FIELDS, group_wires
 from matgrowth.errors import CapExceeded, MismatchError, ParameterError
 from matgrowth.groups import (
     GroupSet,
@@ -355,12 +355,26 @@ def test_tag_group_assignment():
     assert SubgroupTag("center").group == "H"
 
 
+TAG_FIELDS = [F5, F9, F16]
+
+
+def sample_of(ambient):
+    """Every third element of the ambient group: a set whose coset fibers
+    differ in size."""
+    return GroupSet(ambient.group, ambient.spec, ambient.wires[::3])
+
+
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=tag_id)
 def test_member_matches_elements(tag):
-    spec = F5
-    listed = set(tag.elements(spec).wires)
-    for w in all_wires(spec, tag.group):
-        assert tag.member(spec, w) == (w in listed)
+    for spec in TAG_FIELDS:
+        hs = tag.elements(spec)
+        listed = set(hs.wires)
+        ambient = GroupSet(tag.group, spec, all_wires(spec, tag.group))
+        for w in ambient.wires:
+            assert tag.member(spec, w) == (w in listed)
+        assert tag.members(ambient) == hs
+        sample = sample_of(ambient)
+        assert tag.members(sample) == GroupSet(tag.group, spec, listed.intersection(sample.wires))
 
 
 def test_subgroup_sizes():
@@ -457,15 +471,21 @@ def test_is_normal_matches_conjugation(tag):
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=tag_id)
 def test_coset_key_partitions_like_explicit_cosets(tag):
-    spec = F5
-    if not tag.is_subgroup(spec):
+    if not tag.is_subgroup(F5):
         pytest.skip("member set is not closed")
-    ambient = GroupSet(tag.group, spec, all_wires(spec, tag.group))
-    by_key = {}
-    for w in ambient.wires:
-        by_key.setdefault(tag.coset_key(spec, w), set()).add(w)
-    got = sorted(sorted(block) for block in by_key.values())
-    assert got == coset_partition(ambient, tag)
+    for spec in TAG_FIELDS:
+        ambient = GroupSet(tag.group, spec, all_wires(spec, tag.group))
+        samples = [sample_of(ambient)]
+        if spec == F5:  # the oracle multiplies out every coset of every element
+            samples.append(ambient)
+        for S in samples:
+            keys = tag.keys(S)
+            assert keys == [tag.coset_key(spec, w) for w in S.wires]
+            blocks = {}
+            for key, w in zip(keys, S.wires):
+                blocks.setdefault(key, []).append(w)
+            assert sorted(blocks.values()) == coset_partition(S, tag)
+            assert tag.fibers(S) == {key: len(block) for key, block in blocks.items()}
 
 
 def test_coset_key_rejects_skew_line():

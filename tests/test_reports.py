@@ -1,6 +1,7 @@
 """Report assembly: sections, exit codes, determinism, flat CSV projection."""
 
 import csv
+import json
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import F5, F7, F9, F101
+from matgrowth.cli import parse_tag
 from matgrowth.config import Caps, RunOptions, StructureOptions
 from matgrowth.errors import ParameterError
 from matgrowth.ffield import standard_field
@@ -391,3 +393,98 @@ def test_subgroup_section_builds_no_subgroup(monkeypatch):
     assert after[0]["subgroup"]["coset_counts"]["subgroup"] == {
         "holds": True, "bound": order, "size": order,
     }
+
+
+# Reports under the non-default subgroup tags, digests taken before the
+# coset keys moved into ``SubgroupTag``: the corpus runs only the default
+# tags, so these pin the keys, fibers and slices of every other kind (and
+# the not-closed line marker), with the structure scan on for T2.
+TAG_DIGESTS = [
+    ("t2_f7_random24.json", "unipotent", "a8c93787152556fc12d97fc9021e86959c77399f20a2c7afb0a49892bd4785b4", 0),
+    ("t2_f7_random24.json", "scalars", "b61e72f3862d3944a75f611553a181da937c48c2453912c2164fde40ea909c57", 0),
+    ("t2_f7_random24.json", "diagonal", "1b56916e8fe1fc5350016aa1423afe038f74df761cade0f335d832042e6b7a52", 0),
+    ("t2_f7_random24.json", "torus:2", "a6eaca4a641bcb5edcaf0a76a8bf869ad684cb37de2cbc5335e7befc9607cdca", 0),
+    ("t2_f7_random24.json", "scaled_torus:3", "4f3bba17c35dde5c42753e43742990f68410f198be8aca488207d5b818777f7f", 0),
+    ("t2_f9_random25.json", "unipotent", "b3929df8607f21d2f8a3ee3f31e225a5958dcb84ba28dee458c9eaa59d3fcc3f", 2),
+    ("t2_f9_random25.json", "scalars", "26f8cb06ab4772aa8e4947f30d5d460bbb4f6fdce9dd6e1be6204f25e3ae0cb3", 2),
+    ("t2_f9_random25.json", "diagonal", "a6840c852054d6d693df010eecc52af13d2ea64cbe7686bb28d1811eba675586", 2),
+    ("t2_f9_random25.json", "torus:5", "9ab594bec89a91f9b404085b7d2486ec92188384a1397858ff903e1240bb67cc", 2),
+    ("t2_f9_random25.json", "scaled_torus:8", "dfc9204e6104403734268059acaeeae02793b5a181796c40a4c6d86706bac28d", 2),
+    ("h_f5_random20.json", "line:1,0", "a125dfe49dbe5ff789dcda9358cfe1cc29a975a9d2261117d8cf2288bbd94cd5", 2),
+    ("h_f5_random20.json", "line:0,1", "e8f9ca6d8cee1badba28954a4b0abd08ad0265898fb298e420cd7687ac57256a", 2),
+    ("h_f5_random20.json", "line_center:1,2", "e84131fa8689e2b2577ffb41d2d7f5971eb6f8e3d24bfad2c14fa65de6676d34", 2),
+    ("h_f5_random20.json", "line:1,1", "4715ccd2d7f749535c15c005a2f350c921371bbe36427896bde1aebddac37e79", 2),
+    ("h_f25_random12.json", "line:1,0", "1973d6d450f16a32c38343b7d225555503cfb2857de69a2e76de30067a1e6a7f", 0),
+    ("h_f25_random12.json", "line:0,1", "3a2baa3ddb0982748681139dac87fac4430de045ae1ace4d460b8fa4b3c71cfa", 0),
+    ("h_f25_random12.json", "line_center:1,2", "055bb0cdf3d133f02c6651167af32a12c2fd533cd9c345576473134611edeff5", 0),
+    ("h_f25_random12.json", "line:1,1", "b7b8527b0a9f60e0c40dc12cc62b839d8ace376dc56773f8f6f7bc909ba86b96", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name, tag, want, code", TAG_DIGESTS, ids=[f"{n[:-5]}-{t}" for n, t, _, _ in TAG_DIGESTS]
+)
+def test_non_default_tag_reports_are_pinned(name, tag, want, code):
+    sf = load_setfile(CORPUS / name)
+    opts = RunOptions(subgroup=parse_tag(tag), structure=sf.group == "T2")
+    rep, got = run_report(sf, opts)
+    assert (digest(rep), got) == (want, code)
+
+
+@pytest.mark.parametrize(
+    "sf",
+    [passing_setfile(), CROSSING_SET, build_setfile("H", F7, {"kind": "random", "size": 20, "seed": 1})],
+    ids=["t2_f7_random12", "t2_f101_random40", "h_f7_random20"],
+)
+def test_report_reads_each_tags_keys_and_slice_once(monkeypatch, sf):
+    """The subgroup checks, the profile and the dyadic split share A's coset
+    keys per tag, and A^-1 A n H is cut out of the quotient once."""
+    A = sf.elements
+    quotient = Products(A).quotient
+    keyed, sliced = [], []
+    keys, fibers, members = SubgroupTag.keys, SubgroupTag.fibers, SubgroupTag.members
+
+    def logged(log, fn):
+        def wrapper(tag, S):
+            log.append((tag, S))
+            return fn(tag, S)
+        return wrapper
+
+    monkeypatch.setattr(SubgroupTag, "keys", logged(keyed, keys))
+    monkeypatch.setattr(SubgroupTag, "fibers", logged(keyed, fibers))
+    monkeypatch.setattr(SubgroupTag, "members", logged(sliced, members))
+    _, code = run_report(sf, RunOptions(bridge="off"))
+    assert code in (EXIT_OK, EXIT_FLAGS)
+    of_a = [tag for tag, S in keyed if S is A]
+    assert default_subgroup(A.group) in of_a
+    assert len(of_a) == len(set(of_a))
+    assert [tag for tag, S in sliced if S == quotient] == [default_subgroup(A.group)]
+
+
+def test_structure_scans_share_the_ratio_image_and_corner_span(monkeypatch):
+    """t2f4_in_f16 takes the UNIPOTENT branch: the structure scan and the
+    sum-product scan read one ratio image of A(1) and one corner span."""
+    from matgrowth import structure
+
+    calls = []
+    for name in ("ratio_image", "unipotent_corners", "span_over_subfield"):
+        fn = getattr(structure, name)
+        monkeypatch.setattr(
+            structure, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
+        )
+    sf = load_setfile(CORPUS / "t2f4_in_f16.json")
+    rep, code = run_report(sf, RunOptions(structure=True))
+    assert rep["structure"]["verdict"] == "UNIPOTENT"
+    assert "error" not in rep["structure"]["sum_product"]
+    assert sorted(calls) == ["ratio_image", "span_over_subfield", "unipotent_corners"]
+    expected = json.loads((CORPUS / "expected.json").read_text())["t2f4_in_f16"]
+    assert (digest(rep), code) == (expected["report_sha256"], expected["exit_code"])
+
+
+@pytest.mark.parametrize("group, tag", [("T2", "center"), ("H", "unipotent")])
+def test_a_tag_of_the_other_group_is_refused_before_any_section(monkeypatch, group, tag):
+    sf = build_setfile(group, F7, {"kind": "random", "size": 10, "seed": 1})
+    seen = log_enumerations(monkeypatch)
+    with pytest.raises(ParameterError, match=f"is not a {group} subgroup"):
+        run_report(sf, RunOptions(subgroup=parse_tag(tag)))
+    assert seen == []  # not even the growth section's energy pass ran
