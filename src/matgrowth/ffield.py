@@ -250,7 +250,7 @@ class FieldSpec:
         if x == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
         if self.r == 1:
-            return pow(x, self.p - 2, self.p)
+            return pow(x, -1, self.p)
         exp, log = self._tables
         n = self.q - 1
         return exp[(n - log[x]) % n]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from typing import Iterable
 
@@ -257,21 +258,41 @@ def _normalise(spec: FieldSpec, t: tuple) -> tuple:
     return tuple([spec.mul(y, s) for y in t])
 
 
+class _Inverses(dict):
+    """x -> 1/x mod p, each computed on first use."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __missing__(self, x: int) -> int:
+        s = self[x] = pow(x, -1, self.p)
+        return s
+
+
+@cache
 def _directions(spec: FieldSpec):
     """group(a, f, points, later): the points at ``later`` grouped by direction from a.
 
-    a is normalised with pivot f.  Points t, t' not proportional to a lie
-    on one line through a exactly when their directions
-    normalise(t - t[f] a) agree; a point proportional to a gets the
-    direction None.  One loop computes each direction and files it:
-    group returns (lines, more), where lines maps each direction to the
-    index of its first point, turned into a list of indices when a second
-    one arrives, and more lists the directions that got a list.  Prime
-    fields reduce integer sums mod p, small extension fields look
-    everything up in dense tables, and larger ones call the field's own
-    arithmetic.
+    a and the points are normalised, a with pivot f.  Points t, t' not
+    proportional to a lie on one line through a exactly when their
+    directions normalise(t - t[f] a) agree.  A direction w is packed as
+    the base-q integer ((w0 q + w1) q + w2) q + w3, which orders as the
+    tuple does; a point proportional to a gets the direction None.  One
+    loop computes each direction and files it: group returns (lines,
+    more), where lines maps each direction to the index of its first
+    point, turned into a list of indices when a second one arrives, and
+    more lists the directions that got a list.
+
+    Since a[:f] is zero, w0 is t0 - a0: zero when f = 0, and otherwise
+    t0, so a direction with w0 = 1 is already normalised.  Prime fields
+    reduce integer sums mod p, with inverses memoised per field; an
+    anchor with pivot 0 needs no products, since the points sort with
+    leading zeros first and every later point has t0 = 1.  Small
+    extension fields look everything up in dense tables, and larger
+    ones call the field's own arithmetic.
     """
-    if spec.r != 1 and spec.q > DENSE_FIELD:
+    q = spec.q
+    if spec.r != 1 and q > DENSE_FIELD:
         add, mul, neg = spec.add, spec.mul, spec.neg
 
         def group(a, f, points, later):
@@ -286,44 +307,9 @@ def _directions(spec: FieldSpec):
                 if b is None:
                     b = scaled[c] = tuple(mul(neg(c), y) for y in a)
                 w = tuple(map(add, t, b))
-                w = _normalise(spec, w) if any(w) else None
-                js = get(w)
-                if js is None:
-                    lines[w] = j
-                elif js.__class__ is int:
-                    lines[w] = [js, j]
-                    more.append(w)
-                else:
-                    js.append(j)
-            return lines, more
-
-        return group
-    if spec.r != 1:
-        q = spec.q
-        add, mul, inv_row, neg_row = _dense_tables(spec)
-
-        def group(a, f, points, later):
-            a0, a1, a2, a3 = a
-            lines = {}
-            get = lines.get
-            more = []
-            for j in later:
-                t = t0, t1, t2, t3 = points[j]
-                c = neg_row[t[f]]
-                w0 = add[t0 * q + mul[c + a0]]
-                w1 = add[t1 * q + mul[c + a1]]
-                w2 = add[t2 * q + mul[c + a2]]
-                w3 = add[t3 * q + mul[c + a3]]
-                if w0:
-                    s = inv_row[w0]
-                    w = (1, mul[s + w1], mul[s + w2], mul[s + w3])
-                elif w1:
-                    s = inv_row[w1]
-                    w = (0, 1, mul[s + w2], mul[s + w3])
-                elif w2:
-                    w = (0, 0, 1, mul[inv_row[w2] + w3])
-                elif w3:
-                    w = (0, 0, 0, 1)
+                if any(w):
+                    w0, w1, w2, w3 = _normalise(spec, w)
+                    w = ((w0 * q + w1) * q + w2) * q + w3
                 else:
                     w = None
                 js = get(w)
@@ -337,30 +323,89 @@ def _directions(spec: FieldSpec):
             return lines, more
 
         return group
-    p = spec.p
+    if spec.r != 1:
+        add, mul, inv_row, neg_row = _dense_tables(spec)
+
+        def group(a, f, points, later):
+            a0, a1, a2, a3 = a
+            lines = {}
+            get = lines.get
+            more = []
+            for j in later:
+                t = t0, t1, t2, t3 = points[j]
+                c = neg_row[t[f]]
+                w1 = add[t1 * q + mul[c + a1]]
+                w2 = add[t2 * q + mul[c + a2]]
+                w3 = add[t3 * q + mul[c + a3]]
+                if t0 > a0:
+                    w = ((q + w1) * q + w2) * q + w3
+                elif w1:
+                    s = inv_row[w1]
+                    w = (q + mul[s + w2]) * q + mul[s + w3]
+                elif w2:
+                    w = q + mul[inv_row[w2] + w3]
+                elif w3:
+                    w = 1
+                else:
+                    w = None
+                js = get(w)
+                if js is None:
+                    lines[w] = j
+                elif js.__class__ is int:
+                    lines[w] = [js, j]
+                    more.append(w)
+                else:
+                    js.append(j)
+            return lines, more
+
+        return group
+    p = q
+    inv = _Inverses(p)
 
     def group(a, f, points, later):
-        a0, a1, a2, a3 = a
+        _, a1, a2, a3 = a
         lines = {}
         get = lines.get
         more = []
+        if f:
+            for j in later:
+                t = t0, t1, t2, t3 = points[j]
+                c = t[f]
+                w1 = (t1 - c * a1) % p
+                w2 = (t2 - c * a2) % p
+                w3 = (t3 - c * a3) % p
+                if t0:
+                    w = ((q + w1) * q + w2) * q + w3
+                elif w1:
+                    s = inv[w1]
+                    w = (q + w2 * s % p) * q + w3 * s % p
+                elif w2:
+                    w = q + w3 * inv[w2] % p
+                elif w3:
+                    w = 1
+                else:
+                    w = None
+                js = get(w)
+                if js is None:
+                    lines[w] = j
+                elif js.__class__ is int:
+                    lines[w] = [js, j]
+                    more.append(w)
+                else:
+                    js.append(j)
+            return lines, more
         for j in later:
-            t = t0, t1, t2, t3 = points[j]
-            c = t[f]
-            w0 = (t0 - c * a0) % p
-            w1 = (t1 - c * a1) % p
-            w2 = (t2 - c * a2) % p
-            w3 = (t3 - c * a3) % p
-            if w0:
-                s = pow(w0, -1, p)
-                w = (1, w1 * s % p, w2 * s % p, w3 * s % p)
-            elif w1:
-                s = pow(w1, -1, p)
-                w = (0, 1, w2 * s % p, w3 * s % p)
+            _, t1, t2, t3 = points[j]
+            w1 = (t1 - a1) % p
+            w2 = (t2 - a2) % p
+            w3 = (t3 - a3) % p
+            if w1:
+                s = inv[w1]
+                w = (q + w2 * s % p) * q + w3 * s % p
             elif w2:
-                w = (0, 0, 1, w3 * pow(w2, -1, p) % p)
+                w = q + w3 * inv[w2] % p
             elif w3:
-                w = (0, 0, 0, 1)
+                w = 1
             else:
                 w = None
             js = get(w)
@@ -422,19 +467,23 @@ def _lines(spec: FieldSpec, points: list[tuple]):
         yield i, big, pairs
 
 
-def _line_key(spec: FieldSpec, a: tuple, w: tuple) -> tuple:
-    """Reduced row echelon form of the line spanned by a and its direction w."""
+def _line_key(spec: FieldSpec, a: tuple, w: int) -> tuple:
+    """Reduced row echelon form of the line spanned by a and its packed direction w."""
+    q = spec.q
+    w, w3 = divmod(w, q)
+    w, w2 = divmod(w, q)
+    w0, w1 = divmod(w, q)
+    w = (w0, w1, w2, w3)
     # a and w are normalised and w vanishes at a's pivot, so only a's
     # coordinate at w's pivot needs clearing, and only when that pivot is later
-    g = 0 if w[0] else 1 if w[1] else 2 if w[2] else 3
+    g = 0 if w0 else 1 if w1 else 2 if w2 else 3
     if g < a.index(1):
         return (w, a)
     c = a[g]
     if spec.r == 1:
-        p = spec.p
-        return (tuple((x - c * y) % p for x, y in zip(a, w)), w)
-    if spec.q <= DENSE_FIELD:
-        q = spec.q
+        a0, a1, a2, a3 = a
+        return (((a0 - c * w0) % q, (a1 - c * w1) % q, (a2 - c * w2) % q, (a3 - c * w3) % q), w)
+    if q <= DENSE_FIELD:
         add, mul, _, neg_row = _dense_tables(spec)
         c = neg_row[c]
         return (tuple(add[x * q + mul[c + y]] for x, y in zip(a, w)), w)
@@ -490,7 +539,7 @@ def collinear_stats(
     pts = _collinear_points(weighted, cap)
     if len(pts) == 2:  # in closed form: one line, or none when the two are proportional
         a = _normalise(spec, pts[0])
-        (w,) = _directions(spec)(a, a.index(1), pts, (1,))[0]
+        (w,) = _directions(spec)(a, a.index(1), [a, _normalise(spec, pts[1])], (1,))[0]
         if w is not None:
             max_weight = weighted[pts[0]] + weighted[pts[1]]
             return CollinearStats(n, total, 2, max_weight, _line_key(spec, a, w))
@@ -679,18 +728,20 @@ class ProbeReport:
 
 
 def probe_instance(inst: WeightedInstance, constant=None) -> ProbeReport:
+    """Incidences and the bound of a probe, with one collinearity pass: on
+    the smaller side, whose k the bound reads, as ``oriented_bound`` picks."""
     spec = inst.spec
+    n_points, n_planes = len(inst.points), len(inst.planes)
     inc = incidence_count(inst)
-    pstats = collinear_stats(spec, inst.points)
-    plstats = collinear_stats(spec, inst.planes)
-    k = pstats.max_distinct if pstats.count <= plstats.count else plstats.max_distinct
+    smaller = inst.points if n_points <= n_planes else inst.planes
+    k = collinear_stats(spec, smaller).max_distinct
     p2 = spec.p * spec.p
     return ProbeReport(
-        point_count=pstats.count,
-        plane_count=plstats.count,
+        point_count=n_points,
+        plane_count=n_planes,
         incidences=inc,
         max_collinear=k,
-        bound=oriented_bound(inc, pstats, plstats, constant),
-        points_within_field_square=pstats.count <= p2,
-        planes_within_field_square=plstats.count <= p2,
+        bound=incidence_bound(inc, n_points, n_planes, max(k, 1), constant),
+        points_within_field_square=n_points <= p2,
+        planes_within_field_square=n_planes <= p2,
     )

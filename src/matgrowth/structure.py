@@ -44,9 +44,14 @@ def unipotent_corners(S: GroupSet) -> tuple[int, ...]:
     return tuple(w[1] for w in SubgroupTag("unipotent").members(S).wires)
 
 
-def ratio_image(S: GroupSet) -> tuple[int, ...]:
-    """The diagonal ratios a/c met by S, sorted: its scaled-unipotent cosets."""
-    return tuple(sorted(chi for chi, in SubgroupTag("scaled_unipotent").fibers(S)))
+def ratio_image(S: GroupSet, fibers=None) -> tuple[int, ...]:
+    """The diagonal ratios a/c met by S, sorted: its scaled-unipotent cosets.
+
+    ``fibers(tag)`` gives S's coset fibers under a tag (a report passes its
+    memoised ``Products.fibers`` when S is A).
+    """
+    tag = SubgroupTag("scaled_unipotent")
+    return tuple(sorted(chi for chi, in (fibers(tag) if fibers else tag.fibers(S))))
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ def structure_scan(
     spec = P.A.spec
     work, symmetrized = working_set(P)
     tripling = Fraction(len(P.sym(3)), len(work))
-    D = P.memo("ratio_image", lambda: ratio_image(P.sym(1)))  # shared by both scans
+    D = _ratio_image(P)
     threshold = max(tripling**opts.potent_exponent, Fraction(opts.potent_floor))
     base = dict(
         symmetrized=symmetrized,
@@ -141,6 +146,13 @@ def structure_scan(
         certificates=tuple(certs),
         **base,
     )
+
+
+def _ratio_image(P: Products) -> tuple[int, ...]:
+    """D, the ratio image of A(1): built once per ``Products``, for both
+    scans, and read off A's fibers when A(1) is A."""
+    S = P.sym(1)
+    return P.memo("ratio_image", lambda: ratio_image(S, P.fibers if S is P.A else None))
 
 
 def _corner_span(P: Products, D) -> tuple:
@@ -251,7 +263,7 @@ def sum_product_scan(A: GroupSet | Products) -> SumProductReport:
         raise ParameterError("sum-product scan is defined for T2 sets")
     spec = P.A.spec
     cap = P.caps.max_pair_products
-    D = P.memo("ratio_image", lambda: ratio_image(P.sym(1)))  # shared by both scans
+    D = _ratio_image(P)
     X, F, span_wires = _corner_span(P, D)
 
     check_pairs("dilate set", len(D), len(X), cap)

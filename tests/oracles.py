@@ -11,7 +11,9 @@ from itertools import combinations
 
 import numpy as np
 
+from matgrowth.exact import incidence_bound
 from matgrowth.groups import T2, GroupSet, gid, ginv, gmul
+from matgrowth.incidence import ProbeReport
 
 
 def quad_energy(A):
@@ -310,6 +312,34 @@ def collinear_stats_by_pairs(spec, weighted):
     max_weight = max(sum(weighted[t] for t in members) for members in lines.values())
     witness = min(k for k, members in lines.items() if len(members) == max_distinct)
     return max_distinct, max_weight, witness
+
+
+def probe_two_sided(inst, constant=None):
+    """The probe report from both sides' tuple-keyed line statistics
+    (``collinear_stats_by_pairs``), the smaller side's k as the bound reads
+    it, and incidences from the literal dot products."""
+    spec = inst.spec
+    incidences = 0
+    for pt, wp in inst.points.items():
+        for pl, wpl in inst.planes.items():
+            dot = 0
+            for x, y in zip(pt, pl):
+                dot = spec.add(dot, spec.mul(x, y))
+            if dot == 0:
+                incidences += wp * wpl
+    n_points, n_planes = len(inst.points), len(inst.planes)
+    k_points = collinear_stats_by_pairs(spec, inst.points)[0]
+    k_planes = collinear_stats_by_pairs(spec, inst.planes)[0]
+    k = k_points if n_points <= n_planes else k_planes
+    return ProbeReport(
+        point_count=n_points,
+        plane_count=n_planes,
+        incidences=incidences,
+        max_collinear=k,
+        bound=incidence_bound(incidences, n_points, n_planes, max(k, 1), constant),
+        points_within_field_square=n_points <= spec.p**2,
+        planes_within_field_square=n_planes <= spec.p**2,
+    )
 
 
 # -- witness recounts: one fiber of a profile, from its witness ----------------

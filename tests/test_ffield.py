@@ -12,6 +12,7 @@ from matgrowth.ffield import (
     FieldSpec,
     default_modulus,
     element_degree,
+    is_prime,
     poly_is_irreducible,
     span_over_subfield,
     standard_field,
@@ -155,6 +156,18 @@ def test_power_and_frobenius(data):
     assert spec.frobenius(spec.add(x, y)) == spec.add(spec.frobenius(x), spec.frobenius(y))
     c = data.draw(st.integers(0, spec.p - 1))
     assert spec.frobenius(c) == c
+
+
+def test_prime_field_inverses():
+    # every unit of F_2..F_101, and a sample of F_65521
+    for p in filter(is_prime, range(2, 102)):
+        spec = standard_field(p)
+        assert all(x * spec.inv(x) % p == 1 for x in range(1, p))
+    spec = standard_field(65521)
+    for x in [1, 2, 65520, *random.Random(7).sample(range(1, 65521), 500)]:
+        assert x * spec.inv(x) % 65521 == 1
+    with pytest.raises(ZeroDivisionError):
+        spec.inv(0)
 
 
 def test_division_by_zero():

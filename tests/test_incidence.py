@@ -41,6 +41,7 @@ from oracles import (
     collinear_stats_by_pairs,
     line_groups_by_pairs,
     max_collinear,
+    probe_two_sided,
     quadruple_count_by_definition,
 )
 
@@ -262,16 +263,17 @@ def weighted_tuples(draw):
     """Weighted 4-tuples over prime and extension fields (F_256 and F_343
     are past the dense-table size, F_257 is a prime past it): all
     on one line, free, on the twisted cubic (only two-point lines), just
-    two, the zero tuple beside one or two others, or two shaped like a
-    bridge's points (1, x, y, z) or planes (a, b, 1, c), with proportional
-    copies mixed in."""
+    two, two led by nonzero coordinates with the second scaled off its
+    normal form, the zero tuple beside one or two others, or two shaped
+    like a bridge's points (1, x, y, z) or planes (a, b, 1, c), with
+    proportional copies mixed in."""
     spec = draw(st.sampled_from([
         standard_field(4), F5, F7, F9, F16, F25, F101,
         standard_field(256), standard_field(257), standard_field(343),
     ]))
     coord = st.integers(0, spec.q - 1)
     vec = st.tuples(coord, coord, coord, coord)
-    shape = draw(st.sampled_from(["line", "free", "cubic", "two", "zero", "unit"]))
+    shape = draw(st.sampled_from(["line", "free", "cubic", "two", "scaled", "zero", "unit"]))
     if shape == "line":
         u, v = draw(vec), draw(vec)
         pts = [
@@ -284,6 +286,10 @@ def weighted_tuples(draw):
         pts = [(1, t, spec.mul(t, t), spec.power(t, 3)) for t in ts]
     elif shape == "two":
         pts = draw(st.lists(vec, min_size=2, max_size=2))
+    elif shape == "scaled":
+        x = draw(st.integers(1, spec.q - 2))
+        y = draw(st.integers(x + 1, spec.q - 1))  # not the field's one: y >= 2
+        pts = [(x, *draw(st.tuples(coord, coord, coord))), (y, *draw(st.tuples(coord, coord, coord)))]
     elif shape == "zero":
         pts = [(0, 0, 0, 0), *draw(st.lists(vec, min_size=1, max_size=2))]
     elif shape == "unit":
@@ -488,6 +494,33 @@ def test_oriented_bound_uses_the_smaller_side():
 
 
 # -- synthetic probes -----------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([F5, F7, F9, F25, F101]),
+    st.integers(1, 20),
+    st.integers(1, 20),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_probe_matches_the_two_sided_oracle(spec, n_points, n_planes, square, seed):
+    # one collinearity pass, on the side the bound reads; |P| = |Pi| reads the points
+    if square:
+        n_planes = n_points
+    inst = random_instance(spec, n_points, n_planes, seed)
+    assert probe_instance(inst) == probe_two_sided(inst)
+
+
+def test_probe_reads_the_collinearity_of_its_smaller_side_only():
+    # the planes' pass, 3,200^2 > 10^7 pairs, is refused; the bound reads only the points'
+    inst = random_instance(F101, 4, 3200, seed=1)
+    with pytest.raises(CapExceeded, match="collinearity pass of 3200 x 3200 tuples"):
+        collinear_stats(F101, inst.planes)
+    probe = probe_instance(inst)
+    assert (probe.point_count, probe.plane_count) == (4, 3200)
+    assert probe.max_collinear == max_collinear(101, list(inst.points))
+    assert probe.incidences == incidences_by_dot4(inst)
 
 
 def test_random_instance_is_deterministic():

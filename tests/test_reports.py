@@ -461,6 +461,21 @@ def test_report_reads_each_tags_keys_and_slice_once(monkeypatch, sf):
     assert [tag for tag, S in sliced if S == quotient] == [default_subgroup(A.group)]
 
 
+def test_structure_report_reads_each_tags_keys_of_a_once(monkeypatch):
+    """t2f4_in_f16 is its own A(1): the ratio image of both scans is read
+    off A's scaled_unipotent fibers, which the profile already counted."""
+    sf = load_setfile(CORPUS / "t2f4_in_f16.json")
+    A = sf.elements
+    keyed = []
+    keys = SubgroupTag.keys
+    monkeypatch.setattr(SubgroupTag, "keys", lambda tag, S: keyed.append((tag, S)) or keys(tag, S))
+    rep, _ = run_report(sf, RunOptions(structure=True))
+    assert rep["structure"]["verdict"] == "UNIPOTENT"
+    of_a = [tag for tag, S in keyed if S is A]
+    assert SubgroupTag("scaled_unipotent") in of_a
+    assert len(of_a) == len(set(of_a))
+
+
 def test_structure_scans_share_the_ratio_image_and_corner_span(monkeypatch):
     """t2f4_in_f16 takes the UNIPOTENT branch: the structure scan and the
     sum-product scan read one ratio image of A(1) and one corner span."""
