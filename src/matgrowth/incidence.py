@@ -11,10 +11,12 @@ plane built from (h, u) in four coordinates.
 
 So each class induces a weighted incidence instance whose incidence
 count equals the class's quadruple count exactly, and the counts summed
-over classes equal the energy of A.  ``bridge_report`` verifies this
+over classes equal the energy of A.  Both keys are symmetric in (g, v),
+so a class's planes are a fixed linear image phi of its points, and a
+class is measured on its points alone.  ``bridge_report`` verifies this
 chain end to end, against quadruple counts that one quotient join over
 A x A makes for every class at once; ``random_instance``/``probe_instance``
-exercise the same incidence counting on synthetic unit-weight instances.
+exercise the incidence counting on synthetic unit-weight instances.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
+from itertools import compress, starmap
+from operator import itemgetter
 from typing import Iterable
 
 from .config import Caps
@@ -42,6 +45,25 @@ def class_key(spec: FieldSpec, group: str, g: Wire, v: Wire) -> tuple[int, int]:
     return (spec.add(g[0], v[0]), spec.add(g[1], v[1]))
 
 
+def class_keys(spec: FieldSpec, group: str, g: Wire, wires: list[Wire]) -> Iterable[tuple]:
+    """``class_key`` of (g, v) for every v of ``wires``, in order, with its
+    arithmetic written out: mod p over a prime field, through the dense
+    tables over a small extension field."""
+    i, j = (0, 2) if group == T2 else (0, 1)
+    x, y = g[i], g[j]
+    if spec.r == 1:
+        p = spec.p
+        if group == T2:
+            return zip([x * v[i] % p for v in wires], [y * v[j] % p for v in wires])
+        return zip([(x + v[i]) % p for v in wires], [(y + v[j]) % p for v in wires])
+    if spec.q <= DENSE_FIELD:
+        q = spec.q
+        add, mul, _, _ = _dense_tables(spec)
+        op = mul if group == T2 else add
+        return zip([op[x * q + v[i]] for v in wires], [op[y * q + v[j]] for v in wires])
+    return [class_key(spec, group, g, v) for v in wires]
+
+
 def pair_classes(
     A: GroupSet, cap: int = Caps.max_pair_products
 ) -> dict[tuple[int, int], list[Pair]]:
@@ -49,10 +71,16 @@ def pair_classes(
     check_pairs("pair classes", len(A), len(A), cap)
     spec = A.spec
     group = A.group
+    wires = A.wires
     out: dict[tuple[int, int], list[Pair]] = {}
-    for g in A.wires:
-        for v in A.wires:
-            out.setdefault(class_key(spec, group, g, v), []).append((g, v))
+    get = out.get
+    for g in wires:
+        for k, v in zip(class_keys(spec, group, g, wires), wires):
+            pairs = get(k)
+            if pairs is None:
+                out[k] = [(g, v)]
+            else:
+                pairs.append((g, v))
     return {k: out[k] for k in sorted(out)}
 
 
@@ -158,6 +186,43 @@ def dot4(spec: FieldSpec, x: tuple, y: tuple) -> int:
     return s
 
 
+# Both class keys are symmetric in (g, v), so every class is closed under
+# the swap (g, v) -> (v, g), and plane(v, g) = phi(point(g, v)) for a fixed
+# invertible linear map phi of each group.  A class's planes are therefore
+# phi of its points, weights included.  x . phi(y) is an alternating form:
+# x . phi(x) = 0, and x . phi(y) = 0 exactly when y . phi(x) = 0.
+
+# phi per group, for each coordinate of phi(x): the coordinate of x it
+# reads, and whether it is negated.  phi pairs each coordinate i with one
+# j = pi(i) and negates one of the two, so x . phi(y) is the sum over
+# i < j = pi(i) of -+(x_i y_j - x_j y_i): two Plücker coordinates of x, y.
+_PHI = {
+    T2: ((2, True), (3, False), (0, False), (1, True)),
+    H: ((3, False), (2, False), (1, True), (0, True)),
+}
+# the two terms (i, j, negated) of x . phi(y)
+_FORM_TERMS = {
+    group: [(i, j, neg) for i, (j, neg) in enumerate(m) if i < j] for group, m in _PHI.items()
+}
+
+
+def _form_reads(terms) -> itemgetter:
+    """With u, v the coordinates of x, y in the order u0 u1 u2 u3 of the
+    terms, x . phi(y) = u0 v1 - u1 v0 + u2 v3 - u3 v2.  u1 is the
+    coordinate every point of a class holds at one, x0 of T2's and x3 of
+    H's; this reads the other three."""
+    u0, _, u2, u3 = (k for i, j, neg in terms for k in ((j, i) if neg else (i, j)))
+    return itemgetter(u0, u2, u3)
+
+
+_FORM = {group: _form_reads(terms) for group, terms in _FORM_TERMS.items()}
+
+
+def phi(spec: FieldSpec, group: str, x: tuple) -> tuple:
+    """The plane of the swapped pair: plane(v, g) = phi(point(g, v))."""
+    return tuple(spec.neg(x[k]) if negated else x[k] for k, negated in _PHI[group])
+
+
 @dataclass(eq=False)
 class WeightedInstance:
     """Multisets of points and planes, each a 4-tuple with a weight."""
@@ -167,40 +232,55 @@ class WeightedInstance:
     planes: dict[tuple, int]
 
 
-def build_instance(
+def class_points(
     spec: FieldSpec, group: str, key: tuple[int, int], pairs: list[Pair]
-) -> WeightedInstance:
-    """The point and the plane of every pair (g, v) of one class, weighted by
-    multiplicity: ``t2_point``/``t2_plane`` or ``heis_point``/``heis_plane``
-    of (g, v), with their arithmetic written out over a prime field."""
+) -> dict[tuple, int]:
+    """The point of every pair (g, v) of one class, weighted by multiplicity:
+    ``t2_point`` or ``heis_point``, with the arithmetic written out over a
+    prime field and through the dense tables over a small extension field."""
     c2 = key[1]
     if spec.r == 1:
         p = spec.p
         if group == T2:
             tuples = (
-                (
-                    (1, g1 * pow(g2, -1, p) % p, g0 * v1 % p, g0 * v2 % p),
-                    (-v0 * g1 % p, v0 * g2 % p, 1, -v1 * pow(v2, -1, p) % p),
-                )
-                for (g0, g1, g2), (v0, v1, v2) in pairs
+                (1, g1 * pow(g2, -1, p) % p, g0 * v1 % p, g0 * v2 % p)
+                for (g0, g1, g2), (_, v1, v2) in pairs
             )
         else:
             tuples = (
-                (
-                    ((g0 * g1 - g2 - v2 - c2 * g0) % p, g0, g1, 1),
-                    (1, v1, -v0 % p, (g2 + v2 - v0 * v1 + c2 * v0) % p),
-                )
-                for (g0, g1, g2), (v0, v1, v2) in pairs
+                ((g0 * g1 - g2 - v2 - c2 * g0) % p, g0, g1, 1) for (g0, g1, g2), (_, _, v2) in pairs
+            )
+    elif spec.q <= DENSE_FIELD:
+        q = spec.q
+        add, mul, inv_row, neg_row = _dense_tables(spec)
+        if group == T2:
+            tuples = (
+                (1, mul[inv_row[g2] + g1], mul[g0 * q + v1], mul[g0 * q + v2])
+                for (g0, g1, g2), (_, v1, v2) in pairs
+            )
+        else:
+            # g0 g1 - g2 - v2 - c2 g0 = g0 (g1 - c2) - (g2 + v2)
+            c = neg_row[c2] // q
+            tuples = (
+                (add[neg_row[add[g2 * q + v2]] + mul[g0 * q + add[g1 * q + c]]], g0, g1, 1)
+                for (g0, g1, g2), (_, _, v2) in pairs
             )
     elif group == T2:
-        tuples = ((t2_point(spec, g, v), t2_plane(spec, g, v)) for g, v in pairs)
+        tuples = (t2_point(spec, g, v) for g, v in pairs)
     else:
-        tuples = ((heis_point(spec, g, v, c2), heis_plane(spec, g, v, c2)) for g, v in pairs)
+        tuples = (heis_point(spec, g, v, c2) for g, v in pairs)
     points: dict[tuple, int] = {}
-    planes: dict[tuple, int] = {}
-    for pt, pl in tuples:
-        points[pt] = points.get(pt, 0) + 1
-        planes[pl] = planes.get(pl, 0) + 1
+    for t in tuples:
+        points[t] = points.get(t, 0) + 1
+    return points
+
+
+def build_instance(
+    spec: FieldSpec, group: str, key: tuple[int, int], pairs: list[Pair]
+) -> WeightedInstance:
+    """The points of one class (``class_points``) and its planes, phi of the points."""
+    points = class_points(spec, group, key, pairs)
+    planes = {phi(spec, group, x): w for x, w in points.items()}
     return WeightedInstance(spec=spec, points=points, planes=planes)
 
 
@@ -235,13 +315,52 @@ def incidence_count(inst: WeightedInstance, cap: int = Caps.max_pair_products) -
     return total
 
 
+def _class_incidences(
+    spec: FieldSpec, group: str, points: dict[tuple, int], cap: int = Caps.max_pair_products
+) -> int:
+    """The incidences of a class from its points (``class_points``) alone.
+
+    The planes are phi of the points and x . phi(y) is alternating, so the
+    count is sum w^2 + 2 sum_{i<j} w_i w_j [x_i . phi(x_j) = 0]: half the
+    dot products of ``incidence_count`` on the instance.  With u, v the
+    points' coordinates in ``_form_reads`` order, where u1 = v1 = 1, the
+    form is u0 - v0 + u2 v3 - u3 v2: two products.
+    """
+    n = len(points)
+    check_pairs("incidence count", n, n, cap, "tuples")
+    rows = list(zip(map(_FORM[group], points), points.values()))
+    cross = 0
+    if spec.r == 1:
+        p = spec.p
+        for k, ((u0, u2, u3), w) in enumerate(rows, 1):
+            for (v0, v2, v3), wv in rows[k:]:
+                if not (u0 - v0 + u2 * v3 - u3 * v2) % p:
+                    cross += w * wv
+    elif spec.q <= DENSE_FIELD:
+        q = spec.q
+        add, mul, _, neg_row = _dense_tables(spec)
+        for k, ((u0, u2, u3), w) in enumerate(rows, 1):
+            u0, u2, u3 = u0 * q, u2 * q, neg_row[u3]
+            for (v0, v2, v3), wv in rows[k:]:
+                if add[u0 + add[mul[u2 + v3] * q + mul[u3 + v2]]] == v0:
+                    cross += w * wv
+    else:
+        add, sub, mul = spec.add, spec.sub, spec.mul
+        for k, ((u0, u2, u3), w) in enumerate(rows, 1):
+            for (v0, v2, v3), wv in rows[k:]:
+                if add(u0, sub(mul(u2, v3), mul(u3, v2))) == v0:
+                    cross += w * wv
+    return sum(w * w for w in points.values()) + 2 * cross
+
+
 # -- collinearity -------------------------------------------------------------
 #
 # Nonzero 4-tuples are points of projective 3-space; a line is the span of
 # two non-proportional tuples, and its members are all the tuples in that
 # span (so a tuple joins every line through any tuple it is proportional
 # to, and the zero tuple joins none).  A line is keyed by the reduced row
-# echelon form of its 2 x 4 basis, which is unique.
+# echelon form of its 2 x 4 basis, which is unique; ``_line_keys`` reads
+# it off the line's Plücker vector.
 
 
 def _normalise(spec: FieldSpec, t: tuple) -> tuple:
@@ -436,10 +555,9 @@ _FREE = bytes.maketrans(b"01", b"\x01\x00")
 def _lines(spec: FieldSpec, points: list[tuple]):
     """Every line through two of the distinct normalised ``points``, once, in one anchor pass.
 
-    Yields (i, big, pairs) for each anchor i: ``big`` lists (w, members)
-    for the lines of three or more points whose first point is i, with w
-    the line's direction from points[i] and members the sorted indices of
-    its points; ``pairs`` maps the direction of each two-point line {i, j}
+    Yields (i, big, pairs) for each anchor i: ``big`` lists the sorted
+    indices of the points of each line of three or more points whose first
+    point is i; ``pairs`` maps the direction of each two-point line {i, j}
     to j, and those are never handled one by one.  Once a line is taken,
     each of its later points records the line's points in a bit set, so
     a later anchor neither meets the line again nor computes a direction
@@ -463,31 +581,135 @@ def _lines(spec: FieldSpec, points: list[tuple]):
             line = sum(1 << j for j in js)
             for j in js:
                 taken[j] |= line
-            big.append((w, [i, *js]))
+            big.append([i, *js])
         yield i, big, pairs
 
 
-def _line_key(spec: FieldSpec, a: tuple, w: int) -> tuple:
-    """Reduced row echelon form of the line spanned by a and its packed direction w."""
+# The Plücker coordinates of two tuples, in this order
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# x . phi(y) = +-(p_ij +- p_kl): the coordinates of the two terms, and
+# whether they have the same sign
+_FORM_WEDGE = {
+    group: (_PAIRS.index((i, j)), _PAIRS.index((k, l)), ni == nk)
+    for group, ((i, j, ni), (k, l, nk)) in _FORM_TERMS.items()
+}
+
+
+@cache
+def _line_keys(spec: FieldSpec):
+    """(wedge, key, neg): lines keyed from their Plücker vectors.
+
+    wedge(x, y) is (p01, p02, p03, p12, p13, p23), p_ij = x_i y_j - x_j y_i,
+    which is zero exactly when x and y are proportional.  key(p01, ..., p23)
+    is the reduced row echelon form of their line, the same for every
+    basis, packed as the base-q integer of its eight digits, which orders as
+    the pair of rows does (``_unpack`` decodes it); None for the zero
+    vector.  The rows come straight off the vector: with p_{c1 c2} its
+    first nonzero coordinate, row one holds p_{k c2} / p_{c1 c2} and row
+    two p_{c1 k} / p_{c1 c2}.  Prime fields reduce integer sums mod p with
+    memoised inverses, small extension fields use the dense tables, and
+    larger ones the field's own arithmetic.
+    """
     q = spec.q
-    w, w3 = divmod(w, q)
-    w, w2 = divmod(w, q)
-    w0, w1 = divmod(w, q)
-    w = (w0, w1, w2, w3)
-    # a and w are normalised and w vanishes at a's pivot, so only a's
-    # coordinate at w's pivot needs clearing, and only when that pivot is later
-    g = 0 if w0 else 1 if w1 else 2 if w2 else 3
-    if g < a.index(1):
-        return (w, a)
-    c = a[g]
     if spec.r == 1:
-        a0, a1, a2, a3 = a
-        return (((a0 - c * w0) % q, (a1 - c * w1) % q, (a2 - c * w2) % q, (a3 - c * w3) % q), w)
-    if q <= DENSE_FIELD:
-        add, mul, _, neg_row = _dense_tables(spec)
-        c = neg_row[c]
-        return (tuple(add[x * q + mul[c + y]] for x, y in zip(a, w)), w)
-    return (tuple(spec.sub(x, spec.mul(c, y)) for x, y in zip(a, w)), w)
+        p = q
+        inv = _Inverses(p)
+
+        def div(x, y):
+            return x * inv[y] % p
+
+        def neg(x):
+            return -x % p
+
+        def wedge(x, y):
+            x0, x1, x2, x3 = x
+            y0, y1, y2, y3 = y
+            return (
+                (x0 * y1 - x1 * y0) % p, (x0 * y2 - x2 * y0) % p, (x0 * y3 - x3 * y0) % p,
+                (x1 * y2 - x2 * y1) % p, (x1 * y3 - x3 * y1) % p, (x2 * y3 - x3 * y2) % p,
+            )
+
+    elif q <= DENSE_FIELD:
+        add, mul, inv_row, neg_row = _dense_tables(spec)
+        neg = [r // q for r in neg_row].__getitem__
+
+        def div(x, y):
+            return mul[inv_row[y] + x]
+
+        def wedge(x, y):
+            x0, x1, x2, x3 = x
+            y0, y1, y2, y3 = y
+            n1, n2, n3 = neg_row[x1], neg_row[x2], neg_row[x3]
+            x0, x1, x2 = x0 * q, x1 * q, x2 * q
+            return (
+                add[mul[x0 + y1] * q + mul[n1 + y0]], add[mul[x0 + y2] * q + mul[n2 + y0]],
+                add[mul[x0 + y3] * q + mul[n3 + y0]], add[mul[x1 + y2] * q + mul[n2 + y1]],
+                add[mul[x1 + y3] * q + mul[n3 + y1]], add[mul[x2 + y3] * q + mul[n3 + y2]],
+            )
+
+    else:
+        div, neg, sub, mul = spec.div, spec.neg, spec.sub, spec.mul
+
+        def wedge(x, y):
+            return tuple(sub(mul(x[i], y[j]), mul(x[j], y[i])) for i, j in _PAIRS)
+
+    q4, q5, q6, q7 = q**4, q**5, q**6, q**7
+
+    def key(p01, p02, p03, p12, p13, p23):
+        if p01:
+            n = neg(p01)
+            row1 = div(p12, n) * q + div(p13, n)
+            return q7 + row1 * q4 + q * q + div(p02, p01) * q + div(p03, p01)
+        if p02:
+            return q7 + div(p12, p02) * q6 + div(p23, neg(p02)) * q4 + q + div(p03, p02)
+        if p03:
+            return q7 + div(p13, p03) * q6 + div(p23, p03) * q5 + 1
+        if p12:
+            return q6 + div(p23, neg(p12)) * q4 + q + div(p13, p12)
+        if p13:
+            return q6 + div(p23, p13) * q5 + 1
+        if p23:
+            return q5 + 1
+        return None
+
+    return wedge, key, neg
+
+
+def _unpack(q: int, k: int) -> tuple:
+    """The two rows of a packed line key."""
+    rows = []
+    for r in divmod(k, q**4):
+        r, d3 = divmod(r, q)
+        r, d2 = divmod(r, q)
+        rows.append((*divmod(r, q), d2, d3))
+    return tuple(rows)
+
+
+@cache
+def _wedge_image(spec: FieldSpec, group: str):
+    """flip(w): from the Plücker vector w of x, y, that of phi(x), phi(y),
+    up to a common sign, which leaves the line's key alone.
+
+    Coordinate (i, j) of the image is +-p_{pi(i) pi(j)}; the common sign is
+    chosen so that at most three coordinates are negated."""
+    m = _PHI[group]
+    reads = []
+    for i, j in _PAIRS:
+        (a, ni), (b, nj) = m[i], m[j]
+        reads.append((_PAIRS.index((min(a, b), max(a, b))), ni ^ nj ^ (a > b)))
+    if sum(negated for _, negated in reads) > 3:
+        reads = [(k, not negated) for k, negated in reads]
+    take = itemgetter(*(k for k, _ in reads))
+    negated = [i for i, (_, n) in enumerate(reads) if n]
+    neg = _line_keys(spec)[2]
+
+    def flip(w):
+        w = list(take(w))
+        for i in negated:
+            w[i] = neg(w[i])
+        return w
+
+    return flip
 
 
 def _collinear_points(tuples: Iterable[tuple], cap: int) -> list[tuple]:
@@ -503,11 +725,13 @@ def line_groups(spec: FieldSpec, tuples: Iterable[tuple]) -> dict[tuple, tuple]:
     """Lines spanned by pairs of distinct tuples, as line key -> members."""
     pts = _collinear_points(tuples, Caps.max_pair_products)
     points, twins = _projective(spec, pts)
+    wedge, key, _ = _line_keys(spec)
     lines = {}
     for i, big, pairs in _lines(spec, points):
-        for w, members in big + [(w, (i, j)) for w, j in pairs.items()]:
+        for members in big + [(i, j) for j in pairs.values()]:
             on_line = sorted(k for x in members for k in twins[x])
-            lines[_line_key(spec, points[i], w)] = tuple(pts[k] for k in on_line)
+            line = key(*wedge(points[i], points[members[1]]))
+            lines[_unpack(spec.q, line)] = tuple(pts[k] for k in on_line)
     return dict(sorted(lines.items()))
 
 
@@ -520,63 +744,95 @@ class CollinearStats:
     witness: tuple | None  # canonical key of a line with max_distinct
 
 
+def _least_keys(spec: FieldSpec, lines: Iterable[list[tuple]], flip=None) -> tuple:
+    """The least key over lists of Plücker vectors, and with ``flip`` the
+    least key of their images."""
+    key = _line_keys(spec)[1]
+    best = ibest = None
+    for ws in lines:
+        if ws:
+            k = min(starmap(key, ws))
+            best = k if best is None else min(best, k)
+            if flip:
+                k = min(starmap(key, map(flip, ws)))
+                ibest = k if ibest is None else min(ibest, k)
+    return best, ibest
+
+
 def collinear_stats(
-    spec: FieldSpec, weighted: dict[tuple, int], cap: int = Caps.max_pair_products
-) -> CollinearStats:
+    spec: FieldSpec,
+    weighted: dict[tuple, int],
+    cap: int = Caps.max_pair_products,
+    image: str | None = None,
+) -> CollinearStats | tuple[CollinearStats, CollinearStats]:
     """Line statistics of positively weighted 4-tuples; the pair pass is capped.
 
+    With ``image``, a group, returns the statistics of the tuples and of
+    their images under the group's phi, from the one pass: phi is linear
+    and invertible, so it maps the tuples' lines onto the images' lines,
+    member for member.  The images have the same counts and maxima, and
+    their witness is the least key of phi(L) over the tuples' lines L of
+    most tuples.
+
     At most two nonzero tuples span one line or none, which is returned
-    in closed form.  Otherwise two-point lines only feed running maxima of
-    their weights and sizes, and their keys are built only while they can
-    still hold the most tuples.
+    in closed form.  Otherwise one anchor pass finds the lines, and keeps
+    only those of the most tuples so far, each as two of its points; the
+    keys are built after the pass, from Plücker vectors.  When every line
+    holds two tuples, every pair of points spans one of the most, and one
+    key-only pass over the pairs finds the least key.
     """
+    q = spec.q
+    wedge, key, _ = _line_keys(spec)
+    flip = _wedge_image(spec, image) if image else None
     total = sum(weighted.values())
     n = len(weighted)
-    if n <= 1:
-        return CollinearStats(
-            count=n, total_weight=total, max_distinct=n, max_weight=total, witness=None
+
+    def stats(max_distinct, max_weight, witness=None, image_witness=None):
+        sides = tuple(
+            CollinearStats(n, total, max_distinct, max_weight, k and _unpack(q, k))
+            for k in ([witness] if image is None else [witness, image_witness])
         )
+        return sides if image else sides[0]
+
+    if n <= 1:
+        return stats(n, total)
     pts = _collinear_points(weighted, cap)
     if len(pts) == 2:  # in closed form: one line, or none when the two are proportional
-        a = _normalise(spec, pts[0])
-        (w,) = _directions(spec)(a, a.index(1), [a, _normalise(spec, pts[1])], (1,))[0]
-        if w is not None:
-            max_weight = weighted[pts[0]] + weighted[pts[1]]
-            return CollinearStats(n, total, 2, max_weight, _line_key(spec, a, w))
+        w = wedge(*pts)
+        k = key(*w)
+        if k is not None:
+            return stats(2, weighted[pts[0]] + weighted[pts[1]], k, flip and key(*flip(w)))
     if len(pts) <= 2:
-        return CollinearStats(n, total, 1, max(weighted.values()), None)
+        return stats(1, max(weighted.values()))
     points, twins = _projective(spec, pts)
     count = [len(ks) for ks in twins]
     weight = [sum(weighted[pts[k]] for k in ks) for ks in twins]
+    single = len(points) == len(pts)  # no two tuples are proportional, as in a bridge class
     max_distinct = max_weight = 0
-    witness = None
+    most = []  # (i, j): the lines of the most tuples so far, each through points i and j
     for i, big, pairs in _lines(spec, points):
-        a = points[i]
-        for w, members in big:
+        for members in big:
             max_weight = max(max_weight, sum(map(weight.__getitem__, members)))
-            size = sum(map(count.__getitem__, members))
+            size = len(members) if single else sum(map(count.__getitem__, members))
             if size >= max_distinct:
-                key = _line_key(spec, a, w)
-                if size > max_distinct or key < witness:
-                    max_distinct, witness = size, key
+                if size > max_distinct:
+                    max_distinct, most = size, []
+                most.append((i, members[1]))
         if pairs:
             max_weight = max(max_weight, weight[i] + max(map(weight.__getitem__, pairs.values())))
-            size = count[i] + max(map(count.__getitem__, pairs.values()))
+            size = 2 if single else count[i] + max(map(count.__getitem__, pairs.values()))
             if size >= max_distinct:
-                key = min(
-                    _line_key(spec, a, w) for w, j in pairs.items() if count[i] + count[j] == size
-                )
-                if size > max_distinct or key < witness:
-                    max_distinct, witness = size, key
-    if witness is None:
-        return CollinearStats(n, total, 1, max(weighted.values()), None)
-    return CollinearStats(
-        count=n,
-        total_weight=total,
-        max_distinct=max_distinct,
-        max_weight=max_weight,
-        witness=witness,
-    )
+                if size > max_distinct:
+                    max_distinct, most = size, []
+                if size > 2:
+                    most += [(i, j) for j in pairs.values() if count[i] + count[j] == size]
+    if not max_distinct:
+        return stats(1, max(weighted.values()))
+    if max_distinct == 2:  # every pair spans a line of two tuples: one key-only pass
+        lines = ([wedge(x, y) for y in points[i:]] for i, x in enumerate(points, 1))
+    else:
+        lines = [[wedge(points[i], points[j]) for i, j in most]]
+    return stats(max_distinct, max_weight, *_least_keys(spec, lines, flip))
 
 
 # -- per-class reports and the energy bridge ----------------------------------
@@ -623,6 +879,33 @@ def oriented_bound(
     )
 
 
+def _small_class(spec: FieldSpec, group: str, points: dict[tuple, int]):
+    """Incidences and both sides' statistics of a class of at most two
+    points, read off the points: x . phi(y) is two of their Plücker
+    coordinates, and their line's key and its image's come from the same
+    vector."""
+    if len(points) == 1:
+        ((_, total),) = points.items()
+        stats = CollinearStats(1, total, 1, total, None)
+        return total * total, stats, stats
+    (x, wx), (y, wy) = points.items()
+    total = wx + wy
+    wedge, key, neg = _line_keys(spec)
+    w = wedge(x, y)
+    i, j, same = _FORM_WEDGE[group]
+    incidences = wx * wx + wy * wy + (2 * wx * wy if w[i] == (neg(w[j]) if same else w[j]) else 0)
+    line = key(*w)
+    if line is None:
+        stats = CollinearStats(2, total, 1, max(wx, wy), None)
+        return incidences, stats, stats
+    image = key(*_wedge_image(spec, group)(w))
+    return (
+        incidences,
+        CollinearStats(2, total, 2, total, _unpack(spec.q, line)),
+        CollinearStats(2, total, 2, total, _unpack(spec.q, image)),
+    )
+
+
 def class_report(
     spec: FieldSpec,
     group: str,
@@ -632,10 +915,15 @@ def class_report(
     constant=None,
     cap: int = Caps.max_pair_products,
 ) -> ClassReport:
-    inst = build_instance(spec, group, key, pairs)
-    inc = incidence_count(inst, cap)
-    pstats = collinear_stats(spec, inst.points, cap)
-    plstats = collinear_stats(spec, inst.planes, cap)
+    """One class measured on its points alone: its planes are phi of its
+    points, so one incidence pass over unordered pairs of points and one
+    collinearity pass give both sides."""
+    points = class_points(spec, group, key, pairs)
+    if len(points) <= 2:
+        inc, pstats, plstats = _small_class(spec, group, points)
+    else:
+        inc = _class_incidences(spec, group, points, cap)
+        pstats, plstats = collinear_stats(spec, points, cap, image=group)
     p2 = spec.p * spec.p
     return ClassReport(
         key=key,

@@ -6,6 +6,7 @@ none of it shares code with the library kernels it checks.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,7 +14,16 @@ import numpy as np
 
 from matgrowth.exact import incidence_bound
 from matgrowth.groups import T2, GroupSet, gid, ginv, gmul
-from matgrowth.incidence import ProbeReport
+from matgrowth.incidence import (
+    ClassReport,
+    CollinearStats,
+    ProbeReport,
+    dot4,
+    heis_plane,
+    heis_point,
+    t2_plane,
+    t2_point,
+)
 
 
 def quad_energy(A):
@@ -339,6 +349,43 @@ def probe_two_sided(inst, constant=None):
         bound=incidence_bound(incidences, n_points, n_planes, max(k, 1), constant),
         points_within_field_square=n_points <= spec.p**2,
         planes_within_field_square=n_planes <= spec.p**2,
+    )
+
+
+def class_report_two_sided(spec, group, key, pairs, quadruples, constant=None):
+    """A class's report with its two sides built and measured apart: each
+    pair's point and plane (``t2_point``/``t2_plane`` or ``heis_point``/
+    ``heis_plane``), ``dot4`` of every point with every plane, and each
+    side's tuple-keyed line statistics (``collinear_stats_by_pairs``), with
+    the smaller side's k as the bound reads it."""
+    if group == T2:
+        points = Counter(t2_point(spec, g, v) for g, v in pairs)
+        planes = Counter(t2_plane(spec, g, v) for g, v in pairs)
+    else:
+        points = Counter(heis_point(spec, g, v, key[1]) for g, v in pairs)
+        planes = Counter(heis_plane(spec, g, v, key[1]) for g, v in pairs)
+    incidences = sum(
+        wp * wpl
+        for pt, wp in points.items()
+        for pl, wpl in planes.items()
+        if dot4(spec, pt, pl) == 0
+    )
+    point_stats, plane_stats = (
+        CollinearStats(len(side), sum(side.values()), *collinear_stats_by_pairs(spec, dict(side)))
+        for side in (points, planes)
+    )
+    k = point_stats.max_distinct if len(points) <= len(planes) else plane_stats.max_distinct
+    return ClassReport(
+        key=key,
+        pair_count=len(pairs),
+        quadruples=quadruples,
+        incidences=incidences,
+        match=quadruples == incidences,
+        point_stats=point_stats,
+        plane_stats=plane_stats,
+        bound=incidence_bound(incidences, len(points), len(planes), max(k, 1), constant),
+        points_within_field_square=len(points) <= spec.p**2,
+        planes_within_field_square=len(planes) <= spec.p**2,
     )
 
 

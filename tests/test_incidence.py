@@ -23,6 +23,7 @@ from matgrowth.incidence import (
     bridge_report,
     build_instance,
     class_key,
+    class_report,
     collinear_stats,
     dot4,
     heis_plane,
@@ -31,6 +32,7 @@ from matgrowth.incidence import (
     line_groups,
     oriented_bound,
     pair_classes,
+    phi,
     probe_instance,
     quadruple_count,
     random_instance,
@@ -38,6 +40,7 @@ from matgrowth.incidence import (
     t2_point,
 )
 from oracles import (
+    class_report_two_sided,
     collinear_stats_by_pairs,
     line_groups_by_pairs,
     max_collinear,
@@ -153,10 +156,10 @@ def test_bridge_on_a_subgroup():
 
 
 @st.composite
-def bridge_sets(draw):
+def bridge_sets(draw, specs=(F5, F7, F9, F25, F101)):
     """Random sets, coordinate boxes, Heisenberg bricks, subgroups and cosets
     of T2 and H over prime and extension fields."""
-    spec = draw(st.sampled_from([F5, F7, F9, F25, F101]))
+    spec = draw(st.sampled_from(specs))
     group = draw(st.sampled_from(["T2", "H"]))
     kind = draw(st.sampled_from(["random", "box", "subgroup", "coset"]))
     if kind == "random":
@@ -201,12 +204,112 @@ def test_quadruple_join_matches_the_per_class_loop(a):
     assert sum(counts.values()) == energy(a)
 
 
+F4, F8 = standard_field(4), standard_field(8)
+
+
+@settings(max_examples=150)
+@given(bridge_sets(specs=(F4, F5, F7, F8, F9, F25, F101)))
+def test_class_reports_match_the_two_sided_oracle(a):
+    # classes of one or two points (closed form), of pairwise lines only
+    # (the key-only pass) and with longer lines (the anchor pass) alike
+    classes = pair_classes(a)
+    assume(sum(len(pairs) ** 2 for pairs in classes.values()) <= 20_000)
+    counts = quadruple_count(a, classes)
+    for key, pairs in classes.items():
+        got = class_report(a.spec, a.group, key, pairs, counts[key])
+        assert got == class_report_two_sided(a.spec, a.group, key, pairs, counts[key])
+
+
+@pytest.mark.parametrize("name", ["t2_f9_random25", "h_f25_random12", "h_f5_random20", "box2_f101"])
+def test_every_class_shape_of_the_corpus_matches_the_two_sided_oracle(name):
+    a = load_setfile(CORPUS / f"{name}.json").elements
+    classes = pair_classes(a)
+    counts = quadruple_count(a, classes)
+    shapes = Counter()
+    for key, pairs in classes.items():
+        got = class_report(a.spec, a.group, key, pairs, counts[key])
+        assert got == class_report_two_sided(a.spec, a.group, key, pairs, counts[key])
+        stats = got.point_stats
+        if stats.count <= 2:
+            shapes["small"] += 1
+        else:
+            shapes["pairwise" if stats.max_distinct == 2 else "lines"] += 1
+    if name == "t2_f9_random25":
+        assert set(shapes) == {"small", "pairwise", "lines"}
+
+
+SWAP_FIELDS = [standard_field(q) for q in (4, 5, 8, 9, 25, 101, 243, 256, 65521)]
+
+
+@st.composite
+def swap_cases(draw):
+    """A field up to the top of the range, a group, a coordinate c2, two
+    group elements and two 4-tuples."""
+    spec = draw(st.sampled_from(SWAP_FIELDS))
+    group = draw(st.sampled_from(["T2", "H"]))
+    coord = st.integers(0, spec.q - 1)
+    vec = st.tuples(coord, coord, coord, coord)
+    wires = group_wires(spec, group)
+    return spec, group, draw(coord), draw(wires), draw(wires), draw(vec), draw(vec)
+
+
+@settings(max_examples=200)
+@given(swap_cases())
+def test_phi_maps_each_point_to_the_plane_of_the_swapped_pair(case):
+    spec, group, c2, g, v, _, _ = case
+    if group == "T2":
+        assert phi(spec, group, t2_point(spec, g, v)) == t2_plane(spec, v, g)
+    else:
+        assert phi(spec, group, heis_point(spec, g, v, c2)) == heis_plane(spec, v, g, c2)
+
+
+@settings(max_examples=200)
+@given(swap_cases())
+def test_x_dot_phi_y_is_alternating(case):
+    spec, group, _, _, _, x, y = case
+    assert dot4(spec, x, phi(spec, group, x)) == 0
+    assert dot4(spec, x, phi(spec, group, y)) == spec.neg(dot4(spec, y, phi(spec, group, x)))
+
+
+@given(bridge_sets(specs=(F4, F5, F9, F101)))
+def test_pair_classes_are_closed_under_the_swap(a):
+    for pairs in pair_classes(a).values():
+        assert {(v, g) for g, v in pairs} == set(pairs)
+
+
+def test_a_bridge_runs_one_anchor_pass_per_class_of_three_points_and_builds_no_plane(monkeypatch):
+    passes = []
+    anchor_pass = incidence._lines
+    monkeypatch.setattr(
+        incidence, "_lines", lambda spec, pts: passes.append(len(pts)) or anchor_pass(spec, pts)
+    )
+    calls = Counter()
+    for name in ("build_instance", "incidence_count", "phi", "t2_plane", "heis_plane"):
+        def counted(*args, _name=name, _orig=getattr(incidence, name)):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(incidence, name, counted)
+    for name in ("t2_f9_random25", "h_f5_random20", "box2_f101"):
+        a = load_setfile(CORPUS / f"{name}.json").elements
+        classes = pair_classes(a)
+        counts = quadruple_count(a, classes)
+        for key, pairs in classes.items():
+            passes.clear()
+            report = class_report(a.spec, a.group, key, pairs, counts[key])
+            assert len(passes) == (report.point_stats.count >= 3)
+        passes.clear()
+        report = bridge_report(a)
+        assert len(passes) == sum(cls.point_stats.count >= 3 for cls in report.classes)
+    assert not calls
+
+
 def merged_key(spec, group, g, v):
     return (0, 0)
 
 
 def split_key(spec, group, g, v):
-    # ``class_key`` here stays the real one while the module's is patched
+    # ``class_key`` stays the real one while the module's ``class_keys`` is patched
     return (*class_key(spec, group, g, v), g[1] % 2)
 
 
@@ -215,7 +318,10 @@ def split_key(spec, group, g, v):
 def test_a_sabotaged_class_key_breaks_the_energy_match(monkeypatch, group, sabotage):
     a = GroupSet(group, F7, [(1 + i % 6, (3 * i) % 7, 1 + (5 * i) % 6) for i in range(12)])
     assert bridge_report(a).matches_energy
-    monkeypatch.setattr(incidence, "class_key", sabotage)
+    # pair_classes keys a row of pairs at a time
+    monkeypatch.setattr(
+        incidence, "class_keys", lambda spec, group, g, ws: [sabotage(spec, group, g, v) for v in ws]
+    )
     classes = pair_classes(a)
     counts = quadruple_count(a, classes)
     for key, pairs in classes.items():
