@@ -22,7 +22,7 @@ exercise the incidence counting on synthetic unit-weight instances.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import compress, starmap
 from operator import itemgetter
@@ -46,22 +46,15 @@ def class_key(spec: FieldSpec, group: str, g: Wire, v: Wire) -> tuple[int, int]:
 
 
 def class_keys(spec: FieldSpec, group: str, g: Wire, wires: list[Wire]) -> Iterable[tuple]:
-    """``class_key`` of (g, v) for every v of ``wires``, in order, with its
-    arithmetic written out: mod p over a prime field, through the dense
-    tables over a small extension field."""
+    """``class_key`` of (g, v) for every v of ``wires``, in order, with the
+    arithmetic written out mod p over a prime field."""
+    if spec.r != 1:
+        return [class_key(spec, group, g, v) for v in wires]
     i, j = (0, 2) if group == T2 else (0, 1)
-    x, y = g[i], g[j]
-    if spec.r == 1:
-        p = spec.p
-        if group == T2:
-            return zip([x * v[i] % p for v in wires], [y * v[j] % p for v in wires])
-        return zip([(x + v[i]) % p for v in wires], [(y + v[j]) % p for v in wires])
-    if spec.q <= DENSE_FIELD:
-        q = spec.q
-        add, mul, _, _ = _dense_tables(spec)
-        op = mul if group == T2 else add
-        return zip([op[x * q + v[i]] for v in wires], [op[y * q + v[j]] for v in wires])
-    return [class_key(spec, group, g, v) for v in wires]
+    x, y, p = g[i], g[j], spec.p
+    if group == T2:
+        return zip([x * v[i] % p for v in wires], [y * v[j] % p for v in wires])
+    return zip([(x + v[i]) % p for v in wires], [(y + v[j]) % p for v in wires])
 
 
 def pair_classes(
@@ -237,7 +230,7 @@ def class_points(
 ) -> dict[tuple, int]:
     """The point of every pair (g, v) of one class, weighted by multiplicity:
     ``t2_point`` or ``heis_point``, with the arithmetic written out over a
-    prime field and through the dense tables over a small extension field."""
+    prime field."""
     c2 = key[1]
     if spec.r == 1:
         p = spec.p
@@ -249,21 +242,6 @@ def class_points(
         else:
             tuples = (
                 ((g0 * g1 - g2 - v2 - c2 * g0) % p, g0, g1, 1) for (g0, g1, g2), (_, _, v2) in pairs
-            )
-    elif spec.q <= DENSE_FIELD:
-        q = spec.q
-        add, mul, inv_row, neg_row = _dense_tables(spec)
-        if group == T2:
-            tuples = (
-                (1, mul[inv_row[g2] + g1], mul[g0 * q + v1], mul[g0 * q + v2])
-                for (g0, g1, g2), (_, v1, v2) in pairs
-            )
-        else:
-            # g0 g1 - g2 - v2 - c2 g0 = g0 (g1 - c2) - (g2 + v2)
-            c = neg_row[c2] // q
-            tuples = (
-                (add[neg_row[add[g2 * q + v2]] + mul[g0 * q + add[g1 * q + c]]], g0, g1, 1)
-                for (g0, g1, g2), (_, _, v2) in pairs
             )
     elif group == T2:
         tuples = (t2_point(spec, g, v) for g, v in pairs)
@@ -764,75 +742,59 @@ def collinear_stats(
     weighted: dict[tuple, int],
     cap: int = Caps.max_pair_products,
     image: str | None = None,
-) -> CollinearStats | tuple[CollinearStats, CollinearStats]:
-    """Line statistics of positively weighted 4-tuples; the pair pass is capped.
+) -> tuple[CollinearStats, tuple | None]:
+    """Line statistics of positively weighted 4-tuples, and with ``image``, a
+    group, the witness of their images under the group's phi (None
+    without); the pair pass is capped.
 
-    With ``image``, a group, returns the statistics of the tuples and of
-    their images under the group's phi, from the one pass: phi is linear
-    and invertible, so it maps the tuples' lines onto the images' lines,
-    member for member.  The images have the same counts and maxima, and
-    their witness is the least key of phi(L) over the tuples' lines L of
-    most tuples.
+    One anchor pass finds the lines, and keeps only those of the most
+    tuples so far, each as two of its points; the keys are built after the
+    pass, from Plücker vectors.  When every line holds two tuples, every
+    pair of points spans one of the most, and one key-only pass over the
+    pairs finds the least key.
 
-    At most two nonzero tuples span one line or none, which is returned
-    in closed form.  Otherwise one anchor pass finds the lines, and keeps
-    only those of the most tuples so far, each as two of its points; the
-    keys are built after the pass, from Plücker vectors.  When every line
-    holds two tuples, every pair of points spans one of the most, and one
-    key-only pass over the pairs finds the least key.
+    The same pass gives the images' witness: phi is linear and invertible,
+    so it maps the tuples' lines onto the images' lines, member for member,
+    and the images' witness is the least key of phi(L) over the tuples'
+    lines L of most tuples.
     """
-    q = spec.q
-    wedge, key, _ = _line_keys(spec)
-    flip = _wedge_image(spec, image) if image else None
     total = sum(weighted.values())
     n = len(weighted)
-
-    def stats(max_distinct, max_weight, witness=None, image_witness=None):
-        sides = tuple(
-            CollinearStats(n, total, max_distinct, max_weight, k and _unpack(q, k))
-            for k in ([witness] if image is None else [witness, image_witness])
-        )
-        return sides if image else sides[0]
-
     if n <= 1:
-        return stats(n, total)
+        return CollinearStats(n, total, n, total, None), None
     pts = _collinear_points(weighted, cap)
-    if len(pts) == 2:  # in closed form: one line, or none when the two are proportional
-        w = wedge(*pts)
-        k = key(*w)
-        if k is not None:
-            return stats(2, weighted[pts[0]] + weighted[pts[1]], k, flip and key(*flip(w)))
-    if len(pts) <= 2:
-        return stats(1, max(weighted.values()))
     points, twins = _projective(spec, pts)
     count = [len(ks) for ks in twins]
     weight = [sum(weighted[pts[k]] for k in ks) for ks in twins]
-    single = len(points) == len(pts)  # no two tuples are proportional, as in a bridge class
     max_distinct = max_weight = 0
     most = []  # (i, j): the lines of the most tuples so far, each through points i and j
     for i, big, pairs in _lines(spec, points):
         for members in big:
             max_weight = max(max_weight, sum(map(weight.__getitem__, members)))
-            size = len(members) if single else sum(map(count.__getitem__, members))
+            size = sum(map(count.__getitem__, members))
             if size >= max_distinct:
                 if size > max_distinct:
                     max_distinct, most = size, []
                 most.append((i, members[1]))
         if pairs:
             max_weight = max(max_weight, weight[i] + max(map(weight.__getitem__, pairs.values())))
-            size = 2 if single else count[i] + max(map(count.__getitem__, pairs.values()))
+            size = count[i] + max(map(count.__getitem__, pairs.values()))
             if size >= max_distinct:
                 if size > max_distinct:
                     max_distinct, most = size, []
                 if size > 2:
                     most += [(i, j) for j in pairs.values() if count[i] + count[j] == size]
     if not max_distinct:
-        return stats(1, max(weighted.values()))
+        return CollinearStats(n, total, 1, max(weighted.values()), None), None
+    wedge = _line_keys(spec)[0]
     if max_distinct == 2:  # every pair spans a line of two tuples: one key-only pass
         lines = ([wedge(x, y) for y in points[i:]] for i, x in enumerate(points, 1))
     else:
         lines = [[wedge(points[i], points[j]) for i, j in most]]
-    return stats(max_distinct, max_weight, *_least_keys(spec, lines, flip))
+    flip = _wedge_image(spec, image) if image else None
+    k, ik = _least_keys(spec, lines, flip)
+    q = spec.q
+    return CollinearStats(n, total, max_distinct, max_weight, _unpack(q, k)), ik and _unpack(q, ik)
 
 
 # -- per-class reports and the energy bridge ----------------------------------
@@ -883,7 +845,8 @@ def _small_class(spec: FieldSpec, group: str, points: dict[tuple, int]):
     """Incidences and both sides' statistics of a class of at most two
     points, read off the points: x . phi(y) is two of their Plücker
     coordinates, and their line's key and its image's come from the same
-    vector."""
+    vector.  Two points of a class are never proportional, since each has
+    a coordinate fixed at one."""
     if len(points) == 1:
         ((_, total),) = points.items()
         stats = CollinearStats(1, total, 1, total, None)
@@ -894,11 +857,7 @@ def _small_class(spec: FieldSpec, group: str, points: dict[tuple, int]):
     w = wedge(x, y)
     i, j, same = _FORM_WEDGE[group]
     incidences = wx * wx + wy * wy + (2 * wx * wy if w[i] == (neg(w[j]) if same else w[j]) else 0)
-    line = key(*w)
-    if line is None:
-        stats = CollinearStats(2, total, 1, max(wx, wy), None)
-        return incidences, stats, stats
-    image = key(*_wedge_image(spec, group)(w))
+    line, image = key(*w), key(*_wedge_image(spec, group)(w))
     return (
         incidences,
         CollinearStats(2, total, 2, total, _unpack(spec.q, line)),
@@ -923,7 +882,8 @@ def class_report(
         inc, pstats, plstats = _small_class(spec, group, points)
     else:
         inc = _class_incidences(spec, group, points, cap)
-        pstats, plstats = collinear_stats(spec, points, cap, image=group)
+        pstats, image_witness = collinear_stats(spec, points, cap, image=group)
+        plstats = replace(pstats, witness=image_witness)
     p2 = spec.p * spec.p
     return ClassReport(
         key=key,
@@ -1022,7 +982,7 @@ def probe_instance(inst: WeightedInstance, constant=None) -> ProbeReport:
     n_points, n_planes = len(inst.points), len(inst.planes)
     inc = incidence_count(inst)
     smaller = inst.points if n_points <= n_planes else inst.planes
-    k = collinear_stats(spec, smaller).max_distinct
+    k = collinear_stats(spec, smaller)[0].max_distinct
     p2 = spec.p * spec.p
     return ProbeReport(
         point_count=n_points,

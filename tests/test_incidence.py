@@ -345,11 +345,13 @@ def test_three_collinear_points_form_one_line():
 
 
 def test_collinear_stats_edges():
-    empty = collinear_stats(F5, {})
+    empty, no_image = collinear_stats(F5, {})
+    assert no_image is None
     assert (empty.count, empty.max_distinct, empty.max_weight) == (0, 0, 0)
-    single = collinear_stats(F5, {(1, 2, 3, 4): 7})
+    single = collinear_stats(F5, {(1, 2, 3, 4): 7})[0]
     assert (single.count, single.max_distinct, single.max_weight) == (1, 1, 7)
-    pair = collinear_stats(F5, {(1, 0, 0, 0): 2, (0, 1, 0, 0) : 3})
+    pair, no_image = collinear_stats(F5, {(1, 0, 0, 0): 2, (0, 1, 0, 0) : 3})
+    assert no_image is None
     assert pair.max_distinct == 2
     assert pair.max_weight == 5
     assert pair.witness is not None
@@ -358,9 +360,9 @@ def test_collinear_stats_edges():
 @given(st.integers(0, 2**32), st.integers(4, 25), st.integers(4, 25))
 def test_collinear_stats_match_minor_oracle(seed, n_points, n_planes):
     inst = random_instance(F7, n_points, n_planes, seed)
-    stats = collinear_stats(F7, inst.points)
+    stats = collinear_stats(F7, inst.points)[0]
     assert stats.max_distinct == max_collinear(7, list(inst.points))
-    plstats = collinear_stats(F7, inst.planes)
+    plstats = collinear_stats(F7, inst.planes)[0]
     assert plstats.max_distinct == max_collinear(7, list(inst.planes))
 
 
@@ -417,7 +419,7 @@ def test_collinearity_matches_the_pair_oracle(case):
     # one reduced form per pair of tuples, against the anchor-key pass
     spec, weighted = case
     assert line_groups(spec, weighted) == line_groups_by_pairs(spec, weighted)
-    stats = collinear_stats(spec, weighted)
+    stats = collinear_stats(spec, weighted)[0]
     assert (stats.count, stats.total_weight) == (len(weighted), sum(weighted.values()))
     assert (stats.max_distinct, stats.max_weight, stats.witness) == collinear_stats_by_pairs(
         spec, weighted
@@ -430,7 +432,7 @@ def test_proportional_tuples_join_every_line_through_their_twin():
     lines = line_groups(F5, pts)
     assert lines == line_groups_by_pairs(F5, pts)
     assert sorted(len(m) for m in lines.values()) == [2, 3, 3]
-    stats = collinear_stats(F5, {(1, 0, 0, 0): 1, (2, 0, 0, 0): 1})
+    stats = collinear_stats(F5, {(1, 0, 0, 0): 1, (2, 0, 0, 0): 1})[0]
     assert (stats.max_distinct, stats.witness) == (1, None)
 
 
@@ -589,10 +591,10 @@ def test_weighted_incidence_count():
 
 
 def test_oriented_bound_uses_the_smaller_side():
-    small = collinear_stats(F5, {(1, 0, 0, 0): 1, (1, 1, 0, 0): 1})
+    small = collinear_stats(F5, {(1, 0, 0, 0): 1, (1, 1, 0, 0): 1})[0]
     large = collinear_stats(
         F5, {(0, 1, 0, 0): 1, (0, 1, 1, 0): 1, (0, 1, 2, 0): 1}
-    )
+    )[0]
     got = oriented_bound(4, small, large)
     assert got.lhs == 4
     # swapping roles leaves the oriented bound unchanged

@@ -90,3 +90,23 @@ def test_energy_sweep_help_runs_in_a_fresh_interpreter():
     )
     assert run.returncode == 0, run.stderr
     assert "--sizes" in run.stdout
+
+
+def test_an_incidence_pass_reproduces_the_pinned_digests(tmp_path):
+    # A pass writes each bridge and probe result field by field from its
+    # dataclasses, so a field added to one of them moves these digests
+    # without moving any report's.
+    inputs, outdir = tmp_path / "inputs", tmp_path / "pass0"
+    for cmd in (
+        [str(ROOT / "perfbench" / "workloads.py"), "--workload", "incidence", "--seed", "1",
+         "--out", str(inputs)],
+        [str(ROOT / "perfbench" / "worker.py"), str(inputs / "plan.json"), str(outdir)],
+    ):
+        run = subprocess.run([sys.executable, *cmd], capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+    pins = json.loads((ROOT / "perfbench" / "pins.json").read_text())["incidence"]
+    pins = {**pins["fixed"], **pins["seeds"]["1"]}
+    ops = json.loads((outdir / "result.json").read_text())["ops"]
+    assert {op["id"] for op in ops} == set(pins)
+    for op in ops:
+        assert (op["digest"], op["code"]) == (pins[op["id"]]["digest"], pins[op["id"]]["exit_code"]), op["id"]
