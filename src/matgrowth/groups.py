@@ -197,7 +197,7 @@ class GroupSet:
 
     def _coord_rows(self):
         """The (3, |S|) int64 numpy array of the coordinates, in canonical order."""
-        import numpy as np
+        from .kernel import np
 
         if self._keys is None:
             return np.array(self._wire_tuple, dtype=np.int64).reshape(-1, 3).T
@@ -284,8 +284,8 @@ class GroupSet:
             return other._index.issuperset(self.wires)
         if len(self) > len(other):
             return False
-        # a key-built operand means numpy is loaded already
-        import numpy as np
+        # a key-built operand means the kernel is loaded already
+        from .kernel import np
 
         mine, theirs = (s._keys if s._keys is not None else s._key_list() for s in (self, other))
         return bool(np.isin(mine, theirs, assume_unique=True).all())

@@ -42,12 +42,15 @@ from .groups import T2, GroupSet, Wire, gid, ginv, gmul, group_order, key_wires,
 
 # Pairs the loops may spend in one process before the kernel takes over,
 # so a run whose enumerations total below the cutoff never loads numpy.
-# Importing numpy costs about what the pure-Python loops spend on this many
-# pairs: on a 2-vCPU VM with Python 3.11 and numpy 2.4 the import took
-# 0.14 s, and the loops, with their decode, 0.8-1.1 us per pair over F_101
-# and F_128 and 1.8-2.0 us over F_256 (break-even 65k-170k pairs; 4.3-5.6
-# us, so 25k-34k, for H over F_59049), against 0.02-0.05 us in the kernel
-# (0.25 us for H over F_59049).  The cutoff sits inside that range.
+# Importing the kernel, which loads numpy with one BLAS thread, costs about
+# what the pure-Python loops spend on this many pairs: on a 2-vCPU VM with
+# Python 3.11 and numpy 2.4 the import took 0.05-0.06 s (0.10-0.13 s with
+# OpenBLAS's default thread pool), and the loops, with their decode,
+# 0.8-1.1 us per pair over F_101 and F_128 and 1.8-2.0 us over F_256,
+# against 0.02-0.05 us in the kernel: break-even 46k-80k pairs over F_101
+# and F_128, 25k-34k over F_256 (4.3-5.6 us against 0.25 us, so 9k-15k,
+# for H over F_59049).  The cutoff sits inside the first range and above
+# the others.
 # Counting the pairs already spent, not only the next enumeration's, stops
 # the loops once they have cost about one import (a report's many products
 # just below the cutoff would each run the loops).  Once numpy is loaded,
@@ -181,7 +184,7 @@ def energy_oracle(A: GroupSet, cap: int = 60) -> int:
     with a pairwise-equality matrix, which is the literal quadruple
     definition.  Quadratic memory, so capped to small sets.
     """
-    import numpy as np
+    from .kernel import np
 
     n = len(A)
     if n > cap:

@@ -742,10 +742,12 @@ def collinear_stats(
     weighted: dict[tuple, int],
     cap: int = Caps.max_pair_products,
     image: str | None = None,
+    witness: bool = True,
 ) -> tuple[CollinearStats, tuple | None]:
     """Line statistics of positively weighted 4-tuples, and with ``image``, a
     group, the witness of their images under the group's phi (None
-    without); the pair pass is capped.
+    without); the pair pass is capped.  Without ``witness`` no line key is
+    built, and both witnesses are None.
 
     One anchor pass finds the lines, and keeps only those of the most
     tuples so far, each as two of its points; the keys are built after the
@@ -786,6 +788,8 @@ def collinear_stats(
                     most += [(i, j) for j in pairs.values() if count[i] + count[j] == size]
     if not max_distinct:
         return CollinearStats(n, total, 1, max(weighted.values()), None), None
+    if not witness:
+        return CollinearStats(n, total, max_distinct, max_weight, None), None
     wedge = _line_keys(spec)[0]
     if max_distinct == 2:  # every pair spans a line of two tuples: one key-only pass
         lines = ([wedge(x, y) for y in points[i:]] for i, x in enumerate(points, 1))
@@ -977,12 +981,13 @@ class ProbeReport:
 
 def probe_instance(inst: WeightedInstance, constant=None) -> ProbeReport:
     """Incidences and the bound of a probe, with one collinearity pass: on
-    the smaller side, whose k the bound reads, as ``oriented_bound`` picks."""
+    the smaller side, whose k the bound reads, as ``oriented_bound`` picks.
+    A probe reports no witness, so the pass builds no line key."""
     spec = inst.spec
     n_points, n_planes = len(inst.points), len(inst.planes)
     inc = incidence_count(inst)
     smaller = inst.points if n_points <= n_planes else inst.planes
-    k = collinear_stats(spec, smaller)[0].max_distinct
+    k = collinear_stats(spec, smaller, witness=False)[0].max_distinct
     p2 = spec.p * spec.p
     return ProbeReport(
         point_count=n_points,

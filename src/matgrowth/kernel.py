@@ -2,7 +2,10 @@
 
 ``growth`` imports this module, and so numpy, once an enumeration and the
 pairs the pure-Python loops have already spent in the process reach
-``growth.VECTOR_PAIRS`` (see ``growth._use_kernel``).  X x Y is enumerated
+``growth.VECTOR_PAIRS`` (see ``growth._use_kernel``).  It is the package's
+only import of numpy, which it loads with one BLAS thread: the import then
+takes 0.05-0.06 s and about 11 MB of peak memory on a 2-vCPU VM (0.10-0.13
+s with OpenBLAS's default thread pool).  X x Y is enumerated
 in row blocks as packed int64 keys (x * q + y) * q + z (the ``wire_key``
 order of ``GroupSet``), which fit because q^3 <= 2^48.  Prime fields use
 plain modular arithmetic (every product is below 2^32); extension fields
@@ -19,12 +22,36 @@ result whenever they outgrow it.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-
-import numpy as np
 
 from .ffield import FieldSpec
 from .groups import T2, GroupSet
+
+
+def _import_numpy():
+    """numpy, loaded with one OpenBLAS thread unless the caller set
+    ``OPENBLAS_NUM_THREADS``; ``os.environ`` is left as it was found.
+
+    The kernel sorts, dedupes and does integer arithmetic, none of which
+    calls BLAS (which serves float and complex types only), yet by default
+    OpenBLAS starts a worker per further core when it loads: about half of
+    the import's time on a 2-vCPU VM.  OpenBLAS reads the variable once, at
+    load, so setting it around the first import is enough.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        import numpy
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return numpy
+
+
+# the package's one numpy import; ``growth`` and ``groups`` take ``np`` from here
+np = _import_numpy()
 
 # Pairs per row block.  A block's few int64 temporaries (0.5 MB each) are
 # the working memory beyond the output: on the products benchmark, 2^16

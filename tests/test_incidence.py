@@ -631,6 +631,24 @@ def test_probe_reads_the_collinearity_of_its_smaller_side_only():
     assert probe.incidences == incidences_by_dot4(inst)
 
 
+def test_a_probe_builds_no_line_key(monkeypatch):
+    # every line of these 40 points holds two, so a witness would cost a
+    # key-only pass over all 780 pairs
+    inst = random_instance(F101, 40, 40, seed=1)
+    calls = []
+    line_keys = incidence._line_keys
+
+    def counted(spec):
+        calls.append(spec)
+        return line_keys(spec)
+
+    monkeypatch.setattr(incidence, "_line_keys", counted)
+    probe = probe_instance(inst)
+    assert (probe.max_collinear, calls) == (2, [])
+    assert collinear_stats(F101, inst.points)[0].max_distinct == 2 and calls
+    assert probe == probe_two_sided(inst)
+
+
 def test_random_instance_is_deterministic():
     a = random_instance(F7, 12, 15, seed=5)
     b = random_instance(F7, 12, 15, seed=5)

@@ -50,10 +50,11 @@ def mask_fits(spec) -> bool:
     return spec.q**3 <= 1 << 24
 
 
-def run_fresh(script: str) -> str:
-    """The stdout of ``script`` run in a new interpreter on this checkout."""
+def run_fresh(script: str, **overrides) -> str:
+    """The stdout of ``script`` run in a new interpreter on this checkout,
+    with the environment ``overrides`` (None removes a variable)."""
     src = str(Path(growth.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = {k: v for k, v in dict(os.environ, PYTHONPATH=src, **overrides).items() if v is not None}
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
@@ -312,3 +313,43 @@ seen.append(loaded())
 print(seen)
 """
     assert run_fresh(script) == "[False, False, False, True]"
+
+
+# The process's thread count, its OPENBLAS_NUM_THREADS and whether numpy is loaded.
+PROCESS_STATE = """
+import json, os, sys
+with open("/proc/self/status") as status:
+    threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+print(json.dumps([threads, os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules]))
+"""
+# crosses the cutoff at its cube
+REPORT_RANDOM40 = f"""
+import matgrowth as mg
+from matgrowth.config import RunOptions
+from matgrowth.reports import run_report
+
+run_report(mg.build_setfile("T2", mg.standard_field(101), {RANDOM40!r}), RunOptions(bridge="off"))
+"""
+# the process's only numpy use
+ENERGY_ORACLE = """
+from matgrowth import growth, standard_field
+from matgrowth.groups import GroupSet
+
+growth.energy_oracle(GroupSet("T2", standard_field(5), [(1, 0, 1), (2, 1, 3), (4, 4, 4)]))
+"""
+on_linux = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+
+
+@on_linux
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one core OpenBLAS starts no worker")
+@pytest.mark.parametrize("script", [REPORT_RANDOM40, ENERGY_ORACLE], ids=["report", "energy_oracle"])
+def test_numpy_loads_with_one_blas_thread(script):
+    """OpenBLAS starts no worker thread, and ``os.environ`` is left as found."""
+    state = run_fresh(script + PROCESS_STATE, OPENBLAS_NUM_THREADS=None)
+    assert json.loads(state) == [1, None, True]
+
+
+@on_linux
+def test_a_callers_blas_thread_count_is_kept():
+    state = run_fresh(REPORT_RANDOM40 + PROCESS_STATE, OPENBLAS_NUM_THREADS="2")
+    assert json.loads(state)[1:] == ["2", True]

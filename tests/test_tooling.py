@@ -110,3 +110,19 @@ def test_an_incidence_pass_reproduces_the_pinned_digests(tmp_path):
     assert {op["id"] for op in ops} == set(pins)
     for op in ops:
         assert (op["digest"], op["code"]) == (pins[op["id"]]["digest"], pins[op["id"]]["exit_code"]), op["id"]
+
+
+def test_only_the_kernel_imports_numpy():
+    # ``kernel`` loads numpy with one BLAS thread; a module importing it
+    # directly could load it first, with the default thread pool.
+    def imports_numpy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+    importers = sorted(
+        path.name
+        for path in (ROOT / "src" / "matgrowth").rglob("*.py")
+        if any(map(imports_numpy, ast.walk(ast.parse(path.read_text()))))
+    )
+    assert importers == ["kernel.py"]
