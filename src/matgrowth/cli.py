@@ -63,15 +63,21 @@ def parse_tag(text: str) -> SubgroupTag:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """A constant such as 7/2 or 1.5e-3; a ValueError is argparse's usage error."""
+    """A nonnegative constant such as 7/2 or 1.5e-3.  A refusal is an
+    ``ArgumentTypeError``, whose message argparse prints."""
     # bound the digits Fraction would build, so the report can print them
     exponent = text.lower().partition("e")[2]
     if len(text) > 64 or (exponent and abs(int(exponent)) > 64):
-        raise ValueError(f"constant {text!r} is too large")
+        raise argparse.ArgumentTypeError(f"constant {text!r} is too large")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"constant {text!r} divides by zero") from None
+        raise argparse.ArgumentTypeError(f"constant {text!r} divides by zero") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"constant {text!r} is not a number") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"constant {text!r} is negative")
+    return value
 
 
 def parse_triple(text: str) -> tuple[int, int, int]:
@@ -230,7 +236,7 @@ def cmd_verify(args) -> int:
                 problems.append("no expected record")
             else:
                 regen = regenerate(sf)
-                if regen is not None and regen.wires != sf.elements.wires:
+                if regen is not None and regen != sf.elements:
                     problems.append("regeneration drifted from stored elements")
                 if sf.elements_digest != exp["elements_sha256"]:
                     problems.append("elements digest mismatch")
@@ -255,8 +261,17 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if any_failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the package's usage errors: one ``error:`` line on
+    stderr and exit 1, as for any other input error.  Subcommand parsers
+    share the class."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matgrowth",
         description="growth, coset profiles and incidence counts for matrix group subsets",
     )

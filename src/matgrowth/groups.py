@@ -10,13 +10,17 @@ An element is its wire triple, a plain tuple of three field wires; it
 carries no field or group, so every kernel (``gmul``, ``ginv``, ...) takes
 the field spec and the group tag next to it; ``pair_keys`` is ``gmul``
 written out for a whole pair loop.  ``check_group_wire`` is the
-one validity check.  ``GroupSet`` is a deduplicated, canonically ordered
-set of wire triples with its ambient group tag.
+one validity check.  ``GroupSet`` is a set of elements with its ambient
+group tag, stored as one thing: the sorted packed keys ``wire_key`` of its
+elements, decoded into wire triples (``key_wires``) only when asked.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import Counter
+from itertools import chain, compress
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import Caps, json_typed
@@ -140,28 +144,29 @@ def pair_keys(spec: FieldSpec, group: str, xs: Sequence[Wire], ys: Sequence[Wire
             yield from (wire_key(spec, gmul(spec, group, x, y)) for y in ys)
 
 
-def key_wires(spec: FieldSpec, keys: Iterable[int]) -> list[Wire]:
-    """The wire triples of packed keys, in the keys' order."""
+def key_wires(spec: FieldSpec, keys: Iterable[int]) -> Iterator[Wire]:
+    """The wire triples of packed keys, in the keys' order, one at a time."""
     q = spec.q
     qq = q * q
-    return [(k // qq, k // q % q, k % q) for k in keys]
+    return ((k // qq, k // q % q, k % q) for k in keys)
 
 
 class GroupSet:
     """A multiplicity-free set of group elements in canonical order.
 
-    Elements are stored as wire triples sorted by their packed integer key;
-    that order is also the sample space of the random generator, so a
-    GroupSet serializes identically no matter how it was assembled.
+    A set is its packed keys ``wire_key``: ``keys`` is an ``array('q')`` of
+    them, sorted and distinct, however the set was built.  That order is
+    also the sample space of the random generator, so a GroupSet
+    serializes identically no matter how it was assembled.  ``len``,
+    ``==``, ``hash``, ``in`` and ``subset_of`` read the keys; ``wires``
+    and iteration decode them on every use, and nothing decoded is kept.
 
-    A set built by the pair kernel (``_keys``: a sorted, duplicate-free
-    int64 array of packed keys) keeps only that array; ``len``, ``==``,
-    ``hash`` and ``subset_of`` read it, and the wire triples are decoded
-    on first use.  The membership index behind ``in`` is built on the
-    first membership query, whichever way the set was built.
+    ``GroupSet(group, spec, wires)`` validates, keys, dedupes and sorts;
+    internal producers skip the validation with ``_checked=True``, or hand
+    over an ``array('q')`` that is already sorted and distinct as ``_keys``.
     """
 
-    __slots__ = ("group", "spec", "_keys", "_wire_tuple", "_wire_index")
+    __slots__ = ("group", "spec", "keys")
 
     def __init__(
         self,
@@ -169,79 +174,50 @@ class GroupSet:
         spec: FieldSpec,
         wires: Iterable[Wire] = (),
         _checked: bool = False,
-        _keys=None,
-        _sorted: bool = False,
+        _keys: array | None = None,
     ):
         if group not in GROUPS:
             raise ParameterError(f"unknown group tag {group!r}")
         self.group = group
         self.spec = spec
-        self._keys = _keys
-        self._wire_tuple = self._wire_index = None
-        if _keys is not None:
-            return
-        if _sorted:  # valid, distinct and in canonical order already
-            self._wire_tuple = tuple(wires)
-            return
-        if _checked:
-            uniq = set(wires)
-        else:
-            uniq = {check_group_wire(spec, group, w) for w in wires}
-        self._wire_tuple = tuple(sorted(uniq, key=lambda w: wire_key(spec, w)))
+        if _keys is None:
+            if not _checked:
+                wires = [check_group_wire(spec, group, w) for w in wires]
+            _keys = array("q", sorted({wire_key(spec, w) for w in wires}))
+        self.keys = _keys
 
     @property
     def wires(self) -> tuple[Wire, ...]:
-        if self._wire_tuple is None:
-            self._wire_tuple = tuple(zip(*self._coord_rows().tolist()))
-        return self._wire_tuple
-
-    def _coord_rows(self):
-        """The (3, |S|) int64 numpy array of the coordinates, in canonical order."""
-        from .kernel import np
-
-        if self._keys is None:
-            return np.array(self._wire_tuple, dtype=np.int64).reshape(-1, 3).T
-        q, k = self.spec.q, self._keys
-        return np.stack((k // (q * q), k // q % q, k % q))
-
-    @property
-    def _index(self) -> frozenset[Wire]:
-        if self._wire_index is None:
-            self._wire_index = frozenset(self.wires)
-        return self._wire_index
-
-    def _key_list(self) -> list[int]:
-        """The packed keys ``wire_key`` of the elements, in canonical order."""
-        if self._keys is not None:
-            return self._keys.tolist()
-        spec = self.spec
-        return [wire_key(spec, w) for w in self._wire_tuple]
+        return tuple(key_wires(self.spec, self.keys))
 
     def __len__(self) -> int:
-        return len(self._keys) if self._keys is not None else len(self._wire_tuple)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[Wire]:
-        return iter(self.wires)
+        return key_wires(self.spec, self.keys)
 
     def __contains__(self, item) -> bool:
-        return tuple(item) in self._index
+        """Whether the triple ``item`` (a tuple or a list) is an element.  A
+        coordinate outside 0..q-1 is in no set: packed, it would alias the
+        key of another triple."""
+        w = tuple(item)
+        if len(w) != 3 or not all(0 <= x < self.spec.q for x in w):
+            return False
+        key = wire_key(self.spec, w)
+        keys = self.keys
+        i = bisect_left(keys, key)
+        return i < len(keys) and keys[i] == key
 
     def __eq__(self, other) -> bool:
-        if not (
+        return (
             isinstance(other, GroupSet)
             and self.group == other.group
             and self.spec == other.spec
-            and len(self) == len(other)
-        ):
-            return False
-        if self._keys is not None and other._keys is not None:
-            return bool((self._keys == other._keys).all())
-        if self._keys is None and other._keys is None:
-            return self._wire_tuple == other._wire_tuple
-        return self._key_list() == other._key_list()
+            and self.keys == other.keys
+        )
 
     def __hash__(self) -> int:
-        return hash((self.group, self.spec._hash, tuple(self._key_list())))
+        return hash((self.group, self.spec._hash, self.keys.tobytes()))
 
     def __repr__(self) -> str:
         return f"GroupSet({self.group}, q={self.spec.q}, n={len(self)})"
@@ -251,44 +227,40 @@ class GroupSet:
             raise MismatchError("sets live in different ambient groups")
 
     def inverses(self) -> "GroupSet":
-        spec = self.spec
-        return GroupSet(
-            self.group, spec, (ginv(spec, self.group, w) for w in self.wires), _checked=True
-        )
+        spec, group = self.spec, self.group
+        return GroupSet(group, spec, (ginv(spec, group, w) for w in self), _checked=True)
 
     def symmetrized(self) -> "GroupSet":
         """A together with its inverses and the identity."""
-        spec = self.spec
-        wires = set(self.wires)
-        wires.update(ginv(spec, self.group, w) for w in self.wires)
-        wires.add(gid(self.group))
-        return GroupSet(self.group, spec, wires, _checked=True)
+        spec, group = self.spec, self.group
+        inverses = (ginv(spec, group, w) for w in self)
+        return GroupSet(group, spec, chain(self, inverses, [gid(group)]), _checked=True)
 
     def union(self, other: "GroupSet") -> "GroupSet":
         self.same_ambient(other)
-        return GroupSet(self.group, self.spec, self.wires + other.wires, _checked=True)
+        keys = array("q", sorted(set(self.keys).union(other.keys)))
+        return GroupSet(self.group, self.spec, _keys=keys)
 
     @property
     def is_symmetric(self) -> bool:
-        spec = self.spec
-        index = self._index
-        return all(ginv(spec, self.group, w) in index for w in self.wires)
+        spec, group = self.spec, self.group
+        return all(ginv(spec, group, w) in self for w in self)
 
     @property
     def has_identity(self) -> bool:
-        return gid(self.group) in self._index
+        return gid(self.group) in self
 
     def subset_of(self, other: "GroupSet") -> bool:
+        """Whether every element lies in ``other``: each key of this set,
+        bisected into the other's keys from where the last one was found."""
         self.same_ambient(other)
-        if self._keys is None and other._keys is None:
-            return other._index.issuperset(self.wires)
-        if len(self) > len(other):
-            return False
-        # a key-built operand means the kernel is loaded already
-        from .kernel import np
-
-        mine, theirs = (s._keys if s._keys is not None else s._key_list() for s in (self, other))
-        return bool(np.isin(mine, theirs, assume_unique=True).all())
+        theirs = other.keys
+        i = 0
+        for key in self.keys:
+            i = bisect_left(theirs, key, i)
+            if i == len(theirs) or theirs[i] != key:
+                return False
+        return True
 
 
 def generated_closure(seeds: GroupSet, cap: int = Caps.max_set_elements) -> GroupSet:
@@ -299,9 +271,7 @@ def generated_closure(seeds: GroupSet, cap: int = Caps.max_set_elements) -> Grou
     """
     spec = seeds.spec
     group = seeds.group
-    gens = set(seeds.wires)
-    gens.update(ginv(spec, group, w) for w in seeds.wires)
-    gens.add(gid(group))
+    gens = set(seeds.symmetrized())
     closed = set(gens)
     frontier = list(gens)
     while frontier:
@@ -415,12 +385,14 @@ class SubgroupTag:
     def keys(self, S: GroupSet) -> list[tuple]:
         """The coset key of each element of S, in S's canonical order."""
         self.check_group(S.group)
-        return list(map(self._forms(S.spec)[0], S.wires))
+        return list(map(self._forms(S.spec)[0], S))
 
     def members(self, S: GroupSet) -> GroupSet:
-        """S n H; a filtered canonical tuple stays canonical."""
+        """S n H: S's keys filtered by the membership test of each decoded
+        element, which stay sorted; no element of S is kept."""
         self.check_group(S.group)
-        return GroupSet(S.group, S.spec, filter(self._forms(S.spec)[1], S.wires), _sorted=True)
+        inside = map(self._forms(S.spec)[1], S)
+        return GroupSet(S.group, S.spec, _keys=array("q", compress(S.keys, inside)))
 
     def check_group(self, group: str) -> None:
         """Refuse to act on a set of the other group."""
@@ -519,7 +491,7 @@ class SubgroupTag:
         return GroupSet(
             self.group,
             spec,
-            (gmul(spec, self.group, rep, w) for w in self.elements(spec).wires),
+            (gmul(spec, self.group, rep, w) for w in self.elements(spec)),
             _checked=True,
         )
 

@@ -19,8 +19,9 @@ n x m enumeration runs the numpy kernel of ``matgrowth.kernel`` once
 numpy is loaded, or once n * m plus the pairs the pure-Python loops have
 already enumerated in this process reach ``VECTOR_PAIRS``; else it runs
 those loops, which feed the packed keys of ``groups.pair_keys`` into a
-set or a counter and decode the distinct keys once.  ``gmul`` stays their
-oracle.
+set or a counter.  Either path hands the sorted distinct keys to the
+``GroupSet`` as they are, so no product set is decoded into wire triples
+unless a caller asks for them.  ``gmul`` stays the loops' oracle.
 
 The checks below take a ``GroupSet`` or the shared ``Products`` of one
 report, which enumerates each product set at most once, and builds A's
@@ -30,33 +31,34 @@ coset keys and the slice A^-1 A n H at most once per subgroup tag.
 from __future__ import annotations
 
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 from .config import Caps
 from .errors import CapExceeded, ParameterError
-from .groups import T2, GroupSet, Wire, gid, ginv, gmul, group_order, key_wires, pair_keys
+from .groups import T2, GroupSet, Wire, gid, ginv, gmul, group_order, pair_keys
 
 # Pairs the loops may spend in one process before the kernel takes over,
 # so a run whose enumerations total below the cutoff never loads numpy.
 # Importing the kernel, which loads numpy with one BLAS thread, costs about
-# what the pure-Python loops spend on this many pairs: on a 2-vCPU VM with
+# what the pure-Python loops spend on this many pairs.  On a 2-vCPU VM with
 # Python 3.11 and numpy 2.4 the import took 0.05-0.06 s (0.10-0.13 s with
-# OpenBLAS's default thread pool), and the loops, with their decode,
-# 0.8-1.1 us per pair over F_101 and F_128 and 1.8-2.0 us over F_256,
-# against 0.02-0.05 us in the kernel: break-even 46k-80k pairs over F_101
-# and F_128, 25k-34k over F_256 (4.3-5.6 us against 0.25 us, so 9k-15k,
-# for H over F_59049).  The cutoff sits inside the first range and above
-# the others.
+# OpenBLAS's default thread pool).  The loops, which keep the sorted keys
+# and decode nothing, took 0.37-0.43 us per pair over F_101 and F_128
+# (0.52-0.57 us counting), 1.4-1.5 us over F_256 and 2.9-5.5 us for H over
+# F_59049, against 0.02-0.05 us in the kernel (0.25 us for H over F_59049):
+# break-even 116k-162k pairs over F_101 and F_128, 33k-43k over F_256 and
+# 9k-21k for H over F_59049.  So the cutoff sits below the first range and
+# above the others; pricing it is open.
 # Counting the pairs already spent, not only the next enumeration's, stops
 # the loops once they have cost about one import (a report's many products
 # just below the cutoff would each run the loops).  Once numpy is loaded,
-# every enumeration runs the kernel: with the decode, it takes 58-63 us
-# against the loops' 23 us for 25 pairs of T2 over F_101, and 118-135 us
-# against 256 us for 400.
+# every enumeration runs the kernel: it takes 35-64 us against the loops'
+# 14-23 us for 25 pairs of T2 over F_101, 48-80 us against 135-248 us for
+# 400 and 84-136 us against 595-977 us for 1,600.
 VECTOR_PAIRS = 1 << 16
 
 # The pairs the wire loops have enumerated in this process.  Process-wide,
@@ -101,7 +103,7 @@ def rep_function(A: GroupSet, B: GroupSet, mode: str = "inverse_left") -> Counte
     if mode not in ("inverse_left", "plain"):
         raise ParameterError(f"unknown rep mode {mode!r}")
     distinct, mults = _enumerate(A.inverses() if mode == "inverse_left" else A, B, counts=True)
-    return Counter(dict(zip(distinct.wires, map(int, mults))))
+    return Counter(dict(zip(distinct, map(int, mults))))
 
 
 def product_tally(A: GroupSet, B: GroupSet) -> tuple[GroupSet, int]:
@@ -143,28 +145,24 @@ def _enumerate(X: GroupSet, Y: GroupSet, counts: bool = False):
     _loop_pairs += len(X) * len(Y)
     keys = pair_keys(spec, group, X.wires, Y.wires)
     if not counts:
-        return _from_keys(spec, group, sorted(set(keys))), None
+        return GroupSet(group, spec, _keys=array("q", sorted(set(keys)))), None
     tally = Counter(keys)
-    distinct = sorted(tally)
-    return _from_keys(spec, group, distinct), [tally[k] for k in distinct]
-
-
-def _from_keys(spec, group: str, keys: list[int]) -> GroupSet:
-    """The set of sorted, distinct packed keys, decoded once."""
-    return GroupSet(group, spec, key_wires(spec, keys), _sorted=True)
+    distinct = array("q", sorted(tally))
+    return GroupSet(group, spec, _keys=distinct), [tally[k] for k in distinct]
 
 
 def _whole_group(spec, group: str) -> GroupSet:
-    """G as a set: a key array once numpy is loaded, as the kernel would
-    give, else wire triples."""
+    """G as a set: its keys from the kernel once numpy is loaded, else
+    from a loop over the coordinates."""
     if "numpy" in sys.modules:
         from .kernel import group_keys
 
         return GroupSet(group, spec, _keys=group_keys(spec.q, group))
-    field = range(spec.q)
-    units = field[1:] if group == T2 else field
+    q = spec.q
+    units = range(1, q) if group == T2 else range(q)
     # lexicographic order is key order
-    return GroupSet(group, spec, product(units, field, units), _sorted=True)
+    keys = ((a * q + b) * q + c for a in units for b in range(q) for c in units)
+    return GroupSet(group, spec, _keys=array("q", keys))
 
 
 def energy(A: GroupSet | Products) -> int:
@@ -192,10 +190,11 @@ def energy_oracle(A: GroupSet, cap: int = 60) -> int:
     spec = A.spec
     group = A.group
     q = spec.q
+    wires = A.wires
     packed = []
-    for a in A.wires:
+    for a in wires:
         ai = ginv(spec, group, a)
-        for b in A.wires:
+        for b in wires:
             w = gmul(spec, group, ai, b)
             packed.append((w[0] * q + w[1]) * q + w[2])
     v = np.asarray(packed, dtype=np.int64)
@@ -209,8 +208,8 @@ class Products:
     when A already is A(1) the two ladders coincide, so sym(2) and sym(3)
     are ``square`` and ``cube``.  Each product refuses, as ``product_set``
     does, once its pair count passes ``caps.max_pair_products``.  The two
-    counting passes keep the distinct products (a key-array set when the
-    kernel ran) and their second moment, not the per-product counts.
+    counting passes keep the distinct products and their second moment,
+    not the per-product counts.
     """
 
     def __init__(self, A: GroupSet, caps: Caps | None = None):
@@ -433,10 +432,10 @@ def covering_check(A: GroupSet | Products, tag) -> tuple[bool, int]:
     spec, group = P.A.spec, P.A.group
     if not tag.is_normal:
         raise ParameterError(f"covering check needs a normal subgroup, not {tag.kind}")
-    core = set(P.quotient_slice(tag).wires) | {gid(group)}
+    core = set(P.quotient_slice(tag)) | {gid(group)}
     reps: dict[tuple, Wire] = {}
     holds = True
-    for a, key in zip(P.A.wires, P.coset_keys(tag)):
+    for a, key in zip(P.A, P.coset_keys(tag)):
         r = reps.setdefault(key, a)
         if r is not a:  # a representative covers itself: r^-1 r = 1
             holds = holds and gmul(spec, group, ginv(spec, group, r), a) in core

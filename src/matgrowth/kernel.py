@@ -7,7 +7,9 @@ only import of numpy, which it loads with one BLAS thread: the import then
 takes 0.05-0.06 s and about 11 MB of peak memory on a 2-vCPU VM (0.10-0.13
 s with OpenBLAS's default thread pool).  X x Y is enumerated
 in row blocks as packed int64 keys (x * q + y) * q + z (the ``wire_key``
-order of ``GroupSet``), which fit because q^3 <= 2^48.  Prime fields use
+order of ``GroupSet``), which fit because q^3 <= 2^48.  The operands'
+coordinates come from a zero-copy view of their keys, and the result is
+copied once into the ``array('q')`` a ``GroupSet`` holds.  Prime fields use
 plain modular arithmetic (every product is below 2^32); extension fields
 multiply through numpy copies of the exp/log tables and add by XOR when
 p = 2, digit by digit otherwise.
@@ -23,6 +25,7 @@ result whenever they outgrow it.
 from __future__ import annotations
 
 import os
+from array import array
 from functools import lru_cache
 
 from .ffield import FieldSpec
@@ -50,7 +53,7 @@ def _import_numpy():
     return numpy
 
 
-# the package's one numpy import; ``growth`` and ``groups`` take ``np`` from here
+# the package's one numpy import; ``growth`` takes ``np`` from here
 np = _import_numpy()
 
 # Pairs per row block.  A block's few int64 temporaries (0.5 MB each) are
@@ -93,13 +96,14 @@ def vector_field(spec: FieldSpec):
 
 
 def pair_kernel(X: GroupSet, Y: GroupSet, counts: bool = False):
-    """Sorted distinct packed keys of x y over X x Y, and their multiplicities
-    when ``counts`` is set (else None).  Works in row blocks of about
-    ``BLOCK_PAIRS`` pairs, so memory follows the output, not the pair count.
+    """Sorted distinct packed keys of x y over X x Y, as an ``array('q')``,
+    and their int64 multiplicities when ``counts`` is set (else None).
+    Works in row blocks of about ``BLOCK_PAIRS`` pairs, so memory follows
+    the output, not the pair count.
     """
     q = X.spec.q
     add, mul = vector_field(X.spec)
-    x, y = X._coord_rows(), Y._coord_rows()[:, None, :]
+    x, y = _coord_rows(X), _coord_rows(Y)[:, None, :]
     rows = max(1, BLOCK_PAIRS // max(1, len(Y)))
     blocks = (
         _block_keys(X.group, add, mul, q, x[:, start : start + rows, None], y)
@@ -109,7 +113,9 @@ def pair_kernel(X: GroupSet, Y: GroupSet, counts: bool = False):
         seen = np.zeros(q**3, dtype=bool)
         for block in blocks:
             seen[block] = True
-        return np.flatnonzero(seen).astype(np.int64, copy=False), None
+        keys = np.flatnonzero(seen).astype(np.int64, copy=False)
+        del seen
+        return _key_array(keys), None
     # parts[0] is the running result; the later parts are pending blocks,
     # folded in once they outgrow it: a fold costs at most twice its pending
     # keys, and they exceed the result by at most one block
@@ -120,7 +126,22 @@ def pair_kernel(X: GroupSet, Y: GroupSet, counts: bool = False):
         parts.append((block[starts], np.diff(starts, append=len(block)) if counts else None))
         if sum(len(k) for k, _ in parts[1:]) >= len(parts[0][0]):
             parts = [_merge(parts, counts)]
-    return _merge(parts, counts)
+    keys, mults = _merge(parts, counts)
+    return _key_array(keys), mults
+
+
+def _coord_rows(S: GroupSet):
+    """The (3, |S|) int64 coordinates of S's elements, in canonical order,
+    computed from a zero-copy view of S's keys."""
+    q, k = S.spec.q, np.frombuffer(S.keys, dtype=np.int64)
+    return np.stack((k // (q * q), k // q % q, k % q))
+
+
+def _key_array(keys) -> array:
+    """A copy of a contiguous int64 key array as an ``array('q')``."""
+    out = array("q")
+    out.frombytes(keys.view(np.uint8))
+    return out
 
 
 def _dense(q: int, pairs: int) -> bool:
@@ -166,12 +187,12 @@ def _merge(parts: list, counts: bool):
     return keys[starts], np.add.reduceat(mults, starts)
 
 
-def group_keys(q: int, group: str):
+def group_keys(q: int, group: str) -> array:
     """The sorted packed keys of every element of T2(F_q) or H(F_q)."""
     if group != T2:
-        return np.arange(q**3, dtype=np.int64)
+        return _key_array(np.arange(q**3, dtype=np.int64))
     units, field = np.arange(1, q, dtype=np.int64), np.arange(q, dtype=np.int64)
-    return ((units[:, None, None] * q + field[:, None]) * q + units).ravel()
+    return _key_array(((units[:, None, None] * q + field[:, None]) * q + units).ravel())
 
 
 def second_moment(counts, pairs: int) -> int:

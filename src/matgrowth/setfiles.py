@@ -21,6 +21,7 @@ Generator kinds:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .config import Caps, json_typed
@@ -55,12 +56,12 @@ class SetFile:
             "group": self.group,
             "field": self.spec.to_json(),
             "generator": self.generator,
-            "elements": [list(w) for w in self.elements.wires],
+            "elements": [list(w) for w in self.elements],
         }
 
     @property
     def elements_digest(self) -> str:
-        return digest([list(w) for w in self.elements.wires])
+        return digest([list(w) for w in self.elements])
 
 
 def random_set(group: str, spec: FieldSpec, size: int, seed: int) -> GroupSet:
@@ -109,7 +110,7 @@ def perturbed_coset(
     """The left coset rep * subgroup with ``swaps`` members traded for
     random outsiders."""
     group = tag.group
-    base = list(tag.coset(spec, rep).wires)
+    base = list(tag.coset(spec, rep))
     rng = SplitMix64(seed)
     current = set(base)
     order = list(base)
@@ -210,15 +211,14 @@ def setfile_from_json(obj: dict) -> SetFile:
     # real JSON integers only: int() would truncate 2.5 and accept "2" or true
     if not all(type(w) is list and all(type(x) is int for x in w) for w in raw):
         raise ParameterError("set file elements must be lists of integers")
-    wires = [check_group_wire(spec, group, tuple(w)) for w in raw]
-    keys = [wire_key(spec, w) for w in wires]
+    keys = array("q", (wire_key(spec, check_group_wire(spec, group, w)) for w in raw))
     if any(b <= a for a, b in zip(keys, keys[1:])):
         raise ParameterError("element list is not in canonical sorted order")
     return SetFile(
         group=group,
         spec=spec,
         generator=obj.get("generator"),
-        elements=GroupSet(group, spec, wires, _checked=True),
+        elements=GroupSet(group, spec, _keys=keys),
     )
 
 

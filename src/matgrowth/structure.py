@@ -41,7 +41,7 @@ def unipotent_lift(spec, corner_wires) -> GroupSet:
 
 def unipotent_corners(S: GroupSet) -> tuple[int, ...]:
     """Corner entries of the elements with trivial diagonal, sorted (as S n U is)."""
-    return tuple(w[1] for w in SubgroupTag("unipotent").members(S).wires)
+    return tuple(w[1] for w in SubgroupTag("unipotent").members(S))
 
 
 def ratio_image(S: GroupSet, fibers=None) -> tuple[int, ...]:
@@ -219,9 +219,10 @@ def _cert_commutators_in_span(work: GroupSet, span_wires, cap: int) -> Certifica
     """Commutators of working-set elements land in the lifted span."""
     spec = work.spec
     check_pairs("commutator certificate", len(work), len(work), cap)
-    inv = {w: ginv(spec, T2, w) for w in work.wires}
-    for a in work.wires:
-        for b in work.wires:
+    wires = work.wires
+    inv = {w: ginv(spec, T2, w) for w in wires}
+    for a in wires:
+        for b in wires:
             c = gmul(spec, T2, gmul(spec, T2, inv[a], inv[b]), gmul(spec, T2, a, b))
             if c[0] != 1 or c[2] != 1 or c[1] not in span_wires:
                 return Certificate("commutators_in_span", False, f"a={a} b={b}")

@@ -474,10 +474,26 @@ def test_report_refuses_the_deleted_threads_flag(tmp_path, capsys):
     path = gen_random(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["report", str(path), "--threads", "2", "--out", str(tmp_path / "r.json")])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert "unrecognized arguments: --threads 2" in err
-    assert "Traceback" not in err
+    assert err == "error: unrecognized arguments: --threads 2\n"
+
+
+@pytest.mark.parametrize(
+    "constant, reason",
+    [("abc", "is not a number"), ("1/0", "divides by zero"), ("-1", "is negative"),
+     ("1e99", "is too large")],
+)
+def test_a_refused_constant_is_one_usage_error_line(tmp_path, capsys, constant, reason):
+    # exit 2 is a failed check or flag, so a usage error must not use it
+    path = gen_random(tmp_path)
+    argv = ["report", str(path), "--out", str(tmp_path / "r.json"), "--energy-constant", constant]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: argument --energy-constant: constant {constant!r} {reason}\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def _set_element(obj, value):

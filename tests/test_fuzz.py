@@ -191,6 +191,7 @@ def test_cli_survives_mutated_inputs(data):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse usage errors
+                assert exc.code == 1, (argv, err.getvalue())
                 code = exc.code
         assert code in (0, 1, 2, 3) or (argv[0] == "verify" and code == 4), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue(), (argv, err.getvalue())

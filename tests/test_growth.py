@@ -172,13 +172,18 @@ def test_saturated_products_are_still_refused_past_the_cap():
 
 
 def test_the_whole_group_in_both_forms(monkeypatch):
+    # the kernel lists G's keys once numpy is loaded, a loop before that
+    calls = []
+    group_keys = kernel.group_keys
+    monkeypatch.setattr(kernel, "group_keys", lambda *args: calls.append(args) or group_keys(*args))
     for spec, group in SATURATING + [(F7, "T2"), (F5, "H")]:
+        want = whole_group(spec, group)
         keyed = growth._whole_group(spec, group)
-        assert keyed._keys is not None and keyed == whole_group(spec, group)
+        assert calls.pop() == (spec.q, group) and keyed == want
         with monkeypatch.context() as m:
             m.delitem(sys.modules, "numpy")
-            wired = growth._whole_group(spec, group)
-        assert wired._keys is None and wired.wires == whole_group(spec, group).wires
+            looped = growth._whole_group(spec, group)
+        assert not calls and looped == keyed and looped.wires == want.wires
 
 
 def test_the_ladder_stops_at_the_whole_group(monkeypatch):

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import ExitStack, contextmanager
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -23,8 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matgrowth import build_setfile, growth, kernel, standard_field
-from matgrowth.groups import GroupSet
+from matgrowth.groups import GroupSet, SubgroupTag, gid, ginv, group_order, wire_key
 from matgrowth.growth import Products, energy, product_energy, product_set, rep_function
+from matgrowth.setfiles import explicit_setfile, setfile_from_json
+from oracles import pair_products
 
 FIELDS = [standard_field(q) for q in (101, 65521, 256, 65536, 25, 59049)]
 # over F_5 a product of two drawn sets can be all of T2(F_5)
@@ -108,31 +111,78 @@ def test_kernel_matches_the_loops(operands, cutoff, block, dense):
     assert got[1:] == want[1:]
 
 
-@settings(max_examples=60)
-@given(operand_pairs())
-def test_key_built_sets_behave_like_tuple_built_ones(operands):
-    a, b = operands
+ROUTE_FIELDS = [standard_field(q) for q in (5, 9, 256, 59049, 65521)]
+
+
+@contextmanager
+def numpy_unloaded():
+    """``sys.modules`` without numpy, as in a process that never loaded it."""
+    numpy = sys.modules.pop("numpy")
+    try:
+        yield
+    finally:
+        sys.modules["numpy"] = numpy
+
+
+def built_sets(a, b):
+    """(route, set, its elements as triples) for every way a GroupSet is built."""
+    spec, group = a.spec, a.group
+    ab = pair_products(a, b)
     with paths(LOOPS, 1 << 18):
-        loop_ab, loop_a2 = product_set(a, b), product_set(a, a)
+        loops = product_set(a, b)
     with paths(0, 5):
-        key_ab, key_a2 = product_set(a, b), product_set(a, a)
-    assert key_ab._keys is not None and loop_ab._keys is None
-    assert len(key_ab) == len(loop_ab)
-    assert key_ab == loop_ab and loop_ab == key_ab
-    assert hash(key_ab) == hash(loop_ab)
-    assert (key_ab == key_a2) == (loop_ab == loop_a2)
-    for x, y in [(key_ab, key_a2), (loop_ab, key_a2), (key_ab, loop_a2), (a, key_ab)]:
-        want = set(x.wires) <= set(y.wires)
-        assert x.subset_of(y) == want
-    assert key_ab.wires == loop_ab.wires
-    assert all(w in key_ab for w in loop_ab.wires)
-    # one element traded for an outsider: same size, different set
-    index = loop_ab._index
-    unit = 1 if a.group == "T2" else 0
-    outsider = next(w for w in ((unit, j, unit) for j in range(a.spec.q)) if w not in index)
-    traded = GroupSet(a.group, a.spec, loop_ab.wires[1:] + (outsider,))
-    assert key_ab != traded and traded != key_ab
-    assert not key_ab.subset_of(traded) and not traded.subset_of(key_ab)
+        kernel_built = product_set(a, b)
+    tag = SubgroupTag("unipotent" if group == "T2" else "center")
+    inverses = {ginv(spec, group, w) for w in a.wires}
+    routes = [
+        ("wires", GroupSet(group, spec, list(ab)), ab),
+        ("loops", loops, ab),
+        ("kernel", kernel_built, ab),
+        ("members", tag.members(kernel_built), {w for w in ab if tag.member(spec, w)}),
+        ("inverses", a.inverses(), inverses),
+        ("symmetrized", a.symmetrized(), set(a.wires) | inverses | {gid(group)}),
+        ("union", loops.union(b), ab | set(b.wires)),
+        ("set file", setfile_from_json(explicit_setfile(loops).to_json()).elements, ab),
+    ]
+    if group_order(spec, group) <= 1000:
+        whole = set(all_wires(spec, group))
+        routes.append(("whole group", growth._whole_group(spec, group), whole))
+        with numpy_unloaded():
+            routes.append(("whole group, no numpy", growth._whole_group(spec, group), whole))
+    return routes
+
+
+def all_wires(spec, group):
+    units = range(1, spec.q) if group == "T2" else range(spec.q)
+    return product(units, range(spec.q), units)
+
+
+@settings(max_examples=60)
+@given(operand_pairs(fields=ROUTE_FIELDS))
+def test_key_built_sets_behave_like_tuple_built_ones(operands):
+    """Every construction route gives the same len, ==, hash, wires,
+    iteration, membership and subset relation as the set of its triples."""
+    a, b = operands
+    spec, group, q = a.spec, a.group, a.spec.q
+    routes = built_sets(a, b)
+    for route, got, elements in routes:
+        want = GroupSet(group, spec, elements)
+        canonical = tuple(sorted(elements, key=lambda w: wire_key(spec, w)))
+        assert len(got) == len(elements), route
+        assert got == want and want == got and hash(got) == hash(want), route
+        assert got.wires == canonical and tuple(got) == canonical, route
+        assert all(w in got and list(w) in got for w in elements), route
+        # (a - 1, b + q, c) packs to the key of (a, b, c)
+        assert not any((w[0] - 1, w[1] + q, w[2]) in got for w in elements), route
+        outsider = next((w for w in all_wires(spec, group) if w not in elements), None)
+        assert outsider is None or outsider not in got, route
+        if outsider is not None and elements:
+            traded = GroupSet(group, spec, canonical[1:] + (outsider,))
+            assert got != traded and traded != got, route
+            assert not got.subset_of(traded) and not traded.subset_of(got), route
+    for route, x, xs in routes:
+        for other, y, ys in routes:
+            assert x.subset_of(y) == (xs <= ys), (route, other)
 
 
 def test_kernel_runs_from_the_cutoff_on():
@@ -149,7 +199,12 @@ from matgrowth.groups import GroupSet
 
 a = GroupSet("T2", standard_field(101), {list(a.wires)!r})
 b = GroupSet("T2", a.spec, a.wires[:255])
-kernel_built = [growth.product_set(x, y)._keys is not None for x, y in [(a, b), (a, a), (a, b)]]
+def on_kernel(x, y):
+    spent = growth._loop_pairs  # the loops count every pair they enumerate
+    growth.product_set(x, y)
+    return growth._loop_pairs == spent
+
+kernel_built = [on_kernel(x, y) for x, y in [(a, b), (a, a), (a, b)]]
 print(kernel_built, "numpy" in sys.modules)
 """
     assert run_fresh(script) == "[False, True, True] True"
@@ -182,8 +237,13 @@ from matgrowth.groups import GroupSet
 
 a = GroupSet("T2", standard_field(101), [(1 + i % 100, i % 101, 1 + i // 100) for i in range(200)])
 b = GroupSet("T2", a.spec, a.wires[:180])
-first = growth.product_set(a, a)._keys is not None, "numpy" in sys.modules
-print(first, growth.product_set(b, b)._keys is not None, growth._loop_pairs)
+def on_kernel(x, y):
+    spent = growth._loop_pairs  # the loops count every pair they enumerate
+    growth.product_set(x, y)
+    return growth._loop_pairs == spent
+
+first = on_kernel(a, a), "numpy" in sys.modules
+print(first, on_kernel(b, b), growth._loop_pairs)
 """
     assert run_fresh(script) == "(False, False) True 40000"
 
@@ -198,8 +258,9 @@ log = []
 enumerate_pairs = growth._enumerate
 
 def logged(X, Y, *args, **kwargs):
+    spent = growth._loop_pairs
     out = enumerate_pairs(X, Y, *args, **kwargs)
-    log.append((len(X), len(Y), out[0]._keys is not None))
+    log.append((len(X), len(Y), growth._loop_pairs == spent))
     return out
 
 growth._enumerate = logged
@@ -254,9 +315,25 @@ def test_kernel_memory_follows_the_output(operands, q, counts, copies):
     finally:
         tracemalloc.stop()
     dense = kernel._dense(q, len(X) * len(Y)) and not counts
-    output = keys.nbytes + (mults.nbytes if counts else 0)
+    output = len(keys) * keys.itemsize + (mults.nbytes if counts else 0)
     assert peak <= copies * output + (q**3 if dense else 0) + 8 * 8 * kernel.BLOCK_PAIRS
     assert dense == (q == 101)
+
+
+def test_members_memory_follows_the_keys():
+    """S n U of a kernel-built product set streams S's decode: under
+    tracemalloc it peaks below one int64 per element of S, where a tuple
+    per element would take well over 64 bytes each."""
+    random30 = {"kind": "random", "size": 30, "seed": 1}
+    S = Products(build_setfile("T2", standard_field(65521), random30).elements).sym(3)
+    tracemalloc.start()
+    try:
+        members = SubgroupTag("unipotent").members(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(S) > 200_000 and members == GroupSet("T2", S.spec, [w for w in S if w[0] == w[2] == 1])
+    assert peak <= 8 * len(S)
 
 
 def test_second_moment_is_exact_past_int64():
