@@ -10,7 +10,7 @@ from pathlib import Path
 from .config import RunOptions, StructureOptions
 from .errors import CapExceeded, MatGrowthError, ParameterError
 from .ffield import FieldSpec, _prime_power, standard_field
-from .groups import SubgroupTag
+from .groups import SubgroupTag, subgroup_kind
 from .growth import Products
 from .incidence import bridge_report, probe_instance, random_instance
 from .jsonio import digest, read_json, write_json
@@ -27,7 +27,7 @@ from .reports import (
     sum_product_json,
     write_csv,
 )
-from .setfiles import build_setfile, load_setfile, regenerate, save_setfile
+from .setfiles import RECIPE_FIELDS, build_setfile, load_setfile, regenerate, save_setfile
 from .structure import structure_scan, sum_product_scan
 
 
@@ -50,13 +50,18 @@ def parse_field(qtext: str, modulus: str | None) -> FieldSpec:
 
 
 def parse_tag(text: str) -> SubgroupTag:
-    kind, _, param = text.partition(":")
+    """A tag such as ``unipotent``, ``torus:3`` or ``line:1,2``: the kind, and
+    after a colon the one parameter its ``SUBGROUP_KINDS`` entry names."""
+    kind, colon, param = text.partition(":")
+    takes = subgroup_kind(kind).param
     try:
-        if kind in ("torus", "scaled_torus"):
+        if takes == "x":
             return SubgroupTag(kind, x=int(param))
-        if kind in ("line", "line_center"):
+        if takes == "direction":
             a, b = param.split(",")
             return SubgroupTag(kind, direction=(int(a), int(b)))
+        if colon:
+            raise ValueError
     except ValueError:
         raise ParameterError(f"bad parameter in subgroup tag {text!r}") from None
     return SubgroupTag(kind)
@@ -87,38 +92,24 @@ def parse_triple(text: str) -> tuple[int, int, int]:
     return (parts[0], parts[1], parts[2])
 
 
+# The recipe value of a gen flag, by recipe field; the integer fields are
+# taken as given.
+_RECIPE_VALUE = {
+    "tag": lambda text: parse_tag(text).to_json(),
+    "rep": lambda text: list(parse_triple(text)),
+}
+
+
 def cmd_gen(args) -> int:
     spec = parse_field(args.field, args.modulus)
-    gen: dict = {"kind": args.kind}
-    if args.kind == "random":
-        if args.size is None or args.seed is None:
-            raise MatGrowthError("random generation needs --size and --seed")
-        gen.update(size=args.size, seed=args.seed)
-    elif args.kind == "subgroup":
-        if not args.tag:
-            raise MatGrowthError("subgroup generation needs --tag")
-        gen.update(tag=parse_tag(args.tag).to_json())
-    elif args.kind == "coset":
-        if not (args.tag and args.rep):
-            raise MatGrowthError("coset generation needs --tag and --rep")
-        gen.update(tag=parse_tag(args.tag).to_json(), rep=list(parse_triple(args.rep)))
-    elif args.kind == "box":
-        if args.n is None:
-            raise MatGrowthError("box generation needs --n")
-        gen.update(n=args.n)
-    elif args.kind == "perturbed_coset":
-        if not (args.tag and args.rep and args.swaps is not None and args.seed is not None):
-            raise MatGrowthError(
-                "perturbed_coset generation needs --tag, --rep, --swaps and --seed"
-            )
-        gen.update(
-            tag=parse_tag(args.tag).to_json(),
-            rep=list(parse_triple(args.rep)),
-            swaps=args.swaps,
-            seed=args.seed,
-        )
-    else:
-        raise MatGrowthError(f"unknown generation kind {args.kind!r}")
+    keys = RECIPE_FIELDS[args.kind]
+    if any(getattr(args, key) is None for key in keys):
+        flags = [f"--{key}" for key in keys]
+        listed = ", ".join(flags[:-1]) + " and " if len(flags) > 1 else ""
+        raise MatGrowthError(f"{args.kind} generation needs {listed}{flags[-1]}")
+    gen = {"kind": args.kind}
+    for key in keys:
+        gen[key] = _RECIPE_VALUE.get(key, int)(getattr(args, key))
     sf = build_setfile(args.group, spec, gen)
     save_setfile(args.out, sf)
     print(f"wrote {args.out}: {args.group} over F_{spec.q}, {len(sf.elements)} elements")
@@ -281,11 +272,7 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--group", choices=("T2", "H"), required=True)
     g.add_argument("--field", required=True, help="field size q (prime power)")
     g.add_argument("--modulus", help="comma-separated modulus coefficients, low degree first")
-    g.add_argument(
-        "--kind",
-        required=True,
-        choices=("random", "subgroup", "coset", "box", "perturbed_coset"),
-    )
+    g.add_argument("--kind", required=True, choices=[k for k in RECIPE_FIELDS if k != "union"])
     g.add_argument("--size", type=int)
     g.add_argument("--seed", type=int)
     g.add_argument("--tag", help="subgroup tag, e.g. scaled_unipotent or torus:3")
@@ -321,9 +308,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("structure", help="potent/unipotent structure scan")
     s.add_argument("setfile")
-    s.add_argument("--exponent", type=int, default=10)
-    s.add_argument("--floor", type=int, default=1)
-    s.add_argument("--budget", type=int, default=12)
+    s.add_argument("--exponent", type=int, default=StructureOptions.potent_exponent)
+    s.add_argument("--floor", type=int, default=StructureOptions.potent_floor)
+    s.add_argument("--budget", type=int, default=StructureOptions.reach_budget)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_structure)
 

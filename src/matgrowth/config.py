@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import CapExceeded, ParameterError
+from .exact import fraction_json
 
 # Largest power a run may ask for: lemma_k, intersection_k, and the
 # structure scan's potent exponent and reach budget.  It bounds the work
@@ -23,10 +24,31 @@ def json_typed(value, kind: type, what: str):
 
 @dataclass(frozen=True)
 class Caps:
-    """Hard ceilings that turn runaway computations into clean errors."""
+    """Hard ceilings that turn runaway computations into clean errors.
+
+    Every refusal goes through ``check_pairs`` or ``check_set``.
+    """
 
     max_set_elements: int = 10**6
     max_pair_products: int = 10**7
+
+
+def check_pairs(
+    what: str, n: int, m: int, cap: int, items: str = "elements", partial=None
+) -> None:
+    """Refuse an n x m pair loop past the pair cap, before it starts."""
+    if n * m > cap:
+        raise CapExceeded(
+            f"{what} of {n} x {m} {items} exceeds pair cap {cap}", partial=partial
+        )
+
+
+def check_set(what: str, size: int, cap: int, partial_size: int | None = None) -> None:
+    """Refuse a set of ``size`` elements past the set cap, before it is built."""
+    if size > cap:
+        raise CapExceeded(
+            f"{what} of {size} elements exceeds set cap {cap}", partial_size=partial_size
+        )
 
 
 @dataclass(frozen=True)
@@ -81,6 +103,10 @@ class RunOptions:
             raise ParameterError(f"lemma_k must be in 1..{MAX_POWER}")
         if not 1 <= self.intersection_k <= MAX_POWER:
             raise ParameterError(f"intersection_k must be in 1..{MAX_POWER}")
+        for name in ("energy_constant", "incidence_constant"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ParameterError(f"{name} must be nonnegative, got {value}")
 
     def to_json(self) -> dict:
         out = {
@@ -94,16 +120,9 @@ class RunOptions:
             out["structure_opts"] = self.structure_opts.to_json()
         if self.subgroup is not None:
             out["subgroup"] = self.subgroup.to_json()
-        if self.energy_constant is not None:
-            out["energy_constant"] = {
-                "num": self.energy_constant.numerator,
-                "den": self.energy_constant.denominator,
-            }
-        if self.incidence_constant is not None:
-            out["incidence_constant"] = {
-                "num": self.incidence_constant.numerator,
-                "den": self.incidence_constant.denominator,
-            }
+        for name in ("energy_constant", "incidence_constant"):
+            if getattr(self, name) is not None:
+                out[name] = fraction_json(getattr(self, name))
         return out
 
     @classmethod

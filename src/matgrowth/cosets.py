@@ -36,10 +36,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .config import Caps
+from .config import Caps, check_pairs
 from .errors import ParameterError
 from .groups import H, T2, GroupSet, SubgroupTag
-from .growth import check_pairs
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ import math
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
-from .config import Caps, json_typed
-from .errors import CapExceeded, ParameterError
+from .config import Caps, check_set, json_typed
+from .errors import ParameterError
 
 # Fields larger than this are out of scope: table construction and the
 # exhaustive checks used elsewhere assume desk-scale q.
@@ -513,9 +513,6 @@ def span_over_subfield(
     for x in xs:
         if x in span:
             continue
-        if len(span) * sub.size > cap:
-            raise CapExceeded(
-                f"span would exceed cap {cap}", partial_size=len(span)
-            )
+        check_set("subfield span", len(span) * sub.size, cap, partial_size=len(span))
         span = {spec.add(s, spec.mul(f, x)) for s in span for f in sub.wires}
     return tuple(sorted(span))

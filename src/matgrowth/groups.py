@@ -13,6 +13,11 @@ written out for a whole pair loop.  ``check_group_wire`` is the
 one validity check.  ``GroupSet`` is a set of elements with its ambient
 group tag, stored as one thing: the sorted packed keys ``wire_key`` of its
 elements, decoded into wire triples (``key_wires``) only when asked.
+
+``SUBGROUP_KINDS`` is the one table of the named subgroups: each kind's
+group, whether it is normal, the parameter its ``SubgroupTag`` takes and
+its order as a function of q.  ``SubgroupTag`` validates against it, and
+the command line's tag syntax reads it.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
+from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .config import Caps, json_typed
-from .errors import CapExceeded, MismatchError, ParameterError
+from .config import Caps, check_set, json_typed
+from .errors import MismatchError, ParameterError
 from .ffield import DENSE_FIELD, FieldSpec, _dense_tables
 
 T2 = "T2"
@@ -282,35 +288,57 @@ def generated_closure(seeds: GroupSet, cap: int = Caps.max_set_elements) -> Grou
                 if w not in closed:
                     closed.add(w)
                     new.append(w)
-                    if len(closed) > cap:
-                        raise CapExceeded(
-                            f"closure exceeded cap {cap}", partial_size=len(closed)
-                        )
+                    check_set("generated closure", len(closed), cap, len(closed))
         frontier = new
     return GroupSet(group, spec, closed, _checked=True)
 
 
 # -- named subgroups ---------------------------------------------------------
 
-_T2_KINDS = ("unipotent", "scalars", "diagonal", "torus", "scaled_unipotent", "scaled_torus")
-_H_KINDS = ("center", "line", "line_center")
+class SubgroupKind(NamedTuple):
+    group: str
+    normal: bool  # whether the subgroup is normal in its ambient group
+    param: str | None  # the one parameter a tag of this kind takes
+    order: Callable[[int], int]  # |subgroup| as a function of q
 
-# Kinds whose subgroup is normal in its ambient group.  The diagonal and the
-# tori are self-normalizing, not normal; a "line" with both direction
-# coordinates nonzero is not even closed under the product (see is_subgroup).
-_NORMAL_KINDS = frozenset({"unipotent", "scalars", "scaled_unipotent", "center", "line_center"})
+
+# Every kind of named subgroup, the one place its rules are written.  The
+# diagonal and the tori are self-normalizing, not normal; a "line" with
+# both direction coordinates nonzero is not even closed under the product
+# (see is_subgroup).
+SUBGROUP_KINDS = {
+    "unipotent": SubgroupKind(T2, True, None, lambda q: q),
+    "scalars": SubgroupKind(T2, True, None, lambda q: q - 1),
+    "diagonal": SubgroupKind(T2, False, None, lambda q: (q - 1) ** 2),
+    "torus": SubgroupKind(T2, False, "x", lambda q: (q - 1) ** 2),
+    "scaled_unipotent": SubgroupKind(T2, True, None, lambda q: (q - 1) * q),
+    "scaled_torus": SubgroupKind(T2, False, "x", lambda q: (q - 1) ** 2),
+    "center": SubgroupKind(H, True, None, lambda q: q),
+    "line": SubgroupKind(H, False, "direction", lambda q: q),
+    "line_center": SubgroupKind(H, True, "direction", lambda q: q * q),
+}
+
+
+def subgroup_kind(kind: str) -> SubgroupKind:
+    """The table entry of ``kind``; an unknown kind is refused by name."""
+    if kind not in SUBGROUP_KINDS:
+        raise ParameterError(f"unknown subgroup kind {kind!r}")
+    return SUBGROUP_KINDS[kind]
 
 
 def _no_cosets(w: Wire) -> tuple:
     raise ParameterError("this line is not a subgroup; cosets are undefined")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SubgroupTag:
     """A named coordinate subgroup (or section) used for membership counting.
 
     The one place that computes the subgroup's cosets: ``fibers`` and
     ``keys`` read the coset keys of a set, ``members`` its slice S n H;
-    ``coset_key`` and ``member`` are their one-element forms.
+    ``coset_key`` and ``member`` are their one-element forms.  Which group
+    a kind lives in, whether it is normal, which parameter it takes and
+    its order are read from ``SUBGROUP_KINDS``.
 
     T2 kinds: unipotent (a=c=1), scalars (a=c, b=0), diagonal (b=0),
     torus(x) (b=(a-c)x), scaled_unipotent (a=c), scaled_torus(x) (alias of
@@ -318,43 +346,37 @@ class SubgroupTag:
 
     H kinds: center (g1=g2=0), line(d) (g3=0 and the base point lies on the
     line through the origin with normal d), line_center(d) (the same base
-    constraint with a free corner).  Directions are stored projectively,
-    first nonzero coordinate scaled to one.
+    constraint with a free corner).  Directions are compared as given and
+    normalized projectively, first nonzero coordinate scaled to one, where
+    they are used.
     """
 
-    __slots__ = ("kind", "x", "direction")
+    kind: str
+    x: int | None = None
+    direction: tuple[int, int] | None = None
 
-    def __init__(
-        self,
-        kind: str,
-        x: int | None = None,
-        direction: tuple[int, int] | None = None,
-    ):
-        if kind not in _T2_KINDS and kind not in _H_KINDS:
-            raise ParameterError(f"unknown subgroup kind {kind!r}")
-        if kind in ("torus", "scaled_torus"):
-            if x is None:
-                raise ParameterError(f"{kind} requires the parameter x")
-        elif x is not None:
-            raise ParameterError(f"{kind} takes no parameter x")
-        if kind in ("line", "line_center"):
-            if direction is None:
-                raise ParameterError(f"{kind} requires a direction")
-            if direction[0] == 0 and direction[1] == 0:
+    def __post_init__(self):
+        param = subgroup_kind(self.kind).param
+        if param == "x":
+            if self.x is None:
+                raise ParameterError(f"{self.kind} requires the parameter x")
+        elif self.x is not None:
+            raise ParameterError(f"{self.kind} takes no parameter x")
+        if param == "direction":
+            if self.direction is None:
+                raise ParameterError(f"{self.kind} requires a direction")
+            if self.direction[0] == 0 and self.direction[1] == 0:
                 raise ParameterError("direction must be a nonzero pair")
-        elif direction is not None:
-            raise ParameterError(f"{kind} takes no direction")
-        self.kind = kind
-        self.x = x
-        self.direction = direction
+        elif self.direction is not None:
+            raise ParameterError(f"{self.kind} takes no direction")
 
     @property
     def group(self) -> str:
-        return T2 if self.kind in _T2_KINDS else H
+        return SUBGROUP_KINDS[self.kind].group
 
     @property
     def is_normal(self) -> bool:
-        return self.kind in _NORMAL_KINDS
+        return SUBGROUP_KINDS[self.kind].normal
 
     def is_subgroup(self, spec: FieldSpec) -> bool:
         """Whether the member set is closed under the group product.
@@ -443,18 +465,7 @@ class SubgroupTag:
 
     def order(self, spec: FieldSpec) -> int:
         """Size of the member set, in closed form: ``len(self.elements(spec))``."""
-        q = spec.q
-        return {
-            "unipotent": q,
-            "scalars": q - 1,
-            "diagonal": (q - 1) ** 2,
-            "torus": (q - 1) ** 2,
-            "scaled_torus": (q - 1) ** 2,
-            "scaled_unipotent": (q - 1) * q,
-            "center": q,
-            "line": q,
-            "line_center": q * q,
-        }[self.kind]
+        return SUBGROUP_KINDS[self.kind].order(spec.q)
 
     def elements(self, spec: FieldSpec) -> GroupSet:
         k = self.kind
@@ -516,17 +527,6 @@ class SubgroupTag:
                 raise ParameterError(f"subgroup direction must be two JSON ints, got {direction!r}")
             direction = tuple(json_typed(d, int, "subgroup direction") for d in direction)
         return cls(json_typed(obj.get("kind"), str, "subgroup kind"), x=x, direction=direction)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubgroupTag)
-            and self.kind == other.kind
-            and self.x == other.x
-            and self.direction == other.direction
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.x, self.direction))
 
     def __repr__(self) -> str:
         extra = ""

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .config import Caps
-from .errors import CapExceeded, ParameterError
+from .config import Caps, check_pairs, check_set
+from .errors import ParameterError
 from .groups import T2, GroupSet, Wire, gid, ginv, gmul, group_order, pair_keys
 
 # Pairs the loops may spend in one process before the kernel takes over,
@@ -64,16 +64,6 @@ VECTOR_PAIRS = 1 << 16
 # The pairs the wire loops have enumerated in this process.  Process-wide,
 # like the numpy import it weighs against; it picks a path, never a result.
 _loop_pairs = 0
-
-
-def check_pairs(
-    what: str, n: int, m: int, cap: int, items: str = "elements", partial=None
-) -> None:
-    """Refuse an n x m pair loop past the pair cap, before it starts."""
-    if n * m > cap:
-        raise CapExceeded(
-            f"{what} of {n} x {m} {items} exceeds pair cap {cap}", partial=partial
-        )
 
 
 def product_set(A: GroupSet, B: GroupSet, cap: int = Caps.max_pair_products) -> GroupSet:
@@ -185,8 +175,7 @@ def energy_oracle(A: GroupSet, cap: int = 60) -> int:
     from .kernel import np
 
     n = len(A)
-    if n > cap:
-        raise CapExceeded(f"oracle limited to sets of size <= {cap}, got {n}")
+    check_set("energy oracle input", n, cap)
     spec = A.spec
     group = A.group
     q = spec.q

@@ -28,12 +28,12 @@ from itertools import compress, starmap
 from operator import itemgetter
 from typing import Iterable
 
-from .config import Caps
-from .errors import CapExceeded, ParameterError
+from .config import Caps, check_pairs, check_set
+from .errors import ParameterError
 from .exact import BoundCheck, incidence_bound
 from .ffield import DENSE_FIELD, FieldSpec, _dense_tables
 from .groups import H, T2, GroupSet, Wire, ginv, pair_keys
-from .growth import Products, as_products, check_pairs
+from .growth import Products, as_products
 from .rng import SplitMix64
 
 Pair = tuple[Wire, Wire]
@@ -274,16 +274,6 @@ def incidence_count(inst: WeightedInstance, cap: int = Caps.max_pair_products) -
         for (x0, x1, x2, x3), wp in inst.points.items():
             for (y0, y1, y2, y3), wpl in planes:
                 if not (x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3) % p:
-                    total += wp * wpl
-        return total
-    if spec.q <= DENSE_FIELD:
-        q = spec.q
-        add, mul, _, _ = _dense_tables(spec)
-        for (x0, x1, x2, x3), wp in inst.points.items():
-            x0, x1, x2, x3 = x0 * q, x1 * q, x2 * q, x3 * q
-            for (y0, y1, y2, y3), wpl in planes:
-                s01 = add[mul[x0 + y0] * q + mul[x1 + y1]]
-                if not add[s01 * q + add[mul[x2 + y2] * q + mul[x3 + y3]]]:
                     total += wp * wpl
         return total
     for pt, wp in inst.points.items():
@@ -951,9 +941,7 @@ def random_instance(
         raise ParameterError("instance needs at least one point and one plane")
     if n_points > domain or n_planes > domain:
         raise ParameterError(f"at most {domain} distinct tuples exist over F_{q}")
-    cap = Caps().max_set_elements
-    if max(n_points, n_planes) > cap:
-        raise CapExceeded(f"instance of {n_points} x {n_planes} exceeds the set cap {cap}")
+    check_set("probe instance side", max(n_points, n_planes), Caps.max_set_elements)
     rng = SplitMix64(seed)
 
     def draw(n: int, shape) -> dict[tuple, int]:

@@ -7,7 +7,7 @@ regenerated bit-for-bit, which the verify command uses to prove that a
 stored corpus matches its recipes.  Files without a generator are
 explicit element lists (hand-built or sampled once and frozen).
 
-Generator kinds:
+Generator kinds, with the fields ``RECIPE_FIELDS`` requires of each:
 
   random            size, seed: uniform distinct elements of the group
   subgroup          tag: all elements of a named subgroup
@@ -17,6 +17,9 @@ Generator kinds:
   perturbed_coset   tag, rep, swaps, seed: a coset with ``swaps`` random
                     elements exchanged for random outsiders
   union             parts: union of sub-generators
+
+A recipe, or a subgroup it names, past ``Caps.max_set_elements`` is
+refused through ``config.check_set`` before anything is built.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .config import Caps, json_typed
-from .errors import CapExceeded, ParameterError
+from .config import Caps, check_set, json_typed
+from .errors import ParameterError
 from .ffield import FieldSpec
 from .groups import (
     GROUPS,
@@ -41,6 +44,17 @@ from .jsonio import digest, read_json, write_json
 from .rng import SplitMix64
 
 SET_SCHEMA = "matgrowth.set.v1"
+
+# The fields each generator kind requires, in the order ``generate`` reads
+# them; ``matgrowth gen`` takes one flag per field.
+RECIPE_FIELDS = {
+    "random": ("size", "seed"),
+    "subgroup": ("tag",),
+    "coset": ("tag", "rep"),
+    "box": ("n",),
+    "perturbed_coset": ("tag", "rep", "swaps", "seed"),
+    "union": ("parts",),
+}
 
 
 @dataclass(frozen=True)
@@ -69,7 +83,7 @@ def random_set(group: str, spec: FieldSpec, size: int, seed: int) -> GroupSet:
     domain = group_order(spec, group)
     if size < 1 or size > domain:
         raise ParameterError(f"size {size} out of range for a group of order {domain}")
-    _check_set_cap(size, "random set size")
+    check_set("random set", size, Caps.max_set_elements)
     rng = SplitMix64(seed)
     got: set = set()
     while len(got) < size:
@@ -97,7 +111,7 @@ def box_set(spec: FieldSpec, n: int) -> GroupSet:
         raise ParameterError(
             f"box({n}) needs p > {3 * n * n} so that products do not wrap"
         )
-    _check_set_cap(n**4, f"elements of box({n})")
+    check_set(f"box({n})", n**4, Caps.max_set_elements)
     wires = [
         (x, y, z) for x in range(n) for y in range(n) for z in range(n * n)
     ]
@@ -114,7 +128,7 @@ def perturbed_coset(
     rng = SplitMix64(seed)
     current = set(base)
     order = list(base)
-    _check_set_cap(swaps, "perturbed coset swaps")
+    check_set("swapped-in set", swaps, Caps.max_set_elements)
     for _ in range(swaps):
         at = rng.below(len(order))
         victim = order[at]
@@ -127,24 +141,11 @@ def perturbed_coset(
     return GroupSet(group, spec, current, _checked=True)
 
 
-def _check_set_cap(size: int, what: str) -> None:
-    """Refuse a recipe past ``Caps.max_set_elements`` before it runs."""
-    cap = Caps().max_set_elements
-    if size > cap:
-        raise CapExceeded(f"{what}: {size} is above the set cap {cap}")
-
-
-def _recipe_field(gen: dict, key: str):
-    if key not in gen:
-        raise ParameterError(f"{gen.get('kind')} generator recipe has no {key!r} field")
-    return gen[key]
-
-
 def _generator_tag(group: str, spec: FieldSpec, gen: dict) -> SubgroupTag:
     """The recipe's subgroup tag, refused before any build past the set cap."""
-    tag = SubgroupTag.from_json(_recipe_field(gen, "tag"))
+    tag = SubgroupTag.from_json(gen["tag"])
     tag.check_group(group)
-    _check_set_cap(tag.order(spec), f"elements of {tag!r} over F_{spec.q}")
+    check_set(f"{tag!r} over F_{spec.q}", tag.order(spec), Caps.max_set_elements)
     return tag
 
 
@@ -152,12 +153,17 @@ def generate(group: str, spec: FieldSpec, gen: dict) -> GroupSet:
     if not isinstance(gen, dict):
         raise ParameterError(f"generator recipe must be an object, got {gen!r}")
     kind = gen.get("kind")
+    if not isinstance(kind, str) or kind not in RECIPE_FIELDS:
+        raise ParameterError(f"unknown generator kind {kind!r}")
+    for key in RECIPE_FIELDS[kind]:
+        if key not in gen:
+            raise ParameterError(f"{kind} generator recipe has no {key!r} field")
 
     def integer(key: str) -> int:
-        return json_typed(_recipe_field(gen, key), int, f"generator recipe {key}")
+        return json_typed(gen[key], int, f"generator recipe {key}")
 
     def rep() -> tuple[int, int, int]:
-        coords = json_typed(_recipe_field(gen, "rep"), list, "generator recipe rep")
+        coords = json_typed(gen["rep"], list, "generator recipe rep")
         coords = [json_typed(x, int, "generator recipe rep coordinate") for x in coords]
         return check_group_wire(spec, group, coords)
 
@@ -174,15 +180,13 @@ def generate(group: str, spec: FieldSpec, gen: dict) -> GroupSet:
     if kind == "perturbed_coset":
         tag = _generator_tag(group, spec, gen)
         return perturbed_coset(tag, spec, rep(), integer("swaps"), integer("seed"))
-    if kind == "union":
-        parts = gen.get("parts")
-        if type(parts) is not list or not parts:
-            raise ParameterError("union generator needs a list of at least one part")
-        out = generate(group, spec, parts[0])
-        for part in parts[1:]:
-            out = out.union(generate(group, spec, part))
-        return out
-    raise ParameterError(f"unknown generator kind {kind!r}")
+    parts = gen["parts"]  # union
+    if type(parts) is not list or not parts:
+        raise ParameterError("union generator needs a list of at least one part")
+    out = generate(group, spec, parts[0])
+    for part in parts[1:]:
+        out = out.union(generate(group, spec, part))
+    return out
 
 
 def build_setfile(group: str, spec: FieldSpec, gen: dict) -> SetFile:

@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import StructureOptions
+from .config import StructureOptions, check_pairs
 from .errors import ParameterError
 from .ffield import span_over_subfield, subfield_generated_by
-from .groups import T2, GroupSet, SubgroupTag, ginv, gmul
-from .growth import Products, as_products, check_pairs
+from .groups import T2, GroupSet, SubgroupTag, pair_keys
+from .growth import Products, as_products
 
 POTENT = "POTENT"
 UNIPOTENT = "UNIPOTENT"
@@ -216,15 +216,23 @@ def _cert_conjugation_stable(spec, D, span_wires, cap: int) -> Certificate:
 
 
 def _cert_commutators_in_span(work: GroupSet, span_wires, cap: int) -> Certificate:
-    """Commutators of working-set elements land in the lifted span."""
+    """Commutators of working-set elements land in the lifted span.
+
+    [a, b] = (ba)^-1 (ab) = (1, (y_ab - y_ba) / (a0 b0), 1), where y_g is
+    the corner of g: the corners and the diagonal a0 b0 are read off the
+    packed keys of one ``pair_keys`` pass over W x W, whose key of ab sits
+    at i n + j and of ba at j n + i.
+    """
     spec = work.spec
-    check_pairs("commutator certificate", len(work), len(work), cap)
+    n = len(work)
+    check_pairs("commutator certificate", n, n, cap)
     wires = work.wires
-    inv = {w: ginv(spec, T2, w) for w in wires}
-    for a in wires:
-        for b in wires:
-            c = gmul(spec, T2, gmul(spec, T2, inv[a], inv[b]), gmul(spec, T2, a, b))
-            if c[0] != 1 or c[2] != 1 or c[1] not in span_wires:
+    keys = list(pair_keys(spec, T2, wires, wires))
+    q, qq = spec.q, spec.q * spec.q
+    for i, a in enumerate(wires):
+        for j, b in enumerate(wires):
+            ab, ba = keys[i * n + j], keys[j * n + i]
+            if spec.div(spec.sub(ab // q % q, ba // q % q), ab // qq) not in span_wires:
                 return Certificate("commutators_in_span", False, f"a={a} b={b}")
     return Certificate("commutators_in_span", True)
 

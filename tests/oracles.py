@@ -56,6 +56,21 @@ def quad_product_energy(A):
     return total
 
 
+def commutator_outside_span(work, span_wires):
+    """The first (a, b) of W x W in row-major order whose commutator
+    a^-1 b^-1 a b, from three ``gmul`` calls, is not u(w) for a corner w
+    of ``span_wires``; None when every commutator is."""
+    spec = work.spec
+    wires = work.wires
+    for a in wires:
+        for b in wires:
+            inverse = gmul(spec, T2, ginv(spec, T2, a), ginv(spec, T2, b))
+            c = gmul(spec, T2, inverse, gmul(spec, T2, a, b))
+            if c[0] != 1 or c[2] != 1 or c[1] not in span_wires:
+                return a, b
+    return None
+
+
 def quadruple_count_by_definition(spec, group, pairs):
     """Solutions of g^-1 h = u^-1 v with (g, v), (h, u) from one class's pairs,
     by the per-class double loop over the class."""

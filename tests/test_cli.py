@@ -6,13 +6,13 @@ import time
 import pytest
 
 from matgrowth.cli import main, parse_field, parse_tag, parse_triple
-from matgrowth.errors import MatGrowthError
+from matgrowth.errors import MatGrowthError, ParameterError
 from matgrowth.ffield import standard_field
-from matgrowth.groups import GroupSet, SubgroupTag
+from matgrowth.groups import SUBGROUP_KINDS, GroupSet, SubgroupTag
 from matgrowth.jsonio import digest, read_json, write_json
 from matgrowth.reports import run_report
 from matgrowth.rng import SplitMix64
-from matgrowth.setfiles import explicit_setfile, load_setfile, save_setfile
+from matgrowth.setfiles import RECIPE_FIELDS, explicit_setfile, load_setfile, save_setfile
 
 
 def gen_random(tmp_path, name="a.json", group="T2", field="7", size=12, seed=5):
@@ -46,6 +46,28 @@ def test_parse_tag_forms():
     assert parse_tag("torus:3") == SubgroupTag("torus", x=3)
     assert parse_tag("line:1,2") == SubgroupTag("line", direction=(1, 2))
     assert parse_tag("line_center:0,4") == SubgroupTag("line_center", direction=(0, 4))
+
+
+# A valid parameter of each kind of parameter, and malformed or superfluous ones.
+TAG_PARAMETERS = {
+    None: ("", {}, [":5", ":1,2", ":"]),
+    "x": (":3", {"x": 3}, ["", ":", ":abc", ":1,2"]),
+    "direction": (":0,4", {"direction": (0, 4)}, ["", ":", ":1", ":1,x", ":1,2,3"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUBGROUP_KINDS))
+def test_parse_tag_reads_the_parameter_its_kind_takes(kind):
+    suffix, fields, refused = TAG_PARAMETERS[SUBGROUP_KINDS[kind].param]
+    assert parse_tag(kind + suffix) == SubgroupTag(kind, **fields)
+    for bad in refused:
+        with pytest.raises(ParameterError, match="^bad parameter in subgroup tag "):
+            parse_tag(kind + bad)
+
+
+def test_parse_tag_names_an_unknown_kind_before_its_parameter():
+    with pytest.raises(ParameterError, match="^unknown subgroup kind 'borel'$"):
+        parse_tag("borel:3")
 
 
 def test_parse_field_with_explicit_modulus():
@@ -125,6 +147,41 @@ def test_gen_missing_arguments_fail_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+GEN_FLAGS = {"size": "12", "seed": "5", "tag": "unipotent", "rep": "3,0,1", "n": "2", "swaps": "1"}
+GEN_NEEDS = {
+    "random": "random generation needs --size and --seed",
+    "subgroup": "subgroup generation needs --tag",
+    "coset": "coset generation needs --tag and --rep",
+    "box": "box generation needs --n",
+    "perturbed_coset": "perturbed_coset generation needs --tag, --rep, --swaps and --seed",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, dropped",
+    [(kind, key) for kind in GEN_NEEDS for key in (None, *RECIPE_FIELDS[kind])],
+)
+def test_gen_names_every_flag_its_kind_needs(tmp_path, capsys, kind, dropped):
+    out = tmp_path / "x.json"
+    flags = [arg for key in RECIPE_FIELDS[kind] if key != dropped for arg in (f"--{key}", GEN_FLAGS[key])]
+    group = "H" if kind == "box" else "T2"
+    code = main(["gen", "--group", group, "--field", "101", "--kind", kind, *flags, "--out", str(out)])
+    if dropped is None:
+        assert code == 0 and out.exists()
+        return
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {GEN_NEEDS[kind]}\n"
+    assert not out.exists()
+
+
+def test_gen_offers_every_recipe_kind_but_union(capsys):
+    assert set(GEN_NEEDS) == set(RECIPE_FIELDS) - {"union"}
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--group", "T2", "--field", "5", "--kind", "union", "--out", "x"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'union'" in capsys.readouterr().err
+
+
 def test_bad_input_paths_fail_cleanly(tmp_path, capsys):
     code = main(["report", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r.json")])
     assert code == 1
@@ -194,7 +251,7 @@ def test_set_file_with_non_integer_element_fails_cleanly(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("tag", ["torus:abc", "line:1"])
+@pytest.mark.parametrize("tag", ["torus:abc", "line:1", "center:1,2"])
 def test_gen_bad_tag_parameter_fails_cleanly(tmp_path, capsys, tag):
     code = main(
         ["gen", "--group", "H", "--field", "7", "--kind", "subgroup",
@@ -468,6 +525,17 @@ def test_verify_needs_json_ints_in_a_subgroup_direction(tmp_path, capsys):
     assert main(["verify", str(corpus)]) == 4
     out = capsys.readouterr().out
     assert "[FAIL] sample: subgroup direction must be a JSON int, got '1'" in out
+
+
+@pytest.mark.parametrize("name", ["energy_constant", "incidence_constant"])
+def test_verify_names_a_negative_manifest_constant(tmp_path, capsys, name):
+    corpus = build_corpus(tmp_path)
+    manifest = read_json(corpus / "manifest.json")
+    manifest["sets"][0]["options"] = {name: {"num": -1, "den": 1}}
+    write_json(corpus / "manifest.json", manifest)
+    capsys.readouterr()
+    assert main(["verify", str(corpus)]) == 4
+    assert capsys.readouterr().out == f"[FAIL] sample: {name} must be nonnegative, got -1\n"
 
 
 def test_report_refuses_the_deleted_threads_flag(tmp_path, capsys):

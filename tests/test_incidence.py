@@ -452,6 +452,7 @@ def test_incidence_count_matches_dot4(a):
 
 
 F128 = standard_field(128)
+F243 = standard_field(243)
 
 
 def sets_over(*specs, max_size=10):
@@ -500,7 +501,7 @@ def test_join_and_incidences_match_their_oracles_over_extension_fields(a):
 
 
 @settings(max_examples=30)
-@given(st.sampled_from([F9, F25, F128]), st.integers(0, 2**32 - 1))
+@given(st.sampled_from([F9, F25, F128, F243]), st.integers(0, 2**32 - 1))
 def test_probe_incidences_match_dot4_over_extension_fields(spec, seed):
     inst = random_instance(spec, 25, 30, seed)
     assert incidence_count(inst) == incidences_by_dot4(inst)

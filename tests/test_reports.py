@@ -307,6 +307,15 @@ def test_run_options_json_needs_json_types(obj):
         RunOptions.from_json(obj)
 
 
+@pytest.mark.parametrize("name", ["energy_constant", "incidence_constant"])
+def test_run_options_refuse_a_negative_constant_by_name(name):
+    # it used to reach the bound check and fail there with "sqrt comparison
+    # needs nonnegative coef and radicand", which names no option
+    with pytest.raises(ParameterError, match=f"^{name} must be nonnegative, got -1/2$"):
+        RunOptions.from_json({name: {"num": -1, "den": 2}})
+    assert getattr(RunOptions.from_json({name: {"num": 0, "den": 1}}), name) == 0
+
+
 def test_every_run_option_is_in_the_manifest_or_out_of_band():
     """A field that is neither written by to_json() nor out of band (wall
     times, resource caps) cannot change a report: a dead knob."""

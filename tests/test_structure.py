@@ -2,16 +2,20 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import F5, F16, group_sets
+from conftest import F5, F9, F16, F101, group_sets
+from matgrowth import standard_field
 from matgrowth.config import Caps, StructureOptions
 from matgrowth.errors import CapExceeded, ParameterError
 from matgrowth.ffield import subfield_of_degree
-from matgrowth.groups import GroupSet, SubgroupTag
+from matgrowth.groups import GroupSet, SubgroupTag, ginv, gmul
+from oracles import commutator_outside_span
 from matgrowth.structure import (
     INCONCLUSIVE,
     POTENT,
     UNIPOTENT,
+    _cert_commutators_in_span,
     _cert_conjugation_stable,
     ratio_image,
     structure_scan,
@@ -109,6 +113,34 @@ def test_conjugation_certificate_is_refused_past_the_pair_cap():
         _cert_conjugation_stable(F16, D, span, Caps(max_pair_products=11).max_pair_products)
     cert = _cert_conjugation_stable(F16, D, span, Caps(max_pair_products=12).max_pair_products)
     assert cert.holds
+
+
+F243 = standard_field(243)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_commutator_certificate_matches_its_gmul_form(data):
+    # the closed form (1, (y_ab - y_ba) / (a0 b0), 1) off one pair_keys
+    # pass against a^-1 b^-1 a b from three gmul calls: the verdict and the
+    # first (a, b) outside the span, over spans that hold, miss one
+    # commutator corner or are random
+    spec = data.draw(st.sampled_from([F5, F9, F16, F101, F243]), label="field")
+    work = data.draw(group_sets(spec, "T2", 1, 8))
+    corners = set()
+    for a in work:
+        for b in work:
+            inverse = gmul(spec, "T2", ginv(spec, "T2", a), ginv(spec, "T2", b))
+            corners.add(gmul(spec, "T2", inverse, gmul(spec, "T2", a, b))[1])
+    span = data.draw(st.one_of(
+        st.just(corners),
+        st.sampled_from(sorted(corners)).map(lambda w: corners - {w}),
+        st.sets(st.integers(0, spec.q - 1)),
+    ))
+    cert = _cert_commutators_in_span(work, frozenset(span), Caps.max_pair_products)
+    first = commutator_outside_span(work, span)
+    assert cert.holds == (first is None)
+    assert cert.detail == ("" if first is None else f"a={first[0]} b={first[1]}")
 
 
 def test_potent_floor_flips_the_verdict():

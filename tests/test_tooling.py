@@ -126,3 +126,28 @@ def test_only_the_kernel_imports_numpy():
         if any(map(imports_numpy, ast.walk(ast.parse(path.read_text()))))
     )
     assert importers == ["kernel.py"]
+
+
+def test_every_cap_refusal_goes_through_the_two_checks():
+    # ``config.check_pairs`` and ``config.check_set`` own the cap messages,
+    # so a ``raise CapExceeded`` anywhere else would be a second form
+    def cap_raises(tree):
+        return sum(
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "CapExceeded"
+            for node in ast.walk(tree)
+        )
+
+    outside = {}
+    for path in sorted((ROOT / "src" / "matgrowth").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = [
+            node for node in ast.walk(tree)
+            if path.name == "config.py"
+            and isinstance(node, ast.FunctionDef)
+            and node.name in ("check_pairs", "check_set")
+        ]
+        assert all(map(cap_raises, owners))
+        outside[path.name] = cap_raises(tree) - sum(map(cap_raises, owners))
+    assert outside == dict.fromkeys(outside, 0)
