@@ -49,7 +49,8 @@ from .groups import T2, GroupSet, Wire, gid, ginv, gmul, group_order, pair_keys
 # OpenBLAS's default thread pool).  The loops, which keep the sorted keys
 # and decode nothing, took 0.37-0.43 us per pair over F_101 and F_128
 # (0.52-0.57 us counting), 1.4-1.5 us over F_256 and 2.9-5.5 us for H over
-# F_59049, against 0.02-0.05 us in the kernel (0.25 us for H over F_59049):
+# F_59049, against 0.02-0.09 us in the kernel (0.25 us for H over F_59049;
+# ``scripts/kernel_rates.py``):
 # break-even 116k-162k pairs over F_101 and F_128, 33k-43k over F_256 and
 # 9k-21k for H over F_59049.  So the cutoff sits below the first range and
 # above the others; pricing it is open.

@@ -8,18 +8,20 @@ takes 0.05-0.06 s and about 11 MB of peak memory on a 2-vCPU VM (0.10-0.13
 s with OpenBLAS's default thread pool).  X x Y is enumerated
 in row blocks as packed int64 keys (x * q + y) * q + z (the ``wire_key``
 order of ``GroupSet``), which fit because q^3 <= 2^48.  The operands'
-coordinates come from a zero-copy view of their keys, and the result is
-copied once into the ``array('q')`` a ``GroupSet`` holds.  Prime fields use
-plain modular arithmetic (every product is below 2^32); extension fields
-multiply through numpy copies of the exp/log tables and add by XOR when
-p = 2, digit by digit otherwise.
+coordinates come from a zero-copy view of their keys.  Prime fields
+compute each product coordinate as one integer sum, below 2^34, reduced
+once; every reduction is ``x - x // p * p`` (``_reduce``), since numpy
+divides by a scalar without a hardware division but has no such path for
+``%``.  Extension fields multiply through numpy copies of the exp/log
+tables and add by XOR when p = 2, digit by digit otherwise.
 
 Peak memory follows the output plus one block, not the pair count.  When
 a bool mask over all q^3 keys is no larger than the pairs' int64 keys, a
-set-only enumeration marks each block in the mask and reads the sorted
-distinct keys off it.  Otherwise sorting each block removes duplicates and
-counts multiplicities, and the pending blocks are merged into the running
-result whenever they outgrow it.
+set-only enumeration marks each block in the mask and writes the mask's
+keys, slice by slice, straight into the ``array('q')`` a ``GroupSet``
+holds.  Otherwise sorting each block removes duplicates and counts
+multiplicities, the pending blocks are merged into the running result
+whenever they outgrow it, and the result is copied once into the array.
 """
 
 from __future__ import annotations
@@ -63,12 +65,16 @@ np = _import_numpy()
 BLOCK_PAIRS = 1 << 16
 
 
+# Mask bytes the dense path reads per slice when it collects its keys: a
+# slice's int64 indices (0.5 MB at most) are its only temporary.  Fixed,
+# not a multiple of BLOCK_PAIRS, which the tests shrink to one pair.
+MASK_SLICE = 1 << 16
+
+
 @lru_cache(maxsize=16)  # equal specs share an entry
 def vector_field(spec: FieldSpec):
-    """(add, mul) of the field on int64 arrays of wires."""
+    """(add, mul) of an extension field on int64 arrays of wires."""
     p, q, r = spec.p, spec.q, spec.r
-    if r == 1:
-        return (lambda x, y: (x + y) % p), (lambda x, y: x * y % p)
     exp, log = spec._tables
     n = q - 1
     # log 0 is 2n, so a sum involving it lands in the zero tail of exp2
@@ -88,11 +94,20 @@ def vector_field(spec: FieldSpec):
         out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
         place = 1
         for _ in range(r):
-            out += (x // place + y // place) % p * place
+            out += _reduce(x // place + y // place, p) * place
             place *= p
         return out
 
     return add, mul
+
+
+def _reduce(x, p: int):
+    """x mod p, in place, for an int64 array x of nonnegative values that
+    the caller owns; returns x."""
+    t = x // p
+    t *= p
+    x -= t
+    return x
 
 
 def pair_kernel(X: GroupSet, Y: GroupSet, counts: bool = False):
@@ -101,21 +116,18 @@ def pair_kernel(X: GroupSet, Y: GroupSet, counts: bool = False):
     Works in row blocks of about ``BLOCK_PAIRS`` pairs, so memory follows
     the output, not the pair count.
     """
-    q = X.spec.q
-    add, mul = vector_field(X.spec)
+    spec, q = X.spec, X.spec.q
     x, y = _coord_rows(X), _coord_rows(Y)[:, None, :]
     rows = max(1, BLOCK_PAIRS // max(1, len(Y)))
     blocks = (
-        _block_keys(X.group, add, mul, q, x[:, start : start + rows, None], y)
+        _block_keys(X.group, spec, x[:, start : start + rows, None], y)
         for start in range(0, max(len(X), 1), rows)  # one empty block for an empty X
     )
     if not counts and _dense(q, len(X) * len(Y)):
         seen = np.zeros(q**3, dtype=bool)
         for block in blocks:
             seen[block] = True
-        keys = np.flatnonzero(seen).astype(np.int64, copy=False)
-        del seen
-        return _key_array(keys), None
+        return _mask_keys(seen), None
     # parts[0] is the running result; the later parts are pending blocks,
     # folded in once they outgrow it: a fold costs at most twice its pending
     # keys, and they exceed the result by at most one block
@@ -134,7 +146,7 @@ def _coord_rows(S: GroupSet):
     """The (3, |S|) int64 coordinates of S's elements, in canonical order,
     computed from a zero-copy view of S's keys."""
     q, k = S.spec.q, np.frombuffer(S.keys, dtype=np.int64)
-    return np.stack((k // (q * q), k // q % q, k % q))
+    return np.stack((k // (q * q), _reduce(k // q, q), _reduce(k.copy(), q)))
 
 
 def _key_array(keys) -> array:
@@ -144,20 +156,58 @@ def _key_array(keys) -> array:
     return out
 
 
+def _mask_keys(seen) -> array:
+    """The indices of ``seen``'s true entries, ascending, as an ``array('q')``
+    sized by one count and filled slice by slice through a view of it, so
+    no output-sized temporary exists."""
+    out = array("q", [0]) * int(np.count_nonzero(seen))
+    view, end = np.frombuffer(out, dtype=np.int64), 0
+    for start in range(0, len(seen), MASK_SLICE):
+        keys = np.flatnonzero(seen[start : start + MASK_SLICE])
+        np.add(keys, start, out=view[end : end + len(keys)])
+        end += len(keys)
+    return out
+
+
 def _dense(q: int, pairs: int) -> bool:
     """Whether a bool mask over all q^3 keys is no larger than the pairs'
     int64 keys, so dedup marks the mask instead of sorting."""
     return q**3 <= 8 * pairs
 
 
-def _block_keys(group, add, mul, q, a, b):
+def _block_keys(group, spec, a, b):
     """The packed keys of the products over one row block, rows x |Y|; its
     temporaries are freed on return."""
+    q = spec.q
+    z0, z1, z2 = (_prime_coords if spec.r == 1 else _table_coords)(group, spec, a, b)
+    z0 *= q
+    z0 += z1
+    z0 *= q
+    z0 += z2
+    return z0.ravel()
+
+
+def _prime_coords(group, spec, a, b):
+    """The product's three coordinates over F_p, each one sum reduced once:
+    with coordinates below p <= 2^16, every sum is below 2^34."""
+    p = spec.p
     if group == T2:
-        z = (mul(a[0], b[0]), add(mul(a[0], b[1]), mul(a[1], b[2])), mul(a[2], b[2]))
-    else:
-        z = (add(a[0], b[0]), add(a[1], b[1]), add(add(a[2], b[2]), mul(a[0], b[1])))
-    return ((z[0] * q + z[1]) * q + z[2]).ravel()
+        z1 = a[0] * b[1]
+        z1 += a[1] * b[2]
+        return _reduce(a[0] * b[0], p), _reduce(z1, p), _reduce(a[2] * b[2], p)
+    z2 = a[0] * b[1]
+    z2 += a[2]
+    z2 += b[2]
+    return _reduce(a[0] + b[0], p), _reduce(a[1] + b[1], p), _reduce(z2, p)
+
+
+def _table_coords(group, spec, a, b):
+    """The product's three coordinates over an extension field, through the
+    field's table arithmetic."""
+    add, mul = vector_field(spec)
+    if group == T2:
+        return mul(a[0], b[0]), add(mul(a[0], b[1]), mul(a[1], b[2])), mul(a[2], b[2])
+    return add(a[0], b[0]), add(a[1], b[1]), add(add(a[2], b[2]), mul(a[0], b[1]))
 
 
 def _first_of_runs(keys):

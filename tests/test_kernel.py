@@ -292,21 +292,22 @@ def unipotent_operands(q):
 
 
 @pytest.mark.parametrize(
-    "operands,q,counts,copies",
+    "operands,q,counts,copies,blocks",
     [
-        (sym3_operands, 101, False, 1),
-        (sym3_operands, 65521, False, 3),
-        (unipotent_operands, 65521, False, 3),
-        (unipotent_operands, 65521, True, 3),
+        (sym3_operands, 101, False, 1, 3),
+        (sym3_operands, 65521, False, 3, 8),
+        (unipotent_operands, 65521, False, 3, 8),
+        (unipotent_operands, 65521, True, 3, 8),
     ],
     ids=["sym3-F101-dense", "sym3-F65521", "unipotent-F65521", "unipotent-F65521-counts"],
 )
-def test_kernel_memory_follows_the_output(operands, q, counts, copies):
+def test_kernel_memory_follows_the_output(operands, q, counts, copies, blocks):
     """Under tracemalloc, which sees numpy's buffers, an enumeration peaks
-    at its output plus eight block-sized int64 temporaries, not at its pair
-    count: plus the q^3 mask on the dense path, and with ``copies`` output-
-    sized arrays while a merge holds the result, the pending blocks and
-    their union on the sparse path."""
+    at its output plus ``blocks`` block-sized int64 temporaries, not at its
+    pair count: plus the q^3 mask on the dense path, which writes its keys
+    straight into the output, and with ``copies`` output-sized arrays while
+    a merge holds the result, the pending blocks and their union on the
+    sparse path."""
     X, Y = operands(q)
     tracemalloc.start()
     try:
@@ -316,8 +317,31 @@ def test_kernel_memory_follows_the_output(operands, q, counts, copies):
         tracemalloc.stop()
     dense = kernel._dense(q, len(X) * len(Y)) and not counts
     output = len(keys) * keys.itemsize + (mults.nbytes if counts else 0)
-    assert peak <= copies * output + (q**3 if dense else 0) + 8 * 8 * kernel.BLOCK_PAIRS
+    assert peak <= copies * output + (q**3 if dense else 0) + blocks * 8 * kernel.BLOCK_PAIRS
     assert dense == (q == 101)
+
+
+def top_of_range_operands(q, group):
+    """Every triple over coordinates at the top of F_q, where the kernel's
+    fused integer sums are largest: 1, p - 2 and p - 1 over a prime field,
+    0, 1 and q - 1 (every digit p - 1) over F_59049."""
+    spec = standard_field(q)
+    top = [1, q - 2, q - 1] if spec.r == 1 else [0, 1, q - 1]
+    units = [c for c in top if c]
+    wires = product(units, top, units) if group == "T2" else product(top, repeat=3)
+    return GroupSet(group, spec, list(wires))
+
+
+@pytest.mark.parametrize("q,group", [(65521, "T2"), (65521, "H"), (59049, "H"), (59049, "T2")])
+def test_fused_reductions_are_exact_at_the_top_of_the_range(q, group):
+    a = top_of_range_operands(q, group)
+    b = GroupSet(group, a.spec, a.wires[::-1][:20])
+    with paths(LOOPS, 1 << 18):
+        want = product_set(a, b), rep_function(a, b, "plain"), rep_function(a, a, "inverse_left")
+    with paths(0, 7):
+        got = product_set(a, b), rep_function(a, b, "plain"), rep_function(a, a, "inverse_left")
+    assert got == want
+    assert got[0].wires == want[0].wires
 
 
 def test_members_memory_follows_the_keys():

@@ -151,3 +151,15 @@ def test_every_cap_refusal_goes_through_the_two_checks():
         assert all(map(cap_raises, owners))
         outside[path.name] = cap_raises(tree) - sum(map(cap_raises, owners))
     assert outside == dict.fromkeys(outside, 0)
+
+
+def test_the_kernel_reduces_only_through_its_helper():
+    # ``%`` on an int64 array takes about twice as long as ``kernel._reduce``'s
+    # floor division by a scalar, so the kernel has no ``%`` at all
+    tree = ast.parse((ROOT / "src" / "matgrowth" / "kernel.py").read_text())
+    mods = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
+    ]
+    assert mods == []
