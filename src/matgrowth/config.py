@@ -60,8 +60,8 @@ class StructureOptions:
     def __post_init__(self):
         if abs(self.potent_exponent) > MAX_POWER:
             raise ParameterError(f"potent exponent must be within +-{MAX_POWER}")
-        if self.reach_budget > MAX_POWER:
-            raise ParameterError(f"reach budget must be <= {MAX_POWER}")
+        if not 1 <= self.reach_budget <= MAX_POWER:
+            raise ParameterError(f"reach budget must be in 1..{MAX_POWER}")
 
     def to_json(self) -> dict:
         return {

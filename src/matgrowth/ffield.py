@@ -269,10 +269,6 @@ class FieldSpec:
         n = self.q - 1
         return exp[(log[x] * e) % n]
 
-    def frobenius(self, x: int) -> int:
-        """x raised to the p-th power (the field's arithmetic symmetry)."""
-        return self.power(x, self.p)
-
     @cached_property
     def _tables(self) -> tuple[list[int], list[int]]:
         # exp/log tables over the smallest multiplicative generator.  The
@@ -353,17 +349,6 @@ class FieldSpec:
     def _polymul_wire(self, x: int, y: int) -> int:
         prod = _poly_mul(_digits(x, self.p, self.r), _digits(y, self.p, self.r), self.p)
         return _undigits(_poly_rem(prod, self.modulus, self.p), self.p)
-
-    # -- coefficient/wire conversions ------------------------------------
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        return tuple(_digits(x, self.p, self.r))
-
-    def from_coeffs(self, cs: Sequence[int]) -> int:
-        if len(cs) > self.r:
-            raise ParameterError(f"coefficient vector longer than degree {self.r}")
-        padded = [c % self.p for c in cs] + [0] * (self.r - len(cs))
-        return _undigits(padded, self.p)
 
 
 # Extension fields up to this size get dense addition and multiplication

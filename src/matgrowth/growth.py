@@ -13,8 +13,9 @@ quadruples (via a pairwise-equality matrix) and exists so tests can
 cross-check the fast path on small sets.
 
 Every pair enumeration goes through ``_enumerate``, the one place that
-picks a path.  A product set of nonempty X and Y with |X| + |Y| > |G| is
-G itself, and is returned without enumerating a pair.  Otherwise an
+refuses a pair count past the cap and the one place that picks a path.
+A product set of nonempty X and Y with |X| + |Y| > |G| is G itself, and
+is returned without enumerating a pair.  Otherwise an
 n x m enumeration runs the numpy kernel of ``matgrowth.kernel`` once
 numpy is loaded, or once n * m plus the pairs the pure-Python loops have
 already enumerated in this process reach ``VECTOR_PAIRS``; else it runs
@@ -69,9 +70,7 @@ _loop_pairs = 0
 
 def product_set(A: GroupSet, B: GroupSet, cap: int = Caps.max_pair_products) -> GroupSet:
     """AB = {ab : a in A, b in B}; the pair count is capped, not the result."""
-    A.same_ambient(B)
-    check_pairs("product", len(A), len(B), cap)
-    return _enumerate(A, B)[0]
+    return _enumerate(A, B, cap)[0]
 
 
 def power_set(A: GroupSet, k: int, cap: int = Caps.max_pair_products) -> GroupSet:
@@ -93,14 +92,15 @@ def rep_function(A: GroupSet, B: GroupSet, mode: str = "inverse_left") -> Counte
     """
     if mode not in ("inverse_left", "plain"):
         raise ParameterError(f"unknown rep mode {mode!r}")
-    distinct, mults = _enumerate(A.inverses() if mode == "inverse_left" else A, B, counts=True)
+    X = A.inverses() if mode == "inverse_left" else A
+    distinct, mults = _enumerate(X, B, Caps.max_pair_products, counts=True)
     return Counter(dict(zip(distinct, map(int, mults))))
 
 
-def product_tally(A: GroupSet, B: GroupSet) -> tuple[GroupSet, int]:
+def product_tally(A: GroupSet, B: GroupSet, cap: int) -> tuple[GroupSet, int]:
     """The distinct products over A x B, and the sum of their squared
     multiplicities, from one counting pass."""
-    distinct, mults = _enumerate(A, B, counts=True)
+    distinct, mults = _enumerate(A, B, cap, counts=True)
     if isinstance(mults, list):
         return distinct, sum(c * c for c in mults)
     from .kernel import second_moment
@@ -115,15 +115,17 @@ def _use_kernel(pairs: int) -> bool:
     return "numpy" in sys.modules or _loop_pairs + pairs >= VECTOR_PAIRS
 
 
-def _enumerate(X: GroupSet, Y: GroupSet, counts: bool = False):
+def _enumerate(X: GroupSet, Y: GroupSet, cap: int, counts: bool = False):
     """The distinct products x y over X x Y in canonical order, and their
     multiplicities in that order when ``counts`` is set (else None): a
-    list from the wire loops, an int64 array from the kernel.
+    list from the wire loops, an int64 array from the kernel.  Refused,
+    before any path runs, once |X| |Y| passes ``cap``.
 
     Without counts, nonempty X and Y with |X| + |Y| > |G| give all of G
     unenumerated: x^-1 g lies in Y for some x, as |X^-1 g| = |X| and
     only |G| - |Y| < |X| elements lie outside Y."""
     X.same_ambient(Y)
+    check_pairs("product", len(X), len(Y), cap)
     spec, group = X.spec, X.group
     if not counts and X and Y and len(X) + len(Y) > group_order(spec, group):
         return _whole_group(spec, group), None
@@ -196,8 +198,8 @@ class Products:
 
     ``sym(k)`` is the ladder A(k) = A(k-1) A(1) with A(1) = A u A^-1 u {1};
     when A already is A(1) the two ladders coincide, so sym(2) and sym(3)
-    are ``square`` and ``cube``.  Each product refuses, as ``product_set``
-    does, once its pair count passes ``caps.max_pair_products``.  The two
+    are ``square`` and ``cube``.  Each product, counting passes included,
+    refuses once its pair count passes ``caps.max_pair_products``.  The two
     counting passes keep the distinct products and their second moment,
     not the per-product counts.
     """
@@ -210,8 +212,8 @@ class Products:
 
     @cached_property
     def quotient_tally(self) -> tuple[GroupSet, int]:
-        """A^-1 A and E(A), from one uncapped counting pass."""
-        return product_tally(self.A.inverses(), self.A)
+        """A^-1 A and E(A), from one counting pass."""
+        return product_tally(self.A.inverses(), self.A, self.caps.max_pair_products)
 
     @cached_property
     def square_tally(self) -> tuple[GroupSet, int]:
@@ -219,7 +221,7 @@ class Products:
         # for A = A^-1 both passes enumerate the same multiset
         if self.A.is_symmetric:
             return self.quotient_tally
-        return product_tally(self.A, self.A)
+        return product_tally(self.A, self.A, self.caps.max_pair_products)
 
     # energy and product_energy are the module-level functions, cached
     @cached_property
@@ -232,11 +234,11 @@ class Products:
 
     @cached_property
     def quotient(self) -> GroupSet:
-        return self._capped("quotient_tally")
+        return self.quotient_tally[0]
 
     @cached_property
     def square(self) -> GroupSet:
-        return self._capped("square_tally")
+        return self.square_tally[0]
 
     @property
     def cube(self) -> GroupSet:
@@ -267,11 +269,6 @@ class Products:
     def _sym_powers(self) -> list[GroupSet]:
         A = self.A
         return self._powers if A.has_identity and A.is_symmetric else [A.symmetrized()]
-
-    def _capped(self, name: str) -> GroupSet:
-        # refuse before the counting pass runs, as product_set does
-        check_pairs("product", len(self.A), len(self.A), self.caps.max_pair_products)
-        return getattr(self, name)[0]
 
     def _climb(self, powers: list[GroupSet], k: int) -> GroupSet:
         """powers[k - 1], extending powers[j] = powers[j - 1] powers[0]."""

@@ -147,29 +147,12 @@ def t2_point(spec: FieldSpec, g: Wire, v: Wire) -> tuple[int, int, int, int]:
     )
 
 
-def t2_plane(spec: FieldSpec, h: Wire, u: Wire) -> tuple[int, int, int, int]:
-    return (
-        spec.neg(spec.mul(u[0], h[1])),
-        spec.mul(u[0], h[2]),
-        1,
-        spec.neg(spec.div(u[1], u[2])),
-    )
-
-
 def heis_point(spec: FieldSpec, g: Wire, v: Wire, c2: int) -> tuple[int, int, int, int]:
     w = spec.sub(
         spec.sub(spec.mul(g[0], g[1]), spec.add(g[2], v[2])),
         spec.mul(c2, g[0]),
     )
     return (w, g[0], g[1], 1)
-
-
-def heis_plane(spec: FieldSpec, h: Wire, u: Wire, c2: int) -> tuple[int, int, int, int]:
-    w = spec.add(
-        spec.sub(spec.add(h[2], u[2]), spec.mul(u[0], u[1])),
-        spec.mul(c2, u[0]),
-    )
-    return (1, u[1], spec.neg(u[0]), w)
 
 
 def dot4(spec: FieldSpec, x: tuple, y: tuple) -> int:

@@ -19,9 +19,7 @@ from matgrowth.incidence import (
     CollinearStats,
     ProbeReport,
     dot4,
-    heis_plane,
     heis_point,
-    t2_plane,
     t2_point,
 )
 
@@ -214,10 +212,22 @@ def heis_line_recount(A):
     return best
 
 
+def coeffs(spec, x):
+    """The r coefficients of the polynomial with wire x, constant term first:
+    the base-p digits of x."""
+    return tuple(x // spec.p**i % spec.p for i in range(spec.r))
+
+
+def from_coeffs(spec, cs):
+    """The wire of the polynomial with coefficients cs, each taken mod p."""
+    assert len(cs) <= spec.r, f"coefficient vector longer than degree {spec.r}"
+    return sum(c % spec.p * spec.p**i for i, c in enumerate(cs))
+
+
 def schoolbook_mul(spec, x, y):
     """Field product: polynomial product reduced by long division."""
     p = spec.p
-    xs, ys = spec.coeffs(x), spec.coeffs(y)
+    xs, ys = coeffs(spec, x), coeffs(spec, y)
     prod = [0] * (2 * spec.r - 1)
     for i, a in enumerate(xs):
         for j, b in enumerate(ys):
@@ -228,7 +238,7 @@ def schoolbook_mul(spec, x, y):
             for k in range(spec.r + 1):
                 prod[d - spec.r + k] = (prod[d - spec.r + k] - lead * spec.modulus[k]) % p
             assert prod[d] == 0
-    return spec.from_coeffs(prod[: spec.r])
+    return from_coeffs(spec, prod[: spec.r])
 
 
 def field_tables_by_order_walk(spec):
@@ -365,6 +375,25 @@ def probe_two_sided(inst, constant=None):
         points_within_field_square=n_points <= spec.p**2,
         planes_within_field_square=n_planes <= spec.p**2,
     )
+
+
+def t2_plane(spec, h, u):
+    """The plane of the pair (h, u) of a T2 class, the dual of ``t2_point``."""
+    return (
+        spec.neg(spec.mul(u[0], h[1])),
+        spec.mul(u[0], h[2]),
+        1,
+        spec.neg(spec.div(u[1], u[2])),
+    )
+
+
+def heis_plane(spec, h, u, c2):
+    """The plane of the pair (h, u) of an H class with key (., c2)."""
+    w = spec.add(
+        spec.sub(spec.add(h[2], u[2]), spec.mul(u[0], u[1])),
+        spec.mul(c2, u[0]),
+    )
+    return (1, u[1], spec.neg(u[0]), w)
 
 
 def class_report_two_sided(spec, group, key, pairs, quadruples, constant=None):

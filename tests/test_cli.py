@@ -594,6 +594,22 @@ def test_set_files_need_json_integers(tmp_path, capsys, mutate, value, message):
     assert f"[FAIL] sample: {message}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("budget", [0, -1, 65])
+def test_a_reach_budget_outside_1_to_64_is_refused(tmp_path, capsys, budget):
+    # a budget below 1 used to run and report INCONCLUSIVE, "not reached
+    # within budget 0"
+    corpus = build_corpus(tmp_path)
+    argv = ["structure", str(corpus / "sample.json"), "--budget", str(budget)]
+    assert main([*argv, "--out", str(tmp_path / "s.json")]) == 1
+    assert capsys.readouterr().err == "error: reach budget must be in 1..64\n"
+    assert not (tmp_path / "s.json").exists()
+    manifest = read_json(corpus / "manifest.json")
+    manifest["sets"][0]["options"] = {"structure": True, "structure_opts": {"reach_budget": budget}}
+    write_json(corpus / "manifest.json", manifest)
+    assert main(["verify", str(corpus)]) == 4
+    assert "[FAIL] sample: reach budget must be in 1..64" in capsys.readouterr().out
+
+
 def test_verify_needs_a_json_bool_for_structure(tmp_path, capsys):
     corpus = build_corpus(tmp_path)
     manifest = read_json(corpus / "manifest.json")

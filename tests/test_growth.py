@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import F5, F7, F9, F101, group_sets, small_sets
 from matgrowth import growth, kernel, standard_field
-from matgrowth.config import Caps
+from matgrowth.config import Caps, RunOptions
 from matgrowth.errors import CapExceeded, ParameterError
 from matgrowth.groups import GroupSet, SubgroupTag, gid, ginv, gmul, group_order
 from matgrowth.growth import (
@@ -31,6 +31,9 @@ from matgrowth.growth import (
     tripling_constant,
     tripling_lemma_check,
 )
+from matgrowth.jsonio import digest
+from matgrowth.reports import EXIT_CAPS, run_report
+from matgrowth.setfiles import build_setfile
 from oracles import covering_by_coset_table, pair_products, quad_energy, quad_product_energy
 
 UNIPOTENT_F7 = SubgroupTag("unipotent").elements(F7)
@@ -113,7 +116,13 @@ def whole_group(spec, group):
 
 
 def no_enumeration(*args, **kwargs):
-    raise AssertionError("enumerated the pairs of a saturated product")
+    raise AssertionError("enumerated the pairs of a product that needs none")
+
+
+def refuse_every_pair(monkeypatch):
+    """Make both enumerators, the wire loops' keys and the kernel, raise."""
+    monkeypatch.setattr(growth, "pair_keys", no_enumeration)
+    monkeypatch.setattr(kernel, "pair_kernel", no_enumeration)
 
 
 @contextmanager
@@ -224,10 +233,11 @@ def test_products_match_the_direct_products(a, symmetrize):
 def test_products_refuse_on_the_pair_count():
     a = GroupSet("T2", F101, [(i, 0, 1) for i in range(1, 11)])
     p = Products(a, Caps(max_pair_products=99))
-    assert p.energy == energy(a)  # the counts themselves are not capped
-    for build in (lambda: p.square, lambda: p.quotient, lambda: p.sym(2)):
-        with pytest.raises(CapExceeded):
+    builds = (lambda: p.energy, lambda: p.square, lambda: p.quotient, lambda: p.sym(2))
+    for build in builds:
+        with pytest.raises(CapExceeded, match=" exceeds pair cap 99$"):
             build()
+    assert Products(a, Caps(max_pair_products=100)).energy == energy(a)
 
 
 @pytest.mark.parametrize(
@@ -238,13 +248,47 @@ def test_products_refuse_on_the_pair_count():
     ],
 )
 def test_products_refuse_before_counting(monkeypatch, wires):
-    def no_counting(*args, **kwargs):
-        raise AssertionError("counted the pairs of a refused product")
-
-    monkeypatch.setattr(growth, "_enumerate", no_counting)
+    refuse_every_pair(monkeypatch)
     p = Products(GroupSet("T2", F101, wires), Caps(max_pair_products=99))
-    for build in (lambda: p.square, lambda: p.quotient, lambda: p.sym(2)):
+    builds = (
+        lambda: p.square, lambda: p.quotient, lambda: p.sym(2),
+        lambda: p.energy, lambda: p.product_energy,
+    )
+    for build in builds:
         with pytest.raises(CapExceeded):
+            build()
+
+
+# Digests of these capped reports at the commit before the counting passes
+# were capped: every section refuses at the same product, so no byte moved.
+CAPPED_REPORTS = {
+    False: "e051de38976fa9dffa58f8629db0334e2d9434ef491498a08bcca18155512d3e",
+    True: "d619d4bd6e78c39114b61481ce08623d7342630f56c02d748d0d4da28f3551cc",
+}
+
+
+@pytest.mark.parametrize("structure", sorted(CAPPED_REPORTS))
+def test_a_capped_report_keeps_its_bytes_and_counts_no_pair(monkeypatch, structure):
+    sf = build_setfile("T2", F101, {"kind": "random", "size": 10, "seed": 1})
+    refuse_every_pair(monkeypatch)
+    opts = RunOptions(caps=Caps(max_pair_products=99), structure=structure)
+    rep, code = run_report(sf, opts)
+    assert code == EXIT_CAPS
+    assert rep["growth"] == {"error": "product of 10 x 10 elements exceeds pair cap 99"}
+    assert digest(rep) == CAPPED_REPORTS[structure]
+
+
+def test_bare_sets_refuse_past_the_default_pair_cap(monkeypatch):
+    # 3,200 x 3,200 pairs pass the default cap of 10^7
+    refuse_every_pair(monkeypatch)
+    a = GroupSet("T2", F101, [(x, y, 1) for x in range(1, 101) for y in range(32)])
+    refusal = "^product of 3200 x 3200 elements exceeds pair cap 10000000$"
+    builds = (
+        lambda: energy(a), lambda: product_energy(a), lambda: rep_function(a, a),
+        lambda: rep_function(a, a, mode="plain"), lambda: product_set(a, a),
+    )
+    for build in builds:
+        with pytest.raises(CapExceeded, match=refusal):
             build()
 
 

@@ -290,6 +290,9 @@ def test_run_options_validation():
         RunOptions(bridge="sometimes")
     with pytest.raises(ParameterError):
         RunOptions(lemma_k=0)
+    for budget in (0, -1, 65):
+        with pytest.raises(ParameterError, match=r"^reach budget must be in 1\.\.64$"):
+            StructureOptions(reach_budget=budget)
 
 
 def test_run_options_json_ignores_unknown_keys():

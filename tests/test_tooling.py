@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,64 @@ def test_every_cap_refusal_goes_through_the_two_checks():
         assert all(map(cap_raises, owners))
         outside[path.name] = cap_raises(tree) - sum(map(cap_raises, owners))
     assert outside == dict.fromkeys(outside, 0)
+
+
+def test_growth_checks_the_pair_cap_only_where_it_enumerates():
+    # ``growth._enumerate`` refuses every product set, counting pass and
+    # representation count before it picks a path; ``Products._climb``'s
+    # whole-group stop enumerates nothing, so it is the one other check
+    tree = ast.parse((ROOT / "src" / "matgrowth" / "growth.py").read_text())
+
+    def checks(node):
+        return sum(
+            isinstance(call, ast.Call) and getattr(call.func, "id", None) == "check_pairs"
+            for call in ast.walk(node)
+        )
+
+    scopes = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    scopes.update(
+        (f"{cls.name}.{node.name}", node)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+    )
+    callers = {name: checks(node) for name, node in scopes.items() if checks(node)}
+    assert callers == {"_enumerate": 1, "Products._climb": 1}
+    assert checks(tree) == 2
+
+
+# Read only from outside the package: ``perfbench/tracing.py`` rebinds the
+# first two, and ``perfbench/workloads.py`` builds its subfield sets with
+# the third.
+READ_OUTSIDE = {"build_instance", "line_groups", "explicit_setfile"}
+
+
+def test_every_package_definition_is_read():
+    # a module-level function or class that nothing in the package reads,
+    # that is not exported and that nothing outside reads is dead code, or
+    # an oracle that belongs in ``tests/oracles.py``
+    def names(node):
+        return Counter(
+            getattr(n, "id", None) or n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "matgrowth").glob("*.py"))
+    }
+    used = {name: names(tree) for name, tree in trees.items()}
+    exported = set(importlib.import_module("matgrowth").__all__) | READ_OUTSIDE
+    unread = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exported
+        and used[module][node.name] == names(node)[node.name]
+        and not any(used[other][node.name] for other in trees if other != module)
+    ]
+    assert unread == []
 
 
 def test_the_kernel_reduces_only_through_its_helper():
