@@ -212,39 +212,61 @@ def _lookup(report, path: str):
     return cur
 
 
+_JSON_KINDS = {str: "string", list: "array", dict: "object"}
+
+
+def _json_field(record, key: str, kind: type, what: str, default=None):
+    """record[key], or ``default`` when the key is absent and a default is
+    given; a ParameterError naming the field unless ``record`` is a JSON
+    object and the value is of ``kind``."""
+    if not isinstance(record, dict):
+        raise ParameterError(f"{what} must be a JSON object")
+    value = record.get(key, default)
+    if not isinstance(value, kind):
+        raise ParameterError(f"{what} needs a JSON {_JSON_KINDS[kind]} {key!r}")
+    return value
+
+
 def cmd_verify(args) -> int:
     corpus = Path(args.corpus)
     manifest = read_json(args.manifest or corpus / "manifest.json")
     expected = read_json(args.expected or corpus / "expected.json")
+    sets = _json_field(manifest, "sets", list, "manifest")
+    if not isinstance(expected, dict):
+        raise ParameterError("expected file must be a JSON object")
     any_failed = False
-    for entry in manifest["sets"]:
-        name = entry["name"]
+    for k, entry in enumerate(sets):
+        name = f"sets[{k}]"
         problems: list[str] = []
         try:
-            sf = load_setfile(corpus / entry["file"])
+            name = _json_field(entry, "name", str, "manifest entry")
+            sf = load_setfile(corpus / _json_field(entry, "file", str, "manifest entry"))
             exp = expected.get(name)
             if exp is None:
                 problems.append("no expected record")
             else:
+                elements_sha256 = _json_field(exp, "elements_sha256", str, "expected record")
+                report_sha256 = _json_field(exp, "report_sha256", str, "expected record")
+                values = _json_field(exp, "values", dict, "expected record", {})
                 regen = regenerate(sf)
                 if regen is not None and regen != sf.elements:
                     problems.append("regeneration drifted from stored elements")
-                if sf.elements_digest != exp["elements_sha256"]:
+                if sf.elements_digest != elements_sha256:
                     problems.append("elements digest mismatch")
                 opts = RunOptions.from_json(entry.get("options", {}))
                 rep, code = run_report(sf, opts)
-                if digest(rep) != exp["report_sha256"]:
+                if digest(rep) != report_sha256:
                     problems.append("report digest mismatch")
                 if code != exp.get("exit_code", 0):
                     problems.append(f"exit code {code} != {exp.get('exit_code', 0)}")
-                for path, want in sorted(exp.get("values", {}).items()):
+                for path, want in sorted(values.items()):
                     try:
                         got = _lookup(rep, path)
                     except (KeyError, IndexError, TypeError):
                         got = "<missing>"
                     if got != want:
                         problems.append(f"{path}: {got!r} != {want!r}")
-        except MatGrowthError as exc:
+        except (MatGrowthError, OSError) as exc:
             problems.append(str(exc))
         status = "FAIL" if problems else "ok"
         print(f"[{status}] {name}" + (": " + "; ".join(problems) if problems else ""))

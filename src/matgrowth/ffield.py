@@ -20,10 +20,11 @@ Zech table, built on first use: zech[d] = log(1 + g^d), so that
 x + y = x (1 + y/x) is two lookups; each entry costs O(1), because adding
 one changes only the constant digit of a wire.  Negation is
 x -> x g^((q-1)/2).  Digit-by-digit addition is left only where the exp/log
-tables are built.  An extension field of at most ``DENSE_FIELD`` elements
-also gets dense addition and multiplication tables on first use, for the
-loops that make one lookup per operation.  Everything is exact integer
-arithmetic; there is no floating point anywhere in this module.
+tables are built.  A field of at most ``DENSE_FIELD`` elements, prime or
+not, also gets dense addition, multiplication, inverse and negation tables
+on first use, for the loops that make one lookup per operation.
+Everything is exact integer arithmetic; there is no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -351,12 +352,13 @@ class FieldSpec:
         return _undigits(_poly_rem(prod, self.modulus, self.p), self.p)
 
 
-# Extension fields up to this size get dense addition and multiplication
-# tables, for the pair loops of ``groups.pair_keys`` and for the
-# collinearity pass and incidence count of ``incidence``.  Up to q = 128
-# the tables build in at most 7 ms, about what they save on one 25-element
-# T2 bridge; from F_169 to F_256 the build takes 13-26 ms against 4-6 ms
-# saved (2 vCPUs, Python 3.11).
+# Fields up to this size get dense tables: extension fields for the pair
+# loops of ``groups.pair_keys``, and every field, prime or not, for the
+# anchor pass, line keys and class incidence count of ``incidence``, which
+# pick their arithmetic by field size alone.  Up to q = 128 the tables
+# build in at most 7 ms (2.2 ms for F_101), about what they save on one
+# 25-element T2 bridge; from F_169 to F_256 the build takes 13-26 ms
+# against 4-6 ms saved (2 vCPUs, Python 3.11).
 DENSE_FIELD = 128
 
 

@@ -281,13 +281,7 @@ def _class_incidences(
     check_pairs("incidence count", n, n, cap, "tuples")
     rows = list(zip(map(_FORM[group], points), points.values()))
     cross = 0
-    if spec.r == 1:
-        p = spec.p
-        for k, ((u0, u2, u3), w) in enumerate(rows, 1):
-            for (v0, v2, v3), wv in rows[k:]:
-                if not (u0 - v0 + u2 * v3 - u3 * v2) % p:
-                    cross += w * wv
-    elif spec.q <= DENSE_FIELD:
+    if spec.q <= DENSE_FIELD:
         q = spec.q
         add, mul, _, neg_row = _dense_tables(spec)
         for k, ((u0, u2, u3), w) in enumerate(rows, 1):
@@ -328,17 +322,6 @@ def _normalise(spec: FieldSpec, t: tuple) -> tuple:
     return tuple([spec.mul(y, s) for y in t])
 
 
-class _Inverses(dict):
-    """x -> 1/x mod p, each computed on first use."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def __missing__(self, x: int) -> int:
-        s = self[x] = pow(x, -1, self.p)
-        return s
-
-
 @cache
 def _directions(spec: FieldSpec):
     """group(a, f, points, later): the points at ``later`` grouped by direction from a.
@@ -354,46 +337,12 @@ def _directions(spec: FieldSpec):
     more lists the directions that got a list.
 
     Since a[:f] is zero, w0 is t0 - a0: zero when f = 0, and otherwise
-    t0, so a direction with w0 = 1 is already normalised.  Prime fields
-    reduce integer sums mod p, with inverses memoised per field; an
-    anchor with pivot 0 needs no products, since the points sort with
-    leading zeros first and every later point has t0 = 1.  Small
-    extension fields look everything up in dense tables, and larger
-    ones call the field's own arithmetic.
+    t0, so a direction with w0 = 1 is already normalised.  A field of at
+    most ``DENSE_FIELD`` elements, prime or not, looks everything up in
+    dense tables; a larger one calls the field's own arithmetic.
     """
     q = spec.q
-    if spec.r != 1 and q > DENSE_FIELD:
-        add, mul, neg = spec.add, spec.mul, spec.neg
-
-        def group(a, f, points, later):
-            scaled = {}  # c -> -c a
-            lines = {}
-            get = lines.get
-            more = []
-            for j in later:
-                t = points[j]
-                c = t[f]
-                b = scaled.get(c)
-                if b is None:
-                    b = scaled[c] = tuple(mul(neg(c), y) for y in a)
-                w = tuple(map(add, t, b))
-                if any(w):
-                    w0, w1, w2, w3 = _normalise(spec, w)
-                    w = ((w0 * q + w1) * q + w2) * q + w3
-                else:
-                    w = None
-                js = get(w)
-                if js is None:
-                    lines[w] = j
-                elif js.__class__ is int:
-                    lines[w] = [js, j]
-                    more.append(w)
-                else:
-                    js.append(j)
-            return lines, more
-
-        return group
-    if spec.r != 1:
+    if q <= DENSE_FIELD:
         add, mul, inv_row, neg_row = _dense_tables(spec)
 
         def group(a, f, points, later):
@@ -429,53 +378,23 @@ def _directions(spec: FieldSpec):
             return lines, more
 
         return group
-    p = q
-    inv = _Inverses(p)
+    add, mul, neg = spec.add, spec.mul, spec.neg
 
     def group(a, f, points, later):
-        _, a1, a2, a3 = a
+        scaled = {}  # c -> -c a
         lines = {}
         get = lines.get
         more = []
-        if f:
-            for j in later:
-                t = t0, t1, t2, t3 = points[j]
-                c = t[f]
-                w1 = (t1 - c * a1) % p
-                w2 = (t2 - c * a2) % p
-                w3 = (t3 - c * a3) % p
-                if t0:
-                    w = ((q + w1) * q + w2) * q + w3
-                elif w1:
-                    s = inv[w1]
-                    w = (q + w2 * s % p) * q + w3 * s % p
-                elif w2:
-                    w = q + w3 * inv[w2] % p
-                elif w3:
-                    w = 1
-                else:
-                    w = None
-                js = get(w)
-                if js is None:
-                    lines[w] = j
-                elif js.__class__ is int:
-                    lines[w] = [js, j]
-                    more.append(w)
-                else:
-                    js.append(j)
-            return lines, more
         for j in later:
-            _, t1, t2, t3 = points[j]
-            w1 = (t1 - a1) % p
-            w2 = (t2 - a2) % p
-            w3 = (t3 - a3) % p
-            if w1:
-                s = inv[w1]
-                w = (q + w2 * s % p) * q + w3 * s % p
-            elif w2:
-                w = q + w3 * inv[w2] % p
-            elif w3:
-                w = 1
+            t = points[j]
+            c = t[f]
+            b = scaled.get(c)
+            if b is None:
+                b = scaled[c] = tuple(mul(neg(c), y) for y in a)
+            w = tuple(map(add, t, b))
+            if any(w):
+                w0, w1, w2, w3 = _normalise(spec, w)
+                w = ((w0 * q + w1) * q + w2) * q + w3
             else:
                 w = None
             js = get(w)
@@ -557,30 +476,12 @@ def _line_keys(spec: FieldSpec):
     the pair of rows does (``_unpack`` decodes it); None for the zero
     vector.  The rows come straight off the vector: with p_{c1 c2} its
     first nonzero coordinate, row one holds p_{k c2} / p_{c1 c2} and row
-    two p_{c1 k} / p_{c1 c2}.  Prime fields reduce integer sums mod p with
-    memoised inverses, small extension fields use the dense tables, and
-    larger ones the field's own arithmetic.
+    two p_{c1 k} / p_{c1 c2}.  A field of at most ``DENSE_FIELD`` elements,
+    prime or not, uses the dense tables, and a larger one the field's own
+    arithmetic.
     """
     q = spec.q
-    if spec.r == 1:
-        p = q
-        inv = _Inverses(p)
-
-        def div(x, y):
-            return x * inv[y] % p
-
-        def neg(x):
-            return -x % p
-
-        def wedge(x, y):
-            x0, x1, x2, x3 = x
-            y0, y1, y2, y3 = y
-            return (
-                (x0 * y1 - x1 * y0) % p, (x0 * y2 - x2 * y0) % p, (x0 * y3 - x3 * y0) % p,
-                (x1 * y2 - x2 * y1) % p, (x1 * y3 - x3 * y1) % p, (x2 * y3 - x3 * y2) % p,
-            )
-
-    elif q <= DENSE_FIELD:
+    if q <= DENSE_FIELD:
         add, mul, inv_row, neg_row = _dense_tables(spec)
         neg = [r // q for r in neg_row].__getitem__
 

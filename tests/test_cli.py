@@ -538,6 +538,84 @@ def test_verify_names_a_negative_manifest_constant(tmp_path, capsys, name):
     assert capsys.readouterr().out == f"[FAIL] sample: {name} must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "which, content, message",
+    [
+        ("manifest", {}, "manifest needs a JSON array 'sets'"),
+        ("expected", [], "expected file must be a JSON object"),
+    ],
+    ids=["manifest_without_sets", "expected_as_a_list"],
+)
+def test_verify_refuses_a_malformed_corpus_file_in_one_line(
+    tmp_path, capsys, which, content, message
+):
+    corpus = build_corpus(tmp_path)
+    write_json(corpus / f"{which}.json", content)
+    capsys.readouterr()
+    assert main(["verify", str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def _drop_entry_key(key):
+    def edit(manifest, expected):
+        entry = manifest["sets"][0]
+        manifest["sets"].insert(0, {k: v for k, v in entry.items() if k != key})
+
+    return edit
+
+
+def _drop_elements_digest(manifest, expected):
+    del expected["sample"]["elements_sha256"]
+
+
+def _values_as_a_list(manifest, expected):
+    expected["sample"]["values"] = [["growth.size", 12]]
+
+
+@pytest.mark.parametrize(
+    "edit, out",
+    [
+        (_drop_entry_key("name"), "[FAIL] sets[0]: manifest entry needs a JSON string 'name'\n"
+                                  "[ok] sample\n"),
+        (_drop_entry_key("file"), "[FAIL] sample: manifest entry needs a JSON string 'file'\n"
+                                  "[ok] sample\n"),
+        (_drop_elements_digest,
+         "[FAIL] sample: expected record needs a JSON string 'elements_sha256'\n"),
+        (_values_as_a_list, "[FAIL] sample: expected record needs a JSON object 'values'\n"),
+    ],
+    ids=["entry_without_name", "entry_without_file", "record_without_elements_digest",
+         "values_as_a_list"],
+)
+def test_verify_fails_a_malformed_set_entry_and_goes_on(tmp_path, capsys, edit, out):
+    # each of these exited 1 with a traceback (KeyError, AttributeError)
+    corpus = build_corpus(tmp_path)
+    manifest = read_json(corpus / "manifest.json")
+    expected = read_json(corpus / "expected.json")
+    edit(manifest, expected)
+    write_json(corpus / "manifest.json", manifest)
+    write_json(corpus / "expected.json", expected)
+    capsys.readouterr()
+    assert main(["verify", str(corpus)]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, "")
+
+
+def test_verify_fails_a_missing_set_file_and_goes_on(tmp_path, capsys):
+    # an unreadable set file used to end the run with exit 1, leaving the
+    # sets after it unchecked
+    corpus = build_corpus(tmp_path)
+    manifest = read_json(corpus / "manifest.json")
+    manifest["sets"].insert(0, {"name": "sample", "file": "missing.json"})
+    write_json(corpus / "manifest.json", manifest)
+    capsys.readouterr()
+    assert main(["verify", str(corpus)]) == 4
+    failed, ok = capsys.readouterr().out.splitlines()
+    assert failed.startswith("[FAIL] sample: ") and "missing.json" in failed
+    assert ok == "[ok] sample"
+
+
 def test_report_refuses_the_deleted_threads_flag(tmp_path, capsys):
     path = gen_random(tmp_path)
     with pytest.raises(SystemExit) as exc:

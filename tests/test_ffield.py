@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from conftest import F5, F7, F9, F16, F25
 from matgrowth.errors import CapExceeded, ParameterError
 from matgrowth.ffield import (
+    DENSE_FIELD,
     FieldSpec,
+    _dense_tables,
     default_modulus,
     element_degree,
     is_prime,
@@ -291,6 +293,22 @@ def test_tables_at_the_top_of_the_range(q):
         assert spec.mul(x, y) == spec._polymul_wire(x, y)
         assert spec.add(x, y) == _digit_sum(spec, x, y)
         assert spec.sub(x, y) == _digit_sum(spec, x, y, -1)
+
+
+@pytest.mark.parametrize("q", [2, 7, 101, 127, 4, 9, 25, 121, 128])
+def test_dense_tables_match_the_field_arithmetic(q):
+    # every entry, prime fields included: the bridge's pair loops read
+    # these tables over every field of at most DENSE_FIELD elements
+    assert q <= DENSE_FIELD
+    spec = standard_field(q)
+    add, mul, inv_row, neg_row = _dense_tables(spec)
+    assert len(add) == len(mul) == q * q and len(inv_row) == len(neg_row) == q
+    for x in range(q):
+        assert neg_row[x] == spec.neg(x) * q
+        assert inv_row[x] == (spec.inv(x) * q if x else 0)
+        for y in range(q):
+            assert add[x * q + y] == spec.add(x, y)
+            assert mul[x * q + y] == spec.mul(x, y)
 
 
 def test_table_build_needs_few_schoolbook_products(monkeypatch):

@@ -205,13 +205,16 @@ def test_quadruple_join_matches_the_per_class_loop(a):
 
 
 F4, F8 = standard_field(4), standard_field(8)
+# the largest prime that takes the dense tables, and the least above it
+F127, F131 = standard_field(127), standard_field(131)
 
 
 @settings(max_examples=150)
-@given(bridge_sets(specs=(F4, F5, F7, F8, F9, F25, F101)))
+@given(bridge_sets(specs=(F4, F5, F7, F8, F9, F25, F101, F127, F131)))
 def test_class_reports_match_the_two_sided_oracle(a):
     # classes of one or two points (closed form), of pairwise lines only
-    # (the key-only pass) and with longer lines (the anchor pass) alike
+    # (the key-only pass) and with longer lines (the anchor pass) alike,
+    # on both sides of DENSE_FIELD
     classes = pair_classes(a)
     assume(sum(len(pairs) ** 2 for pairs in classes.values()) <= 20_000)
     counts = quadruple_count(a, classes)
@@ -238,7 +241,7 @@ def test_every_class_shape_of_the_corpus_matches_the_two_sided_oracle(name):
         assert set(shapes) == {"small", "pairwise", "lines"}
 
 
-SWAP_FIELDS = [standard_field(q) for q in (4, 5, 8, 9, 25, 101, 243, 256, 65521)]
+SWAP_FIELDS = [standard_field(q) for q in (4, 5, 8, 9, 25, 101, 127, 131, 243, 256, 65521)]
 
 
 @st.composite
@@ -368,16 +371,17 @@ def test_collinear_stats_match_minor_oracle(seed, n_points, n_planes):
 
 @st.composite
 def weighted_tuples(draw):
-    """Weighted 4-tuples over prime and extension fields (F_256 and F_343
-    are past the dense-table size, F_257 is a prime past it): all
+    """Weighted 4-tuples over prime and extension fields, on both sides of
+    ``DENSE_FIELD``: F_4 to F_127 take the dense tables, prime or not, and
+    F_131, F_256, F_257 and F_343 the field's own arithmetic.  All
     on one line, free, on the twisted cubic (only two-point lines), just
     two, two led by nonzero coordinates with the second scaled off its
     normal form, the zero tuple beside one or two others, or two shaped
     like a bridge's points (1, x, y, z) or planes (a, b, 1, c), with
     proportional copies mixed in."""
     spec = draw(st.sampled_from([
-        standard_field(4), F5, F7, F9, F16, F25, F101,
-        standard_field(256), standard_field(257), standard_field(343),
+        standard_field(4), F5, F7, F9, F16, F25, F101, F127,
+        F131, standard_field(256), standard_field(257), standard_field(343),
     ]))
     coord = st.integers(0, spec.q - 1)
     vec = st.tuples(coord, coord, coord, coord)

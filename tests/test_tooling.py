@@ -222,3 +222,21 @@ def test_the_kernel_reduces_only_through_its_helper():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
     ]
     assert mods == []
+
+
+def test_the_bridge_pair_loops_pick_their_arithmetic_by_field_size():
+    # each loop has a dense-table branch up to DENSE_FIELD and a FieldSpec
+    # branch above it, for prime and extension fields alike: no integer
+    # arithmetic mod p, and no test of the extension degree
+    tree = ast.parse((ROOT / "src" / "matgrowth" / "incidence.py").read_text())
+    loops = {"_directions", "_line_keys", "_class_incidences"}
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in loops:
+            found[node.name] = [
+                sub.lineno
+                for sub in ast.walk(node)
+                if (isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Mod))
+                or (isinstance(sub, ast.Attribute) and sub.attr == "r")
+            ]
+    assert found == {name: [] for name in loops}
