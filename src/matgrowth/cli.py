@@ -206,9 +206,15 @@ def cmd_structure(args) -> int:
 
 
 def _lookup(report, path: str):
+    """The value at a dotted path; a list is indexed by a part of digits
+    only, and any other part is a KeyError."""
     cur = report
     for part in path.split("."):
-        cur = cur[int(part)] if isinstance(cur, list) else cur[part]
+        if isinstance(cur, list):
+            if not (part.isascii() and part.isdigit()):
+                raise KeyError(part)
+            part = int(part)
+        cur = cur[part]
     return cur
 
 

@@ -123,6 +123,11 @@ class BoundCheck:
     lhs: int
     display_ratio: float
 
+    @classmethod
+    def of(cls, holds: bool, constant: Fraction, lhs: int, rhs: float) -> "BoundCheck":
+        """The check of lhs against the float rhs, displayed as their ratio."""
+        return cls(holds, constant, lhs, lhs / rhs if rhs else math.inf)
+
 
 # -- energy against the coset profile ----------------------------------------
 
@@ -139,12 +144,7 @@ def t2_energy_bound(
     big = bit_log(n) * n * n  # E <= C * big * (m1 + sqrt(n * m2))
     constant, holds = _fit(energy, big * m1, big, n * m2, constant)
     rhs = bit_log(n) * (n * n * math.sqrt(n * m2) + n * n * m1)
-    return BoundCheck(
-        holds=holds,
-        constant=constant,
-        lhs=energy,
-        display_ratio=energy / rhs if rhs else math.inf,
-    )
+    return BoundCheck.of(holds, constant, energy, rhs)
 
 
 def heis_energy_bound(
@@ -155,12 +155,7 @@ def heis_energy_bound(
         raise ParameterError("energy bound of an empty set")
     constant, holds = _fit(energy, n * n * line_max, n * n * m, n, constant)
     rhs = n * n * m * math.sqrt(n) + n * n * line_max
-    return BoundCheck(
-        holds=holds,
-        constant=constant,
-        lhs=energy,
-        display_ratio=energy / rhs if rhs else math.inf,
-    )
+    return BoundCheck.of(holds, constant, energy, rhs)
 
 
 # -- product-set size predictions ---------------------------------------------
@@ -181,12 +176,7 @@ def t2_product_prediction(
     holds = le_linear_plus_sqrt(n * n, big * m1, big, n * m2)
     denom = float(constant) * bit_log(n) * (m1 + math.sqrt(n * m2))
     predicted = n * n / denom if denom else math.inf
-    return BoundCheck(
-        holds=holds,
-        constant=constant,
-        lhs=quotient_size,
-        display_ratio=quotient_size / predicted if predicted else math.inf,
-    )
+    return BoundCheck.of(holds, constant, quotient_size, predicted)
 
 
 def heis_product_prediction(
@@ -199,12 +189,7 @@ def heis_product_prediction(
     holds = le_linear_plus_sqrt(n * n, big * line_max, big * m, n)
     denom = float(constant) * (line_max + m * math.sqrt(n))
     predicted = n * n / denom if denom else math.inf
-    return BoundCheck(
-        holds=holds,
-        constant=constant,
-        lhs=quotient_size,
-        display_ratio=quotient_size / predicted if predicted else math.inf,
-    )
+    return BoundCheck.of(holds, constant, quotient_size, predicted)
 
 
 # -- point-plane incidence bound ----------------------------------------------
@@ -229,12 +214,7 @@ def incidence_bound(
         raise ParameterError("incidence bound needs nonempty sides")
     constant, holds = _fit(incidences, max_collinear * large, large, small, constant)
     rhs = large * math.sqrt(small) + max_collinear * large
-    return BoundCheck(
-        holds=holds,
-        constant=constant,
-        lhs=incidences,
-        display_ratio=incidences / rhs if rhs else math.inf,
-    )
+    return BoundCheck.of(holds, constant, incidences, rhs)
 
 
 def fraction_json(f: Fraction) -> dict:

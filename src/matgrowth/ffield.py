@@ -354,11 +354,12 @@ class FieldSpec:
 
 # Fields up to this size get dense tables: extension fields for the pair
 # loops of ``groups.pair_keys``, and every field, prime or not, for the
-# anchor pass, line keys and class incidence count of ``incidence``, which
-# pick their arithmetic by field size alone.  Up to q = 128 the tables
-# build in at most 7 ms (2.2 ms for F_101), about what they save on one
-# 25-element T2 bridge; from F_169 to F_256 the build takes 13-26 ms
-# against 4-6 ms saved (2 vCPUs, Python 3.11).
+# bridge loops of ``incidence`` (class points, normalisation, anchor
+# pass, line keys and class incidence count), which pick their arithmetic
+# by field size alone.  Up to q = 128 the tables build in at most 7 ms
+# (2.2 ms for F_101), about what they save on one 25-element T2 bridge;
+# from F_169 to F_256 the build takes 13-26 ms against 4-6 ms saved
+# (2 vCPUs, Python 3.11).
 DENSE_FIELD = 128
 
 

@@ -145,12 +145,7 @@ def _enumerate(X: GroupSet, Y: GroupSet, cap: int, counts: bool = False):
 
 
 def _whole_group(spec, group: str) -> GroupSet:
-    """G as a set: its keys from the kernel once numpy is loaded, else
-    from a loop over the coordinates."""
-    if "numpy" in sys.modules:
-        from .kernel import group_keys
-
-        return GroupSet(group, spec, _keys=group_keys(spec.q, group))
+    """G as a set, its keys from a loop over the coordinates."""
     q = spec.q
     units = range(1, q) if group == T2 else range(q)
     # lexicographic order is key order

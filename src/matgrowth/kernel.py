@@ -237,14 +237,6 @@ def _merge(parts: list, counts: bool):
     return keys[starts], np.add.reduceat(mults, starts)
 
 
-def group_keys(q: int, group: str) -> array:
-    """The sorted packed keys of every element of T2(F_q) or H(F_q)."""
-    if group != T2:
-        return _key_array(np.arange(q**3, dtype=np.int64))
-    units, field = np.arange(1, q, dtype=np.int64), np.arange(q, dtype=np.int64)
-    return _key_array(((units[:, None, None] * q + field[:, None]) * q + units).ravel())
-
-
 def second_moment(counts, pairs: int) -> int:
     """sum c^2 of a count array summing to ``pairs``, exact past int64."""
     if int(counts.max(initial=0)) * pairs < 1 << 63:

@@ -387,6 +387,24 @@ def t2_plane(spec, h, u):
     )
 
 
+def class_key(spec, group, g, v):
+    """The class of the pair (g, v): (a_g a_v, c_g c_v) for T2, and
+    (g1 + v1, g2 + v2) for H."""
+    if group == T2:
+        return (spec.mul(g[0], v[0]), spec.mul(g[2], v[2]))
+    return (spec.add(g[0], v[0]), spec.add(g[1], v[1]))
+
+
+def heis_point_by_key(spec, g, v, c2):
+    """The point of the pair (g, v) of an H class with key (., c2), written
+    with the key: g0 g1 - g2 - v2 - c2 g0 is minus the corner of g v."""
+    w = spec.sub(
+        spec.sub(spec.mul(g[0], g[1]), spec.add(g[2], v[2])),
+        spec.mul(c2, g[0]),
+    )
+    return (w, g[0], g[1], 1)
+
+
 def heis_plane(spec, h, u, c2):
     """The plane of the pair (h, u) of an H class with key (., c2)."""
     w = spec.add(
@@ -406,7 +424,7 @@ def class_report_two_sided(spec, group, key, pairs, quadruples, constant=None):
         points = Counter(t2_point(spec, g, v) for g, v in pairs)
         planes = Counter(t2_plane(spec, g, v) for g, v in pairs)
     else:
-        points = Counter(heis_point(spec, g, v, key[1]) for g, v in pairs)
+        points = Counter(heis_point(spec, g, v) for g, v in pairs)
         planes = Counter(heis_plane(spec, g, v, key[1]) for g, v in pairs)
     incidences = sum(
         wp * wpl

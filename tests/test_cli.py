@@ -574,6 +574,13 @@ def _values_as_a_list(manifest, expected):
     expected["sample"]["values"] = [["growth.size", 12]]
 
 
+def _values_path(path):
+    def edit(manifest, expected):
+        expected["sample"]["values"] = {path: 1}
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, out",
     [
@@ -584,12 +591,18 @@ def _values_as_a_list(manifest, expected):
         (_drop_elements_digest,
          "[FAIL] sample: expected record needs a JSON string 'elements_sha256'\n"),
         (_values_as_a_list, "[FAIL] sample: expected record needs a JSON object 'values'\n"),
+        (_values_path("growth.lemma_checks.x"),
+         "[FAIL] sample: growth.lemma_checks.x: '<missing>' != 1\n"),
+        (_values_path("growth.lemma_checks.-1"),
+         "[FAIL] sample: growth.lemma_checks.-1: '<missing>' != 1\n"),
     ],
     ids=["entry_without_name", "entry_without_file", "record_without_elements_digest",
-         "values_as_a_list"],
+         "values_as_a_list", "values_path_with_a_word_for_an_index",
+         "values_path_with_a_negative_index"],
 )
 def test_verify_fails_a_malformed_set_entry_and_goes_on(tmp_path, capsys, edit, out):
-    # each of these exited 1 with a traceback (KeyError, AttributeError)
+    # each of these exited 1 with a traceback (KeyError, AttributeError,
+    # ValueError), except the negative index, which read the list from its end
     corpus = build_corpus(tmp_path)
     manifest = read_json(corpus / "manifest.json")
     expected = read_json(corpus / "expected.json")

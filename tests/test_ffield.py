@@ -12,6 +12,7 @@ from matgrowth.ffield import (
     DENSE_FIELD,
     FieldSpec,
     _dense_tables,
+    _digit_add,
     default_modulus,
     element_degree,
     is_prime,
@@ -279,6 +280,19 @@ def test_zech_add_neg_sub_match_digit_arithmetic(q):
         for y in range(q):
             assert spec.add(x, y) == _digit_sum(spec, x, y)
             assert spec.sub(x, y) == _digit_sum(spec, x, y, -1)
+
+
+@pytest.mark.parametrize("q", [243, 2187, 59049])
+def test_every_zech_entry_matches_the_digit_add(q):
+    # zech[d] = log(1 + g^d), or -1 where 1 + g^d = 0: one wrong entry
+    # breaks only the sums that reach it, which sampled sums can miss
+    spec = standard_field(q)
+    exp, log = spec._tables
+    want = []
+    for w in exp:
+        s = _digit_add(w, 1, spec.p)
+        want.append(log[s] if s else -1)
+    assert spec._zech == want
 
 
 @pytest.mark.parametrize("q", [65536, 59049])

@@ -1,6 +1,5 @@
 """Product sets, energies, and the exact growth-lemma verdicts."""
 
-import sys
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -180,19 +179,11 @@ def test_saturated_products_are_still_refused_past_the_cap():
     assert product_set(G, G, cap=144) == G
 
 
-def test_the_whole_group_in_both_forms(monkeypatch):
-    # the kernel lists G's keys once numpy is loaded, a loop before that
-    calls = []
-    group_keys = kernel.group_keys
-    monkeypatch.setattr(kernel, "group_keys", lambda *args: calls.append(args) or group_keys(*args))
+def test_the_whole_group_is_every_element_in_key_order():
     for spec, group in SATURATING + [(F7, "T2"), (F5, "H")]:
+        got = growth._whole_group(spec, group)
         want = whole_group(spec, group)
-        keyed = growth._whole_group(spec, group)
-        assert calls.pop() == (spec.q, group) and keyed == want
-        with monkeypatch.context() as m:
-            m.delitem(sys.modules, "numpy")
-            looped = growth._whole_group(spec, group)
-        assert not calls and looped == keyed and looped.wires == want.wires
+        assert got == want and got.wires == want.wires
 
 
 def test_the_ladder_stops_at_the_whole_group(monkeypatch):

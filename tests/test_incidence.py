@@ -22,7 +22,7 @@ from matgrowth.incidence import (
     WeightedInstance,
     bridge_report,
     build_instance,
-    class_key,
+    class_points,
     class_report,
     collinear_stats,
     dot4,
@@ -38,9 +38,11 @@ from matgrowth.incidence import (
     t2_point,
 )
 from oracles import (
+    class_key,
     class_report_two_sided,
     collinear_stats_by_pairs,
     heis_plane,
+    heis_point_by_key,
     line_groups_by_pairs,
     max_collinear,
     probe_two_sided,
@@ -73,7 +75,7 @@ def test_corner_identity_inside_classes(a):
             if group == "T2":
                 pt = t2_point(spec, g, v)
             else:
-                pt = heis_point(spec, g, v, key[1])
+                pt = heis_point(spec, g, v)
             gi = ginv(spec, group, g)
             for h, u in pairs:
                 if group == "T2":
@@ -91,7 +93,7 @@ def test_tuple_normalizations():
     assert t2_point(F5, g, v)[0] == 1
     assert t2_plane(F5, g, v)[2] == 1
     gh, vh = (1, 2, 3), (2, 0, 4)
-    assert heis_point(F5, gh, vh, 2)[3] == 1
+    assert heis_point(F5, gh, vh)[3] == 1
     assert heis_plane(F5, gh, vh, 2)[0] == 1
 
 
@@ -114,7 +116,7 @@ def test_class_weights_count_pairs(a):
     assert sum(cls.pair_count for cls in report.classes) == len(a) ** 2
     for cls, (key, pairs) in zip(report.classes, pair_classes(a).items()):
         assert cls.key == key
-        inst = build_instance(a.spec, a.group, key, pairs)
+        inst = build_instance(a.spec, a.group, pairs)
         assert sum(inst.points.values()) == sum(inst.planes.values()) == len(pairs)
 
 
@@ -246,30 +248,31 @@ SWAP_FIELDS = [standard_field(q) for q in (4, 5, 8, 9, 25, 101, 127, 131, 243, 2
 
 @st.composite
 def swap_cases(draw):
-    """A field up to the top of the range, a group, a coordinate c2, two
-    group elements and two 4-tuples."""
+    """A field up to the top of the range, a group, two group elements and
+    two 4-tuples."""
     spec = draw(st.sampled_from(SWAP_FIELDS))
     group = draw(st.sampled_from(["T2", "H"]))
     coord = st.integers(0, spec.q - 1)
     vec = st.tuples(coord, coord, coord, coord)
     wires = group_wires(spec, group)
-    return spec, group, draw(coord), draw(wires), draw(wires), draw(vec), draw(vec)
+    return spec, group, draw(wires), draw(wires), draw(vec), draw(vec)
 
 
 @settings(max_examples=200)
 @given(swap_cases())
 def test_phi_maps_each_point_to_the_plane_of_the_swapped_pair(case):
-    spec, group, c2, g, v, _, _ = case
+    spec, group, g, v, _, _ = case
     if group == "T2":
         assert phi(spec, group, t2_point(spec, g, v)) == t2_plane(spec, v, g)
     else:
-        assert phi(spec, group, heis_point(spec, g, v, c2)) == heis_plane(spec, v, g, c2)
+        c2 = class_key(spec, group, g, v)[1]
+        assert phi(spec, group, heis_point(spec, g, v)) == heis_plane(spec, v, g, c2)
 
 
 @settings(max_examples=200)
 @given(swap_cases())
 def test_x_dot_phi_y_is_alternating(case):
-    spec, group, _, _, _, x, y = case
+    spec, group, _, _, x, y = case
     assert dot4(spec, x, phi(spec, group, x)) == 0
     assert dot4(spec, x, phi(spec, group, y)) == spec.neg(dot4(spec, y, phi(spec, group, x)))
 
@@ -307,13 +310,12 @@ def test_a_bridge_runs_one_anchor_pass_per_class_of_three_points_and_builds_no_p
     assert not calls
 
 
-def merged_key(spec, group, g, v):
+def merged_key(key, g, v):
     return (0, 0)
 
 
-def split_key(spec, group, g, v):
-    # ``class_key`` stays the real one while the module's ``class_keys`` is patched
-    return (*class_key(spec, group, g, v), g[1] % 2)
+def split_key(key, g, v):
+    return (*key, g[1] % 2)
 
 
 @pytest.mark.parametrize("group", ["T2", "H"])
@@ -321,11 +323,18 @@ def split_key(spec, group, g, v):
 def test_a_sabotaged_class_key_breaks_the_energy_match(monkeypatch, group, sabotage):
     a = GroupSet(group, F7, [(1 + i % 6, (3 * i) % 7, 1 + (5 * i) % 6) for i in range(12)])
     assert bridge_report(a).matches_energy
-    # pair_classes keys a row of pairs at a time
-    monkeypatch.setattr(
-        incidence, "class_keys", lambda spec, group, g, ws: [sabotage(spec, group, g, v) for v in ws]
-    )
-    classes = pair_classes(a)
+    # pair_classes is the one owner of the class keys: rebin its classes
+    real = incidence.pair_classes
+
+    def sabotaged(A, cap=Caps.max_pair_products):
+        out = {}
+        for key, pairs in real(A, cap).items():
+            for g, v in pairs:
+                out.setdefault(sabotage(key, g, v), []).append((g, v))
+        return dict(sorted(out.items()))
+
+    monkeypatch.setattr(incidence, "pair_classes", sabotaged)
+    classes = incidence.pair_classes(a)
     counts = quadruple_count(a, classes)
     for key, pairs in classes.items():
         assert counts[key] == quadruple_count_by_definition(a.spec, a.group, pairs)
@@ -445,7 +454,7 @@ def test_proportional_tuples_join_every_line_through_their_twin():
 def test_incidence_count_matches_dot4(a):
     # prime fields test integer dot products directly; F9 keeps dot4
     for key, pairs in pair_classes(a).items():
-        inst = build_instance(a.spec, a.group, key, pairs)
+        inst = build_instance(a.spec, a.group, pairs)
         want = sum(
             wp * wpl
             for pt, wp in inst.points.items()
@@ -467,6 +476,26 @@ def sets_over(*specs, max_size=10):
     )
 
 
+F256, F65536 = standard_field(256), standard_field(65536)
+
+
+@settings(max_examples=80)
+@given(sets_over(F5, F9, F101, F131, F256, F65536, max_size=8))
+def test_class_keys_and_points_match_the_forms_written_with_the_key(a):
+    # a class key is read off the packed product, and H's point off the
+    # product's corner: the forms that take both from the pair's
+    # coordinates agree, on both sides of DENSE_FIELD
+    spec, group = a.spec, a.group
+    for key, pairs in pair_classes(a).items():
+        assert all(class_key(spec, group, g, v) == key for g, v in pairs)
+        points = class_points(spec, group, pairs)
+        if group == "T2":
+            assert points == Counter(t2_point(spec, g, v) for g, v in pairs)
+        else:
+            old = Counter(heis_point_by_key(spec, g, v, key[1]) for g, v in pairs)
+            assert Counter(heis_point(spec, g, v) for g, v in pairs) == old == points
+
+
 def incidences_by_dot4(inst):
     return sum(
         wp * wpl
@@ -479,15 +508,15 @@ def incidences_by_dot4(inst):
 @settings(max_examples=60)
 @given(sets_over(F5, F7, F101))
 def test_build_instance_matches_the_point_and_plane_maps(a):
-    # prime fields write the arithmetic out; the maps stay its oracle
+    # the points are looked up in the dense tables; the maps stay their oracle
     spec, group = a.spec, a.group
     for key, pairs in pair_classes(a).items():
-        inst = build_instance(spec, group, key, pairs)
+        inst = build_instance(spec, group, pairs)
         if group == "T2":
             points = Counter(t2_point(spec, g, v) for g, v in pairs)
             planes = Counter(t2_plane(spec, g, v) for g, v in pairs)
         else:
-            points = Counter(heis_point(spec, g, v, key[1]) for g, v in pairs)
+            points = Counter(heis_point(spec, g, v) for g, v in pairs)
             planes = Counter(heis_plane(spec, g, v, key[1]) for g, v in pairs)
         assert inst.points == points and inst.planes == planes
 
@@ -500,7 +529,7 @@ def test_join_and_incidences_match_their_oracles_over_extension_fields(a):
     counts = quadruple_count(a, classes)
     for key, pairs in classes.items():
         assert counts[key] == quadruple_count_by_definition(a.spec, a.group, pairs)
-        inst = build_instance(a.spec, a.group, key, pairs)
+        inst = build_instance(a.spec, a.group, pairs)
         assert incidence_count(inst) == incidences_by_dot4(inst) == counts[key]
 
 
@@ -515,7 +544,7 @@ def test_bridge_loops_refuse_past_the_pair_cap():
     a = GroupSet("T2", F5, [(1, b, 1) for b in range(5)])
     classes = pair_classes(a)
     (key, pairs), = classes.items()
-    inst = build_instance(F5, "T2", key, pairs)
+    inst = build_instance(F5, "T2", pairs)
     n_pts, n_pls = len(inst.points), len(inst.planes)
     with pytest.raises(CapExceeded, match="pair classes of 5 x 5 elements"):
         pair_classes(a, cap=24)
@@ -537,7 +566,7 @@ def per_class_refusal(a, cap):
     """The first refusal of the per-class loops, walked class by class:
     quadruples, incidences, then collinearity of points and of planes."""
     for key, pairs in pair_classes(a).items():
-        inst = build_instance(a.spec, a.group, key, pairs)
+        inst = build_instance(a.spec, a.group, pairs)
         pts, pls = (sum(1 for t in side if any(t)) for side in (inst.points, inst.planes))
         for what, n, m, items in (
             ("quadruple count", len(pairs), len(pairs), "pairs"),
@@ -553,12 +582,15 @@ def per_class_refusal(a, cap):
 def test_bridge_refuses_where_the_per_class_loops_did(monkeypatch):
     # classes of 25, 30 and 9 pairs, each longer than |A|^2 = 64 but the last:
     # at every cap the bridge gives the per-class walk's first refusal, and
-    # no group product of the join runs
+    # the only group products that run are those of A x A that key the
+    # classes, none of the join's quotients
     a = GroupSet("T2", F7, [(1, b, 1) for b in range(5)] + [(2, b, 2) for b in range(3)])
     sizes = {len(pairs) for pairs in pair_classes(a).values()}
     products = []
     pair_keys = incidence.pair_keys
-    monkeypatch.setattr(incidence, "pair_keys", lambda *args: products.append(1) or pair_keys(*args))
+    monkeypatch.setattr(
+        incidence, "pair_keys", lambda *args: products.append(args[2]) or pair_keys(*args)
+    )
     for cap in sorted({len(a) ** 2} | {c * c - 1 for c in sizes} | {c * c for c in sizes}):
         if cap < len(a) ** 2:
             continue
@@ -570,7 +602,7 @@ def test_bridge_refuses_where_the_per_class_loops_did(monkeypatch):
             with pytest.raises(CapExceeded) as refused:
                 bridge_report(Products(a, Caps(max_pair_products=cap)))
             assert str(refused.value) == want
-            assert not products
+            assert products == [a.wires]
 
 
 def test_probe_refuses_past_the_default_pair_cap():

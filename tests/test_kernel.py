@@ -114,16 +114,6 @@ def test_kernel_matches_the_loops(operands, cutoff, block, dense):
 ROUTE_FIELDS = [standard_field(q) for q in (5, 9, 256, 59049, 65521)]
 
 
-@contextmanager
-def numpy_unloaded():
-    """``sys.modules`` without numpy, as in a process that never loaded it."""
-    numpy = sys.modules.pop("numpy")
-    try:
-        yield
-    finally:
-        sys.modules["numpy"] = numpy
-
-
 def built_sets(a, b):
     """(route, set, its elements as triples) for every way a GroupSet is built."""
     spec, group = a.spec, a.group
@@ -147,8 +137,6 @@ def built_sets(a, b):
     if group_order(spec, group) <= 1000:
         whole = set(all_wires(spec, group))
         routes.append(("whole group", growth._whole_group(spec, group), whole))
-        with numpy_unloaded():
-            routes.append(("whole group, no numpy", growth._whole_group(spec, group), whole))
     return routes
 
 
