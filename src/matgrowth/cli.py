@@ -142,11 +142,12 @@ def cmd_report(args) -> int:
     write_json(args.out, rep)
     if args.csv:
         write_csv(args.csv, rep)
-    g = rep.get("growth", {})
-    print(
-        f"{args.setfile}: size={g.get('size')} energy={g.get('energy')}"
-        f" square={g.get('square_size')} exit={code}"
-    )
+    g = rep["growth"]
+    if "error" in g:  # a refused product: the set's size is all that is known
+        summary = f"size={len(sf.elements)} growth=capped"
+    else:
+        summary = f"size={g['size']} energy={g['energy']} square={g['square_size']}"
+    print(f"{args.setfile}: {summary} exit={code}")
     for issue in rep["status"]["issues"]:
         print(f"  issue: {issue}")
     return code

@@ -28,7 +28,10 @@ it, so a report consumer can recount the witness fiber from scratch.  The
 line maxima come from pairs of points, so no profile costs more than
 O(|A|^2) at any q; past ``Caps.max_pair_products`` pairs the profile
 raises ``CapExceeded`` whose ``partial`` is the profile with that maximum
-left None.
+left None.  The pairs run in ``kernel.heaviest_line``, in row blocks of
+packed (first point, normal) keys, by the rule of every pair enumeration
+(``growth._use_kernel``); otherwise, as in any run that has not loaded
+numpy, in the pair loop ``_pair_lines``, which stays the oracle.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
+from . import growth
 from .config import Caps, check_pairs
 from .errors import ParameterError
 from .groups import H, T2, GroupSet, SubgroupTag
@@ -85,8 +89,26 @@ def heaviest_line(spec, points: dict, unit_alpha: bool = False) -> FiberMax:
     holds two.  When none does (a lone point, or with ``unit_alpha`` points
     that all share v) the smallest heaviest line is the smallest line
     through a heaviest point: (0, 1, v), or (1, 0, u) with ``unit_alpha``.
+
+    The m (m - 1) / 2 pairs run in ``kernel.heaviest_line`` by the rule of
+    every pair enumeration, ``growth._use_kernel``; else in ``_pair_lines``,
+    the loop that stays its oracle.
     """
     pts = sorted(points.items())
+    if growth._use_kernel(len(pts) * (len(pts) - 1) // 2):
+        from .kernel import heaviest_line as lines
+
+        best = FiberMax(*lines(spec, pts, unit_alpha))
+    else:
+        best = _counter_max(_pair_lines(spec, pts, unit_alpha))
+    if best.value:
+        return best
+    return _counter_max({((1, 0, u) if unit_alpha else (0, 1, v)): w for (u, v), w in pts})
+
+
+def _pair_lines(spec, pts: list, unit_alpha: bool) -> dict:
+    """The weight of each line through two or more of the sorted points,
+    from the pairs of points, one ``spec.div`` each."""
     lines: dict = {}
     for i, ((x1, y1), w1) in enumerate(pts):
         here: Counter = Counter()
@@ -101,9 +123,7 @@ def heaviest_line(spec, points: dict, unit_alpha: bool = False) -> FiberMax:
         for (alpha, beta), w in here.items():
             key = (alpha, beta, spec.add(x1, spec.mul(beta, y1)) if alpha else y1)
             lines[key] = max(lines.get(key, 0), w1 + w)
-    if not lines:
-        lines = {((1, 0, u) if unit_alpha else (0, 1, v)): w for (u, v), w in pts}
-    return _counter_max(lines)
+    return lines
 
 
 def _counter_max(counts: dict) -> FiberMax:

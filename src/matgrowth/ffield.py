@@ -375,6 +375,23 @@ def _dense_tables(spec: FieldSpec) -> tuple[list[int], list[int], list[int], lis
     return add, mul, inv_row, neg_row
 
 
+@cache
+def _log_tables(spec: FieldSpec) -> tuple[list[int], list[int], list[int] | None]:
+    """The exp/log tables of an extension field laid out for loops of
+    lookups.  ``exp`` is the exp table twice over, then 2n + 1 zeros
+    (n = q - 1), and ``log`` has log 0 = 2n, so x y = exp[log x + log y]
+    for every x and y.  In odd characteristic ``zech`` is the Zech table
+    twice over, so x + y = exp[log x + zech[log y - log x + n]] for nonzero
+    x and y when the entry is not -1 (when it is, x + y = 0); it is None
+    when p = 2, where x + y is x ^ y."""
+    exp, log = spec._tables
+    n = spec.q - 1
+    log = list(log)
+    log[0] = 2 * n
+    zech = spec._zech * 2 if spec.p != 2 else None
+    return exp * 2 + [0] * (2 * n + 1), log, zech
+
+
 class FieldElement:
     """One entry of :attr:`SubfieldSpec.embedding`: a wire with its field.
 

@@ -18,10 +18,20 @@ elements, decoded into wire triples (``key_wires``) only when asked.
 group, whether it is normal, the parameter its ``SubgroupTag`` takes and
 its order as a function of q.  ``SubgroupTag`` validates against it, and
 the command line's tag syntax reads it.
+
+The passes over a set's elements (``SubgroupTag.keys``, ``fibers``,
+``occupancy`` and ``members``, and ``GroupSet.inverses``, ``symmetrized``
+and ``is_symmetric``) have two forms.  Once numpy is loaded
+(``numpy_loaded``, the one test of it, which ``growth._use_kernel``
+reads too) they run their array forms in ``kernel`` on the set's packed
+keys: the same closed forms (``SubgroupTag._forms``, ``ginv``) on whole
+coordinate rows.  Until then they decode one element at a time, so a
+small run never loads numpy; those per-element forms are the oracle.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -31,7 +41,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import Caps, check_set, json_typed
 from .errors import MismatchError, ParameterError
-from .ffield import DENSE_FIELD, FieldSpec, _dense_tables
+from .ffield import DENSE_FIELD, FieldSpec, _dense_tables, _log_tables
 
 T2 = "T2"
 H = "H"
@@ -96,6 +106,20 @@ def check_group_wire(spec: FieldSpec, group: str, w: Sequence[int]) -> Wire:
     return t
 
 
+def numpy_loaded() -> bool:
+    """Whether numpy is loaded in this process.  Once it is, the passes over
+    a set's elements (coset keys, fibers, members, inverses) run their
+    array forms in ``kernel``, as every enumeration does
+    (``growth._use_kernel``): no import is left to pay.  Until then they
+    run on decoded wires, so a small run never loads numpy."""
+    return "numpy" in sys.modules
+
+
+def _arrays(S: "GroupSet") -> bool:
+    """Whether a pass over the elements of S runs its array form."""
+    return len(S) > 0 and numpy_loaded()
+
+
 # -- canonical element order and sets ----------------------------------------
 
 def wire_key(spec: FieldSpec, w: Wire) -> int:
@@ -113,7 +137,9 @@ def pair_keys(spec: FieldSpec, group: str, xs: Sequence[Wire], ys: Sequence[Wire
 
     ``gmul`` with the arithmetic written out: prime fields reduce integer
     sums mod p, extension fields up to ``DENSE_FIELD`` elements look sums
-    and products up in dense tables, and larger ones go through ``gmul``.
+    and products up in dense tables, and larger ones multiply through the
+    exp/log tables of ``ffield._log_tables`` and add by XOR when p = 2,
+    through the Zech table otherwise.
     """
     q = spec.q
     if spec.r == 1:
@@ -146,8 +172,38 @@ def pair_keys(spec: FieldSpec, group: str, xs: Sequence[Wire], ys: Sequence[Wire
                     for a2, b2, c2 in ys
                 )
     else:
-        for x in xs:
-            yield from (wire_key(spec, gmul(spec, group, x, y)) for y in ys)
+        exp, log, zech = _log_tables(spec)
+        n = q - 1
+
+        def add(x: int, y: int) -> int:  # odd p, through the Zech table
+            if not x:
+                return y
+            if not y:
+                return x
+            lx = log[x]
+            z = zech[log[y] - lx + n]
+            return exp[lx + z] if z >= 0 else 0
+
+        if group == T2:
+            logs = [(log[a], log[b], log[c]) for a, b, c in ys]
+            for a, b, c in xs:
+                la, lb, lc = log[a], log[b], log[c]
+                yield from (
+                    (exp[la + a2] * q + (exp[la + b2] ^ exp[lb + c2])) * q + exp[lc + c2]
+                    if zech is None
+                    else (exp[la + a2] * q + add(exp[la + b2], exp[lb + c2])) * q + exp[lc + c2]
+                    for a2, b2, c2 in logs
+                )
+        else:
+            ys = [(a, b, c, log[b]) for a, b, c in ys]
+            for a, b, c in xs:
+                la = log[a]
+                yield from (
+                    ((a ^ a2) * q + (b ^ b2)) * q + (c ^ c2 ^ exp[la + lb2])
+                    if zech is None
+                    else (add(a, a2) * q + add(b, b2)) * q + add(add(c, c2), exp[la + lb2])
+                    for a2, b2, c2, lb2 in ys
+                )
 
 
 def key_wires(spec: FieldSpec, keys: Iterable[int]) -> Iterator[Wire]:
@@ -234,11 +290,19 @@ class GroupSet:
 
     def inverses(self) -> "GroupSet":
         spec, group = self.spec, self.group
+        if _arrays(self):
+            from .kernel import inverse_keys
+
+            return GroupSet(group, spec, _keys=inverse_keys(self))
         return GroupSet(group, spec, (ginv(spec, group, w) for w in self), _checked=True)
 
     def symmetrized(self) -> "GroupSet":
         """A together with its inverses and the identity."""
         spec, group = self.spec, self.group
+        if _arrays(self):
+            from .kernel import inverse_keys
+
+            return GroupSet(group, spec, _keys=inverse_keys(self, closed=True))
         inverses = (ginv(spec, group, w) for w in self)
         return GroupSet(group, spec, chain(self, inverses, [gid(group)]), _checked=True)
 
@@ -250,6 +314,10 @@ class GroupSet:
     @property
     def is_symmetric(self) -> bool:
         spec, group = self.spec, self.group
+        if _arrays(self):
+            from .kernel import inverse_keys
+
+            return inverse_keys(self) == self.keys
         return all(ginv(spec, group, w) in self for w in self)
 
     @property
@@ -330,6 +398,13 @@ def _no_cosets(w: Wire) -> tuple:
     raise ParameterError("this line is not a subgroup; cosets are undefined")
 
 
+def _unpack(spec: FieldSpec, keys: list[int], width: int) -> list[tuple]:
+    """Coset keys packed by ``kernel.coset_keys`` as the tuples of ``_forms``."""
+    if width == 1:
+        return [(k,) for k in keys]
+    return [divmod(k, spec.q) for k in keys]
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class SubgroupTag:
     """A named coordinate subgroup (or section) used for membership counting.
@@ -401,18 +476,46 @@ class SubgroupTag:
         return self._forms(spec)[0](w)
 
     def fibers(self, S: GroupSet) -> Counter:
-        """How many elements of S lie in each left coset, by coset key."""
+        """How many elements of S lie in each left coset, by coset key.  The
+        array form counts the packed keys and decodes the distinct ones."""
+        self.check_group(S.group)
+        if _arrays(S):
+            from .kernel import coset_fibers
+
+            keys, counts, width = coset_fibers(self, S)
+            return Counter(dict(zip(_unpack(S.spec, keys.tolist(), width), counts.tolist())))
         return Counter(self.keys(S))
+
+    def occupancy(self, S: GroupSet) -> tuple[int, int]:
+        """How many left cosets S meets, and the most elements of S in one:
+        the array form counts packed keys and decodes none."""
+        self.check_group(S.group)
+        if _arrays(S):
+            from .kernel import coset_fibers
+
+            counts = coset_fibers(self, S)[1]
+            return len(counts), int(counts.max())
+        fibers = self.fibers(S)
+        return len(fibers), max(fibers.values(), default=0)
 
     def keys(self, S: GroupSet) -> list[tuple]:
         """The coset key of each element of S, in S's canonical order."""
         self.check_group(S.group)
+        if _arrays(S):
+            from .kernel import coset_keys
+
+            keys, width = coset_keys(self, S)
+            return _unpack(S.spec, keys.tolist(), width)
         return list(map(self._forms(S.spec)[0], S))
 
     def members(self, S: GroupSet) -> GroupSet:
-        """S n H: S's keys filtered by the membership test of each decoded
-        element, which stay sorted; no element of S is kept."""
+        """S n H: S's keys filtered by the membership test, which stay
+        sorted.  Without numpy each element is decoded, tested and dropped."""
         self.check_group(S.group)
+        if _arrays(S):
+            from .kernel import member_keys
+
+            return GroupSet(S.group, S.spec, _keys=member_keys(self, S))
         inside = map(self._forms(S.spec)[1], S)
         return GroupSet(S.group, S.spec, _keys=array("q", compress(S.keys, inside)))
 
@@ -421,7 +524,7 @@ class SubgroupTag:
         if group != self.group:
             raise ParameterError(f"tag {self!r} is not a {group} subgroup")
 
-    def _forms(self, spec: FieldSpec) -> tuple[Callable[[Wire], tuple], Callable[[Wire], bool]]:
+    def _forms(self, spec: FieldSpec, f=None) -> tuple[Callable[[Wire], tuple], Callable[[Wire], bool]]:
         """The coset key and the membership test of a wire, with the tag's
         parameters resolved once.
 
@@ -429,8 +532,14 @@ class SubgroupTag:
         against explicit coset enumeration in the test suite), so coset
         bookkeeping never multiplies out a coset.  A line that is not a
         subgroup has no cosets: its key raises.
+
+        ``f`` is the arithmetic, ``spec`` itself by default.  The kernel
+        passes ``kernel.vector_field(spec)`` and a whole set's coordinate
+        rows as w: then ``==`` compares and ``&`` joins elementwise, and
+        each key coordinate is an array.
         """
-        add, sub, mul, div = spec.add, spec.sub, spec.mul, spec.div
+        f = f or spec
+        add, sub, mul, div = f.add, f.sub, f.mul, f.div
         if self.kind in ("torus", "scaled_torus"):
             x = spec.check_wire(self.x)
             return (
@@ -451,16 +560,16 @@ class SubgroupTag:
                 key = lambda w: (w[0], sub(w[2], mul(w[0], w[1])))
             else:
                 key = _no_cosets
-            return key, (lambda w: w[2] == 0 and base(w) == 0)
+            return key, (lambda w: (w[2] == 0) & (base(w) == 0))
         return {
-            "unipotent": (lambda w: (w[0], w[2]), lambda w: w[0] == 1 and w[2] == 1),
+            "unipotent": (lambda w: (w[0], w[2]), lambda w: (w[0] == 1) & (w[2] == 1)),
             "scalars": (  # a dilate (la, lb, lc) normalized by a
                 lambda w: (div(w[1], w[0]), div(w[2], w[0])),
-                lambda w: w[0] == w[2] and w[1] == 0,
+                lambda w: (w[0] == w[2]) & (w[1] == 0),
             ),
             "diagonal": (lambda w: (div(w[1], w[2]),), lambda w: w[1] == 0),
             "scaled_unipotent": (lambda w: (div(w[0], w[2]),), lambda w: w[0] == w[2]),
-            "center": (lambda w: (w[0], w[1]), lambda w: w[0] == 0 and w[1] == 0),
+            "center": (lambda w: (w[0], w[1]), lambda w: (w[0] == 0) & (w[1] == 0)),
         }[self.kind]
 
     def order(self, spec: FieldSpec) -> int:

@@ -31,7 +31,6 @@ coset keys and the slice A^-1 A n H at most once per subgroup tag.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from functools import cached_property
 
 from .config import Caps, check_pairs, check_set
 from .errors import ParameterError
-from .groups import T2, GroupSet, Wire, gid, ginv, gmul, group_order, pair_keys
+from .groups import T2, GroupSet, Wire, gid, ginv, gmul, group_order, numpy_loaded, pair_keys
 
 # Pairs the loops may spend in one process before the kernel takes over,
 # so a run whose enumerations total below the cutoff never loads numpy.
@@ -49,12 +48,12 @@ from .groups import T2, GroupSet, Wire, gid, ginv, gmul, group_order, pair_keys
 # Python 3.11 and numpy 2.4 the import took 0.05-0.06 s (0.10-0.13 s with
 # OpenBLAS's default thread pool).  The loops, which keep the sorted keys
 # and decode nothing, took 0.37-0.43 us per pair over F_101 and F_128
-# (0.52-0.57 us counting), 1.4-1.5 us over F_256 and 2.9-5.5 us for H over
+# (0.52-0.57 us counting), 0.6-0.9 us over F_256 and 2.0-4.3 us for H over
 # F_59049, against 0.02-0.09 us in the kernel (0.25 us for H over F_59049;
 # ``scripts/kernel_rates.py``):
-# break-even 116k-162k pairs over F_101 and F_128, 33k-43k over F_256 and
-# 9k-21k for H over F_59049.  So the cutoff sits below the first range and
-# above the others; pricing it is open.
+# break-even 116k-162k pairs over F_101 and F_128, 56k-100k over F_256 and
+# 12k-30k for H over F_59049.  So the cutoff sits below the first range,
+# inside the second and above the third; pricing it is open.
 # Counting the pairs already spent, not only the next enumeration's, stops
 # the loops once they have cost about one import (a report's many products
 # just below the cutoff would each run the loops).  Once numpy is loaded,
@@ -111,8 +110,9 @@ def product_tally(A: GroupSet, B: GroupSet, cap: int) -> tuple[GroupSet, int]:
 def _use_kernel(pairs: int) -> bool:
     """Whether an enumeration of ``pairs`` pairs runs the numpy kernel: once
     numpy is loaded, or once the loops' spent pairs plus these reach
-    ``VECTOR_PAIRS``."""
-    return "numpy" in sys.modules or _loop_pairs + pairs >= VECTOR_PAIRS
+    ``VECTOR_PAIRS``.  ``cosets.heaviest_line`` applies the same rule to
+    its pairs of points."""
+    return numpy_loaded() or _loop_pairs + pairs >= VECTOR_PAIRS
 
 
 def _enumerate(X: GroupSet, Y: GroupSet, cap: int, counts: bool = False):
@@ -370,10 +370,10 @@ def quotient_set(A: GroupSet, cap: int = Caps.max_pair_products) -> GroupSet:
 def coset_count_check(B: GroupSet | Products, tag) -> tuple[bool, int, int]:
     """|B| <= #left-cosets of the tagged subgroup met by B, times the
     largest coset fiber.  Returns (holds, coset_count * max_fiber, |B|);
-    for ``Products`` B is A, with its memoised fibers."""
-    fibers = B.fibers(tag) if isinstance(B, Products) else tag.fibers(B)
-    size, bound = sum(fibers.values()), len(fibers) * max(fibers.values(), default=0)
-    return size <= bound, bound, size
+    for ``Products`` B is A."""
+    S = B.A if isinstance(B, Products) else B
+    cosets, top = tag.occupancy(S)
+    return len(S) <= cosets * top, cosets * top, len(S)
 
 
 def orbit_stabilizer_check(A: GroupSet | Products, B: GroupSet, tag) -> tuple[bool, int, int]:

@@ -314,6 +314,18 @@ def test_report_command(tmp_path, capsys):
     assert csvpath.read_text(encoding="utf-8").startswith("key,value")
 
 
+def test_report_summary_names_a_capped_growth_section(tmp_path, capsys):
+    # 4000^2 pairs pass the pair cap, so every product of the growth section
+    # is refused; the summary gives the set's size and says so
+    setpath = gen_random(tmp_path, name="big.json", field="101", size=4000, seed=1)
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert main(["report", str(setpath), "--bridge", "off", "--out", str(out)]) == 3
+    assert "error" in read_json(out)["growth"]
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary == f"{setpath}: size=4000 growth=capped exit=3"
+
+
 def test_report_flag_issues_propagate_to_exit_code(tmp_path, capsys):
     setpath = gen_random(tmp_path, name="big.json", field="5", size=30, seed=1)
     out = tmp_path / "report.json"

@@ -167,19 +167,38 @@ def test_affine_part_kernel_is_the_scalars():
 # -- canonical sets -----------------------------------------------------------
 
 
-PAIR_KEY_FIELDS = [standard_field(q) for q in (5, 9, 16, 25, 101, 128, 256, 65521)]
+PAIR_KEY_FIELDS = [standard_field(q) for q in (5, 9, 16, 25, 101, 128, 243, 256, 59049, 65521, 65536)]
 
 
 @pytest.mark.parametrize("group", ["T2", "H"])
 @pytest.mark.parametrize("spec", PAIR_KEY_FIELDS, ids=lambda spec: f"q{spec.q}")
 @given(data=st.data())
 def test_pair_keys_are_the_keys_of_the_products(spec, group, data):
-    # prime fields, dense tables (F_9 to F_128) and gmul (F_256) alike
+    # prime fields, dense tables (F_9 to F_128) and exp/log tables with XOR
+    # (F_256, F_65536) or Zech addition (F_243, F_59049) alike
     wires = st.lists(group_wires(spec, group), max_size=6)
     xs, ys = data.draw(wires), data.draw(wires)
     want = [wire_key(spec, gmul(spec, group, x, y)) for x in xs for y in ys]
     assert list(pair_keys(spec, group, xs, ys)) == want
     assert list(key_wires(spec, want)) == [gmul(spec, group, x, y) for x in xs for y in ys]
+
+
+@pytest.mark.parametrize("group", ["T2", "H"])
+@pytest.mark.parametrize("q", [243, 256, 59049, 65536])
+def test_pair_keys_over_the_log_tables_meet_every_zero(q, group):
+    # coordinates 0, 1, c and -c: products and sums that vanish, on the
+    # exp/log loop's zero branches and the Zech table's -1 entries
+    spec = standard_field(q)
+    coords = [0, 1, 7, spec.neg(7)]
+    units = [c for c in coords if c]
+    wires = [
+        (a, b, c)
+        for a in (units if group == "T2" else coords)
+        for b in coords
+        for c in (units if group == "T2" else coords)
+    ]
+    want = [wire_key(spec, gmul(spec, group, x, y)) for x in wires for y in wires]
+    assert list(pair_keys(spec, group, wires, wires)) == want
 
 
 @pytest.mark.parametrize("spec,group", AMBIENTS, ids=AMBIENT_IDS)

@@ -6,6 +6,11 @@ kernel; ``paths`` swaps in a plain pair-count cutoff: 0 runs the kernel
 everywhere, ``LOOPS`` nowhere.  Small ``kernel.BLOCK_PAIRS`` values split
 one product over many row blocks, so the sparse path merges many times;
 ``dense`` forces the bool-mask dedup on or off.
+
+The passes over a set's elements (coset keys, fibers, members, inverses)
+run their array forms whenever numpy is loaded; ``per_element`` patches
+``groups.numpy_loaded`` to run the per-element forms they replace.
+``cosets.heaviest_line`` follows ``growth._use_kernel``.
 """
 
 import json
@@ -23,11 +28,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matgrowth import build_setfile, growth, kernel, standard_field
+from matgrowth import build_setfile, cosets, groups, growth, kernel, standard_field
+from matgrowth.errors import ParameterError
 from matgrowth.groups import GroupSet, SubgroupTag, gid, ginv, group_order, wire_key
 from matgrowth.growth import Products, energy, product_energy, product_set, rep_function
 from matgrowth.setfiles import explicit_setfile, setfile_from_json
-from oracles import pair_products
+from oracles import heis_line_sweep, pair_products, t2_m1_sweep
 
 FIELDS = [standard_field(q) for q in (101, 65521, 256, 65536, 25, 59049)]
 # over F_5 a product of two drawn sets can be all of T2(F_5)
@@ -333,9 +339,10 @@ def test_fused_reductions_are_exact_at_the_top_of_the_range(q, group):
 
 
 def test_members_memory_follows_the_keys():
-    """S n U of a kernel-built product set streams S's decode: under
-    tracemalloc it peaks below one int64 per element of S, where a tuple
-    per element would take well over 64 bytes each."""
+    """S n U of a kernel-built product set runs its array form (numpy is
+    loaded here) block by block: under tracemalloc it peaks below one
+    int64 per element of S, where a tuple per element would take well
+    over 64 bytes each."""
     random30 = {"kind": "random", "size": 30, "seed": 1}
     S = Products(build_setfile("T2", standard_field(65521), random30).elements).sym(3)
     tracemalloc.start()
@@ -442,3 +449,201 @@ def test_numpy_loads_with_one_blas_thread(script):
 def test_a_callers_blas_thread_count_is_kept():
     state = run_fresh(REPORT_RANDOM40 + PROCESS_STATE, OPENBLAS_NUM_THREADS="2")
     assert json.loads(state)[1:] == ["2", True]
+
+
+# -- the per-element passes and the line profile as arrays -----------------------
+
+PASS_FIELDS = [standard_field(q) for q in (5, 9, 256, 59049, 65521)]
+
+
+def per_element():
+    """The per-element forms of the passes over a set, as a run without numpy
+    takes them."""
+    return mock.patch.object(groups, "numpy_loaded", lambda: False)
+
+
+@st.composite
+def tagged_sets(draw, fields=PASS_FIELDS, max_size=12):
+    """A tag of every kind, with its parameter, and a set of its group that
+    may be empty; small coordinates make cosets and members collide."""
+    spec = draw(st.sampled_from(fields))
+    kind = draw(st.sampled_from(sorted(groups.SUBGROUP_KINDS)))
+    group, param = groups.SUBGROUP_KINDS[kind].group, groups.SUBGROUP_KINDS[kind].param
+    coord = st.one_of(st.integers(0, 2), st.integers(0, spec.q - 1))
+    if param == "x":
+        tag = SubgroupTag(kind, x=draw(coord))
+    elif param == "direction":
+        # alpha = 0, beta = 0 and both nonzero
+        nonzero = st.integers(1, spec.q - 1)
+        zero = st.just(0)
+        direction = st.one_of(st.tuples(zero, nonzero), st.tuples(nonzero, zero), st.tuples(nonzero, nonzero))
+        tag = SubgroupTag(kind, direction=draw(direction))
+    else:
+        tag = SubgroupTag(kind)
+    unit = st.one_of(st.integers(1, 2), st.integers(1, spec.q - 1))
+    wire = st.tuples(unit, coord, unit) if group == "T2" else st.tuples(coord, coord, coord)
+    wires = draw(st.lists(wire, max_size=max_size, unique=True))
+    if draw(st.booleans()):  # the identity lies in every subgroup
+        wires.append((1, 0, 1) if group == "T2" else (0, 0, 0))
+    return tag, GroupSet(group, spec, wires)
+
+
+def coset_passes(tag, S):
+    """keys, fibers, occupancy and members of S, each the message of the
+    ParameterError it raises, if it does."""
+    out = []
+    for run in (tag.keys, tag.fibers, tag.occupancy, tag.members):
+        try:
+            out.append(run(S))
+        except ParameterError as exc:
+            out.append(str(exc))
+    return out
+
+
+@settings(max_examples=300)
+@given(tagged_sets(), st.sampled_from([1, 3, 1 << 14]))
+def test_coset_passes_match_their_per_element_forms(tagged, block):
+    tag, S = tagged
+    with per_element():
+        want = coset_passes(tag, S)
+    with mock.patch.object(kernel, "BLOCK_ELEMENTS", block):
+        got = coset_passes(tag, S)
+    assert got == want
+    keys, fibers, occupancy, members = got
+    skew = tag.kind == "line" and not tag.is_subgroup(S.spec)
+    raised = [isinstance(out, str) for out in got]
+    assert raised == [skew and len(S) > 0] * 3 + [False]
+    if not skew:  # the JSON writers need Python ints
+        assert all(type(c) is int for key in list(keys) + list(fibers) for c in key)
+        assert all(type(n) is int for n in list(fibers.values()) + list(occupancy))
+    assert members.wires == tuple(w for w in S if tag.member(S.spec, w))
+
+
+def inverse_passes(S):
+    return S.inverses(), S.symmetrized(), S.is_symmetric, S.symmetrized().is_symmetric
+
+
+@settings(max_examples=150)
+@given(tagged_sets(), st.sampled_from([1, 3, 1 << 14]))
+def test_inverse_passes_match_their_per_element_forms(tagged, block):
+    S = tagged[1]
+    with per_element():
+        want = inverse_passes(S)
+    with mock.patch.object(kernel, "BLOCK_ELEMENTS", block):
+        got = inverse_passes(S)
+    assert got == want
+    assert got[0] == GroupSet(S.group, S.spec, [ginv(S.spec, S.group, w) for w in S])
+    assert got[3] and got[2] == (got[0] == S)
+
+
+ALL_PASS_TAGS = [
+    SubgroupTag("unipotent"), SubgroupTag("scalars"), SubgroupTag("diagonal"),
+    SubgroupTag("torus", x=0), SubgroupTag("torus", x=1), SubgroupTag("torus", x=3),
+    SubgroupTag("scaled_unipotent"), SubgroupTag("scaled_torus", x=2), SubgroupTag("center"),
+    SubgroupTag("line", direction=(0, 1)), SubgroupTag("line", direction=(2, 0)),
+    SubgroupTag("line", direction=(1, 1)), SubgroupTag("line_center", direction=(1, 3)),
+]
+
+
+@pytest.mark.parametrize("group", ["T2", "H"])
+@pytest.mark.parametrize("spec", PASS_FIELDS, ids=lambda spec: f"q{spec.q}")
+def test_passes_over_empty_and_one_element_sets(spec, group):
+    ident = GroupSet(group, spec, [gid(group)])
+    one = GroupSet(group, spec, [(2, 1, 3) if group == "T2" else (2, 1, 0)])
+    tags = [tag for tag in ALL_PASS_TAGS if tag.group == group]
+    for S in (GroupSet(group, spec), ident, one):
+        with per_element():
+            want = [coset_passes(tag, S) for tag in tags], inverse_passes(S)
+        got = [coset_passes(tag, S) for tag in tags], inverse_passes(S)
+        assert got == want
+        assert got[1][1] == S.union(ident).union(got[1][0])
+    skew = [passes for tag, passes in zip(tags, got[0]) if not tag.is_subgroup(spec)]
+    assert all(isinstance(out, str) for passes in skew for out in passes[:3])
+
+
+def line_paths(spec, points, unit_alpha):
+    """``cosets.heaviest_line`` through the pair loop and through the kernel."""
+    out = []
+    for on_kernel in (False, True):
+        with mock.patch.object(growth, "_use_kernel", lambda pairs: on_kernel):
+            out.append(cosets.heaviest_line(spec, points, unit_alpha))
+    return out
+
+
+@st.composite
+def weighted_points(draw):
+    spec = draw(st.sampled_from(PASS_FIELDS + [standard_field(7), standard_field(16)]))
+    coord = st.one_of(st.integers(0, 2), st.integers(0, spec.q - 1))
+    points = draw(st.dictionaries(st.tuples(coord, coord), st.integers(1, 4), max_size=14))
+    return spec, points
+
+
+@settings(max_examples=300)
+@given(weighted_points(), st.booleans(), st.sampled_from([1, 7, 1 << 16]))
+def test_heaviest_line_matches_the_loop(drawn, unit_alpha, block):
+    spec, points = drawn
+    with mock.patch.object(kernel, "BLOCK_PAIRS", block):
+        loop, arrays = line_paths(spec, points, unit_alpha)
+    assert arrays == loop
+    assert all(type(c) is int for c in (arrays.value, *arrays.witness))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+@pytest.mark.parametrize(
+    "points",
+    [
+        {},
+        {(3, 4): 2},  # a lone point
+        {(0, 2): 1, (1, 2): 3, (4, 2): 1},  # all parallel: one flat line
+        {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 2},  # all on one sloped line
+        {(2, 1): 5, (0, 0): 1, (1, 3): 1},  # a heavy point on light lines
+    ],
+    ids=["empty", "lone", "parallel", "sloped", "heavy-point"],
+)
+@pytest.mark.parametrize("unit_alpha", [False, True])
+def test_heaviest_line_edge_cases(points, unit_alpha, block):
+    spec = standard_field(5)
+    with mock.patch.object(kernel, "BLOCK_PAIRS", block):
+        loop, arrays = line_paths(spec, points, unit_alpha)
+    assert arrays == loop
+    if points == {(0, 2): 1, (1, 2): 3, (4, 2): 1}:
+        # no line alpha = 1 holds two: the least line through the heaviest point
+        assert (arrays.value, arrays.witness) == ((3, (1, 0, 1)) if unit_alpha else (5, (0, 1, 2)))
+
+
+@settings(max_examples=60)
+@given(st.data(), st.sampled_from([1, 7, 1 << 16]))
+def test_line_profiles_on_the_kernel_match_the_sweeps(data, block):
+    spec = data.draw(st.sampled_from([standard_field(q) for q in (5, 7, 9, 16)]))
+    group = data.draw(st.sampled_from(["T2", "H"]))
+    low = 1 if group == "T2" else 0
+    wire = st.tuples(st.integers(low, spec.q - 1), st.integers(0, spec.q - 1), st.integers(low, spec.q - 1))
+    A = GroupSet(group, spec, data.draw(st.lists(wire, min_size=1, max_size=14, unique=True)))
+    with mock.patch.object(growth, "_use_kernel", lambda pairs: True):
+        with mock.patch.object(kernel, "BLOCK_PAIRS", block):
+            if group == "T2":
+                m1 = cosets.t2_profile(A).m1
+                assert (m1.value, m1.witness) == t2_m1_sweep(A)
+            else:
+                line = cosets.heis_profile(A).line_max
+                assert (line.value, line.witness) == heis_line_sweep(A)
+
+
+def test_heaviest_line_memory_follows_the_blocks():
+    """Under tracemalloc a profile of 2000 points, about 2,000,000 pairs,
+    peaks at a few block-sized temporaries, where one int64 per pair
+    would take 16 MB."""
+    spec = standard_field(65521)
+    rng = np.random.default_rng(1)
+    u, v, w = rng.integers(0, spec.q, 2000), rng.integers(0, spec.q, 2000), rng.integers(1, 4, 2000)
+    points = dict(zip(zip(u.tolist(), v.tolist()), w.tolist()))
+    pts = sorted(points.items())
+    block = 16 * 8 * (kernel.BLOCK_PAIRS + len(pts))
+    assert 8 * len(pts) * (len(pts) - 1) // 2 > block
+    tracemalloc.start()
+    try:
+        kernel.heaviest_line(spec, pts, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= block

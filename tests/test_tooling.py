@@ -129,6 +129,39 @@ def test_only_the_kernel_imports_numpy():
     assert importers == ["kernel.py"]
 
 
+def test_one_predicate_asks_whether_numpy_is_loaded():
+    # ``groups.numpy_loaded`` picks the array forms of the passes over a
+    # set and, through ``growth._use_kernel``, the kernel for every pair
+    # enumeration and the line profile; a second copy of the test could
+    # pick differently
+    def asks(node):
+        return (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Constant)
+            and node.left.value == "numpy"
+            and isinstance(node.ops[0], ast.In)
+            and ast.unparse(node.comparators[0]) == "sys.modules"
+        )
+
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "matgrowth").rglob("*.py"))
+    }
+    askers = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and any(map(asks, ast.walk(node)))
+    ]
+    assert askers == ["groups.py:numpy_loaded"]
+    assert sum(asks(node) for tree in trees.values() for node in ast.walk(tree)) == 1
+    growth = ast.parse((ROOT / "src" / "matgrowth" / "growth.py").read_text())
+    use_kernel = next(
+        node for node in growth.body if isinstance(node, ast.FunctionDef) and node.name == "_use_kernel"
+    )
+    assert "numpy_loaded()" in ast.unparse(use_kernel)
+
+
 def test_every_cap_refusal_goes_through_the_two_checks():
     # ``config.check_pairs`` and ``config.check_set`` own the cap messages,
     # so a ``raise CapExceeded`` anywhere else would be a second form
