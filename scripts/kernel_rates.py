@@ -9,7 +9,7 @@ time per pair, both for the product set alone and with multiplicities
     prime dense    H over F_101: the set-only product marks a q^3 mask
     prime sparse   T2 over F_65521: each block is sorted and merged
     p = 2          T2 over F_65536: table multiplication, XOR addition
-    odd extension  H over F_59049: table multiplication, digit addition
+    odd extension  H over F_59049: table multiplication, Zech addition
 
 Then, over F_101, F_65521, F_256 and F_59049, it prints the best time per
 element of ``SubgroupTag.keys``, ``fibers`` and ``members`` under the

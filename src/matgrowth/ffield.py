@@ -14,15 +14,19 @@ entry type of a subfield's read-only ``embedding`` view.  The modulus of
 ``standard_field(q)`` is always ``default_modulus``, computed on each
 call.  Prime fields (r == 1) use residue arithmetic directly.
 Extensions build discrete exp/log tables once, from schoolbook polynomial
-multiplication, and multiply through the tables afterwards.  Addition in
-characteristic 2 is XOR on wires.  In odd characteristic it goes through a
-Zech table, built on first use: zech[d] = log(1 + g^d), so that
-x + y = x (1 + y/x) is two lookups; each entry costs O(1), because adding
-one changes only the constant digit of a wire.  Negation is
-x -> x g^((q-1)/2).  Digit-by-digit addition is left only where the exp/log
-tables are built.  A field of at most ``DENSE_FIELD`` elements, prime or
-not, also gets dense addition, multiplication, inverse and negation tables
-on first use, for the loops that make one lookup per operation.
+multiplication, and every reader of extension-field arithmetic (the
+``FieldSpec`` methods, the pair loops of ``groups.pair_keys`` and the
+numpy arithmetic of ``kernel.vector_field``) reads them in one layout,
+``FieldSpec._log_tables``, in which no operation reduces a log or tests
+for zero.  Addition in characteristic 2 is XOR on wires.  In odd
+characteristic it is one Zech lookup: zech[d] = log(1 + g^d), so that
+x + y = x (1 + y/x), with the table padded so that zero operands need no
+test; each entry costs O(1) to build, because adding one changes only the
+constant digit of a wire.  Negation is x -> x g^((q-1)/2).  Digit-by-digit
+addition is left only where the exp/log tables are built.  A field of at
+most ``DENSE_FIELD`` elements, prime or not, also gets dense addition,
+multiplication, inverse and negation tables on first use, for the
+bridge's loops in ``incidence``, which make one lookup per operation.
 Everything is exact integer arithmetic; there is no floating point
 anywhere in this module.
 """
@@ -216,25 +220,18 @@ class FieldSpec:
             return (x + y) % self.p
         if self.p == 2:
             return x ^ y
-        if not x:
-            return y
-        if not y:
-            return x
-        exp, log = self._tables
-        n = self.q - 1
+        exp, log, zech = self._log_tables
         lx = log[x]
-        z = self._zech[(log[y] - lx) % n]
-        return exp[(lx + z) % n] if z >= 0 else 0
+        return exp[lx + zech[log[y] - lx]]
 
     def neg(self, x: int) -> int:
         if self.r == 1:
             return (-x) % self.p
-        if self.p == 2 or not x:
+        if self.p == 2:
             return x
-        exp, log = self._tables
-        n = self.q - 1
+        exp, log, _ = self._log_tables
         # -1 = g^((q-1)/2) in odd characteristic
-        return exp[(log[x] + n // 2) % n]
+        return exp[log[x] + (self.q - 1) // 2]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -242,19 +239,16 @@ class FieldSpec:
     def mul(self, x: int, y: int) -> int:
         if self.r == 1:
             return (x * y) % self.p
-        if x == 0 or y == 0:
-            return 0
-        exp, log = self._tables
-        return exp[(log[x] + log[y]) % (self.q - 1)]
+        exp, log, _ = self._log_tables
+        return exp[log[x] + log[y]]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
         if self.r == 1:
             return pow(x, -1, self.p)
-        exp, log = self._tables
-        n = self.q - 1
-        return exp[(n - log[x]) % n]
+        exp, log, _ = self._log_tables
+        return exp[self.q - 1 - log[x]]
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
@@ -266,9 +260,8 @@ class FieldSpec:
             return 1 if e == 0 else 0
         if self.r == 1:
             return pow(x, e, self.p)
-        exp, log = self._tables
-        n = self.q - 1
-        return exp[(log[x] * e) % n]
+        exp, log, _ = self._log_tables
+        return exp[log[x] * e % (self.q - 1)]
 
     @cached_property
     def _tables(self) -> tuple[list[int], list[int]]:
@@ -298,8 +291,8 @@ class FieldSpec:
     @cached_property
     def _zech(self) -> list[int]:
         # Zech logarithms over the table generator g: zech[d] = log(1 + g^d),
-        # or -1 where 1 + g^d = 0, so x + y = x (1 + y/x) is two lookups.
-        # Adding one changes only the constant digit of a wire.
+        # or -1 where 1 + g^d = 0.  Adding one changes only the constant
+        # digit of a wire.
         exp, log = self._tables
         p = self.p
         zech = []
@@ -308,6 +301,32 @@ class FieldSpec:
             w1 = w - c + (c + 1) % p
             zech.append(log[w1] if w1 else -1)
         return zech
+
+    @cached_property
+    def _log_tables(self) -> tuple[list[int], list[int], list[int] | None]:
+        """The one table layout of extension-field arithmetic, (exp, log,
+        zech), laid out so that no operation reduces a log or tests for
+        zero.  With n = q - 1, ``exp`` is the exp table twice over, then
+        2n + 1 zeros, and ``log`` has log 0 = 2n, so x y = exp[log x +
+        log y] and 1/x = exp[n - log x] for every x (x != 0 for 1/x).
+
+        In odd characteristic x + y = exp[log x + zech[log y - log x]] for
+        every x and y, a negative index read from the end of ``zech``'s
+        4n + 1 entries.  For d = log y - log x, zech[d] is the Zech log
+        log(1 + g^d) where |d| < n, or 2n, into the zero tail, where
+        1 + g^d = 0; 0 where d > n (y = 0); and d itself where d < -n
+        (x = 0), so the sum reads exp[log y].  x = y = 0 gives d = 0,
+        whose entry log 2 sends the sum into the zero tail.  ``zech`` is
+        None when p = 2, where x + y is x ^ y."""
+        exp, log = self._tables
+        n = self.q - 1
+        log = list(log)
+        log[0] = 2 * n
+        zech = None
+        if self.p != 2:
+            z = [2 * n if e < 0 else e for e in self._zech]
+            zech = z + [0] * (n + 1) + list(range(-2 * n, -n)) + z
+        return exp * 2 + [0] * (2 * n + 1), log, zech
 
     def _multiply_by(self, g: int):
         """x -> x * g as an F_p-linear map, split into two digit blocks.
@@ -352,14 +371,13 @@ class FieldSpec:
         return _undigits(_poly_rem(prod, self.modulus, self.p), self.p)
 
 
-# Fields up to this size get dense tables: extension fields for the pair
-# loops of ``groups.pair_keys``, and every field, prime or not, for the
-# bridge loops of ``incidence`` (class points, normalisation, anchor
-# pass, line keys and class incidence count), which pick their arithmetic
-# by field size alone.  Up to q = 128 the tables build in at most 7 ms
-# (2.2 ms for F_101), about what they save on one 25-element T2 bridge;
-# from F_169 to F_256 the build takes 13-26 ms against 4-6 ms saved
-# (2 vCPUs, Python 3.11).
+# Fields up to this size get dense tables, for the bridge loops of
+# ``incidence`` alone (class points, normalisation, anchor pass, line keys
+# and class incidence count), which pick their arithmetic by field size:
+# every field, prime or not.  Up to q = 128 the tables build in at most
+# 7 ms (2.2 ms for F_101), about what they save on one 25-element T2
+# bridge; from F_169 to F_256 the build takes 13-26 ms against 4-6 ms
+# saved (2 vCPUs, Python 3.11).
 DENSE_FIELD = 128
 
 
@@ -373,23 +391,6 @@ def _dense_tables(spec: FieldSpec) -> tuple[list[int], list[int], list[int], lis
     inv_row = [0] + [spec.inv(x) * q for x in range(1, q)]
     neg_row = [spec.neg(x) * q for x in field]
     return add, mul, inv_row, neg_row
-
-
-@cache
-def _log_tables(spec: FieldSpec) -> tuple[list[int], list[int], list[int] | None]:
-    """The exp/log tables of an extension field laid out for loops of
-    lookups.  ``exp`` is the exp table twice over, then 2n + 1 zeros
-    (n = q - 1), and ``log`` has log 0 = 2n, so x y = exp[log x + log y]
-    for every x and y.  In odd characteristic ``zech`` is the Zech table
-    twice over, so x + y = exp[log x + zech[log y - log x + n]] for nonzero
-    x and y when the entry is not -1 (when it is, x + y = 0); it is None
-    when p = 2, where x + y is x ^ y."""
-    exp, log = spec._tables
-    n = spec.q - 1
-    log = list(log)
-    log[0] = 2 * n
-    zech = spec._zech * 2 if spec.p != 2 else None
-    return exp * 2 + [0] * (2 * n + 1), log, zech
 
 
 class FieldElement:

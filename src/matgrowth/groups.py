@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import Caps, check_set, json_typed
 from .errors import MismatchError, ParameterError
-from .ffield import DENSE_FIELD, FieldSpec, _dense_tables, _log_tables
+from .ffield import FieldSpec
 
 T2 = "T2"
 H = "H"
@@ -136,10 +136,9 @@ def pair_keys(spec: FieldSpec, group: str, xs: Sequence[Wire], ys: Sequence[Wire
     """The key ``wire_key`` of every product x y over xs x ys, in row-major order.
 
     ``gmul`` with the arithmetic written out: prime fields reduce integer
-    sums mod p, extension fields up to ``DENSE_FIELD`` elements look sums
-    and products up in dense tables, and larger ones multiply through the
-    exp/log tables of ``ffield._log_tables`` and add by XOR when p = 2,
-    through the Zech table otherwise.
+    sums mod p, and extension fields multiply through the table layout
+    ``FieldSpec._log_tables`` and add by XOR when p = 2, by one Zech
+    lookup otherwise.
     """
     q = spec.q
     if spec.r == 1:
@@ -156,54 +155,33 @@ def pair_keys(spec: FieldSpec, group: str, xs: Sequence[Wire], ys: Sequence[Wire
                     ((a + a2) % p * q + (b + b2) % p) * q + (c + c2 + a * b2) % p
                     for a2, b2, c2 in ys
                 )
-    elif q <= DENSE_FIELD:
-        add, mul, _, _ = _dense_tables(spec)  # x + y and x y at x q + y
-        rows = ((a * q, b * q, c * q) for a, b, c in xs)
-        if group == T2:
-            for aq, bq, cq in rows:
-                yield from (
-                    (mul[aq + a2] * q + add[mul[aq + b2] * q + mul[bq + c2]]) * q + mul[cq + c2]
-                    for a2, b2, c2 in ys
-                )
-        else:
-            for aq, bq, cq in rows:
-                yield from (
-                    (add[aq + a2] * q + add[bq + b2]) * q + add[add[cq + c2] * q + mul[aq + b2]]
-                    for a2, b2, c2 in ys
-                )
+        return
+    exp, log, zech = spec._log_tables
+
+    def add(x: int, y: int) -> int:  # odd p, zeros included
+        lx = log[x]
+        return exp[lx + zech[log[y] - lx]]
+
+    if group == T2:
+        logs = [(log[a], log[b], log[c]) for a, b, c in ys]
+        for a, b, c in xs:
+            la, lb, lc = log[a], log[b], log[c]
+            yield from (
+                (exp[la + a2] * q + (exp[la + b2] ^ exp[lb + c2])) * q + exp[lc + c2]
+                if zech is None
+                else (exp[la + a2] * q + add(exp[la + b2], exp[lb + c2])) * q + exp[lc + c2]
+                for a2, b2, c2 in logs
+            )
     else:
-        exp, log, zech = _log_tables(spec)
-        n = q - 1
-
-        def add(x: int, y: int) -> int:  # odd p, through the Zech table
-            if not x:
-                return y
-            if not y:
-                return x
-            lx = log[x]
-            z = zech[log[y] - lx + n]
-            return exp[lx + z] if z >= 0 else 0
-
-        if group == T2:
-            logs = [(log[a], log[b], log[c]) for a, b, c in ys]
-            for a, b, c in xs:
-                la, lb, lc = log[a], log[b], log[c]
-                yield from (
-                    (exp[la + a2] * q + (exp[la + b2] ^ exp[lb + c2])) * q + exp[lc + c2]
-                    if zech is None
-                    else (exp[la + a2] * q + add(exp[la + b2], exp[lb + c2])) * q + exp[lc + c2]
-                    for a2, b2, c2 in logs
-                )
-        else:
-            ys = [(a, b, c, log[b]) for a, b, c in ys]
-            for a, b, c in xs:
-                la = log[a]
-                yield from (
-                    ((a ^ a2) * q + (b ^ b2)) * q + (c ^ c2 ^ exp[la + lb2])
-                    if zech is None
-                    else (add(a, a2) * q + add(b, b2)) * q + add(add(c, c2), exp[la + lb2])
-                    for a2, b2, c2, lb2 in ys
-                )
+        ys = [(a, b, c, log[b]) for a, b, c in ys]
+        for a, b, c in xs:
+            la = log[a]
+            yield from (
+                ((a ^ a2) * q + (b ^ b2)) * q + (c ^ c2 ^ exp[la + lb2])
+                if zech is None
+                else (add(a, a2) * q + add(b, b2)) * q + add(add(c, c2), exp[la + lb2])
+                for a2, b2, c2, lb2 in ys
+            )
 
 
 def key_wires(spec: FieldSpec, keys: Iterable[int]) -> Iterator[Wire]:

@@ -12,8 +12,9 @@ coordinates come from a zero-copy view of their keys.  Prime fields
 compute each product coordinate as one integer sum, below 2^34, reduced
 once; every reduction is ``x - x // p * p`` (``_reduce``), since numpy
 divides by a scalar without a hardware division but has no such path for
-``%``.  Extension fields multiply through numpy copies of the exp/log
-tables and add by XOR when p = 2, digit by digit otherwise.
+``%``.  Extension fields compute through ``vector_field``, numpy copies
+of the table layout ``FieldSpec._log_tables``: they multiply by one
+lookup and add by XOR when p = 2, by one Zech lookup otherwise.
 
 Peak memory follows the output plus one block, not the pair count.  When
 a bool mask over all q^3 keys is no larger than the pairs' int64 keys, a
@@ -41,7 +42,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .ffield import FieldSpec
-from .groups import T2, GroupSet, gid, ginv, wire_key
+from .groups import T2, GroupSet, gid, ginv, gmul, wire_key
 
 
 def _import_numpy():
@@ -109,11 +110,12 @@ def vector_field(spec: FieldSpec) -> VectorField:
     """The arithmetic of any field on int64 arrays of wires (or a wire and
     an array).  Prime fields reduce each result once through ``_reduce``
     and divide through a table of the p inverses, built on the first
-    division.  Extension fields multiply and divide through numpy copies
-    of the exp/log tables and add by XOR when p = 2, digit by digit
-    otherwise."""
-    p, q, r = spec.p, spec.q, spec.r
-    if r == 1:
+    division.  Extension fields read numpy copies of the table layout
+    ``FieldSpec._log_tables``: they add by XOR when p = 2 and by one Zech
+    lookup otherwise, with a fixed number of array operations whatever
+    the degree, and no operation masks a zero."""
+    p, n = spec.p, spec.q - 1
+    if spec.r == 1:
 
         def inv(x):
             return _inverses(p)[x]
@@ -126,37 +128,28 @@ def vector_field(spec: FieldSpec) -> VectorField:
             inv=inv,
             neg=lambda x: _reduce(p - x, p),
         )
-    exp, log = spec._tables
-    n = q - 1
-    # log 0 is 2n, so a sum involving it lands in the zero tail of exp2, and
-    # so does a quotient of zero, whose index is at least 2n + 1
-    log_v = np.array(log, dtype=np.int64)
-    log_v[0] = 2 * n
-    exp2 = np.zeros(4 * n + 1, dtype=np.int64)
-    exp2[: 2 * n] = exp + exp
+    exp, log, zech = spec._log_tables
+    exp, log = np.array(exp, dtype=np.int64), np.array(log, dtype=np.int64)
 
     def mul(x, y):
-        return exp2[log_v[x] + log_v[y]]
+        return exp[log[x] + log[y]]
 
-    def div(x, y):
-        return exp2[log_v[x] - log_v[y] + n]
+    def div(x, y):  # a zero x lands in the zero tail, at 2n + 1 or above
+        return exp[log[x] - log[y] + n]
 
     if p == 2:
         return VectorField(
             np.bitwise_xor, np.bitwise_xor, mul, div, lambda x: div(1, x), lambda x: x
         )
 
-    def add(x, y):
-        # digit i of the sum is (x // p^i + y // p^i) mod p: no carries
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-        place = 1
-        for _ in range(r):
-            out += _reduce(x // place + y // place, p) * place
-            place *= p
-        return out
+    zech = np.array(zech, dtype=np.int64)
+
+    def add(x, y):  # a negative Zech index reads from the end
+        lx = log[x]
+        return exp[lx + zech[log[y] - lx]]
 
     def neg(x):  # -1 = g^((q-1)/2)
-        return exp2[log_v[x] + n // 2]
+        return exp[log[x] + n // 2]
 
     return VectorField(add, lambda x, y: add(x, neg(y)), mul, div, lambda x: div(1, x), neg)
 
@@ -280,7 +273,10 @@ def _block_keys(group, spec, a, b):
     """The packed keys of the products over one row block, rows x |Y|; its
     temporaries are freed on return."""
     q = spec.q
-    z0, z1, z2 = (_prime_coords if spec.r == 1 else _table_coords)(group, spec, a, b)
+    if spec.r == 1:
+        z0, z1, z2 = _prime_coords(group, spec, a, b)
+    else:
+        z0, z1, z2 = gmul(vector_field(spec), group, a, b)
     z0 *= q
     z0 += z1
     z0 *= q
@@ -300,16 +296,6 @@ def _prime_coords(group, spec, a, b):
     z2 += a[2]
     z2 += b[2]
     return _reduce(a[0] + b[0], p), _reduce(a[1] + b[1], p), _reduce(z2, p)
-
-
-def _table_coords(group, spec, a, b):
-    """The product's three coordinates over an extension field, through the
-    field's table arithmetic."""
-    f = vector_field(spec)
-    add, mul = f.add, f.mul
-    if group == T2:
-        return mul(a[0], b[0]), add(mul(a[0], b[1]), mul(a[1], b[2])), mul(a[2], b[2])
-    return add(a[0], b[0]), add(a[1], b[1]), add(add(a[2], b[2]), mul(a[0], b[1]))
 
 
 def _first_of_runs(keys):

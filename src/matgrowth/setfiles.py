@@ -15,7 +15,8 @@ Generator kinds, with the fields ``RECIPE_FIELDS`` requires of each:
   box               n: Heisenberg brick [0,n) x [0,n) x [0,n^2), prime
                     field with p > 3 n^2 so products stay combinatorial
   perturbed_coset   tag, rep, swaps, seed: a coset with ``swaps`` random
-                    elements exchanged for random outsiders
+                    elements exchanged for random outsiders (refused when
+                    the coset is the whole group)
   union             parts: union of sub-generators
 
 A recipe, or a subgroup it names, past ``Caps.max_set_elements`` is
@@ -122,8 +123,14 @@ def perturbed_coset(
     tag: SubgroupTag, spec: FieldSpec, rep: tuple[int, int, int], swaps: int, seed: int
 ) -> GroupSet:
     """The left coset rep * subgroup with ``swaps`` members traded for
-    random outsiders."""
+    random outsiders; refused when the coset is the whole group, which
+    has no outsider to draw."""
     group = tag.group
+    if swaps > 0 and tag.order(spec) == group_order(spec, group):
+        raise ParameterError(
+            f"perturbed_coset: a coset of {tag!r} is all of {group}(F_{spec.q}), "
+            "so no outsider can be swapped in"
+        )
     base = list(tag.coset(spec, rep))
     rng = SplitMix64(seed)
     current = set(base)

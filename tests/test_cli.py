@@ -1,10 +1,15 @@
 """End-to-end runs of the five subcommands against temp directories."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import matgrowth
 from matgrowth.cli import main, parse_field, parse_tag, parse_triple
 from matgrowth.errors import MatGrowthError, ParameterError
 from matgrowth.ffield import standard_field
@@ -293,6 +298,28 @@ def test_gen_refuses_a_subgroup_past_the_set_cap(tmp_path, capsys, monkeypatch):
         assert code == 3
         assert_one_error_line(capsys)
     assert not (tmp_path / "x.json").exists()
+
+
+def test_gen_refuses_a_perturbed_coset_of_the_whole_group(tmp_path):
+    # |unipotent| = |T2(F_2)| = 2, so no outsider exists to swap in; the
+    # run is a subprocess with a timeout, so a draw that never ends fails
+    out = tmp_path / "x.json"
+    src = str(Path(matgrowth.__file__).resolve().parents[1])
+
+    def gen(swaps):
+        return subprocess.run(
+            [sys.executable, "-m", "matgrowth", "gen", "--group", "T2", "--field", "2",
+             "--kind", "perturbed_coset", "--tag", "unipotent", "--rep", "1,0,1",
+             "--swaps", str(swaps), "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+
+    run = gen(1)
+    assert run.returncode == 1 and not out.exists()
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+    assert "no outsider" in run.stderr
+    assert gen(0).returncode == 0
+    assert load_setfile(out).elements == SubgroupTag("unipotent").elements(standard_field(2))
 
 
 # -- report ---------------------------------------------------------------------

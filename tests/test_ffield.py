@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from matgrowth.ffield import (
     subfield_generated_by,
     subfield_of_degree,
 )
+from matgrowth.kernel import vector_field
 from oracles import (
     coeffs,
     field_tables_by_order_walk,
@@ -271,15 +273,24 @@ def _digit_sum(spec, x, y, sign=1):
     return from_coeffs(spec, [a + sign * b for a, b in zip(coeffs(spec, x), coeffs(spec, y))])
 
 
-@pytest.mark.parametrize("q", [9, 25, 27, 49, 81])
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 125, 243])
 def test_zech_add_neg_sub_match_digit_arithmetic(q):
-    # every pair of the field, against arithmetic on the base-p digits
-    spec = standard_field(q)
+    # every pair of the field, zeros included, against arithmetic on the
+    # base-p digits: the field's own methods and the kernel's arrays, which
+    # read the same table layout, array + array and wire + array (the form
+    # ``SubgroupTag._forms`` gives its parameters)
+    spec, f = standard_field(q), vector_field(standard_field(q))
+    field = np.arange(q, dtype=np.int64)
+    negs = [_digit_sum(spec, 0, x, -1) for x in range(q)]
+    sums = [[_digit_sum(spec, x, y) for y in range(q)] for x in range(q)]
+    differences = [[_digit_sum(spec, x, y, -1) for y in range(q)] for x in range(q)]
+    assert [spec.neg(x) for x in range(q)] == f.neg(field).tolist() == negs
     for x in range(q):
-        assert spec.neg(x) == _digit_sum(spec, 0, x, -1)
-        for y in range(q):
-            assert spec.add(x, y) == _digit_sum(spec, x, y)
-            assert spec.sub(x, y) == _digit_sum(spec, x, y, -1)
+        assert [spec.add(x, y) for y in range(q)] == f.add(x, field).tolist() == sums[x]
+        assert [spec.sub(x, y) for y in range(q)] == f.sub(x, field).tolist() == differences[x]
+    xs, ys = np.repeat(field, q), np.tile(field, q)
+    assert f.add(xs, ys).tolist() == [s for row in sums for s in row]
+    assert f.sub(xs, ys).tolist() == [d for row in differences for d in row]
 
 
 @pytest.mark.parametrize("q", [243, 2187, 59049])

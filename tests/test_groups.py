@@ -174,8 +174,8 @@ PAIR_KEY_FIELDS = [standard_field(q) for q in (5, 9, 16, 25, 101, 128, 243, 256,
 @pytest.mark.parametrize("spec", PAIR_KEY_FIELDS, ids=lambda spec: f"q{spec.q}")
 @given(data=st.data())
 def test_pair_keys_are_the_keys_of_the_products(spec, group, data):
-    # prime fields, dense tables (F_9 to F_128) and exp/log tables with XOR
-    # (F_256, F_65536) or Zech addition (F_243, F_59049) alike
+    # prime fields, and the exp/log tables with XOR (F_16, F_128, F_256,
+    # F_65536) or one Zech lookup (F_9, F_25, F_243, F_59049) alike
     wires = st.lists(group_wires(spec, group), max_size=6)
     xs, ys = data.draw(wires), data.draw(wires)
     want = [wire_key(spec, gmul(spec, group, x, y)) for x in xs for y in ys]
@@ -184,12 +184,14 @@ def test_pair_keys_are_the_keys_of_the_products(spec, group, data):
 
 
 @pytest.mark.parametrize("group", ["T2", "H"])
-@pytest.mark.parametrize("q", [243, 256, 59049, 65536])
+@pytest.mark.parametrize("q", [4, 9, 16, 25, 27, 64, 128, 243, 256, 59049, 65536])
 def test_pair_keys_over_the_log_tables_meet_every_zero(q, group):
-    # coordinates 0, 1, c and -c: products and sums that vanish, on the
-    # exp/log loop's zero branches and the Zech table's -1 entries
+    # coordinates 0, 1, t and -t: products and sums that vanish, through
+    # the zero tail of the exp table and every region of the padded Zech
+    # table (a zero operand on either side, both, and x + y = 0)
     spec = standard_field(q)
-    coords = [0, 1, 7, spec.neg(7)]
+    t = min(7, q - 1)
+    coords = sorted({0, 1, t, spec.neg(t)})
     units = [c for c in coords if c]
     wires = [
         (a, b, c)

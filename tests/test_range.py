@@ -4,7 +4,7 @@ Report digests and exit codes over the largest fields: F_65536
 (characteristic 2), the largest prime F_65521, F_59049 = 3^10 and F_243.
 Every set is seeded.  Past ``growth.VECTOR_PAIRS`` pairs, or once numpy is
 loaded, as it is in the full suite, their product sets run the pair kernel,
-so these pin its exp/log products and its digit-by-digit sums as well as
+so these pin its exp/log products and its Zech sums as well as
 the pure-Python field arithmetic of the sections.
 
 - ``--bridge on``, pinned from the two-sided class reports, which built and

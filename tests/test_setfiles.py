@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import F5, F7, F9, F101
 from matgrowth.errors import ParameterError
+from matgrowth.ffield import standard_field
 from matgrowth.groups import GroupSet, SubgroupTag
 from matgrowth.setfiles import (
     SET_SCHEMA,
@@ -82,6 +83,17 @@ def test_perturbed_coset_zero_swaps_is_the_coset():
     tag = SubgroupTag("unipotent")
     rep = (2, 0, 1)
     assert perturbed_coset(tag, F5, rep, swaps=0, seed=9) == tag.coset(F5, rep)
+
+
+@pytest.mark.parametrize("kind", ["unipotent", "scaled_unipotent"])
+def test_perturbed_coset_of_the_whole_group_is_refused(kind):
+    # over F_2 both cosets are all of T2(F_2), which has no outsider to
+    # draw: refused before the draw, which would never end
+    F2 = standard_field(2)
+    gen = {"kind": "perturbed_coset", "tag": {"kind": kind}, "rep": [1, 0, 1], "swaps": 1, "seed": 1}
+    with pytest.raises(ParameterError, match="no outsider"):
+        generate("T2", F2, gen)
+    assert generate("T2", F2, dict(gen, swaps=0)) == SubgroupTag(kind).elements(F2)
 
 
 def test_generate_dispatch():

@@ -275,3 +275,25 @@ def test_the_bridge_pair_loops_pick_their_arithmetic_by_field_size():
             ]
     assert {"pair_classes", "class_points", "_normalise", "_directions"} <= set(found)
     assert found == {name: [] for name in found}
+
+
+def test_one_table_layout_serves_extension_field_arithmetic():
+    # ``FieldSpec._log_tables`` is the one layout that extension-field
+    # arithmetic reads, so the raw tables behind it stay in ``ffield``; the
+    # dense tables serve the bridge loops of ``incidence`` alone
+    def named(node, names):
+        return (
+            (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.alias) and node.name in names)
+        )
+
+    raw, dense = set(), set()
+    for path in sorted((ROOT / "src" / "matgrowth").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("_tables", "_zech"):
+                raw.add(path.name)
+            if named(node, ("_dense_tables", "DENSE_FIELD")):
+                dense.add(path.name)
+    assert raw == {"ffield.py"}
+    assert dense == {"ffield.py", "incidence.py"}
