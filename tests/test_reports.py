@@ -443,6 +443,50 @@ def test_non_default_tag_reports_are_pinned(name, tag, want, code):
     assert (digest(rep), got) == (want, code)
 
 
+# Capped reports, digests taken before the report's sections became
+# module-level steps: each pins where its refusal lands and what the
+# sections around it keep.
+CAPPED_SETS = {
+    "t2_12": passing_setfile,
+    "h_20": lambda: build_setfile("H", F7, {"kind": "random", "size": 20, "seed": 1}),
+    "t2_f9_lines": lambda: explicit_setfile(GroupSet("T2", F9, [(1, b, 1) for b in range(9)])),
+    "h_f9_points": lambda: explicit_setfile(GroupSet("H", F9, [(x, 0, 0) for x in range(9)])),
+    "t2_f101_unipotent": lambda: build_setfile(
+        "T2", F101, {"kind": "subgroup", "tag": {"kind": "unipotent"}}
+    ),
+}
+CAPPED_DIGESTS = [
+    ("t2_12", {"caps": Caps(max_pair_products=1271)}, "cube",
+     "468e9dd20711fc9cd960fc17c9429918d55365e242bd6600f1bcfdee33899090"),
+    ("t2_12", {"caps": Caps(max_pair_products=4641)}, "lemma",
+     "cba6ab3831215a60112ed2d414e14c2e75f11f0f930bd85ab0fb9a106e73e410"),
+    ("h_20", {"caps": Caps(max_pair_products=4779)}, "cube",
+     "73aec5a1f5082306fa7acc657230e2fba7e76502399fbe943a087d4170473d71"),
+    ("h_20", {"caps": Caps(max_pair_products=13898)}, "lemma",
+     "0dea5a1a4b42d77949f6de870d047d4e5ff3b32598db665f1cdb95c4d35c2587"),
+    ("t2_f9_lines", {"bridge": "off", "caps": Caps(max_pair_products=80)}, "m1",
+     "3b2841a0a42dc78e55c4020a78faebdf7df7054be8e65623d73d87dbc5f36c47"),
+    ("h_f9_points", {"bridge": "off", "caps": Caps(max_pair_products=80)}, "line_max",
+     "940ba7efb943bb789165d7c7ef4855ccb1d59f4d237eccc770038c754e83ac4d"),
+    ("t2_12", {"structure": True, "caps": Caps(max_pair_products=900)}, "structure",
+     "bd884f77a1cecb8b10ae7a8cfc47d54a32f26a3b96a9535db1b28ebd8b153b0f"),
+    ("t2_12", {"structure": True, "caps": Caps(max_pair_products=4642)}, "sum_product",
+     "bdfefa2df0fb5a8dd0367340b1965ffd04131a1c6b1d5f757fb50ae365ccda69"),
+    ("t2_f101_unipotent", {"bridge": "on"}, "bridge",
+     "3c82b23796a9499fe941f5132e25257e925cdf7797c75de4b403786e55e4fc21"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, options, refused, want",
+    CAPPED_DIGESTS,
+    ids=[f"{name}-{refused}" for name, _, refused, _ in CAPPED_DIGESTS],
+)
+def test_capped_reports_are_pinned(name, options, refused, want):
+    rep, code = run_report(CAPPED_SETS[name](), RunOptions(**options))
+    assert (digest(rep), code) == (want, EXIT_CAPS)
+
+
 @pytest.mark.parametrize(
     "sf",
     [passing_setfile(), CROSSING_SET, build_setfile("H", F7, {"kind": "random", "size": 20, "seed": 1})],
