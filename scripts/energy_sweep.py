@@ -43,12 +43,12 @@ def sweep_row(group: str, spec, size: int, trials: int, seed: int) -> dict:
         if group == "T2":
             prof = t2_profile(a)
             fit = t2_energy_bound(e, size, prof.m1.value, prof.m2.value)
-            flags = t2_flags(a, prof)
+            flags = t2_flags(a, prof.m3.value)
             ok = flags.whole_set and flags.per_piece
         else:
             prof = heis_profile(a)
             fit = heis_energy_bound(e, size, prof.base_max.value, prof.line_max.value)
-            flags = heis_flags(a, prof)
+            flags = heis_flags(a, prof.base_max.value)
             ok = flags.whole_set and flags.square_shape
         passes += ok
         constants.append(fit.constant)

@@ -33,14 +33,10 @@ class Caps:
     max_pair_products: int = 10**7
 
 
-def check_pairs(
-    what: str, n: int, m: int, cap: int, items: str = "elements", partial=None
-) -> None:
+def check_pairs(what: str, n: int, m: int, cap: int, items: str = "elements") -> None:
     """Refuse an n x m pair loop past the pair cap, before it starts."""
     if n * m > cap:
-        raise CapExceeded(
-            f"{what} of {n} x {m} {items} exceeds pair cap {cap}", partial=partial
-        )
+        raise CapExceeded(f"{what} of {n} x {m} {items} exceeds pair cap {cap}")
 
 
 def check_set(what: str, size: int, cap: int, partial_size: int | None = None) -> None:

@@ -25,19 +25,22 @@ scalar cosets, whose witness (1, x, y) is read back as (x, y).
 
 Each maximum ships with the lexicographically smallest witness achieving
 it, so a report consumer can recount the witness fiber from scratch.  The
-line maxima come from pairs of points, so no profile costs more than
-O(|A|^2) at any q; past ``Caps.max_pair_products`` pairs the profile
-raises ``CapExceeded`` whose ``partial`` is the profile with that maximum
-left None.  The pairs run in ``kernel.heaviest_line``, in row blocks of
-packed (first point, normal) keys, by the rule of every pair enumeration
-(``growth._use_kernel``); otherwise, as in any run that has not loaded
-numpy, in the pair loop ``_pair_lines``, which stays the oracle.
+fiber maxima (``t2_fiber_maxima``, ``heis_base_max``) cost O(|A|).  The
+line maxima (``t2_m1``, ``heis_line_max``) come from pairs of points, so
+no profile costs more than O(|A|^2) at any q, and past
+``Caps.max_pair_products`` pairs they raise ``CapExceeded``; a report
+calls the two kinds apart, so a refused line maximum leaves the fiber
+maxima standing.  The pairs run in ``kernel.heaviest_line``, in row
+blocks of packed (first point, normal) keys, by the rule of every pair
+enumeration (``growth._use_kernel``); otherwise, as in any run that has
+not loaded numpy, in the pair loop ``_pair_lines``, which stays the
+oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import growth
 from .config import Caps, check_pairs
@@ -55,28 +58,43 @@ class FiberMax:
 class T2Profile:
     m3: FiberMax  # witness (a, c)
     m2: FiberMax  # witness (chi,)
-    m1: FiberMax | None  # witness (x, y); None only in CapExceeded.partial
+    m1: FiberMax  # witness (x, y)
     size: int
 
 
 def t2_profile(A: GroupSet, caps: Caps | None = None, fibers=None) -> T2Profile:
-    """The T2 maxima; ``fibers(tag)`` gives A's coset fibers under a tag
-    (a report passes its memoised ``Products.fibers``)."""
-    if A.group != T2:
-        raise ParameterError(f"T2 profile of a set in group {A.group}")
+    """The T2 maxima: ``t2_fiber_maxima`` and ``t2_m1``."""
+    m3, m2 = t2_fiber_maxima(A, fibers)
+    return T2Profile(m3=m3, m2=m2, m1=t2_m1(A, caps, fibers), size=len(A))
+
+
+def t2_fiber_maxima(A: GroupSet, fibers=None) -> tuple[FiberMax, FiberMax]:
+    """m3 and m2; ``fibers(tag)`` gives A's coset fibers under a tag (a
+    report passes its memoised ``Products.fibers``)."""
+    fibers = _fibers_of(A, T2, fibers)
+    return tuple(_counter_max(fibers(SubgroupTag(k))) for k in ("unipotent", "scaled_unipotent"))
+
+
+def t2_m1(A: GroupSet, caps: Caps | None = None, fibers=None) -> FiberMax:
+    """m1, from the pairs of A's scalar cosets; ``fibers`` as for
+    ``t2_fiber_maxima``."""
     spec = A.spec
-    fibers = fibers or (lambda tag: tag.fibers(A))
-    dilates = fibers(SubgroupTag("scalars"))
-    m3, m2 = (_counter_max(fibers(SubgroupTag(k))) for k in ("unipotent", "scaled_unipotent"))
-    prof = T2Profile(m3=m3, m2=m2, m1=None, size=len(A))
+    dilates = _fibers_of(A, T2, fibers)(SubgroupTag("scalars"))
     cap = (caps or Caps()).max_pair_products
-    check_pairs("torus-coset profile", len(dilates), len(dilates), cap, "distinct lines", prof)
+    check_pairs("torus-coset profile", len(dilates), len(dilates), cap, "distinct lines")
     # the (x, y) with a x + b = c y form one line per scalar coset (t, u) =
     # (b/a, c/a): y = x/u + t/u, through (x, y) when (t/u, 1/u) lies on the
     # dual line 1 * t/u + x * 1/u = y
     points = {(spec.div(t, u), spec.inv(u)): w for (t, u), w in dilates.items()}
     m1 = heaviest_line(spec, points, unit_alpha=True)
-    return replace(prof, m1=FiberMax(value=m1.value, witness=m1.witness[1:]))
+    return FiberMax(value=m1.value, witness=m1.witness[1:])
+
+
+def _fibers_of(A: GroupSet, group: str, fibers):
+    """``fibers``, or A's own tag fibers, once A is checked to be in ``group``."""
+    if A.group != group:
+        raise ParameterError(f"{group} profile of a set in group {A.group}")
+    return fibers or (lambda tag: tag.fibers(A))
 
 
 def heaviest_line(spec, points: dict, unit_alpha: bool = False) -> FiberMax:
@@ -137,21 +155,29 @@ def _counter_max(counts: dict) -> FiberMax:
 @dataclass(frozen=True)
 class HeisProfile:
     base_max: FiberMax  # witness (g1, g2)
-    line_max: FiberMax | None  # witness (alpha, beta, gamma), direction
-    # normalized; None only in CapExceeded.partial
+    line_max: FiberMax  # witness (alpha, beta, gamma), direction normalized
     size: int
 
 
 def heis_profile(A: GroupSet, caps: Caps | None = None, fibers=None) -> HeisProfile:
-    """The H maxima; ``fibers`` as for ``t2_profile``."""
-    if A.group != H:
-        raise ParameterError(f"Heisenberg profile of a set in group {A.group}")
-    center = SubgroupTag("center")
-    base = fibers(center) if fibers else center.fibers(A)
-    prof = HeisProfile(base_max=_counter_max(base), line_max=None, size=len(A))
+    """The H maxima: ``heis_base_max`` and ``heis_line_max``."""
+    return HeisProfile(
+        base_max=heis_base_max(A, fibers), line_max=heis_line_max(A, caps, fibers), size=len(A)
+    )
+
+
+def heis_base_max(A: GroupSet, fibers=None) -> FiberMax:
+    """The largest center-coset fiber; ``fibers`` as for ``t2_fiber_maxima``."""
+    return _counter_max(_fibers_of(A, H, fibers)(SubgroupTag("center")))
+
+
+def heis_line_max(A: GroupSet, caps: Caps | None = None, fibers=None) -> FiberMax:
+    """The heaviest line through A's weighted base points, from their
+    pairs; ``fibers`` as for ``t2_fiber_maxima``."""
+    base = _fibers_of(A, H, fibers)(SubgroupTag("center"))
     cap = (caps or Caps()).max_pair_products
-    check_pairs("line profile", len(base), len(base), cap, "distinct base points", prof)
-    return replace(prof, line_max=heaviest_line(A.spec, base))
+    check_pairs("line profile", len(base), len(base), cap, "distinct base points")
+    return heaviest_line(A.spec, base)
 
 
 # -- dyadic decomposition by dilate count --------------------------------------
@@ -219,17 +245,18 @@ class ConstraintFlags:
     square_shape: bool | None
 
 
-def t2_flags(A: GroupSet, profile: T2Profile, pieces=None) -> ConstraintFlags:
-    """The flags of A; ``pieces`` are its ``dyadic_pieces`` if already built."""
+def t2_flags(A: GroupSet, m3: int, pieces=None) -> ConstraintFlags:
+    """The flags of A with unipotent fiber max ``m3``; ``pieces`` are its
+    ``dyadic_pieces`` if already built."""
     p = A.spec.p
-    whole = len(A) * profile.m3.value <= p * p
+    whole = len(A) * m3 <= p * p
     per_piece = all(pc.within_budget(p) for pc in pieces or dyadic_pieces(A))
     return ConstraintFlags(whole_set=whole, per_piece=per_piece, square_shape=None)
 
 
-def heis_flags(A: GroupSet, profile: HeisProfile) -> ConstraintFlags:
+def heis_flags(A: GroupSet, base_max: int) -> ConstraintFlags:
+    """The flags of A with center fiber max ``base_max``."""
     p = A.spec.p
-    m = profile.base_max.value
-    whole = len(A) * m <= p * p
-    square = m * m <= len(A)
+    whole = len(A) * base_max <= p * p
+    square = base_max * base_max <= len(A)
     return ConstraintFlags(whole_set=whole, per_piece=None, square_shape=square)

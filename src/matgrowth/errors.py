@@ -13,14 +13,14 @@ class CapExceeded(MatGrowthError):
     """An enumeration outgrew its configured resource cap.
 
     ``partial_size`` records how far the enumeration got before it was
-    stopped, and ``partial`` may carry the result computed without the
-    capped part, so callers can report progress instead of losing it.
+    stopped.  A refusal ends one computation whole: a caller that wants
+    to keep what else it computed calls the capped part on its own, as a
+    report runs each of its steps.
     """
 
-    def __init__(self, message: str, partial_size: int | None = None, partial=None):
+    def __init__(self, message: str, partial_size: int | None = None):
         super().__init__(message)
         self.partial_size = partial_size
-        self.partial = partial
 
 
 class ParameterError(MatGrowthError):

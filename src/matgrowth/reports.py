@@ -3,9 +3,18 @@
 A report is a pure function of the set file and the run options: no wall
 clock, no environment, no thread count leaks into the payload (timings
 exist but are opt-in and excluded from verification).  All sections read
-one shared ``Products``.  Sections (and each structure scan) that blow a
-cap are replaced by an ``{"error": ...}`` marker and the run exits with
-code 3; failed size hypotheses or bound violations exit with 2.
+one shared ``Products``.
+
+Each section is a module-level function of its inputs that returns
+(payload, issues).  ``run_report`` runs them in a fixed order as steps at
+dotted paths: ``growth`` (the counts, then the lemma over them),
+``profile`` and ``profile.m1`` or ``profile.line_max`` (the O(|A|^2) pair
+maximum), ``structure`` and ``structure.sum_product``, and one step for
+each other section.  A step a cap refuses leaves the marker
+``{"error": ...}`` at its path, and the run exits with code 3; ``bounds``
+runs only on the counts, the profile and the pair maximum, and reads
+"prerequisite section failed" without them.  Failed size hypotheses or
+bound violations exit with 2.
 """
 
 from __future__ import annotations
@@ -14,15 +23,16 @@ import csv
 import time
 from dataclasses import fields
 from fractions import Fraction
-from functools import cache
 
 from .config import RunOptions
 from .cosets import (
     dyadic_pieces,
+    heis_base_max,
     heis_flags,
-    heis_profile,
+    heis_line_max,
+    t2_fiber_maxima,
     t2_flags,
-    t2_profile,
+    t2_m1,
 )
 from .errors import CapExceeded
 from .exact import (
@@ -171,14 +181,191 @@ def default_subgroup(group: str) -> SubgroupTag:
     return SubgroupTag("scaled_unipotent") if group == T2 else SubgroupTag("center")
 
 
+# -- sections: each takes its inputs and returns (payload, issues) -------------
+
+def growth_counts(P: Products) -> tuple[dict, list]:
+    """Sizes and energies up to the quotient, the inputs of ``bounds``."""
+    n = len(P.A)
+    e, estar = P.energy, P.product_energy
+    square, cube = len(P.square), len(P.cube)
+    quotient = len(P.quotient)
+    return {
+        "size": n,
+        "square_size": square,
+        "cube_size": cube,
+        "quotient_size": quotient,
+        "energy": e,
+        "product_energy": estar,
+        "cauchy_schwarz_quotient": e * quotient >= n**4,
+        "cauchy_schwarz_product": estar * square >= n**4,
+        "product_energy_dominated": estar <= e,
+    }, []
+
+
+def growth_section(P: Products, counts: dict, lemma_k: int) -> tuple[dict, list]:
+    """``growth_counts`` with the tripling lemma's iterated sizes and checks,
+    and the tripling constant (the lemma refuses an empty set first)."""
+    lemma = tripling_lemma_check(P, k=lemma_k)
+    issues = []
+    if not (counts["cauchy_schwarz_quotient"] and counts["cauchy_schwarz_product"]):
+        issues.append("cauchy_schwarz")
+    if not lemma.all_hold:
+        issues.append("lemma_checks")
+    return {
+        **counts,
+        "tripling": fraction_json(Fraction(counts["cube_size"], counts["size"])),
+        "iterated_sizes": dict(sorted(lemma.sizes.items())),
+        "lemma_checks": [lemma_json(p) for p in lemma.parts],
+    }, issues
+
+
+def subgroup_section(P: Products, tag: SubgroupTag, intersection_k: int) -> tuple[dict, list]:
+    spec = P.A.spec
+    if not tag.is_subgroup(spec):
+        return {"error": f"{tag!r} is not closed under the product"}, []
+    issues = []
+    counts = {}
+    for name, B in (("set", P), ("quotient", P.quotient)):
+        holds, bound, size = coset_count_check(B, tag)
+        counts[name] = {"holds": holds, "bound": bound, "size": size}
+        if not holds:
+            issues.append(f"coset_count[{name}]")
+    # H is one coset of itself: the check holds with bound = size = |H|
+    order = tag.order(spec)
+    counts["subgroup"] = {"holds": True, "bound": order, "size": order}
+    ih, power_size, window = intersection_power_check(P, tag, intersection_k)
+    if not ih:
+        issues.append("intersection_power")
+    orbit = {}
+    for name, B in (("set", P.A), ("subgroup_slice", P.quotient_slice(tag))):
+        if len(B) == 0:
+            orbit[name] = {"skipped": "empty sample"}
+            continue
+        oh, prod, obound = orbit_stabilizer_check(P, B, tag)
+        orbit[name] = {"holds": oh, "product_size": prod, "bound": obound}
+        if not oh:
+            issues.append(f"orbit_stabilizer[{name}]")
+    out = {
+        "tag": tag.to_json(),
+        "normal": tag.is_normal,
+        "coset_counts": counts,
+        "orbit_stabilizer": orbit,
+        "intersection_power": {
+            "k": intersection_k,
+            "holds": ih,
+            "power_size": power_size,
+            "window_size": window,
+        },
+    }
+    if tag.is_normal:
+        holds, translates = covering_check(P, tag)
+        out["covering"] = {"holds": holds, "translates": translates}
+        if not holds:
+            issues.append("covering")
+    else:
+        out["covering"] = {"skipped": "subgroup is not normal"}
+    return out, issues
+
+
+def pieces(P: Products) -> list:
+    """A's dyadic pieces, built once: the T2 flags and the dyadic section read them."""
+    return P.memo("dyadic_pieces", lambda: dyadic_pieces(P.A, keys=P.coset_keys))
+
+
+def profile_section(P: Products) -> tuple[dict, list]:
+    """The O(|A|) fiber maxima and the size-hypothesis flags they decide."""
+    A = P.A
+    if A.group == T2:
+        m3, m2 = t2_fiber_maxima(A, P.fibers)
+        hyp = t2_flags(A, m3.value, pieces(P))
+        out = {"m3": fibermax_json(m3), "m2": fibermax_json(m2)}
+        flags = {"whole_set": hyp.whole_set, "per_piece": hyp.per_piece}
+    else:
+        base_max = heis_base_max(A, P.fibers)
+        hyp = heis_flags(A, base_max.value)
+        out = {"base_max": fibermax_json(base_max)}
+        flags = {"whole_set": hyp.whole_set, "square_shape": hyp.square_shape}
+    return {**out, "flags": flags}, [f"flag_{k}" for k, ok in flags.items() if not ok]
+
+
+def pair_max_section(P: Products) -> tuple[dict, list]:
+    """The profile's O(|A|^2) line maximum: m1 for T2, line_max for H."""
+    line_max = t2_m1 if P.A.group == T2 else heis_line_max
+    return fibermax_json(line_max(P.A, P.caps, P.fibers)), []
+
+
+def dyadic_section(P: Products) -> tuple[list, list]:
+    return [
+        {
+            "band": pc.j,
+            "coset_count": pc.coset_count,
+            "element_count": pc.element_count,
+            "fiber_max": pc.fiber_max,
+            "coset_keys": [list(k) for k in pc.keys],
+            "within_band_budget": pc.within_budget(P.A.spec.p),
+        }
+        for pc in pieces(P)
+    ], []
+
+
+def bounds_section(
+    group: str, counts: dict, profile: dict, pair_max: dict, energy_constant: Fraction | None
+) -> tuple[dict, list]:
+    """The energy bound and product prediction, from the payloads of
+    ``growth_counts``, ``profile_section`` and ``pair_max_section``."""
+    n, e, quotient = counts["size"], counts["energy"], counts["quotient_size"]
+    flags = profile["flags"]
+    if group == T2:
+        m1, m2 = pair_max["value"], profile["m2"]["value"]
+        eb = t2_energy_bound(e, n, m1, m2, energy_constant)
+        pp = t2_product_prediction(quotient, n, m1, m2, eb.constant)
+        applicable = flags["whole_set"]
+    else:
+        m, line_max = profile["base_max"]["value"], pair_max["value"]
+        eb = heis_energy_bound(e, n, m, line_max, energy_constant)
+        pp = heis_product_prediction(quotient, n, m, line_max, eb.constant)
+        applicable = flags["whole_set"] and flags["square_shape"]
+    issues = [name for name, b in (("energy_bound", eb), ("product_prediction", pp)) if not b.holds]
+    return {
+        "constant_source": "pinned" if energy_constant is not None else "fitted",
+        "verdict": "applicable" if applicable else "informational",
+        "energy_bound": bound_json(eb),
+        "product_prediction": bound_json(pp),
+    }, issues
+
+
+def bridge_section(P: Products, opts: RunOptions) -> tuple[dict, list]:
+    if opts.bridge == "off":
+        return {"skipped": "disabled"}, []
+    if opts.bridge == "auto" and len(P.A) > opts.bridge_threshold:
+        return {"skipped": f"set larger than threshold {opts.bridge_threshold}"}, []
+    br = bridge_report(P, opts.incidence_constant)
+    return bridge_json(br), [] if br.matches_energy else ["bridge_mismatch"]
+
+
+def structure_section(P: Products, opts: RunOptions) -> tuple[dict, list]:
+    if not opts.structure:
+        return {"skipped": "disabled"}, []
+    if P.A.group != T2:
+        return {"skipped": "structure scan applies to T2 sets"}, []
+    return structure_json(structure_scan(P, opts.structure_opts)), []
+
+
+def sum_product_section(P: Products) -> tuple[dict, list]:
+    return sum_product_json(sum_product_scan(P)), []
+
+
 def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
-    """Full report for a set file.  Returns (report, exit_code)."""
+    """Full report for a set file.  Returns (report, exit_code).
+
+    The sections run in a fixed order, each as one or more steps.  A step
+    writes its payload at a dotted path, or, when a cap refuses it, the
+    marker ``{"error": ...}``; its time counts toward its top-level
+    section, and its issues toward the status.
+    """
     opts = opts or RunOptions()
-    A = sf.elements
-    spec = A.spec
-    group = A.group
-    n = len(A)
-    P = Products(A, opts.caps)
+    P = Products(sf.elements, opts.caps)
+    group = P.A.group
     tag = opts.subgroup or default_subgroup(group)
     tag.check_group(group)  # before any section runs
 
@@ -192,210 +379,46 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
         "options": opts.to_json(),
     }
     issues: list[str] = []
-    capped = False
+    refused: list[str] = []
     timings: dict[str, float] = {}
 
-    def guarded(fn):
-        nonlocal capped
-        try:
-            return fn()
-        except CapExceeded as exc:
-            capped = True
-            return {"error": str(exc)}
-
-    def section(name, fn):
+    def step(path: str, section, *args):
+        """The step's payload, None when a cap refused it."""
         t0 = time.perf_counter()
-        report[name] = guarded(fn)
-        if opts.timings:
-            timings[name] = round(time.perf_counter() - t0, 6)
-
-    state: dict = {}
-
-    def growth_section():
-        e, estar = P.energy, P.product_energy
-        square, cube = P.square, P.cube
-        quotient_size = len(P.quotient)
-        state.update(energy=e, quotient_size=quotient_size)
-        lemma = tripling_lemma_check(P, k=opts.lemma_k)
-        if not (e * quotient_size >= n**4 and estar * len(square) >= n**4):
-            issues.append("cauchy_schwarz")
-        if not lemma.all_hold:
-            issues.append("lemma_checks")
-        return {
-            "size": n,
-            "square_size": len(square),
-            "cube_size": len(cube),
-            "quotient_size": quotient_size,
-            "iterated_sizes": dict(sorted(lemma.sizes.items())),
-            "tripling": fraction_json(Fraction(len(cube), n)),
-            "energy": e,
-            "product_energy": estar,
-            "cauchy_schwarz_quotient": e * quotient_size >= n**4,
-            "cauchy_schwarz_product": estar * len(square) >= n**4,
-            "product_energy_dominated": estar <= e,
-            "lemma_checks": [lemma_json(p) for p in lemma.parts],
-        }
-
-    def subgroup_section():
-        if not tag.is_subgroup(spec):
-            return {"error": f"{tag!r} is not closed under the product"}
-        counts = {}
-        for name, B in (("set", P), ("quotient", P.quotient)):
-            holds, bound, size = coset_count_check(B, tag)
-            counts[name] = {"holds": holds, "bound": bound, "size": size}
-            if not holds:
-                issues.append(f"coset_count[{name}]")
-        # H is one coset of itself: the check holds with bound = size = |H|
-        order = tag.order(spec)
-        counts["subgroup"] = {"holds": True, "bound": order, "size": order}
-        ih, power_size, window = intersection_power_check(P, tag, opts.intersection_k)
-        if not ih:
-            issues.append("intersection_power")
-        orbit = {}
-        for name, B in (("set", A), ("subgroup_slice", P.quotient_slice(tag))):
-            if len(B) == 0:
-                orbit[name] = {"skipped": "empty sample"}
-                continue
-            oh, prod, obound = orbit_stabilizer_check(P, B, tag)
-            orbit[name] = {"holds": oh, "product_size": prod, "bound": obound}
-            if not oh:
-                issues.append(f"orbit_stabilizer[{name}]")
-        out = {
-            "tag": tag.to_json(),
-            "normal": tag.is_normal,
-            "coset_counts": counts,
-            "orbit_stabilizer": orbit,
-            "intersection_power": {
-                "k": opts.intersection_k,
-                "holds": ih,
-                "power_size": power_size,
-                "window_size": window,
-            },
-        }
-        if tag.is_normal:
-            holds, translates = covering_check(P, tag)
-            out["covering"] = {"holds": holds, "translates": translates}
-            if not holds:
-                issues.append("covering")
-        else:
-            out["covering"] = {"skipped": "subgroup is not normal"}
-        return out
-
-    def profile_section():
-        nonlocal capped
-        pair_max = None
+        top, _, sub = path.partition(".")
+        into, key = (report[top], sub) if sub else (report, top)
         try:
-            prof = (t2_profile if group == T2 else heis_profile)(A, opts.caps, fibers=P.fibers)
-            state["profile"] = prof
+            payload, found = section(*args)
+            into[key] = payload
         except CapExceeded as exc:
-            if exc.partial is None:
-                raise
-            # the pair maximum is refused; the O(|A|) fibers and flags stay
-            prof, pair_max, capped = exc.partial, {"error": str(exc)}, True
-        if group == T2:
-            flags = t2_flags(A, prof, pieces())
-            state["hypothesis_pass"] = flags.whole_set
-            if not flags.whole_set:
-                issues.append("flag_whole_set")
-            if not flags.per_piece:
-                issues.append("flag_per_piece")
-            return {
-                "m3": fibermax_json(prof.m3),
-                "m2": fibermax_json(prof.m2),
-                "m1": pair_max or fibermax_json(prof.m1),
-                "flags": {"whole_set": flags.whole_set, "per_piece": flags.per_piece},
-            }
-        flags = heis_flags(A, prof)
-        state["hypothesis_pass"] = flags.whole_set and flags.square_shape
-        if not flags.whole_set:
-            issues.append("flag_whole_set")
-        if not flags.square_shape:
-            issues.append("flag_square_shape")
-        return {
-            "base_max": fibermax_json(prof.base_max),
-            "line_max": pair_max or fibermax_json(prof.line_max),
-            "flags": {"whole_set": flags.whole_set, "square_shape": flags.square_shape},
-        }
+            payload, found = None, []
+            into[key] = {"error": str(exc)}
+            refused.append(path)
+        issues.extend(found)
+        timings[top] = timings.get(top, 0.0) + time.perf_counter() - t0
+        return payload
 
-    @cache  # read by the T2 flags and the dyadic section
-    def pieces():
-        return dyadic_pieces(A, keys=P.coset_keys)
-
-    def dyadic_section():
-        return [
-            {
-                "band": pc.j,
-                "coset_count": pc.coset_count,
-                "element_count": pc.element_count,
-                "fiber_max": pc.fiber_max,
-                "coset_keys": [list(k) for k in pc.keys],
-                "within_band_budget": pc.within_budget(spec.p),
-            }
-            for pc in pieces()
-        ]
-
-    def bounds_section():
-        e = state["energy"]
-        prof = state["profile"]
-        if group == T2:
-            eb = t2_energy_bound(e, n, prof.m1.value, prof.m2.value, opts.energy_constant)
-            pp = t2_product_prediction(
-                state["quotient_size"], n, prof.m1.value, prof.m2.value, eb.constant
-            )
-        else:
-            eb = heis_energy_bound(
-                e, n, prof.base_max.value, prof.line_max.value, opts.energy_constant
-            )
-            pp = heis_product_prediction(
-                state["quotient_size"], n, prof.base_max.value, prof.line_max.value, eb.constant
-            )
-        if not eb.holds:
-            issues.append("energy_bound")
-        if not pp.holds:
-            issues.append("product_prediction")
-        return {
-            "constant_source": "pinned" if opts.energy_constant is not None else "fitted",
-            "verdict": "applicable" if state.get("hypothesis_pass") else "informational",
-            "energy_bound": bound_json(eb),
-            "product_prediction": bound_json(pp),
-        }
-
-    def bridge_section():
-        if opts.bridge == "off":
-            return {"skipped": "disabled"}
-        if opts.bridge == "auto" and n > opts.bridge_threshold:
-            return {"skipped": f"set larger than threshold {opts.bridge_threshold}"}
-        br = bridge_report(P, opts.incidence_constant)
-        if not br.matches_energy:
-            issues.append("bridge_mismatch")
-        return bridge_json(br)
-
-    def structure_section():
-        if not opts.structure:
-            return {"skipped": "disabled"}
-        if group != T2:
-            return {"skipped": "structure scan applies to T2 sets"}
-        # a cap hit in one scan is reported there and leaves the other intact
-        out = guarded(lambda: structure_json(structure_scan(P, opts.structure_opts)))
-        out["sum_product"] = guarded(lambda: sum_product_json(sum_product_scan(P)))
-        return out
-
-    section("growth", growth_section)
-    section("subgroup", subgroup_section)
-    section("profile", profile_section)
+    counts = step("growth", growth_counts, P)
+    if counts is not None:
+        step("growth", growth_section, P, counts, opts.lemma_k)
+    step("subgroup", subgroup_section, P, tag, opts.intersection_k)
+    profile = step("profile", profile_section, P)
+    pair_max = step("profile.m1" if group == T2 else "profile.line_max", pair_max_section, P)
     if group == T2:
-        section("dyadic", dyadic_section)
-    if "profile" in state and "energy" in state:
-        section("bounds", bounds_section)
+        step("dyadic", dyadic_section, P)
+    if counts is not None and profile is not None and pair_max is not None:
+        step("bounds", bounds_section, group, counts, profile, pair_max, opts.energy_constant)
     else:
         report["bounds"] = {"error": "prerequisite section failed"}
-    section("bridge", bridge_section)
-    section("structure", structure_section)
+    step("bridge", bridge_section, P, opts)
+    step("structure", structure_section, P, opts)
+    if opts.structure and group == T2:
+        step("structure.sum_product", sum_product_section, P)
 
-    code = EXIT_CAPS if capped else (EXIT_FLAGS if issues else EXIT_OK)
+    code = EXIT_CAPS if refused else (EXIT_FLAGS if issues else EXIT_OK)
     report["status"] = {"exit_code": code, "issues": sorted(set(issues))}
     if opts.timings:
-        report["timings"] = timings
+        report["timings"] = {name: round(s, 6) for name, s in timings.items()}
     return report, code
 
 

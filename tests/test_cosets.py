@@ -1,7 +1,5 @@
 """Occupancy profiles, dyadic dilate decomposition, and size-hypothesis flags."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +11,10 @@ from matgrowth.cosets import (
     ConstraintFlags,
     dyadic_pieces,
     heis_flags,
+    heis_line_max,
     heis_profile,
     t2_flags,
+    t2_m1,
     t2_profile,
 )
 from matgrowth.config import Caps
@@ -133,16 +133,17 @@ def test_profiles_refuse_past_the_pair_cap():
     t2 = GroupSet("T2", F9, [(1, b, 1) for b in range(9)])
     heis = GroupSet("H", F9, [(x, 0, 0) for x in range(9)])
     caps = Caps(max_pair_products=80)
-    with pytest.raises(CapExceeded) as t2_exc:
+    with pytest.raises(CapExceeded):
+        t2_m1(t2, caps)
+    with pytest.raises(CapExceeded):
+        heis_line_max(heis, caps)
+    with pytest.raises(CapExceeded):
         t2_profile(t2, caps)
-    with pytest.raises(CapExceeded) as heis_exc:
+    with pytest.raises(CapExceeded):
         heis_profile(heis, caps)
-    # the refusal carries the O(|A|) fibers, with the pair maximum left out
-    assert t2_exc.value.partial == replace(t2_profile(t2), m1=None)
-    assert heis_exc.value.partial == replace(heis_profile(heis), line_max=None)
     # at the cap itself both still count
-    assert t2_profile(t2, Caps(max_pair_products=81)).m1.value == 1
-    assert heis_profile(heis, Caps(max_pair_products=81)).line_max.value == 9
+    assert t2_m1(t2, Caps(max_pair_products=81)).value == 1
+    assert heis_line_max(heis, Caps(max_pair_products=81)).value == 9
 
 
 def test_witness_is_lexicographically_smallest():
@@ -290,12 +291,12 @@ def test_dyadic_rejects_heisenberg():
 
 def test_t2_flags_at_the_boundary():
     a = SubgroupTag("unipotent").elements(F5)
-    flags = t2_flags(a, t2_profile(a))
+    flags = t2_flags(a, t2_profile(a).m3.value)
     # 5 * 5 == 25 == p^2 sits exactly on the edge
     assert flags == ConstraintFlags(whole_set=True, per_piece=True, square_shape=None)
 
     bigger = a.union(GroupSet("T2", F5, [(2, 0, 1)]))
-    flags = t2_flags(bigger, t2_profile(bigger))
+    flags = t2_flags(bigger, t2_profile(bigger).m3.value)
     assert not flags.whole_set
     assert not flags.per_piece
 
@@ -303,19 +304,19 @@ def test_t2_flags_at_the_boundary():
 def test_t2_per_piece_uses_band_budget():
     # a full dilate coset has fiber_max 1, so the j = 2 budget is slack
     a = GroupSet("T2", F5, [(t, t, t) for t in range(1, 5)])
-    flags = t2_flags(a, t2_profile(a))
+    flags = t2_flags(a, t2_profile(a).m3.value)
     assert flags.per_piece
     assert flags.square_shape is None
 
 
 def test_heis_flags_shapes():
     flat = GroupSet("H", F5, [(x, y, 0) for x in range(5) for y in range(5)])
-    flags = heis_flags(flat, heis_profile(flat))
+    flags = heis_flags(flat, heis_profile(flat).base_max.value)
     assert flags.whole_set and flags.square_shape
     assert flags.per_piece is None
 
     column = GroupSet("H", F5, [(0, 0, t) for t in range(5)])
-    flags = heis_flags(column, heis_profile(column))
+    flags = heis_flags(column, heis_profile(column).base_max.value)
     # 5 * 5 <= 25 but the base fiber is much larger than sqrt(5)
     assert flags.whole_set
     assert not flags.square_shape

@@ -283,6 +283,13 @@ def test_timings_are_opt_in():
     assert "timings" not in rep
     rep, _ = run_report(sf, RunOptions(timings=True))
     assert set(rep["timings"]) >= {"growth", "profile", "bounds"}
+    # nested steps (profile.m1, structure.sum_product) count toward their
+    # section, so every key is a top-level section, as perfbench reads them
+    sections = {"growth", "subgroup", "profile", "dyadic", "bounds", "bridge", "structure"}
+    for caps in (Caps(), Caps(max_pair_products=80)):
+        rep, _ = run_report(passing_setfile(), RunOptions(timings=True, structure=True, caps=caps))
+        assert set(rep["timings"]) <= sections & set(rep)
+    assert set(rep["timings"]) == sections - {"bounds"}  # bounds lacked its inputs
 
 
 def test_run_options_validation():

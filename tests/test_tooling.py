@@ -9,6 +9,7 @@ failing any other test.
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -91,6 +92,19 @@ def test_energy_sweep_help_runs_in_a_fresh_interpreter():
     )
     assert run.returncode == 0, run.stderr
     assert "--sizes" in run.stdout
+
+
+@pytest.mark.parametrize("group", ["T2", "H"])
+def test_energy_sweep_runs_a_small_sweep(group, capsys):
+    # the sweep calls the profiles and the flags, so a change to their
+    # signatures breaks it where ``--help`` alone would still pass
+    spec = importlib.util.spec_from_file_location("energy_sweep", ROOT / "scripts" / "energy_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["--group", group, "--sizes", "6:6:1", "--trials", "2"]) == 0
+    header, _, row = capsys.readouterr().out.splitlines()
+    assert header.startswith(f"group={group} ")
+    assert row.split()[:2] == ["6", "2"]
 
 
 def test_an_incidence_pass_reproduces_the_pinned_digests(tmp_path):
@@ -185,6 +199,29 @@ def test_every_cap_refusal_goes_through_the_two_checks():
         assert all(map(cap_raises, owners))
         outside[path.name] = cap_raises(tree) - sum(map(cap_raises, owners))
     assert outside == dict.fromkeys(outside, 0)
+
+
+def test_the_report_runs_every_section_through_one_step_runner():
+    # sections are module-level functions of their inputs; ``run_report``
+    # nests one function, the step runner, and its handler is the one that
+    # turns a refusal into a marker, so the marker rule lives in one place
+    tree = ast.parse((ROOT / "src" / "matgrowth" / "reports.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Nonlocal, ast.Global))]
+    run_report = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "run_report"
+    )
+    nested = [
+        node for node in ast.walk(run_report)
+        if node is not run_report and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ]
+    assert len(nested) <= 1
+    cap_handlers = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and "CapExceeded" in ast.unparse(node.type)
+    ]
+    assert len(cap_handlers) == 1
 
 
 def test_growth_checks_the_pair_cap_only_where_it_enumerates():
