@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from matgrowth import standard_field
 from matgrowth.cosets import heis_flags, heis_profile, t2_flags, t2_profile
 from matgrowth.exact import heis_energy_bound, t2_energy_bound
-from matgrowth.growth import energy, product_set
+from matgrowth.growth import Products
 from matgrowth.setfiles import random_set
 
 
@@ -38,21 +38,21 @@ def sweep_row(group: str, spec, size: int, trials: int, seed: int) -> dict:
     passes = 0
     worst_doubling = Fraction(0)
     for t in range(trials):
-        a = random_set(group, spec, size, seed * 10007 + size * 131 + t)
-        e = energy(a)
+        # one Products per set: the profile and the flags share its coset keys
+        P = Products(random_set(group, spec, size, seed * 10007 + size * 131 + t))
         if group == "T2":
-            prof = t2_profile(a)
-            fit = t2_energy_bound(e, size, prof.m1.value, prof.m2.value)
-            flags = t2_flags(a, prof.m3.value)
+            prof = t2_profile(P)
+            fit = t2_energy_bound(P.energy, size, prof.m1.value, prof.m2.value)
+            flags = t2_flags(P, prof.m3.value)
             ok = flags.whole_set and flags.per_piece
         else:
-            prof = heis_profile(a)
-            fit = heis_energy_bound(e, size, prof.base_max.value, prof.line_max.value)
-            flags = heis_flags(a, prof.base_max.value)
+            prof = heis_profile(P)
+            fit = heis_energy_bound(P.energy, size, prof.base_max.value, prof.line_max.value)
+            flags = heis_flags(P, prof.base_max.value)
             ok = flags.whole_set and flags.square_shape
         passes += ok
         constants.append(fit.constant)
-        worst_doubling = max(worst_doubling, Fraction(len(product_set(a, a)), size))
+        worst_doubling = max(worst_doubling, Fraction(len(P.square), size))
     return {
         "size": size,
         "trials": trials,

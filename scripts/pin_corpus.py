@@ -12,22 +12,16 @@ regression in the library cannot silently repin garbage.
 
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from matgrowth import standard_field
 from matgrowth.config import RunOptions
-from matgrowth.cosets import heis_profile, t2_profile
-from matgrowth.exact import (
-    fraction_json,
-    heis_energy_bound,
-    incidence_bound,
-    t2_energy_bound,
-)
+from matgrowth.exact import fraction_json
 from matgrowth.ffield import subfield_of_degree
 from matgrowth.groups import GroupSet, SubgroupTag
-from matgrowth.growth import energy
 from matgrowth.incidence import probe_instance, random_instance
 from matgrowth.jsonio import digest, write_json
 from matgrowth.reports import run_report
@@ -141,18 +135,13 @@ def main() -> int:
         if not rep["growth"]["product_energy_dominated"]:
             raise SystemExit(f"{name}: product energy exceeds quotient energy")
 
-        a = sf.elements
-        n = len(a)
-        if a.group == "T2":
-            prof = t2_profile(a)
-            fit = t2_energy_bound(energy(a), n, prof.m1.value, prof.m2.value)
-        else:
-            prof = heis_profile(a)
-            fit = heis_energy_bound(
-                energy(a), n, prof.base_max.value, prof.line_max.value
-            )
+        # the report fits the smallest grid constant when none is pinned
+        bounds = rep["bounds"]
+        if bounds["constant_source"] != "fitted":
+            raise SystemExit(f"{name}: energy constant is {bounds['constant_source']}, not fitted")
         if applicable:
-            fitted[a.group].append(fit.constant)
+            constant = bounds["energy_bound"]["constant"]
+            fitted[sf.group].append(Fraction(constant["num"], constant["den"]))
 
         manifest["sets"].append({"name": name, "file": f"{name}.json", "options": options})
         values = {
@@ -168,7 +157,7 @@ def main() -> int:
             "exit_code": code,
             "values": values,
         }
-        print(f"pinned {name}: n={n} exit={code} verdict={rep['bounds']['verdict']}")
+        print(f"pinned {name}: n={len(sf.elements)} exit={code} verdict={rep['bounds']['verdict']}")
 
     probes = probe_plan()
     inc_constants = []

@@ -1,8 +1,12 @@
 """Coset occupancy profiles: the fiber maxima the energy bounds consume.
 
-Every fiber here is a coset fiber of a named ``SubgroupTag``, which owns
-the coset keys; a report hands in the ones its ``Products`` keeps per tag
-for its subgroup section too.  For A in T2 three maxima are measured:
+Every function of A here takes a ``GroupSet`` or the shared ``Products``
+of one report, and reads A's coset fibers and keys per ``SubgroupTag``
+(``Products.fibers``, ``Products.coset_keys``) and the pair cap
+(``Products.caps``) from it, so one report builds A's keys once per tag
+for its profile, dyadic split and subgroup section alike.  A set of the
+other group is refused by the tag.  For A in T2 three maxima are
+measured:
 
   m3  largest fiber of the unipotent cosets, keyed (a, c);
   m2  largest fiber of the scaled-unipotent cosets, keyed by the diagonal
@@ -43,9 +47,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import growth
-from .config import Caps, check_pairs
-from .errors import ParameterError
-from .groups import H, T2, GroupSet, SubgroupTag
+from .config import check_pairs
+from .groups import GroupSet, SubgroupTag
+from .growth import Products, as_products
 
 
 @dataclass(frozen=True)
@@ -62,25 +66,25 @@ class T2Profile:
     size: int
 
 
-def t2_profile(A: GroupSet, caps: Caps | None = None, fibers=None) -> T2Profile:
+def t2_profile(A: GroupSet | Products) -> T2Profile:
     """The T2 maxima: ``t2_fiber_maxima`` and ``t2_m1``."""
-    m3, m2 = t2_fiber_maxima(A, fibers)
-    return T2Profile(m3=m3, m2=m2, m1=t2_m1(A, caps, fibers), size=len(A))
+    P = as_products(A)
+    m3, m2 = t2_fiber_maxima(P)
+    return T2Profile(m3=m3, m2=m2, m1=t2_m1(P), size=len(P.A))
 
 
-def t2_fiber_maxima(A: GroupSet, fibers=None) -> tuple[FiberMax, FiberMax]:
-    """m3 and m2; ``fibers(tag)`` gives A's coset fibers under a tag (a
-    report passes its memoised ``Products.fibers``)."""
-    fibers = _fibers_of(A, T2, fibers)
-    return tuple(_counter_max(fibers(SubgroupTag(k))) for k in ("unipotent", "scaled_unipotent"))
+def t2_fiber_maxima(A: GroupSet | Products) -> tuple[FiberMax, FiberMax]:
+    """m3 and m2."""
+    P = as_products(A)
+    return tuple(_counter_max(P.fibers(SubgroupTag(k))) for k in ("unipotent", "scaled_unipotent"))
 
 
-def t2_m1(A: GroupSet, caps: Caps | None = None, fibers=None) -> FiberMax:
-    """m1, from the pairs of A's scalar cosets; ``fibers`` as for
-    ``t2_fiber_maxima``."""
-    spec = A.spec
-    dilates = _fibers_of(A, T2, fibers)(SubgroupTag("scalars"))
-    cap = (caps or Caps()).max_pair_products
+def t2_m1(A: GroupSet | Products) -> FiberMax:
+    """m1, from the pairs of A's scalar cosets."""
+    P = as_products(A)
+    spec = P.A.spec
+    dilates = P.fibers(SubgroupTag("scalars"))
+    cap = P.caps.max_pair_products
     check_pairs("torus-coset profile", len(dilates), len(dilates), cap, "distinct lines")
     # the (x, y) with a x + b = c y form one line per scalar coset (t, u) =
     # (b/a, c/a): y = x/u + t/u, through (x, y) when (t/u, 1/u) lies on the
@@ -88,13 +92,6 @@ def t2_m1(A: GroupSet, caps: Caps | None = None, fibers=None) -> FiberMax:
     points = {(spec.div(t, u), spec.inv(u)): w for (t, u), w in dilates.items()}
     m1 = heaviest_line(spec, points, unit_alpha=True)
     return FiberMax(value=m1.value, witness=m1.witness[1:])
-
-
-def _fibers_of(A: GroupSet, group: str, fibers):
-    """``fibers``, or A's own tag fibers, once A is checked to be in ``group``."""
-    if A.group != group:
-        raise ParameterError(f"{group} profile of a set in group {A.group}")
-    return fibers or (lambda tag: tag.fibers(A))
 
 
 def heaviest_line(spec, points: dict, unit_alpha: bool = False) -> FiberMax:
@@ -159,25 +156,24 @@ class HeisProfile:
     size: int
 
 
-def heis_profile(A: GroupSet, caps: Caps | None = None, fibers=None) -> HeisProfile:
+def heis_profile(A: GroupSet | Products) -> HeisProfile:
     """The H maxima: ``heis_base_max`` and ``heis_line_max``."""
-    return HeisProfile(
-        base_max=heis_base_max(A, fibers), line_max=heis_line_max(A, caps, fibers), size=len(A)
-    )
+    P = as_products(A)
+    return HeisProfile(base_max=heis_base_max(P), line_max=heis_line_max(P), size=len(P.A))
 
 
-def heis_base_max(A: GroupSet, fibers=None) -> FiberMax:
-    """The largest center-coset fiber; ``fibers`` as for ``t2_fiber_maxima``."""
-    return _counter_max(_fibers_of(A, H, fibers)(SubgroupTag("center")))
+def heis_base_max(A: GroupSet | Products) -> FiberMax:
+    """The largest center-coset fiber."""
+    return _counter_max(as_products(A).fibers(SubgroupTag("center")))
 
 
-def heis_line_max(A: GroupSet, caps: Caps | None = None, fibers=None) -> FiberMax:
-    """The heaviest line through A's weighted base points, from their
-    pairs; ``fibers`` as for ``t2_fiber_maxima``."""
-    base = _fibers_of(A, H, fibers)(SubgroupTag("center"))
-    cap = (caps or Caps()).max_pair_products
+def heis_line_max(A: GroupSet | Products) -> FiberMax:
+    """The heaviest line through A's weighted base points, from their pairs."""
+    P = as_products(A)
+    base = P.fibers(SubgroupTag("center"))
+    cap = P.caps.max_pair_products
     check_pairs("line profile", len(base), len(base), cap, "distinct base points")
-    return heaviest_line(A.spec, base)
+    return heaviest_line(P.A.spec, base)
 
 
 # -- dyadic decomposition by dilate count --------------------------------------
@@ -198,32 +194,33 @@ class DyadicPiece:
         return self.element_count * self.fiber_max <= (1 << self.j) * p * p
 
 
-def dyadic_pieces(A: GroupSet, keys=None) -> list[DyadicPiece]:
-    """Split A by the dyadic size class of its scalar-coset fiber.
+def dyadic_pieces(A: GroupSet | Products) -> list[DyadicPiece]:
+    """Split A by the dyadic size class of its scalar-coset fiber, once per
+    ``Products``: the T2 flags and a report's dyadic section read one split.
 
     Two elements share a fiber exactly when one is a dilate of the other
     (equal up to a scalar matrix), so the fiber key is the projective
     pair (b/a, c/a).  Each piece also records its own largest
     unipotent-coset fiber, which the p-constraint check needs.
-    ``keys(tag)`` gives the coset keys of A's elements in canonical order
-    (a report passes its memoised ``Products.coset_keys``).
     """
-    if A.group != T2:
-        raise ParameterError("dyadic dilate decomposition applies to T2 sets")
-    keys = keys or (lambda tag: tag.keys(A))
-    dilates = keys(SubgroupTag("scalars"))
-    fibers = Counter(dilates)
-    band_of = {key: n.bit_length() - 1 for key, n in fibers.items()}
-    bands = [band_of[key] for key in dilates]
-    diag_max: dict[int, int] = {}
-    for (j, _), n in Counter(zip(bands, keys(SubgroupTag("unipotent")))).items():
-        diag_max[j] = max(diag_max.get(j, 0), n)
-    sizes = Counter(bands)
-    pieces = []
-    for j in sorted(sizes):
-        cosets = tuple(sorted(key for key, band in band_of.items() if band == j))
-        pieces.append(DyadicPiece(j, len(cosets), sizes[j], diag_max[j], cosets))
-    return pieces
+    P = as_products(A)
+
+    def build():
+        dilates = P.coset_keys(SubgroupTag("scalars"))
+        fibers = P.fibers(SubgroupTag("scalars"))
+        band_of = {key: n.bit_length() - 1 for key, n in fibers.items()}
+        bands = [band_of[key] for key in dilates]
+        diag_max: dict[int, int] = {}
+        for (j, _), n in Counter(zip(bands, P.coset_keys(SubgroupTag("unipotent")))).items():
+            diag_max[j] = max(diag_max.get(j, 0), n)
+        sizes = Counter(bands)
+        pieces = []
+        for j in sorted(sizes):
+            cosets = tuple(sorted(key for key, band in band_of.items() if band == j))
+            pieces.append(DyadicPiece(j, len(cosets), sizes[j], diag_max[j], cosets))
+        return pieces
+
+    return P.memo("dyadic_pieces", build)
 
 
 # -- p-constraint flags -------------------------------------------------------
@@ -245,18 +242,19 @@ class ConstraintFlags:
     square_shape: bool | None
 
 
-def t2_flags(A: GroupSet, m3: int, pieces=None) -> ConstraintFlags:
-    """The flags of A with unipotent fiber max ``m3``; ``pieces`` are its
-    ``dyadic_pieces`` if already built."""
-    p = A.spec.p
-    whole = len(A) * m3 <= p * p
-    per_piece = all(pc.within_budget(p) for pc in pieces or dyadic_pieces(A))
+def t2_flags(A: GroupSet | Products, m3: int) -> ConstraintFlags:
+    """The flags of A with unipotent fiber max ``m3``."""
+    P = as_products(A)
+    p = P.A.spec.p
+    whole = len(P.A) * m3 <= p * p
+    per_piece = all(pc.within_budget(p) for pc in dyadic_pieces(P))
     return ConstraintFlags(whole_set=whole, per_piece=per_piece, square_shape=None)
 
 
-def heis_flags(A: GroupSet, base_max: int) -> ConstraintFlags:
+def heis_flags(A: GroupSet | Products, base_max: int) -> ConstraintFlags:
     """The flags of A with center fiber max ``base_max``."""
-    p = A.spec.p
-    whole = len(A) * base_max <= p * p
-    square = base_max * base_max <= len(A)
+    S = as_products(A).A
+    p = S.spec.p
+    whole = len(S) * base_max <= p * p
+    square = base_max * base_max <= len(S)
     return ConstraintFlags(whole_set=whole, per_piece=None, square_shape=square)

@@ -370,9 +370,12 @@ def quotient_set(A: GroupSet, cap: int = Caps.max_pair_products) -> GroupSet:
 def coset_count_check(B: GroupSet | Products, tag) -> tuple[bool, int, int]:
     """|B| <= #left-cosets of the tagged subgroup met by B, times the
     largest coset fiber.  Returns (holds, coset_count * max_fiber, |B|);
-    for ``Products`` B is A."""
-    S = B.A if isinstance(B, Products) else B
-    cosets, top = tag.occupancy(S)
+    for ``Products`` B is A, and its fibers are A's memoised ones."""
+    if isinstance(B, Products):
+        S, fibers = B.A, B.fibers(tag)
+        cosets, top = len(fibers), max(fibers.values(), default=0)
+    else:
+        S, (cosets, top) = B, tag.occupancy(B)
     return len(S) <= cosets * top, cosets * top, len(S)
 
 

@@ -3,7 +3,11 @@
 A report is a pure function of the set file and the run options: no wall
 clock, no environment, no thread count leaks into the payload (timings
 exist but are opt-in and excluded from verification).  All sections read
-one shared ``Products``.
+one shared ``Products``: every function of A a section calls takes it
+whole and reads A's product sets, coset keys per subgroup tag, dyadic
+pieces and caps from it, so each is built once per report.  The subgroup
+tag is checked against the set's group and field before any section
+runs.
 
 Each section is a module-level function of its inputs that returns
 (payload, issues).  ``run_report`` runs them in a fixed order as steps at
@@ -238,9 +242,6 @@ def subgroup_section(P: Products, tag: SubgroupTag, intersection_k: int) -> tupl
         issues.append("intersection_power")
     orbit = {}
     for name, B in (("set", P.A), ("subgroup_slice", P.quotient_slice(tag))):
-        if len(B) == 0:
-            orbit[name] = {"skipped": "empty sample"}
-            continue
         oh, prod, obound = orbit_stabilizer_check(P, B, tag)
         orbit[name] = {"holds": oh, "product_size": prod, "bound": obound}
         if not oh:
@@ -267,22 +268,16 @@ def subgroup_section(P: Products, tag: SubgroupTag, intersection_k: int) -> tupl
     return out, issues
 
 
-def pieces(P: Products) -> list:
-    """A's dyadic pieces, built once: the T2 flags and the dyadic section read them."""
-    return P.memo("dyadic_pieces", lambda: dyadic_pieces(P.A, keys=P.coset_keys))
-
-
 def profile_section(P: Products) -> tuple[dict, list]:
     """The O(|A|) fiber maxima and the size-hypothesis flags they decide."""
-    A = P.A
-    if A.group == T2:
-        m3, m2 = t2_fiber_maxima(A, P.fibers)
-        hyp = t2_flags(A, m3.value, pieces(P))
+    if P.A.group == T2:
+        m3, m2 = t2_fiber_maxima(P)
+        hyp = t2_flags(P, m3.value)
         out = {"m3": fibermax_json(m3), "m2": fibermax_json(m2)}
         flags = {"whole_set": hyp.whole_set, "per_piece": hyp.per_piece}
     else:
-        base_max = heis_base_max(A, P.fibers)
-        hyp = heis_flags(A, base_max.value)
+        base_max = heis_base_max(P)
+        hyp = heis_flags(P, base_max.value)
         out = {"base_max": fibermax_json(base_max)}
         flags = {"whole_set": hyp.whole_set, "square_shape": hyp.square_shape}
     return {**out, "flags": flags}, [f"flag_{k}" for k, ok in flags.items() if not ok]
@@ -291,7 +286,7 @@ def profile_section(P: Products) -> tuple[dict, list]:
 def pair_max_section(P: Products) -> tuple[dict, list]:
     """The profile's O(|A|^2) line maximum: m1 for T2, line_max for H."""
     line_max = t2_m1 if P.A.group == T2 else heis_line_max
-    return fibermax_json(line_max(P.A, P.caps, P.fibers)), []
+    return fibermax_json(line_max(P)), []
 
 
 def dyadic_section(P: Products) -> tuple[list, list]:
@@ -304,7 +299,7 @@ def dyadic_section(P: Products) -> tuple[list, list]:
             "coset_keys": [list(k) for k in pc.keys],
             "within_band_budget": pc.within_budget(P.A.spec.p),
         }
-        for pc in pieces(P)
+        for pc in dyadic_pieces(P)
     ], []
 
 
@@ -367,7 +362,10 @@ def run_report(sf: SetFile, opts: RunOptions | None = None) -> tuple[dict, int]:
     P = Products(sf.elements, opts.caps)
     group = P.A.group
     tag = opts.subgroup or default_subgroup(group)
-    tag.check_group(group)  # before any section runs
+    # refuse a tag of the other group, or one whose parameter is out of
+    # range for the field, before any section runs
+    tag.check_group(group)
+    tag._forms(P.A.spec)
 
     report: dict = {
         "schema": REPORT_SCHEMA,

@@ -17,6 +17,11 @@ Given A with small tripling, the scan decides between two shapes:
 The companion ``sum_product_scan`` measures the additive expansion of the
 corner set X under dilation by D, and searches for the smallest l with
 Span_F(X) inside the l-fold difference set of DX.  Everything is exact.
+
+The scans and ``ratio_image`` take a ``GroupSet`` or the shared
+``Products`` of one report, and read its powers, A's coset fibers and
+the caps from it; the ratio image and the corner span are built once per
+``Products``, for both scans.
 """
 
 from __future__ import annotations
@@ -44,14 +49,9 @@ def unipotent_corners(S: GroupSet) -> tuple[int, ...]:
     return tuple(w[1] for w in SubgroupTag("unipotent").members(S))
 
 
-def ratio_image(S: GroupSet, fibers=None) -> tuple[int, ...]:
-    """The diagonal ratios a/c met by S, sorted: its scaled-unipotent cosets.
-
-    ``fibers(tag)`` gives S's coset fibers under a tag (a report passes its
-    memoised ``Products.fibers`` when S is A).
-    """
-    tag = SubgroupTag("scaled_unipotent")
-    return tuple(sorted(chi for chi, in (fibers(tag) if fibers else tag.fibers(S))))
+def ratio_image(S: GroupSet | Products) -> tuple[int, ...]:
+    """The diagonal ratios a/c met by S, sorted: its scaled-unipotent cosets."""
+    return tuple(sorted(chi for chi, in as_products(S).fibers(SubgroupTag("scaled_unipotent"))))
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def _ratio_image(P: Products) -> tuple[int, ...]:
     """D, the ratio image of A(1): built once per ``Products``, for both
     scans, and read off A's fibers when A(1) is A."""
     S = P.sym(1)
-    return P.memo("ratio_image", lambda: ratio_image(S, P.fibers if S is P.A else None))
+    return P.memo("ratio_image", lambda: ratio_image(P if S is P.A else S))
 
 
 def _corner_span(P: Products, D) -> tuple:

@@ -19,6 +19,7 @@ from matgrowth.cosets import (
 )
 from matgrowth.config import Caps
 from matgrowth.errors import CapExceeded
+from matgrowth.growth import Products
 from oracles import (
     count_in_base_fiber,
     count_in_diag_fiber,
@@ -134,16 +135,16 @@ def test_profiles_refuse_past_the_pair_cap():
     heis = GroupSet("H", F9, [(x, 0, 0) for x in range(9)])
     caps = Caps(max_pair_products=80)
     with pytest.raises(CapExceeded):
-        t2_m1(t2, caps)
+        t2_m1(Products(t2, caps))
     with pytest.raises(CapExceeded):
-        heis_line_max(heis, caps)
+        heis_line_max(Products(heis, caps))
     with pytest.raises(CapExceeded):
-        t2_profile(t2, caps)
+        t2_profile(Products(t2, caps))
     with pytest.raises(CapExceeded):
-        heis_profile(heis, caps)
+        heis_profile(Products(heis, caps))
     # at the cap itself both still count
-    assert t2_m1(t2, Caps(max_pair_products=81)).value == 1
-    assert heis_line_max(heis, Caps(max_pair_products=81)).value == 9
+    assert t2_m1(Products(t2, Caps(max_pair_products=81))).value == 1
+    assert heis_line_max(Products(heis, Caps(max_pair_products=81))).value == 9
 
 
 def test_witness_is_lexicographically_smallest():

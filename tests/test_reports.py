@@ -494,17 +494,27 @@ def test_capped_reports_are_pinned(name, options, refused, want):
     assert (digest(rep), code) == (want, EXIT_CAPS)
 
 
+KEYED_SETS = {
+    "t2_f7_random12": passing_setfile(),
+    "t2_f101_random40": CROSSING_SET,
+    "h_f7_random20": build_setfile("H", F7, {"kind": "random", "size": 20, "seed": 1}),
+}
+
+
 @pytest.mark.parametrize(
-    "sf",
-    [passing_setfile(), CROSSING_SET, build_setfile("H", F7, {"kind": "random", "size": 20, "seed": 1})],
-    ids=["t2_f7_random12", "t2_f101_random40", "h_f7_random20"],
+    "sf, arrays",
+    [(sf, arrays) for sf in KEYED_SETS.values() for arrays in (True, False)],
+    ids=[name + ("" if arrays else "-loops") for name in KEYED_SETS for arrays in (True, False)],
 )
-def test_report_reads_each_tags_keys_and_slice_once(monkeypatch, sf):
+def test_report_reads_each_tags_keys_and_slice_once(monkeypatch, sf, arrays):
     """The subgroup checks, the profile and the dyadic split share A's coset
-    keys per tag, and A^-1 A n H is cut out of the quotient once."""
+    keys per tag, and A^-1 A n H is cut out of the quotient once: on the
+    array path, where the kernel builds the keys, and on the loop path."""
+    from matgrowth import groups, kernel
+
     A = sf.elements
     quotient = Products(A).quotient
-    keyed, sliced = [], []
+    keyed, built, sliced = [], [], []
     keys, fibers, members = SubgroupTag.keys, SubgroupTag.fibers, SubgroupTag.members
 
     def logged(log, fn):
@@ -516,11 +526,17 @@ def test_report_reads_each_tags_keys_and_slice_once(monkeypatch, sf):
     monkeypatch.setattr(SubgroupTag, "keys", logged(keyed, keys))
     monkeypatch.setattr(SubgroupTag, "fibers", logged(keyed, fibers))
     monkeypatch.setattr(SubgroupTag, "members", logged(sliced, members))
+    monkeypatch.setattr(kernel, "coset_keys", logged(built, kernel.coset_keys))
+    if not arrays:
+        monkeypatch.setattr(groups, "_arrays", lambda S: False)
     _, code = run_report(sf, RunOptions(bridge="off"))
     assert code in (EXIT_OK, EXIT_FLAGS)
     of_a = [tag for tag, S in keyed if S is A]
     assert default_subgroup(A.group) in of_a
     assert len(of_a) == len(set(of_a))
+    built_of_a = [tag for tag, S in built if S is A]
+    assert len(built_of_a) == len(set(built_of_a))
+    assert (default_subgroup(A.group) in built_of_a) == arrays
     assert [tag for tag, S in sliced if S == quotient] == [default_subgroup(A.group)]
 
 
@@ -559,10 +575,20 @@ def test_structure_scans_share_the_ratio_image_and_corner_span(monkeypatch):
     assert (digest(rep), code) == (expected["report_sha256"], expected["exit_code"])
 
 
-@pytest.mark.parametrize("group, tag", [("T2", "center"), ("H", "unipotent")])
-def test_a_tag_of_the_other_group_is_refused_before_any_section(monkeypatch, group, tag):
+@pytest.mark.parametrize(
+    "group, tag, message",
+    [
+        ("T2", "center", "is not a T2 subgroup"),
+        ("H", "unipotent", "is not a H subgroup"),
+        # parameters out of range for F_7
+        ("T2", "torus:7", "wire value 7 out of range for q = 7"),
+        ("H", "line:7,1", "wire value 7 out of range for q = 7"),
+    ],
+    ids=["T2-center", "H-unipotent", "T2-torus:7", "H-line:7,1"],
+)
+def test_a_tag_of_the_other_group_is_refused_before_any_section(monkeypatch, group, tag, message):
     sf = build_setfile(group, F7, {"kind": "random", "size": 10, "seed": 1})
     seen = log_enumerations(monkeypatch)
-    with pytest.raises(ParameterError, match=f"is not a {group} subgroup"):
+    with pytest.raises(ParameterError, match=message):
         run_report(sf, RunOptions(subgroup=parse_tag(tag)))
     assert seen == []  # not even the growth section's energy pass ran

@@ -224,6 +224,22 @@ def test_the_report_runs_every_section_through_one_step_runner():
     assert len(cap_handlers) == 1
 
 
+def test_measurements_of_a_read_their_products():
+    # a function of A takes a ``GroupSet`` or ``Products`` and reads A's
+    # coset fibers and keys, its dyadic pieces and the caps from it, so no
+    # caller hands them in beside A
+    injected = {"fibers", "keys", "pieces", "caps"}
+    taken = [
+        f"{name}:{getattr(node, 'name', 'lambda')}({arg.arg})"
+        for name in ("cosets.py", "structure.py")
+        for node in ast.walk(ast.parse((ROOT / "src" / "matgrowth" / name).read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and arg.arg in injected
+    ]
+    assert taken == []
+
+
 def test_growth_checks_the_pair_cap_only_where_it_enumerates():
     # ``growth._enumerate`` refuses every product set, counting pass and
     # representation count before it picks a path; ``Products._climb``'s
