@@ -12,21 +12,26 @@ on them, and a subfield (``SubfieldSpec``) is the sorted tuple of its
 wires, read off the exp table.  ``FieldElement`` survives only as the
 entry type of a subfield's read-only ``embedding`` view.  The modulus of
 ``standard_field(q)`` is always ``default_modulus``, computed on each
-call.  Prime fields (r == 1) use residue arithmetic directly.
-Extensions build discrete exp/log tables once, from schoolbook polynomial
-multiplication, and every reader of extension-field arithmetic (the
-``FieldSpec`` methods, the pair loops of ``groups.pair_keys`` and the
-numpy arithmetic of ``kernel.vector_field``) reads them in one layout,
-``FieldSpec._log_tables``, in which no operation reduces a log or tests
-for zero.  Addition in characteristic 2 is XOR on wires.  In odd
-characteristic it is one Zech lookup: zech[d] = log(1 + g^d), so that
-x + y = x (1 + y/x), with the table padded so that zero operands need no
-test; each entry costs O(1) to build, because adding one changes only the
-constant digit of a wire.  Negation is x -> x g^((q-1)/2).  Digit-by-digit
-addition is left only where the exp/log tables are built.  A field of at
-most ``DENSE_FIELD`` elements, prime or not, also gets dense addition,
-multiplication, inverse and negation tables on first use, for the
-bridge's loops in ``incidence``, which make one lookup per operation.
+call; every modulus is checked by Ben-Or's irreducibility test, which
+refuses a reducible one at the degree of its smallest factor (exhaustive
+trial division is its oracle in the tests).  Prime fields (r == 1) use residue
+arithmetic directly.  Extensions build discrete exp/log tables once: the
+generator is tested by schoolbook polynomial products on coefficient
+lists, and one walk over its powers writes the one layout that every
+reader of extension-field arithmetic (the ``FieldSpec`` methods, the pair
+loops of ``groups.pair_keys`` and the numpy arithmetic of
+``kernel.vector_field``) reads, ``FieldSpec._log_tables``, in which no
+operation reduces a log or tests for zero.  Addition in characteristic 2
+is XOR on wires.  In odd characteristic it is one Zech lookup: zech[d] =
+log(1 + g^d), so that x + y = x (1 + y/x), with the table padded so that
+zero operands need no test; each entry costs O(1) to build, because
+adding one changes only the constant digit of a wire.  Negation is x ->
+x g^((q-1)/2).  Digit-by-digit addition is left only where the exp/log
+tables are built.  A field of at most ``DENSE_FIELD`` elements, prime or
+not, also gets dense addition, multiplication, inverse and negation
+tables on first use, built a row at a time from the residues or the
+table layout, for the bridge's loops in ``incidence``, which make one
+lookup per operation.
 Everything is exact integer arithmetic; there is no floating point
 anywhere in this module.
 """
@@ -61,45 +66,73 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
+def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
+    """a b modulo the monic ``modulus`` of degree r, on little-endian lists
+    of r coefficients: the schoolbook product that field set-up computes by."""
+    r = len(modulus) - 1
+    prod = [0] * (2 * r - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                prod[i + j] += ai * bj
+    for i in range(2 * r - 2, r - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(r):
+                prod[i - r + j] -= c * modulus[j]
+    return [c % p for c in prod[:r]]
+
+
+def _poly_powmod(a: Sequence[int], e: int, modulus: Sequence[int], p: int) -> list[int]:
+    """a ** e modulo ``modulus``, by square-and-multiply on ``_poly_mulmod``."""
+    out = [1] + [0] * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, a, modulus, p)
+        e >>= 1
+        if e:
+            a = _poly_mulmod(a, a, modulus, p)
     return out
 
 
-def _poly_rem(a: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
-    """Remainder of ``a`` modulo a monic ``modulus``, little-endian."""
-    a = list(a)
-    deg_m = len(modulus) - 1
-    for i in range(len(a) - 1, deg_m - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(deg_m + 1):
-                a[i - deg_m + j] = (a[i - deg_m + j] - c * modulus[j]) % p
-    rem = [x % p for x in a[:deg_m]]
-    rem.extend(0 for _ in range(deg_m - len(rem)))
-    return rem
+def _poly_coprime(a: list[int], b: list[int], p: int) -> bool:
+    """Whether the gcd of a and b over F_p is a nonzero constant (b != 0).
+    Euclid's algorithm on little-endian lists; it consumes both."""
+    while a and a[-1] == 0:
+        a.pop()
+    while a:
+        inv = pow(a[-1], -1, p)
+        while len(b) >= len(a):  # b mod a, one leading term at a time
+            c = b[-1] * inv % p
+            shift = len(b) - len(a)
+            for j in range(len(a) - 1):
+                b[shift + j] = (b[shift + j] - c * a[j]) % p
+            b.pop()
+            while b and b[-1] == 0:
+                b.pop()
+        a, b = b, a
+    return len(b) == 1
 
 
 def poly_is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Exhaustive trial division by every monic polynomial of degree <= r/2.
+    """Ben-Or's test (1981): a monic f of degree r over F_p is irreducible
+    iff gcd(x^(p^i) - x, f) = 1 for i = 1, ..., r/2.
 
-    For the field sizes this package supports (q <= 2**16) the divisor space
-    is tiny, so the check is exact and fast.
+    Any factor of f of degree i divides x^(p^i) - x, so a reducible f is
+    refused at the degree of its smallest irreducible factor.  Exhaustive
+    trial division is its oracle in the tests.
     """
     r = len(modulus) - 1
     if r < 1 or modulus[r] % p != 1:
         return False
-    if r == 1:
-        return True
-    for d in range(1, r // 2 + 1):
-        for w in range(p**d):
-            divisor = _digits(w, p, d) + [1]
-            if not any(_poly_rem(modulus, divisor, p)):
-                return False
+    modulus = [c % p for c in modulus]
+    h = [0, 1] + [0] * (r - 2)  # x mod f, for r >= 2
+    for _ in range(r // 2):
+        h = _poly_powmod(h, p, modulus, p)
+        h_minus_x = list(h)
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        if not _poly_coprime(h_minus_x, list(modulus), p):
+            return False
     return True
 
 
@@ -264,45 +297,6 @@ class FieldSpec:
         return exp[log[x] * e % (self.q - 1)]
 
     @cached_property
-    def _tables(self) -> tuple[list[int], list[int]]:
-        # exp/log tables over the smallest multiplicative generator.  The
-        # generator test and the columns of "multiply by g" come from
-        # schoolbook polynomial multiplication, so the tables inherit their
-        # correctness from that path; the walk itself is F_p-linear algebra.
-        n = self.q - 1
-        if n == 1:
-            return [1], [0, 0]
-        cofactors = [n // l for l in _prime_factors(n)]
-        gen = next(
-            cand
-            for cand in range(2, self.q)
-            if all(self._polypow_wire(cand, e) != 1 for e in cofactors)
-        )
-        step = self._multiply_by(gen)
-        exp = [0] * n
-        log = [0] * self.q
-        x = 1
-        for i in range(n):
-            exp[i] = x
-            log[x] = i
-            x = step(x)
-        return exp, log
-
-    @cached_property
-    def _zech(self) -> list[int]:
-        # Zech logarithms over the table generator g: zech[d] = log(1 + g^d),
-        # or -1 where 1 + g^d = 0.  Adding one changes only the constant
-        # digit of a wire.
-        exp, log = self._tables
-        p = self.p
-        zech = []
-        for w in exp:
-            c = w % p
-            w1 = w - c + (c + 1) % p
-            zech.append(log[w1] if w1 else -1)
-        return zech
-
-    @cached_property
     def _log_tables(self) -> tuple[list[int], list[int], list[int] | None]:
         """The one table layout of extension-field arithmetic, (exp, log,
         zech), laid out so that no operation reduces a log or tests for
@@ -317,33 +311,64 @@ class FieldSpec:
         1 + g^d = 0; 0 where d > n (y = 0); and d itself where d < -n
         (x = 0), so the sum reads exp[log y].  x = y = 0 gives d = 0,
         whose entry log 2 sends the sum into the zero tail.  ``zech`` is
-        None when p = 2, where x + y is x ^ y."""
-        exp, log = self._tables
-        n = self.q - 1
-        log = list(log)
-        log[0] = 2 * n
-        zech = None
-        if self.p != 2:
-            z = [2 * n if e < 0 else e for e in self._zech]
-            zech = z + [0] * (n + 1) + list(range(-2 * n, -n)) + z
-        return exp * 2 + [0] * (2 * n + 1), log, zech
+        None when p = 2, where x + y is x ^ y.
 
-    def _multiply_by(self, g: int):
-        """x -> x * g as an F_p-linear map, split into two digit blocks.
-
-        Each block gets a table of the images of all its p**k digit
-        patterns, so one product is two lookups and one vector addition
-        (an XOR when p = 2).
+        The generator g is the least wire of order n, tested by one power
+        per prime factor of n on coefficient lists.  One walk over its
+        powers fills ``exp`` and ``log`` in place: multiplying by g is
+        F_p-linear, so each step is two lookups in tables of the images
+        of the low and high digit blocks, added by XOR when p = 2 and
+        digit by digit otherwise.
         """
-        p, r = self.p, self.r
-        cols = [self._polymul_wire(g, p**i) for i in range(r)]
+        p, r, q = self.p, self.r, self.q
+        n = q - 1
+        modulus = self.modulus
+        one = [1] + [0] * (r - 1)
+        cofactors = [n // l for l in _prime_factors(n)]
+
+        def is_generator(g: list[int]) -> bool:
+            return all(_poly_powmod(g, e, modulus, p) != one for e in cofactors)
+
+        candidates = (_digits(cand, p, r) for cand in range(2, q))
+        gen = next(filter(is_generator, candidates), one)  # q = 2 has no candidate: g = 1
+        cols = [_undigits(_poly_mulmod(gen, _digits(p**i, p, r), modulus, p), p) for i in range(r)]
         low = r // 2
-        lo_table = self._span_table(cols[:low])
-        hi_table = self._span_table(cols[low:])
-        split = p**low
+        lo, hi = self._span_table(cols[:low]), self._span_table(cols[low:])
+        exp = [0] * (4 * n + 1)
+        log = [2 * n] * q
+        x = 1
         if p == 2:
-            return lambda x: lo_table[x & (split - 1)] ^ hi_table[x >> low]
-        return lambda x: _digit_add(lo_table[x % split], hi_table[x // split], p)
+            mask = (1 << low) - 1
+            for i in range(n):
+                exp[i] = x
+                log[x] = i
+                x = lo[x & mask] ^ hi[x >> low]
+        else:
+            split = p**low
+            for i in range(n):
+                exp[i] = x
+                log[x] = i
+                x = _digit_add(lo[x % split], hi[x // split], p)
+        exp[n : 2 * n] = exp[:n]
+        if p == 2:
+            return exp, log, None
+        z = _zech_logs(exp, log, p, n)
+        return exp, log, z + [0] * (n + 1) + list(range(-2 * n, -n)) + z
+
+    @cached_property
+    def _tables(self) -> tuple[list[int], list[int]]:
+        """exp and log over the table generator g, read off ``_log_tables``:
+        exp[i] = g^i for 0 <= i < q - 1, and log[x] with log 0 = 0."""
+        exp, log, _ = self._log_tables
+        return exp[: self.q - 1], [0, *log[1:]]
+
+    @cached_property
+    def _zech(self) -> list[int]:
+        """Zech logs over the table generator g, read off ``_log_tables``:
+        zech[d] = log(1 + g^d) for 0 <= d < q - 1, or -1 where 1 + g^d = 0."""
+        exp, log, _ = self._log_tables
+        n = self.q - 1
+        return [-1 if z == 2 * n else z for z in _zech_logs(exp, log, self.p, n)]
 
     def _span_table(self, cols: Sequence[int]) -> list[int]:
         """table[v] = sum_j v_j * cols[j] for every digit vector v (as a wire)."""
@@ -356,38 +381,49 @@ class FieldSpec:
             table = table + [_digit_add(t, m, p) for m in multiples for t in table]
         return table
 
-    def _polypow_wire(self, x: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._polymul_wire(out, x)
-            e >>= 1
-            if e:
-                x = self._polymul_wire(x, x)
-        return out
 
-    def _polymul_wire(self, x: int, y: int) -> int:
-        prod = _poly_mul(_digits(x, self.p, self.r), _digits(y, self.p, self.r), self.p)
-        return _undigits(_poly_rem(prod, self.modulus, self.p), self.p)
+def _zech_logs(exp: list[int], log: list[int], p: int, n: int) -> list[int]:
+    """log(1 + g^d) for d < n, read off the table layout: 2n, the log of
+    zero, where 1 + g^d = 0.  Adding one changes only the constant digit
+    of a wire."""
+    return [log[w + 1 - p if w % p == p - 1 else w + 1] for w in exp[:n]]
 
 
 # Fields up to this size get dense tables, for the bridge loops of
 # ``incidence`` alone (class points, normalisation, anchor pass, line keys
 # and class incidence count), which pick their arithmetic by field size:
-# every field, prime or not.  Up to q = 128 the tables build in at most
-# 7 ms (2.2 ms for F_101), about what they save on one 25-element T2
-# bridge; from F_169 to F_256 the build takes 13-26 ms against 4-6 ms
-# saved (2 vCPUs, Python 3.11).
+# every field, prime or not.  Built from 2q^2 field calls, the tables
+# took up to 7 ms up to q = 128 (2.2 ms for F_101), about what they save
+# on one 25-element T2 bridge, and 13-26 ms from F_169 to F_256 against
+# 4-6 ms saved.  Built a row at a time, with the field's table layout
+# already in place, they take at most 1.0-1.8 ms up to q = 128
+# (0.5-0.8 ms for F_101) and 1.9-5.2 ms from F_169 to F_256 (2 vCPUs,
+# Python 3.11).
 DENSE_FIELD = 128
 
 
 @cache
 def _dense_tables(spec: FieldSpec) -> tuple[list[int], list[int], list[int], list[int]]:
-    """x + y and x y at x q + y, and the rows 1/x q and -x q, of a small field."""
+    """x + y and x y at x q + y, and the rows 1/x q and -x q, of a small field.
+
+    A prime field's addition row x is the residues rotated by x; an
+    extension field's rows read the table layout, with log 0 = 2n landing
+    every product with zero in the zero tail."""
     q = spec.q
     field = range(q)
-    add = [spec.add(x, y) for x in field for y in field]
-    mul = [spec.mul(x, y) for x in field for y in field]
+    if spec.r == 1:
+        add = []
+        for x in field:
+            add += range(x, q)
+            add += range(x)
+        mul = [x * y % q for x in field for y in field]
+    else:
+        exp, log, zech = spec._log_tables
+        mul = [exp[lx + ly] for lx in log for ly in log]
+        if zech is None:
+            add = [x ^ y for x in field for y in field]
+        else:
+            add = [exp[lx + zech[ly - lx]] for lx in log for ly in log]
     inv_row = [0] + [spec.inv(x) * q for x in range(1, q)]
     neg_row = [spec.neg(x) * q for x in field]
     return add, mul, inv_row, neg_row

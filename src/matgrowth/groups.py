@@ -172,15 +172,22 @@ def pair_keys(spec: FieldSpec, group: str, xs: Sequence[Wire], ys: Sequence[Wire
                 else (exp[la + a2] * q + add(exp[la + b2], exp[lb + c2])) * q + exp[lc + c2]
                 for a2, b2, c2 in logs
             )
-    else:
+    elif zech is None:
         ys = [(a, b, c, log[b]) for a, b, c in ys]
         for a, b, c in xs:
             la = log[a]
             yield from (
                 ((a ^ a2) * q + (b ^ b2)) * q + (c ^ c2 ^ exp[la + lb2])
-                if zech is None
-                else (add(a, a2) * q + add(b, b2)) * q + add(add(c, c2), exp[la + lb2])
                 for a2, b2, c2, lb2 in ys
+            )
+    else:  # the first two sums as their Zech lookups, on the logs of ys
+        ys = [(c, log[a], log[b]) for a, b, c in ys]
+        for a, b, c in xs:
+            la, lb = log[a], log[b]
+            yield from (
+                (exp[la + zech[la2 - la]] * q + exp[lb + zech[lb2 - lb]]) * q
+                + add(add(c, c2), exp[la + lb2])
+                for c2, la2, lb2 in ys
             )
 
 

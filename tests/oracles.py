@@ -258,6 +258,24 @@ def field_tables_by_order_walk(spec):
     return exp, log
 
 
+def irreducible_by_trial_division(p, r, ws):
+    """Whether each monic polynomial t^r + (the polynomial with wire w) over
+    F_p, for w in ws, has no monic divisor of degree 1 to r/2: exhaustive
+    trial division, by long division of all of them at once."""
+    ws = np.asarray(ws, dtype=np.int64)
+    polys = np.stack([ws // p**i % p for i in range(r)] + [np.ones_like(ws)], axis=1)
+    irreducible = np.ones(len(ws), dtype=bool)
+    for d in range(1, r // 2 + 1):
+        for v in range(p**d):
+            divisor = np.array([v // p**i % p for i in range(d)] + [1], dtype=np.int64)
+            rem = polys.copy()
+            for i in range(r, d - 1, -1):
+                lead = rem[:, i : i + 1].copy()
+                rem[:, i - d : i + 1] = (rem[:, i - d : i + 1] - lead * divisor) % p
+            irreducible &= rem[:, :d].any(axis=1)
+    return irreducible.tolist()
+
+
 def frobenius_fixed(spec, s):
     """The wires x with x ** (p ** s) == x, in order: by definition, the
     subfield of size p ** s when s divides r."""

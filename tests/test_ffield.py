@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import F5, F7, F9, F16, F25
+from matgrowth import ffield
 from matgrowth.errors import CapExceeded, ParameterError
 from matgrowth.ffield import (
     DENSE_FIELD,
+    MAX_FIELD_SIZE,
     FieldSpec,
     _dense_tables,
     _digit_add,
@@ -29,6 +31,7 @@ from oracles import (
     field_tables_by_order_walk,
     from_coeffs,
     frobenius_fixed,
+    irreducible_by_trial_division,
     schoolbook_mul,
 )
 
@@ -77,6 +80,37 @@ def test_shipped_moduli_are_monic_irreducible():
         assert len(coeffs) == r + 1
         assert coeffs[-1] == 1
         assert poly_is_irreducible(coeffs, p)
+
+
+@pytest.mark.parametrize("p, top", [(2, 8), (3, 5), (5, 3), (7, 3), (251, 2)])
+def test_ben_or_agrees_with_trial_division(p, top):
+    # every monic polynomial of degree 1 to top over F_p
+    for r in range(1, top + 1):
+        ws = range(p**r)
+        want = irreducible_by_trial_division(p, r, ws)
+        got = [poly_is_irreducible([w // p**i % p for i in range(r)] + [1], p) for w in ws]
+        assert got == want, r
+
+
+def test_default_modulus_is_the_least_irreducible_by_trial_division():
+    # for every prime power up to 2^16: standard_field's modulus, and so
+    # the set files gen writes, does not depend on the irreducibility test
+    powers = [
+        (p, r)
+        for p in filter(is_prime, range(2, MAX_FIELD_SIZE + 1))
+        for r in range(1, 17)
+        if p**r <= MAX_FIELD_SIZE
+    ]
+    assert len(powers) == 6542 + 93  # primes, and extension fields
+    for p, r in powers:
+        chunks = (range(start, min(start + 64, p**r)) for start in range(0, p**r, 64))
+        least = next(
+            w
+            for ws in chunks
+            for w, ok in zip(ws, irreducible_by_trial_division(p, r, ws))
+            if ok
+        )
+        assert default_modulus(p, r) == tuple(least // p**i % p for i in range(r)) + (1,), (p, r)
 
 
 def test_standard_field_prime():
@@ -268,6 +302,29 @@ def test_tables_match_the_order_walk(q):
     assert standard_field(q)._tables == field_tables_by_order_walk(standard_field(q))
 
 
+@pytest.mark.parametrize("q", sorted(SHIPPED_MODULI))
+def test_log_tables_are_the_order_walk_in_one_layout(q):
+    # the layout every reader of extension-field arithmetic reads: the exp
+    # table twice over, then 2n + 1 zeros, log 0 = 2n, and in odd
+    # characteristic the Zech logs padded for zero operands
+    spec = standard_field(q)
+    walk_exp, walk_log = field_tables_by_order_walk(spec)
+    n = q - 1
+    exp, log, zech = spec._log_tables
+    assert exp == walk_exp * 2 + [0] * (2 * n + 1)
+    assert log == [2 * n] + walk_log[1:]
+    if spec.p == 2:
+        assert zech is None
+        return
+    one_more = [_digit_sum(spec, w, 1) for w in walk_exp]
+    logs = [walk_log[w] if w else 2 * n for w in one_more]  # log(1 + g^d), 2n at zero
+    assert len(zech) == 4 * n + 1
+    # |d| < n: the Zech log; d >= n: 0 (y = 0); d < -n: d (x = 0)
+    assert zech[:n] == zech[3 * n + 1 :] == logs
+    assert zech[n : 2 * n + 1] == [0] * (n + 1)
+    assert zech[2 * n + 1 : 3 * n + 1] == list(range(-2 * n, -n))
+
+
 def _digit_sum(spec, x, y, sign=1):
     """x + sign * y coefficient by coefficient, reduced mod p."""
     return from_coeffs(spec, [a + sign * b for a, b in zip(coeffs(spec, x), coeffs(spec, y))])
@@ -315,7 +372,7 @@ def test_tables_at_the_top_of_the_range(q):
     rng = random.Random(q)
     for _ in range(300):
         x, y = rng.randrange(q), rng.randrange(q)
-        assert spec.mul(x, y) == spec._polymul_wire(x, y)
+        assert spec.mul(x, y) == schoolbook_mul(spec, x, y)
         assert spec.add(x, y) == _digit_sum(spec, x, y)
         assert spec.sub(x, y) == _digit_sum(spec, x, y, -1)
 
@@ -341,15 +398,15 @@ def test_table_build_needs_few_schoolbook_products(monkeypatch):
     # factor of q - 1, and the walk r products for its columns: nothing
     # grows with q itself
     calls = []
-    polymul = FieldSpec._polymul_wire
+    mulmod = ffield._poly_mulmod
 
-    def counted(self, x, y):
+    def counted(*args):
         calls.append(1)
-        return polymul(self, x, y)
+        return mulmod(*args)
 
-    monkeypatch.setattr(FieldSpec, "_polymul_wire", counted)
-    spec = standard_field(65536)
-    gen = spec._tables[0][1]
+    spec = standard_field(65536)  # the modulus is tested before the count starts
+    monkeypatch.setattr(ffield, "_poly_mulmod", counted)
+    gen = spec._log_tables[0][1]
     n = spec.q - 1
     primes = [3, 5, 17, 257]  # 65535 = 3 * 5 * 17 * 257
     assert len(calls) <= (gen - 1) * len(primes) * 2 * n.bit_length() + spec.r
