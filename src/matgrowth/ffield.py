@@ -27,11 +27,13 @@ log(1 + g^d), so that x + y = x (1 + y/x), with the table padded so that
 zero operands need no test; each entry costs O(1) to build, because
 adding one changes only the constant digit of a wire.  Negation is x ->
 x g^((q-1)/2).  Digit-by-digit addition is left only where the exp/log
-tables are built.  A field of at most ``DENSE_FIELD`` elements, prime or
-not, also gets dense addition, multiplication, inverse and negation
-tables on first use, built a row at a time from the residues or the
-table layout, for the bridge's loops in ``incidence``, which make one
-lookup per operation.
+tables are built.  Every field, prime or not, also gets dense addition,
+multiplication, inverse and negation tables on first use, for the
+bridge's loops in ``incidence``, which make one lookup per operation and
+read them alike over every field: up to ``DENSE_FIELD`` elements they are
+tabulated a row at a time from the residues or the table layout, and
+above it each entry is computed on read from the same, so that they hold
+nothing that grows with q.
 Everything is exact integer arithmetic; there is no floating point
 anywhere in this module.
 """
@@ -362,14 +364,6 @@ class FieldSpec:
         exp, log, _ = self._log_tables
         return exp[: self.q - 1], [0, *log[1:]]
 
-    @cached_property
-    def _zech(self) -> list[int]:
-        """Zech logs over the table generator g, read off ``_log_tables``:
-        zech[d] = log(1 + g^d) for 0 <= d < q - 1, or -1 where 1 + g^d = 0."""
-        exp, log, _ = self._log_tables
-        n = self.q - 1
-        return [-1 if z == 2 * n else z for z in _zech_logs(exp, log, self.p, n)]
-
     def _span_table(self, cols: Sequence[int]) -> list[int]:
         """table[v] = sum_j v_j * cols[j] for every digit vector v (as a wire)."""
         p = self.p
@@ -389,27 +383,40 @@ def _zech_logs(exp: list[int], log: list[int], p: int, n: int) -> list[int]:
     return [log[w + 1 - p if w % p == p - 1 else w + 1] for w in exp[:n]]
 
 
-# Fields up to this size get dense tables, for the bridge loops of
-# ``incidence`` alone (class points, normalisation, anchor pass, line keys
-# and class incidence count), which pick their arithmetic by field size:
-# every field, prime or not.  Built from 2q^2 field calls, the tables
-# took up to 7 ms up to q = 128 (2.2 ms for F_101), about what they save
-# on one 25-element T2 bridge, and 13-26 ms from F_169 to F_256 against
-# 4-6 ms saved.  Built a row at a time, with the field's table layout
-# already in place, they take at most 1.0-1.8 ms up to q = 128
-# (0.5-0.8 ms for F_101) and 1.9-5.2 ms from F_169 to F_256 (2 vCPUs,
-# Python 3.11).
+# Fields up to this size get tabulated dense tables, and a larger field
+# tables computed on read, for the bridge loops of ``incidence`` (class
+# points, normalisation, anchor pass, line keys and class incidence
+# count), which read the tables alike over every field.  Built from 2q^2
+# field calls, the tabulated tables took up to 7 ms up to q = 128
+# (2.2 ms for F_101), about what they save on one 25-element T2 bridge,
+# and 13-26 ms from F_169 to F_256 against 4-6 ms saved.  Built a row at a
+# time, with the field's table layout already in place, they take at most
+# 1.0-1.8 ms up to q = 128 (0.5-0.8 ms for F_101) and 1.9-5.2 ms from
+# F_169 to F_256 (2 vCPUs, Python 3.11).
 DENSE_FIELD = 128
 
 
-@cache
-def _dense_tables(spec: FieldSpec) -> tuple[list[int], list[int], list[int], list[int]]:
-    """x + y and x y at x q + y, and the rows 1/x q and -x q, of a small field.
+def _computed(get) -> object:
+    """A read-only table whose entry i is get(table, i), computed on read."""
+    return type(get.__name__, (), {"__slots__": (), "__getitem__": get})()
 
-    A prime field's addition row x is the residues rotated by x; an
-    extension field's rows read the table layout, with log 0 = 2n landing
-    every product with zero in the zero tail."""
+
+@cache
+def _dense_tables(spec: FieldSpec) -> tuple:
+    """(add, mul, inv_row, neg_row, neg) of a field: x + y and x y at
+    x q + y, the rows 1/x q and -x q (1/0 read as 0), and -x.
+
+    Up to ``DENSE_FIELD`` elements they are lists.  A prime field's
+    addition row x is the residues rotated by x; an extension field's rows
+    read the table layout, with log 0 = 2n landing every product with zero
+    in the zero tail.  Above it each is a table that computes an entry on
+    read, from the residues or the layout, with the arithmetic written out
+    in the getter (prime getters that called the ``FieldSpec`` methods
+    read an H/F_65521 bridge about 35 % slower); it holds nothing that
+    grows with q, and is only ever indexed."""
     q = spec.q
+    if q > DENSE_FIELD:
+        return tuple(map(_computed, _entry_getters(spec)))
     field = range(q)
     if spec.r == 1:
         add = []
@@ -425,8 +432,66 @@ def _dense_tables(spec: FieldSpec) -> tuple[list[int], list[int], list[int], lis
         else:
             add = [exp[lx + zech[ly - lx]] for lx in log for ly in log]
     inv_row = [0] + [spec.inv(x) * q for x in range(1, q)]
-    neg_row = [spec.neg(x) * q for x in field]
-    return add, mul, inv_row, neg_row
+    neg = [spec.neg(x) for x in field]
+    return add, mul, inv_row, [x * q for x in neg], neg
+
+
+def _entry_getters(spec: FieldSpec) -> tuple:
+    """The getters of ``_dense_tables``' five tables over any field."""
+    q = spec.q
+    if spec.r == 1:
+
+        def add(_, i):
+            s = i // q + i % q
+            return s - q if s >= q else s
+
+        def mul(_, i):
+            return i // q * (i % q) % q
+
+        def inv_row(_, x):
+            return pow(x, -1, q) * q if x else 0
+
+        def neg_row(_, x):
+            return -x % q * q
+
+        def neg(_, x):
+            return -x % q
+
+        return add, mul, inv_row, neg_row, neg
+    exp, log, zech = spec._log_tables
+    n = q - 1
+
+    def mul(_, i):
+        return exp[log[i // q] + log[i % q]]
+
+    def inv_row(_, x):
+        return exp[n - log[x]] * q
+
+    if zech is None:
+
+        def add(_, i):
+            return (i // q) ^ (i % q)
+
+        def neg_row(_, x):
+            return x * q
+
+        def neg(_, x):
+            return x
+
+        return add, mul, inv_row, neg_row, neg
+    half = n // 2  # -1 = g^(n/2)
+
+    def add(_, i):
+        lx = log[i // q]
+        return exp[lx + zech[log[i % q] - lx]]
+
+    def neg_row(_, x):
+        return exp[log[x] + half] * q
+
+    def neg(_, x):
+        return exp[log[x] + half]
+
+    return add, mul, inv_row, neg_row, neg
 
 
 class FieldElement:
@@ -525,7 +590,7 @@ def subfield_of_degree(spec: FieldSpec, s: int) -> SubfieldSpec:
     if s == spec.r:
         return SubfieldSpec(spec, s, range(spec.q))
     step = (spec.q - 1) // (spec.p**s - 1)
-    return SubfieldSpec(spec, s, [0, *spec._tables[0][::step]])
+    return SubfieldSpec(spec, s, [0, *spec._log_tables[0][: spec.q - 1 : step]])
 
 
 def subfield_generated_by(spec: FieldSpec, xs: Iterable[int]) -> SubfieldSpec:

@@ -31,7 +31,7 @@ from typing import Iterable
 from .config import Caps, check_pairs, check_set
 from .errors import ParameterError
 from .exact import BoundCheck, incidence_bound
-from .ffield import DENSE_FIELD, FieldSpec, _dense_tables
+from .ffield import FieldSpec, _dense_tables
 from .groups import H, T2, GroupSet, Wire, ginv, pair_keys
 from .growth import Products, as_products
 from .rng import SplitMix64
@@ -128,27 +128,6 @@ def quadruple_count(
 
 # -- instance construction ----------------------------------------------------
 
-def t2_point(spec: FieldSpec, g: Wire, v: Wire) -> tuple[int, int, int, int]:
-    return (
-        1,
-        spec.div(g[1], g[2]),
-        spec.mul(g[0], v[1]),
-        spec.mul(g[0], v[2]),
-    )
-
-
-def heis_point(spec: FieldSpec, g: Wire, v: Wire) -> tuple[int, int, int, int]:
-    corner = spec.add(spec.add(g[2], v[2]), spec.mul(g[0], v[1]))  # the corner of g v
-    return (spec.neg(corner), g[0], g[1], 1)
-
-
-def dot4(spec: FieldSpec, x: tuple, y: tuple) -> int:
-    s = 0
-    for i in range(4):
-        s = spec.add(s, spec.mul(x[i], y[i]))
-    return s
-
-
 # Both class keys are symmetric in (g, v), so every class is closed under
 # the swap (g, v) -> (v, g), and plane(v, g) = phi(point(g, v)) for a fixed
 # invertible linear map phi of each group.  A class's planes are therefore
@@ -196,27 +175,21 @@ class WeightedInstance:
 
 
 def class_points(spec: FieldSpec, group: str, pairs: list[Pair]) -> dict[tuple, int]:
-    """The point of every pair (g, v) of one class, weighted by multiplicity:
-    ``t2_point`` or ``heis_point``, looked up in the dense tables over a
-    field of at most ``DENSE_FIELD`` elements.  H's point reads minus the
-    corner of g v, g2 + v2 + g0 v1."""
-    if spec.q <= DENSE_FIELD:
-        q = spec.q
-        add, mul, inv_row, neg_row = _dense_tables(spec)
-        if group == T2:
-            tuples = (
-                (1, mul[inv_row[g2] + g1], mul[g0 * q + v1], mul[g0 * q + v2])
-                for (g0, g1, g2), (_, v1, v2) in pairs
-            )
-        else:
-            tuples = (
-                (add[neg_row[add[g2 * q + v2]] + mul[neg_row[g0] + v1]], g0, g1, 1)
-                for (g0, g1, g2), (_, v1, v2) in pairs
-            )
-    elif group == T2:
-        tuples = (t2_point(spec, g, v) for g, v in pairs)
+    """The point of every pair (g, v) of one class, weighted by multiplicity,
+    looked up in the field's dense tables: (1, g1/g2, g0 v1, g0 v2) for T2,
+    and (-c, g0, g1, 1) for H, with c = g2 + v2 + g0 v1 the corner of g v."""
+    q = spec.q
+    add, mul, inv_row, neg_row, _ = _dense_tables(spec)
+    if group == T2:
+        tuples = (
+            (1, mul[inv_row[g2] + g1], mul[g0 * q + v1], mul[g0 * q + v2])
+            for (g0, g1, g2), (_, v1, v2) in pairs
+        )
     else:
-        tuples = (heis_point(spec, g, v) for g, v in pairs)
+        tuples = (
+            (add[neg_row[add[g2 * q + v2]] + mul[neg_row[g0] + v1]], g0, g1, 1)
+            for (g0, g1, g2), (_, v1, v2) in pairs
+        )
     points: dict[tuple, int] = {}
     for t in tuples:
         points[t] = points.get(t, 0) + 1
@@ -236,7 +209,7 @@ def incidence_count(inst: WeightedInstance, cap: int = Caps.max_pair_products) -
     Over a prime field the dot products are plain integer sums mod p, the
     one test of the field kind left in this module: a 200 x 200 probe over
     F_101 takes 5.9-8.1 ms that way and 9.7-11.3 ms through the dense
-    tables (2 vCPUs, Python 3.11).
+    tables (2 vCPUs, Python 3.11), which serve every extension field.
     """
     spec = inst.spec
     check_pairs("incidence count", len(inst.points), len(inst.planes), cap, "tuples")
@@ -250,9 +223,13 @@ def incidence_count(inst: WeightedInstance, cap: int = Caps.max_pair_products) -
                 if not (x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3) % p:
                     total += wp * wpl
         return total
-    for pt, wp in inst.points.items():
-        for pl, wpl in planes:
-            if dot4(spec, pt, pl) == 0:
+    q = spec.q
+    add, mul = _dense_tables(spec)[:2]
+    for (x0, x1, x2, x3), wp in inst.points.items():
+        x0, x1, x2, x3 = x0 * q, x1 * q, x2 * q, x3 * q
+        for (y0, y1, y2, y3), wpl in planes:
+            s = add[mul[x0 + y0] * q + mul[x1 + y1]] * q
+            if not add[s + add[mul[x2 + y2] * q + mul[x3 + y3]]]:
                 total += wp * wpl
     return total
 
@@ -272,20 +249,13 @@ def _class_incidences(
     check_pairs("incidence count", n, n, cap, "tuples")
     rows = list(zip(map(_FORM[group], points), points.values()))
     cross = 0
-    if spec.q <= DENSE_FIELD:
-        q = spec.q
-        add, mul, _, neg_row = _dense_tables(spec)
-        for k, ((u0, u2, u3), w) in enumerate(rows, 1):
-            u0, u2, u3 = u0 * q, u2 * q, neg_row[u3]
-            for (v0, v2, v3), wv in rows[k:]:
-                if add[u0 + add[mul[u2 + v3] * q + mul[u3 + v2]]] == v0:
-                    cross += w * wv
-    else:
-        add, sub, mul = spec.add, spec.sub, spec.mul
-        for k, ((u0, u2, u3), w) in enumerate(rows, 1):
-            for (v0, v2, v3), wv in rows[k:]:
-                if add(u0, sub(mul(u2, v3), mul(u3, v2))) == v0:
-                    cross += w * wv
+    q = spec.q
+    add, mul, _, neg_row, _ = _dense_tables(spec)
+    for k, ((u0, u2, u3), w) in enumerate(rows, 1):
+        u0, u2, u3 = u0 * q, u2 * q, neg_row[u3]
+        for (v0, v2, v3), wv in rows[k:]:
+            if add[u0 + add[mul[u2 + v3] * q + mul[u3 + v2]]] == v0:
+                cross += w * wv
     return sum(w * w for w in points.values()) + 2 * cross
 
 
@@ -306,12 +276,9 @@ def _normalise(spec: FieldSpec, t: tuple) -> tuple:
             break
     if x == 1:
         return tuple(t)
-    if spec.q <= DENSE_FIELD:
-        mul, inv_row = _dense_tables(spec)[1:3]
-        s = inv_row[x]
-        return tuple([mul[s + y] for y in t])
-    s = spec.inv(x)
-    return tuple([spec.mul(y, s) for y in t])
+    mul, inv_row = _dense_tables(spec)[1:3]
+    s = inv_row[x]
+    return tuple([mul[s + y] for y in t])
 
 
 @cache
@@ -324,60 +291,39 @@ def _directions(spec: FieldSpec):
     arrives, and more lists the keys that got a list.  A point
     proportional to a gets the key None.
 
-    A field of at most ``DENSE_FIELD`` elements, prime or not, keys a line
-    by the direction of its points from a, looked up in dense tables:
-    points t, t' not proportional to a lie on one line through a exactly
-    when their directions normalise(t - t[f] a) agree.  A direction w is
-    packed as the base-q integer ((w0 q + w1) q + w2) q + w3.  Since
-    a[:f] is zero, w0 is t0 - a0: zero when f = 0, and otherwise t0, so a
-    direction with w0 = 1 is already normalised.  A larger field keys a
-    line by its ``_line_keys`` key, from the field's own arithmetic.
+    A line is keyed by the direction of its points from a, looked up in
+    the field's dense tables: points t, t' not proportional to a lie on
+    one line through a exactly when their directions normalise(t - t[f] a)
+    agree.  A direction w is packed as the base-q integer
+    ((w0 q + w1) q + w2) q + w3.  Since a[:f] is zero, w0 is t0 - a0: zero
+    when f = 0, and otherwise t0, so a direction with w0 = 1 is already
+    normalised.
     """
     q = spec.q
-    if q <= DENSE_FIELD:
-        add, mul, inv_row, neg_row = _dense_tables(spec)
-
-        def group(a, f, points, later):
-            a0, a1, a2, a3 = a
-            lines = {}
-            get = lines.get
-            more = []
-            for j in later:
-                t = t0, t1, t2, t3 = points[j]
-                c = neg_row[t[f]]
-                w1 = add[t1 * q + mul[c + a1]]
-                w2 = add[t2 * q + mul[c + a2]]
-                w3 = add[t3 * q + mul[c + a3]]
-                if t0 > a0:
-                    w = ((q + w1) * q + w2) * q + w3
-                elif w1:
-                    s = inv_row[w1]
-                    w = (q + mul[s + w2]) * q + mul[s + w3]
-                elif w2:
-                    w = q + mul[inv_row[w2] + w3]
-                elif w3:
-                    w = 1
-                else:
-                    w = None
-                js = get(w)
-                if js is None:
-                    lines[w] = j
-                elif js.__class__ is int:
-                    lines[w] = [js, j]
-                    more.append(w)
-                else:
-                    js.append(j)
-            return lines, more
-
-        return group
-    wedge, key, _ = _line_keys(spec)
+    add, mul, inv_row, neg_row, _ = _dense_tables(spec)
 
     def group(a, f, points, later):
+        a0, a1, a2, a3 = a
         lines = {}
         get = lines.get
         more = []
         for j in later:
-            w = key(*wedge(a, points[j]))
+            t = t0, t1, t2, t3 = points[j]
+            c = neg_row[t[f]]
+            w1 = add[t1 * q + mul[c + a1]]
+            w2 = add[t2 * q + mul[c + a2]]
+            w3 = add[t3 * q + mul[c + a3]]
+            if t0 > a0:
+                w = ((q + w1) * q + w2) * q + w3
+            elif w1:
+                s = inv_row[w1]
+                w = (q + mul[s + w2]) * q + mul[s + w3]
+            elif w2:
+                w = q + mul[inv_row[w2] + w3]
+            elif w3:
+                w = 1
+            else:
+                w = None
             js = get(w)
             if js is None:
                 lines[w] = j
@@ -456,48 +402,39 @@ def _line_keys(spec: FieldSpec):
     the pair of rows does (``_unpack`` decodes it); None for the zero
     vector.  The rows come straight off the vector: with p_{c1 c2} its
     first nonzero coordinate, row one holds p_{k c2} / p_{c1 c2} and row
-    two p_{c1 k} / p_{c1 c2}.  A field of at most ``DENSE_FIELD`` elements,
-    prime or not, uses the dense tables, and a larger one the field's own
-    arithmetic.
+    two p_{c1 k} / p_{c1 c2}.  Both read the field's dense tables, and neg
+    is its negation table.
     """
     q = spec.q
-    if q <= DENSE_FIELD:
-        add, mul, inv_row, neg_row = _dense_tables(spec)
-        neg = [r // q for r in neg_row].__getitem__
+    add, mul, inv_row, neg_row, neg = _dense_tables(spec)
 
-        def div(x, y):
-            return mul[inv_row[y] + x]
+    def div(x, y):
+        return mul[inv_row[y] + x]
 
-        def wedge(x, y):
-            x0, x1, x2, x3 = x
-            y0, y1, y2, y3 = y
-            n1, n2, n3 = neg_row[x1], neg_row[x2], neg_row[x3]
-            x0, x1, x2 = x0 * q, x1 * q, x2 * q
-            return (
-                add[mul[x0 + y1] * q + mul[n1 + y0]], add[mul[x0 + y2] * q + mul[n2 + y0]],
-                add[mul[x0 + y3] * q + mul[n3 + y0]], add[mul[x1 + y2] * q + mul[n2 + y1]],
-                add[mul[x1 + y3] * q + mul[n3 + y1]], add[mul[x2 + y3] * q + mul[n3 + y2]],
-            )
-
-    else:
-        div, neg, sub, mul = spec.div, spec.neg, spec.sub, spec.mul
-
-        def wedge(x, y):
-            return tuple(sub(mul(x[i], y[j]), mul(x[j], y[i])) for i, j in _PAIRS)
+    def wedge(x, y):
+        x0, x1, x2, x3 = x
+        y0, y1, y2, y3 = y
+        n1, n2, n3 = neg_row[x1], neg_row[x2], neg_row[x3]
+        x0, x1, x2 = x0 * q, x1 * q, x2 * q
+        return (
+            add[mul[x0 + y1] * q + mul[n1 + y0]], add[mul[x0 + y2] * q + mul[n2 + y0]],
+            add[mul[x0 + y3] * q + mul[n3 + y0]], add[mul[x1 + y2] * q + mul[n2 + y1]],
+            add[mul[x1 + y3] * q + mul[n3 + y1]], add[mul[x2 + y3] * q + mul[n3 + y2]],
+        )
 
     q4, q5, q6, q7 = q**4, q**5, q**6, q**7
 
     def key(p01, p02, p03, p12, p13, p23):
         if p01:
-            n = neg(p01)
+            n = neg[p01]
             row1 = div(p12, n) * q + div(p13, n)
             return q7 + row1 * q4 + q * q + div(p02, p01) * q + div(p03, p01)
         if p02:
-            return q7 + div(p12, p02) * q6 + div(p23, neg(p02)) * q4 + q + div(p03, p02)
+            return q7 + div(p12, p02) * q6 + div(p23, neg[p02]) * q4 + q + div(p03, p02)
         if p03:
             return q7 + div(p13, p03) * q6 + div(p23, p03) * q5 + 1
         if p12:
-            return q6 + div(p23, neg(p12)) * q4 + q + div(p13, p12)
+            return q6 + div(p23, neg[p12]) * q4 + q + div(p13, p12)
         if p13:
             return q6 + div(p23, p13) * q5 + 1
         if p23:
@@ -538,7 +475,7 @@ def _wedge_image(spec: FieldSpec, group: str):
     def flip(w):
         w = list(take(w))
         for i in negated:
-            w[i] = neg(w[i])
+            w[i] = neg[w[i]]
         return w
 
     return flip
@@ -714,7 +651,7 @@ def _small_class(spec: FieldSpec, group: str, points: dict[tuple, int]):
     wedge, key, neg = _line_keys(spec)
     w = wedge(x, y)
     i, j, same = _FORM_WEDGE[group]
-    incidences = wx * wx + wy * wy + (2 * wx * wy if w[i] == (neg(w[j]) if same else w[j]) else 0)
+    incidences = wx * wx + wy * wy + (2 * wx * wy if w[i] == (neg[w[j]] if same else w[j]) else 0)
     line, image = key(*w), key(*_wedge_image(spec, group)(w))
     return (
         incidences,

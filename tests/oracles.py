@@ -14,14 +14,7 @@ import numpy as np
 
 from matgrowth.exact import incidence_bound
 from matgrowth.groups import T2, GroupSet, gid, ginv, gmul
-from matgrowth.incidence import (
-    ClassReport,
-    CollinearStats,
-    ProbeReport,
-    dot4,
-    heis_point,
-    t2_point,
-)
+from matgrowth.incidence import ClassReport, CollinearStats, ProbeReport
 
 
 def quad_energy(A):
@@ -393,6 +386,31 @@ def probe_two_sided(inst, constant=None):
         points_within_field_square=n_points <= spec.p**2,
         planes_within_field_square=n_planes <= spec.p**2,
     )
+
+
+def t2_point(spec, g, v):
+    """The point of the pair (g, v) of a T2 class: (1, g1/g2, g0 v1, g0 v2)."""
+    return (
+        1,
+        spec.div(g[1], g[2]),
+        spec.mul(g[0], v[1]),
+        spec.mul(g[0], v[2]),
+    )
+
+
+def heis_point(spec, g, v):
+    """The point of the pair (g, v) of an H class: (-c, g0, g1, 1), with c
+    the corner of g v."""
+    corner = spec.add(spec.add(g[2], v[2]), spec.mul(g[0], v[1]))
+    return (spec.neg(corner), g[0], g[1], 1)
+
+
+def dot4(spec, x, y):
+    """x . y in the field's own arithmetic."""
+    s = 0
+    for i in range(4):
+        s = spec.add(s, spec.mul(x[i], y[i]))
+    return s
 
 
 def t2_plane(spec, h, u):

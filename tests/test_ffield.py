@@ -1,6 +1,7 @@
 """Field arithmetic, the pinned default moduli, and subfields."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,15 +353,15 @@ def test_zech_add_neg_sub_match_digit_arithmetic(q):
 
 @pytest.mark.parametrize("q", [243, 2187, 59049])
 def test_every_zech_entry_matches_the_digit_add(q):
-    # zech[d] = log(1 + g^d), or -1 where 1 + g^d = 0: one wrong entry
-    # breaks only the sums that reach it, which sampled sums can miss
+    # zech[d] = log(1 + g^d) for 0 <= d < n, or 2n, the log of zero, where
+    # 1 + g^d = 0: one wrong entry breaks only the sums that reach it,
+    # which sampled sums can miss
     spec = standard_field(q)
-    exp, log = spec._tables
-    want = []
-    for w in exp:
-        s = _digit_add(w, 1, spec.p)
-        want.append(log[s] if s else -1)
-    assert spec._zech == want
+    exp, log, zech = spec._log_tables
+    n = q - 1
+    want = [log[_digit_add(w, 1, spec.p)] for w in exp[:n]]
+    assert 2 * n in want  # 1 + g^(n/2) = 0
+    assert zech[:n] == want
 
 
 @pytest.mark.parametrize("q", [65536, 59049])
@@ -379,18 +380,45 @@ def test_tables_at_the_top_of_the_range(q):
 
 @pytest.mark.parametrize("q", [2, 7, 101, 127, 4, 9, 25, 121, 128])
 def test_dense_tables_match_the_field_arithmetic(q):
-    # every entry, prime fields included: the bridge's pair loops read
-    # these tables over every field of at most DENSE_FIELD elements
+    # every entry, prime fields included: the tables of a field of at most
+    # DENSE_FIELD elements are lists
     assert q <= DENSE_FIELD
     spec = standard_field(q)
-    add, mul, inv_row, neg_row = _dense_tables(spec)
-    assert len(add) == len(mul) == q * q and len(inv_row) == len(neg_row) == q
+    add, mul, inv_row, neg_row, neg = _dense_tables(spec)
+    assert len(add) == len(mul) == q * q and len(inv_row) == len(neg_row) == len(neg) == q
     for x in range(q):
-        assert neg_row[x] == spec.neg(x) * q
+        assert neg[x] == spec.neg(x) and neg_row[x] == spec.neg(x) * q
         assert inv_row[x] == (spec.inv(x) * q if x else 0)
         for y in range(q):
             assert add[x * q + y] == spec.add(x, y)
             assert mul[x * q + y] == spec.mul(x, y)
+
+
+@pytest.mark.parametrize("q", [131, 243, 256, 257, 59049, 65521, 65536])
+def test_computed_dense_tables_match_the_field_arithmetic(q):
+    # above DENSE_FIELD each table computes its entries on read: the zero
+    # row, the zero column and seeded entries against the field's methods,
+    # and nothing built that grows with q
+    spec = standard_field(q)
+    spec._log_tables  # the layout the getters read, built beforehand
+    tracemalloc.start()
+    try:
+        tables = ffield._dense_tables.__wrapped__(spec)
+        built = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built < 16_000
+    add, mul, inv_row, neg_row, neg = tables
+    rng = random.Random(q)
+    xs = [0, 1, q - 1, *(rng.randrange(q) for _ in range(300))]
+    pairs = [(0, y) for y in xs] + [(x, 0) for x in xs]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(500)]
+    for x, y in pairs:
+        assert add[x * q + y] == spec.add(x, y)
+        assert mul[x * q + y] == spec.mul(x, y)
+    for x in xs:
+        assert neg[x] == spec.neg(x) and neg_row[x] == spec.neg(x) * q
+        assert inv_row[x] == (spec.inv(x) * q if x else 0)
 
 
 def test_table_build_needs_few_schoolbook_products(monkeypatch):

@@ -25,8 +25,6 @@ from matgrowth.incidence import (
     class_points,
     class_report,
     collinear_stats,
-    dot4,
-    heis_point,
     incidence_count,
     line_groups,
     oriented_bound,
@@ -35,19 +33,21 @@ from matgrowth.incidence import (
     probe_instance,
     quadruple_count,
     random_instance,
-    t2_point,
 )
 from oracles import (
     class_key,
     class_report_two_sided,
     collinear_stats_by_pairs,
+    dot4,
     heis_plane,
+    heis_point,
     heis_point_by_key,
     line_groups_by_pairs,
     max_collinear,
     probe_two_sided,
     quadruple_count_by_definition,
     t2_plane,
+    t2_point,
 )
 
 
@@ -381,8 +381,8 @@ def test_collinear_stats_match_minor_oracle(seed, n_points, n_planes):
 @st.composite
 def weighted_tuples(draw):
     """Weighted 4-tuples over prime and extension fields, on both sides of
-    ``DENSE_FIELD``: F_4 to F_127 take the dense tables, prime or not, and
-    F_131, F_256, F_257 and F_343 the field's own arithmetic.  All
+    ``DENSE_FIELD``: F_4 to F_127 take tabulated dense tables, prime or
+    not, and F_131, F_256, F_257 and F_343 tables computed on read.  All
     on one line, free, on the twisted cubic (only two-point lines), just
     two, two led by nonzero coordinates with the second scaled off its
     normal form, the zero tuple beside one or two others, or two shaped
@@ -670,8 +670,8 @@ def test_probe_reads_the_collinearity_of_its_smaller_side_only():
 
 def test_a_probe_builds_no_line_key(monkeypatch):
     # every line of these 40 points holds two, so a witness would cost a
-    # key-only pass over all 780 pairs
-    inst = random_instance(F101, 40, 40, seed=1)
+    # key-only pass over all 780 pairs; the anchor pass keys lines by
+    # direction over every field, below DENSE_FIELD and above it
     calls = []
     line_keys = incidence._line_keys
 
@@ -680,10 +680,13 @@ def test_a_probe_builds_no_line_key(monkeypatch):
         return line_keys(spec)
 
     monkeypatch.setattr(incidence, "_line_keys", counted)
-    probe = probe_instance(inst)
-    assert (probe.max_collinear, calls) == (2, [])
-    assert collinear_stats(F101, inst.points)[0].max_distinct == 2 and calls
-    assert probe == probe_two_sided(inst)
+    for spec in (F101, standard_field(65521), F65536):
+        inst = random_instance(spec, 40, 40, seed=1)
+        probe = probe_instance(inst)
+        assert (probe.max_collinear, calls) == (2, [])
+        assert collinear_stats(spec, inst.points)[0].max_distinct == 2 and calls
+        calls.clear()
+        assert probe == probe_two_sided(inst)
 
 
 def test_random_instance_is_deterministic():

@@ -310,12 +310,20 @@ def test_the_kernel_reduces_only_through_its_helper():
     assert mods == []
 
 
-def test_the_bridge_pair_loops_pick_their_arithmetic_by_field_size():
-    # each loop has a dense-table branch up to DENSE_FIELD and a FieldSpec
-    # branch above it, for prime and extension fields alike: no integer
-    # arithmetic mod p, and no test of the extension degree.  The probes'
-    # two-sided count keeps its prime loop, and the probe draw its % q
-    tree = ast.parse((ROOT / "src" / "matgrowth" / "incidence.py").read_text())
+def test_the_bridge_makes_no_field_size_or_kind_choice():
+    # every bridge loop reads the field's dense tables, tabulated or
+    # computed on read, so ``incidence`` tests neither the field's size nor
+    # its kind: no DENSE_FIELD, no comparison with q, no extension degree
+    # and no arithmetic mod p.  The probes' two-sided count keeps its prime
+    # loop, and the probe draw its % q
+    def is_q(node):
+        return (isinstance(node, ast.Name) and node.id == "q") or (
+            isinstance(node, ast.Attribute) and node.attr == "q"
+        )
+
+    source = (ROOT / "src" / "matgrowth" / "incidence.py").read_text()
+    assert "DENSE_FIELD" not in source
+    tree = ast.parse(source)
     exempt = {"incidence_count", "random_instance"}
     found = {}
     for node in tree.body:
@@ -325,15 +333,16 @@ def test_the_bridge_pair_loops_pick_their_arithmetic_by_field_size():
                 for sub in ast.walk(node)
                 if (isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Mod))
                 or (isinstance(sub, ast.Attribute) and sub.attr == "r")
+                or (isinstance(sub, ast.Compare) and any(map(is_q, [sub.left, *sub.comparators])))
             ]
-    assert {"pair_classes", "class_points", "_normalise", "_directions"} <= set(found)
+    assert {"class_points", "_class_incidences", "_normalise", "_directions", "_line_keys"} <= set(found)
     assert found == {name: [] for name in found}
 
 
 def test_one_table_layout_serves_extension_field_arithmetic():
     # ``FieldSpec._log_tables`` is the one layout that extension-field
-    # arithmetic reads, so the raw tables behind it stay in ``ffield``; the
-    # dense tables serve the bridge loops of ``incidence`` alone
+    # arithmetic reads, so its ``_tables`` view, if read at all, is read in
+    # ``ffield``; the dense tables serve the bridge loops of ``incidence`` alone
     def named(node, names):
         return (
             (isinstance(node, ast.Attribute) and node.attr in names)
@@ -344,9 +353,9 @@ def test_one_table_layout_serves_extension_field_arithmetic():
     raw, dense = set(), set()
     for path in sorted((ROOT / "src" / "matgrowth").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in ("_tables", "_zech"):
+            if isinstance(node, ast.Attribute) and node.attr == "_tables":
                 raw.add(path.name)
             if named(node, ("_dense_tables", "DENSE_FIELD")):
                 dense.add(path.name)
-    assert raw == {"ffield.py"}
+    assert raw <= {"ffield.py"}
     assert dense == {"ffield.py", "incidence.py"}
