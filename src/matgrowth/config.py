@@ -49,6 +49,9 @@ def check_set(what: str, size: int, cap: int, partial_size: int | None = None) -
 
 @dataclass(frozen=True)
 class StructureOptions:
+    """The structure scan's thresholds: the potent test's exponent and
+    floor, and how many powers the span search may reach."""
+
     potent_exponent: int = 10
     potent_floor: int = 1
     reach_budget: int = 12

@@ -44,7 +44,7 @@ oracle.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import growth
 from .config import check_pairs
@@ -52,14 +52,16 @@ from .groups import GroupSet, SubgroupTag
 from .growth import Products, as_products
 
 
-@dataclass(frozen=True)
-class FiberMax:
+class FiberMax(NamedTuple):
+    """The largest fiber's size and the least key that attains it."""
+
     value: int
     witness: tuple
 
 
-@dataclass(frozen=True)
-class T2Profile:
+class T2Profile(NamedTuple):
+    """The T2 coset-profile maxima of a set of ``size`` elements."""
+
     m3: FiberMax  # witness (a, c)
     m2: FiberMax  # witness (chi,)
     m1: FiberMax  # witness (x, y)
@@ -149,8 +151,9 @@ def _counter_max(counts: dict) -> FiberMax:
     return FiberMax(value=best, witness=tuple(witness))
 
 
-@dataclass(frozen=True)
-class HeisProfile:
+class HeisProfile(NamedTuple):
+    """The H coset-profile maxima of a set of ``size`` elements."""
+
     base_max: FiberMax  # witness (g1, g2)
     line_max: FiberMax  # witness (alpha, beta, gamma), direction normalized
     size: int
@@ -178,8 +181,7 @@ def heis_line_max(A: GroupSet | Products) -> FiberMax:
 
 # -- dyadic decomposition by dilate count --------------------------------------
 
-@dataclass(frozen=True)
-class DyadicPiece:
+class DyadicPiece(NamedTuple):
     """Elements of A with n dilates in A (scalar-coset fiber size n),
     2^j <= n < 2^(j+1)."""
 
@@ -187,7 +189,11 @@ class DyadicPiece:
     coset_count: int
     element_count: int
     fiber_max: int  # largest unipotent-coset fiber within the piece
-    keys: tuple[tuple[int, int], ...] = field(repr=False)
+    keys: tuple[tuple[int, int], ...]  # the piece's scalar cosets, left out of repr
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"DyadicPiece({shown})"
 
     def within_budget(self, p: int) -> bool:
         """|piece| * fiber_max <= 2^j * p^2."""
@@ -225,8 +231,7 @@ def dyadic_pieces(A: GroupSet | Products) -> list[DyadicPiece]:
 
 # -- p-constraint flags -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstraintFlags:
+class ConstraintFlags(NamedTuple):
     """The size hypotheses of the energy bounds, evaluated exactly.
 
     ``whole_set`` is the stated form |A| * fiber_max <= p^2 (fiber_max is

@@ -118,6 +118,9 @@ def _fit(lhs: int, a: int, b: int, R: int, constant: Fraction | None) -> tuple[F
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """A bound checked exactly: whether it holds, its constant, the count
+    it bounds and the count's ratio to the bound, for display."""
+
     holds: bool
     constant: Fraction
     lhs: int

@@ -349,6 +349,8 @@ def generated_closure(seeds: GroupSet, cap: int = Caps.max_set_elements) -> Grou
 # -- named subgroups ---------------------------------------------------------
 
 class SubgroupKind(NamedTuple):
+    """The rules of one kind of named subgroup."""
+
     group: str
     normal: bool  # whether the subgroup is normal in its ambient group
     param: str | None  # the one parameter a tag of this kind takes

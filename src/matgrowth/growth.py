@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .config import Caps, check_pairs, check_set
 from .errors import ParameterError
@@ -297,8 +297,9 @@ def tripling_constant(A: GroupSet | Products) -> Fraction:
     return Fraction(len(P.cube), len(P.A))
 
 
-@dataclass(frozen=True)
-class LemmaPart:
+class LemmaPart(NamedTuple):
+    """One inequality of the tripling lemma: lhs <= rhs, and whether it holds."""
+
     name: str
     holds: bool
     lhs: int
@@ -306,8 +307,9 @@ class LemmaPart:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
+    """The lemma's checked parts and the sizes of the powers they read."""
+
     parts: tuple[LemmaPart, ...]
     sizes: dict[str, int]
 

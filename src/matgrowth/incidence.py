@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 from itertools import compress, product, repeat, starmap
 from operator import floordiv, itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .config import Caps, check_pairs, check_set
 from .errors import ParameterError
@@ -165,8 +165,7 @@ def phi(spec: FieldSpec, group: str, x: tuple) -> tuple:
     return tuple(spec.neg(x[k]) if negated else x[k] for k, negated in _PHI[group])
 
 
-@dataclass(eq=False)
-class WeightedInstance:
+class WeightedInstance(NamedTuple):
     """Multisets of points and planes, each a 4-tuple with a weight."""
 
     spec: FieldSpec
@@ -506,6 +505,8 @@ def line_groups(spec: FieldSpec, tuples: Iterable[tuple]) -> dict[tuple, tuple]:
 
 @dataclass(frozen=True)
 class CollinearStats:
+    """How the tuples of one side of an instance fall on lines."""
+
     count: int  # distinct tuples
     total_weight: int
     max_distinct: int  # most tuples on one line
@@ -596,6 +597,9 @@ def collinear_stats(
 
 @dataclass(frozen=True)
 class ClassReport:
+    """One class of the bridge: its counts, both sides' line statistics and
+    the incidence bound."""
+
     key: tuple
     pair_count: int
     quadruples: int
@@ -610,6 +614,8 @@ class ClassReport:
 
 @dataclass(frozen=True)
 class BridgeReport:
+    """The bridge's totals over every class, against the energy."""
+
     group: str
     class_count: int
     total_pairs: int
@@ -759,6 +765,8 @@ def random_instance(
 
 @dataclass(frozen=True)
 class ProbeReport:
+    """A probe instance's counts, its largest collinear side and the bound."""
+
     point_count: int
     plane_count: int
     incidences: int

@@ -26,7 +26,7 @@ refused through ``config.check_set`` before anything is built.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import Caps, check_set, json_typed
 from .errors import ParameterError
@@ -58,8 +58,9 @@ RECIPE_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class SetFile:
+class SetFile(NamedTuple):
+    """A loaded set file: the group, its field, the recipe if any, and the set."""
+
     group: str
     spec: FieldSpec
     generator: dict | None

@@ -26,8 +26,8 @@ the caps from it; the ratio image and the corner span are built once per
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .config import StructureOptions, check_pairs
 from .errors import ParameterError
@@ -54,15 +54,18 @@ def ratio_image(S: GroupSet | Products) -> tuple[int, ...]:
     return tuple(sorted(chi for chi, in as_products(S).fibers(SubgroupTag("scaled_unipotent"))))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
+    """One named check of the structure scan, with what broke it."""
+
     name: str
     holds: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
+    """The structure scan's verdict and the sizes behind it; each branch
+    fills its own fields and leaves the other's None."""
+
     verdict: str
     symmetrized: bool
     working_size: int
@@ -239,8 +242,9 @@ def _cert_commutators_in_span(work: GroupSet, span_wires, cap: int) -> Certifica
 
 # -- additive expansion of the corner set -------------------------------------
 
-@dataclass(frozen=True)
-class SumProductReport:
+class SumProductReport(NamedTuple):
+    """The additive expansion of the corner set and both sides of its dichotomy."""
+
     corner_count: int
     ratio_class_count: int
     dilate_count: int

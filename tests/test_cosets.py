@@ -282,6 +282,13 @@ def test_piece_fiber_max_sees_repeated_diagonals():
     assert piece.fiber_max == 2
 
 
+def test_a_piece_repr_leaves_out_its_keys():
+    a = GroupSet("T2", F5, [(t, t, t) for t in range(1, 5)])
+    (piece,) = dyadic_pieces(a)
+    assert piece.keys == ((1, 1),)
+    assert repr(piece) == "DyadicPiece(j=2, coset_count=1, element_count=4, fiber_max=1)"
+
+
 def test_dyadic_rejects_heisenberg():
     with pytest.raises(ParameterError):
         dyadic_pieces(GroupSet("H", F5, [(0, 0, 0)]))

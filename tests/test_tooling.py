@@ -359,3 +359,42 @@ def test_one_table_layout_serves_extension_field_arithmetic():
                 dense.add(path.name)
     assert raw <= {"ffield.py"}
     assert dense == {"ffield.py", "incidence.py"}
+
+
+# The records that stay dataclasses, each with what needs the dataclass.
+# Every other record is a ``typing.NamedTuple``, whose class a process
+# builds with one ``eval``: a frozen dataclass compiles about six generated
+# methods with ``exec`` at import, in every fresh process.
+KEPT_DATACLASSES = {
+    "exact.py:BoundCheck": "perfbench/worker.py's plain() walks it with dataclasses.fields",
+    "incidence.py:CollinearStats": "walked by plain(); the bridge copies it with replace",
+    "incidence.py:ClassReport": "walked by plain()",
+    "incidence.py:BridgeReport": "walked by plain()",
+    "incidence.py:ProbeReport": "walked by plain(); reports.probe_json reads its fields",
+    "config.py:RunOptions": "perfbench/worker.py and the tests copy it with replace",
+    "config.py:StructureOptions": "validates in __post_init__; from_json reads its fields",
+    "config.py:Caps": "read through its class-attribute defaults",
+    "groups.py:SubgroupTag": "validates in __post_init__, has slots; the tracer patches elements",
+}
+
+
+def test_only_the_listed_records_are_dataclasses_and_every_record_has_a_docstring():
+    # a dataclass without a docstring also costs an inspect.signature call
+    # at import, to make one up
+    def decorator_name(node):
+        return ast.unparse(node.func if isinstance(node, ast.Call) else node)
+
+    dataclasses, undocumented = set(), []
+    for path in sorted((ROOT / "src" / "matgrowth").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            name = f"{path.name}:{node.name}"
+            is_dataclass = any(decorator_name(d) == "dataclass" for d in node.decorator_list)
+            is_namedtuple = any(ast.unparse(b) == "NamedTuple" for b in node.bases)
+            if is_dataclass:
+                dataclasses.add(name)
+            if (is_dataclass or is_namedtuple) and ast.get_docstring(node) is None:
+                undocumented.append(name)
+    assert dataclasses == set(KEPT_DATACLASSES)
+    assert undocumented == []
