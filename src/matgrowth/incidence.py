@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import compress, product, repeat, starmap
+from itertools import compress, product, repeat
 from operator import floordiv, itemgetter
 from typing import Iterable, NamedTuple
 
@@ -137,7 +137,7 @@ def quadruple_count(
 # phi per group, for each coordinate of phi(x): the coordinate of x it
 # reads, and whether it is negated.  phi pairs each coordinate i with one
 # j = pi(i) and negates one of the two, so x . phi(y) is the sum over
-# i < j = pi(i) of -+(x_i y_j - x_j y_i): two Plücker coordinates of x, y.
+# i < j = pi(i) of -+(x_i y_j - x_j y_i).
 _PHI = {
     T2: ((2, True), (3, False), (0, False), (1, True)),
     H: ((3, False), (2, False), (1, True), (0, True)),
@@ -162,7 +162,7 @@ _FORM = {group: _form_reads(terms) for group, terms in _FORM_TERMS.items()}
 
 def phi(spec: FieldSpec, group: str, x: tuple) -> tuple:
     """The plane of the swapped pair: plane(v, g) = phi(point(g, v))."""
-    return tuple(spec.neg(x[k]) if negated else x[k] for k, negated in _PHI[group])
+    return tuple(_image(spec, group)(x))
 
 
 class WeightedInstance(NamedTuple):
@@ -264,20 +264,45 @@ def _class_incidences(
 # two non-proportional tuples, and its members are all the tuples in that
 # span (so a tuple joins every line through any tuple it is proportional
 # to, and the zero tuple joins none).  A line is keyed by the reduced row
-# echelon form of its 2 x 4 basis, which is unique; ``_line_keys`` reads
-# it off the line's Plücker vector.
+# echelon form of its 2 x 4 basis, which is unique; ``_least_line`` reads
+# it off one of its points and the direction of another from it.
 
 
-def _normalise(spec: FieldSpec, t: tuple) -> tuple:
-    """The nonzero tuple t scaled so that its first nonzero coordinate is one."""
-    for x in t:
-        if x:
-            break
-    if x == 1:
-        return tuple(t)
+@cache
+def _normalise(spec: FieldSpec):
+    """normalise(t): the nonzero 4-tuple t scaled so that its first nonzero
+    coordinate is one (t itself when it is one already), looked up in the
+    field's dense tables."""
     mul, inv_row = _dense_tables(spec)[1:3]
-    s = inv_row[x]
-    return tuple([mul[s + y] for y in t])
+
+    def normalise(t):
+        for x in t:
+            if x:
+                break
+        if x == 1:
+            return t
+        s = inv_row[x]
+        t0, t1, t2, t3 = t
+        return mul[s + t0], mul[s + t1], mul[s + t2], mul[s + t3]
+
+    return normalise
+
+
+@cache
+def _image(spec: FieldSpec, group: str):
+    """image(x): phi(x) as a list, for the key of an image's line, read
+    off the dense negation table: phi reads x in a permuted order and
+    negates two of its coordinates (``_PHI``)."""
+    take = itemgetter(*(k for k, _ in _PHI[group]))
+    i, j = (k for k, (_, negated) in enumerate(_PHI[group]) if negated)
+    neg = _dense_tables(spec)[4]
+
+    def image(x):
+        y = list(take(x))
+        y[i], y[j] = neg[y[i]], neg[y[j]]
+        return y
+
+    return image
 
 
 @cache
@@ -336,12 +361,68 @@ def _directions(spec: FieldSpec):
     return group
 
 
+@cache
+def _least_line(spec: FieldSpec):
+    """least(a, f, points, later): the least key of the lines from a through
+    the points at ``later``.
+
+    a is normalised, with pivot f; the points are nonzero, in any scale,
+    and none is proportional to a.  A line's key is the reduced row echelon
+    form of its basis, packed as the base-q integer of its eight digits,
+    which orders as the pair of rows does (``_unpack`` decodes it).  The
+    rows come from a and the direction w of a point t from a, computed as
+    ``_directions`` does it but scaled here when its pivot is t0: w has
+    w_f = 0 and a pivot g, and the form is (w; a) when g < f and
+    (a - a_g w; w) when g > f, looked up in the field's dense tables.
+    """
+    q = spec.q
+    q3, q4 = q**3, q**4
+    none = q4 * q4  # past every key
+    add, mul, inv_row, neg_row, _ = _dense_tables(spec)
+
+    def least(a, f, points, later):
+        a0, a1, a2, a3 = a
+        low = ((a0 * q + a1) * q + a2) * q + a3  # the key of (w; a) is w q^4 + low
+        n1, a2q, a3q = neg_row[a1], a2 * q, a3 * q
+        best = none
+        for j in later:
+            t = t0, t1, t2, t3 = points[j]
+            c = neg_row[t[f]]
+            w1 = add[t1 * q + mul[c + a1]]
+            w2 = add[t2 * q + mul[c + a2]]
+            w3 = add[t3 * q + mul[c + a3]]
+            if t0 and not a0:  # g = 0 < f, and w0 = t0
+                s = inv_row[t0]
+                k = (((q + mul[s + w1]) * q + mul[s + w2]) * q + mul[s + w3]) * q4 + low
+            elif w1:  # g = 1: f is 0, 2 or 3
+                s = inv_row[w1]
+                w2, w3 = mul[s + w2], mul[s + w3]
+                if f:
+                    k = ((q + w2) * q + w3) * q4 + low
+                else:
+                    top = q3 + add[a2q + mul[n1 + w2]] * q + add[a3q + mul[n1 + w3]]
+                    k = top * q4 + (q + w2) * q + w3
+            elif w2:  # g = 2: f is 0, 1 or 3
+                w3 = mul[inv_row[w2] + w3]
+                if f == 3:
+                    k = (q + w3) * q4 + low
+                else:
+                    k = (low - a2q - a3 + add[a3q + mul[neg_row[a2] + w3]]) * q4 + q + w3
+            else:  # g = 3 > f
+                k = (low - a3) * q4 + 1
+            if k < best:
+                best = k
+        return best
+
+    return least
+
+
 def _projective(spec: FieldSpec, pts: list[tuple]) -> tuple[list[tuple], list[list[int]]]:
     """The distinct points of the sorted tuples ``pts``, normalised, in order
     of their first tuple, and for each point the indices of its tuples."""
     twins: dict[tuple, list[int]] = {}
-    for k, t in enumerate(pts):
-        twins.setdefault(_normalise(spec, t), []).append(k)
+    for k, t in enumerate(map(_normalise(spec), pts)):
+        twins.setdefault(t, []).append(k)
     return list(twins), list(twins.values())
 
 
@@ -380,104 +461,16 @@ def _lines(spec: FieldSpec, points: list[tuple]):
         yield i, big, pairs
 
 
-# The Plücker coordinates of two tuples, in this order
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# x . phi(y) = +-(p_ij +- p_kl): the coordinates of the two terms, and
-# whether they have the same sign
-_FORM_WEDGE = {
-    group: (_PAIRS.index((i, j)), _PAIRS.index((k, l)), ni == nk)
-    for group, ((i, j, ni), (k, l, nk)) in _FORM_TERMS.items()
-}
-
-
-@cache
-def _line_keys(spec: FieldSpec):
-    """(wedge, key, neg): lines keyed from their Plücker vectors.
-
-    wedge(x, y) is (p01, p02, p03, p12, p13, p23), p_ij = x_i y_j - x_j y_i,
-    which is zero exactly when x and y are proportional.  key(p01, ..., p23)
-    is the reduced row echelon form of their line, the same for every
-    basis, packed as the base-q integer of its eight digits, which orders as
-    the pair of rows does (``_unpack`` decodes it); None for the zero
-    vector.  The rows come straight off the vector: with p_{c1 c2} its
-    first nonzero coordinate, row one holds p_{k c2} / p_{c1 c2} and row
-    two p_{c1 k} / p_{c1 c2}.  Both read the field's dense tables, and neg
-    is its negation table.
-    """
-    q = spec.q
-    add, mul, inv_row, neg_row, neg = _dense_tables(spec)
-
-    def div(x, y):
-        return mul[inv_row[y] + x]
-
-    def wedge(x, y):
-        x0, x1, x2, x3 = x
-        y0, y1, y2, y3 = y
-        n1, n2, n3 = neg_row[x1], neg_row[x2], neg_row[x3]
-        x0, x1, x2 = x0 * q, x1 * q, x2 * q
-        return (
-            add[mul[x0 + y1] * q + mul[n1 + y0]], add[mul[x0 + y2] * q + mul[n2 + y0]],
-            add[mul[x0 + y3] * q + mul[n3 + y0]], add[mul[x1 + y2] * q + mul[n2 + y1]],
-            add[mul[x1 + y3] * q + mul[n3 + y1]], add[mul[x2 + y3] * q + mul[n3 + y2]],
-        )
-
-    q4, q5, q6, q7 = q**4, q**5, q**6, q**7
-
-    def key(p01, p02, p03, p12, p13, p23):
-        if p01:
-            n = neg[p01]
-            row1 = div(p12, n) * q + div(p13, n)
-            return q7 + row1 * q4 + q * q + div(p02, p01) * q + div(p03, p01)
-        if p02:
-            return q7 + div(p12, p02) * q6 + div(p23, neg[p02]) * q4 + q + div(p03, p02)
-        if p03:
-            return q7 + div(p13, p03) * q6 + div(p23, p03) * q5 + 1
-        if p12:
-            return q6 + div(p23, neg[p12]) * q4 + q + div(p13, p12)
-        if p13:
-            return q6 + div(p23, p13) * q5 + 1
-        if p23:
-            return q5 + 1
-        return None
-
-    return wedge, key, neg
-
-
 def _unpack(q: int, k: int) -> tuple:
     """The two rows of a packed line key."""
-    rows = []
-    for r in divmod(k, q**4):
-        r, d3 = divmod(r, q)
-        r, d2 = divmod(r, q)
-        rows.append((*divmod(r, q), d2, d3))
-    return tuple(rows)
-
-
-@cache
-def _wedge_image(spec: FieldSpec, group: str):
-    """flip(w): from the Plücker vector w of x, y, that of phi(x), phi(y),
-    up to a common sign, which leaves the line's key alone.
-
-    Coordinate (i, j) of the image is +-p_{pi(i) pi(j)}; the common sign is
-    chosen so that at most three coordinates are negated."""
-    m = _PHI[group]
-    reads = []
-    for i, j in _PAIRS:
-        (a, ni), (b, nj) = m[i], m[j]
-        reads.append((_PAIRS.index((min(a, b), max(a, b))), ni ^ nj ^ (a > b)))
-    if sum(negated for _, negated in reads) > 3:
-        reads = [(k, not negated) for k, negated in reads]
-    take = itemgetter(*(k for k, _ in reads))
-    negated = [i for i, (_, n) in enumerate(reads) if n]
-    neg = _line_keys(spec)[2]
-
-    def flip(w):
-        w = list(take(w))
-        for i in negated:
-            w[i] = neg[w[i]]
-        return w
-
-    return flip
+    k, d7 = divmod(k, q)
+    k, d6 = divmod(k, q)
+    k, d5 = divmod(k, q)
+    k, d4 = divmod(k, q)
+    k, d3 = divmod(k, q)
+    k, d2 = divmod(k, q)
+    d0, d1 = divmod(k, q)
+    return (d0, d1, d2, d3), (d4, d5, d6, d7)
 
 
 def _collinear_points(tuples: Iterable[tuple], cap: int) -> list[tuple]:
@@ -493,12 +486,13 @@ def line_groups(spec: FieldSpec, tuples: Iterable[tuple]) -> dict[tuple, tuple]:
     """Lines spanned by pairs of distinct tuples, as line key -> members."""
     pts = _collinear_points(tuples, Caps.max_pair_products)
     points, twins = _projective(spec, pts)
-    wedge, key, _ = _line_keys(spec)
+    least = _least_line(spec)
     lines = {}
     for i, big, pairs in _lines(spec, points):
+        a = points[i]
         for members in big + [(i, j) for j in pairs.values()]:
             on_line = sorted(k for x in members for k in twins[x])
-            line = key(*wedge(points[i], points[members[1]]))
+            line = least(a, a.index(1), points, members[1:2])
             lines[_unpack(spec.q, line)] = tuple(pts[k] for k in on_line)
     return dict(sorted(lines.items()))
 
@@ -514,21 +508,6 @@ class CollinearStats:
     witness: tuple | None  # canonical key of a line with max_distinct
 
 
-def _least_keys(spec: FieldSpec, lines: Iterable[list[tuple]], flip=None) -> tuple:
-    """The least key over lists of Plücker vectors, and with ``flip`` the
-    least key of their images."""
-    key = _line_keys(spec)[1]
-    best = ibest = None
-    for ws in lines:
-        if ws:
-            k = min(starmap(key, ws))
-            best = k if best is None else min(best, k)
-            if flip:
-                k = min(starmap(key, map(flip, ws)))
-                ibest = k if ibest is None else min(ibest, k)
-    return best, ibest
-
-
 def collinear_stats(
     spec: FieldSpec,
     weighted: dict[tuple, int],
@@ -542,15 +521,15 @@ def collinear_stats(
     built, and both witnesses are None.
 
     One anchor pass finds the lines, and keeps only those of the most
-    tuples so far, each as two of its points; the keys are built after the
-    pass, from Plücker vectors.  When every line holds two tuples, every
-    pair of points spans one of the most, and one key-only pass over the
-    pairs finds the least key.
+    tuples so far, each as two of its points; their keys are built after
+    the pass (``_least_line``).  When every line holds two tuples, every
+    pair of points spans one of the most, and one key-only pass from each
+    point over the later ones finds the least key.
 
-    The same pass gives the images' witness: phi is linear and invertible,
-    so it maps the tuples' lines onto the images' lines, member for member,
-    and the images' witness is the least key of phi(L) over the tuples'
-    lines L of most tuples.
+    The images' witness comes from the same pairs of points: phi is linear
+    and invertible, so it maps the tuples' lines onto the images' lines,
+    member for member, and the images' witness is the least key over the
+    lines through the normalised images of those pairs.
     """
     total = sum(weighted.values())
     n = len(weighted)
@@ -582,15 +561,17 @@ def collinear_stats(
         return CollinearStats(n, total, 1, max(weighted.values()), None), None
     if not witness:
         return CollinearStats(n, total, max_distinct, max_weight, None), None
-    wedge = _line_keys(spec)[0]
-    if max_distinct == 2:  # every pair spans a line of two tuples: one key-only pass
-        lines = ([wedge(x, y) for y in points[i:]] for i, x in enumerate(points, 1))
+    if max_distinct == 2:  # every pair of points spans a line of the most tuples
+        spans = [(i, range(i + 1, len(points))) for i in range(len(points) - 1)]
     else:
-        lines = [[wedge(points[i], points[j]) for i, j in most]]
-    flip = _wedge_image(spec, image) if image else None
-    k, ik = _least_keys(spec, lines, flip)
-    q = spec.q
-    return CollinearStats(n, total, max_distinct, max_weight, _unpack(q, k)), ik and _unpack(q, ik)
+        spans = [(i, (j,)) for i, j in most]
+    least, normalise, q = _least_line(spec), _normalise(spec), spec.q
+
+    def witness_of(side):
+        return _unpack(q, min(least(side[i], side[i].index(1), side, js) for i, js in spans))
+
+    image_witness = image and witness_of(list(map(normalise, map(_image(spec, image), points))))
+    return CollinearStats(n, total, max_distinct, max_weight, witness_of(points)), image_witness
 
 
 # -- per-class reports and the energy bridge ----------------------------------
@@ -642,28 +623,38 @@ def oriented_bound(
     )
 
 
-def _small_class(spec: FieldSpec, group: str, points: dict[tuple, int]):
-    """Incidences and both sides' statistics of a class of at most two
-    points, read off the points: x . phi(y) is two of their Plücker
-    coordinates, and their line's key and its image's come from the same
-    vector.  Two points of a class are never proportional, since each has
-    a coordinate fixed at one."""
-    if len(points) == 1:
-        ((_, total),) = points.items()
-        stats = CollinearStats(1, total, 1, total, None)
-        return total * total, stats, stats
-    (x, wx), (y, wy) = points.items()
-    total = wx + wy
-    wedge, key, neg = _line_keys(spec)
-    w = wedge(x, y)
-    i, j, same = _FORM_WEDGE[group]
-    incidences = wx * wx + wy * wy + (2 * wx * wy if w[i] == (neg[w[j]] if same else w[j]) else 0)
-    line, image = key(*w), key(*_wedge_image(spec, group)(w))
-    return (
-        incidences,
-        CollinearStats(2, total, 2, total, _unpack(spec.q, line)),
-        CollinearStats(2, total, 2, total, _unpack(spec.q, image)),
-    )
+@cache
+def _small_class(spec: FieldSpec, group: str):
+    """small(points): incidences and both sides' statistics of a class of
+    at most two points, read off the points: x . phi(y) as
+    ``_class_incidences`` reads it, and the key of their line and of its
+    image each from one direction.  Two points of a class are never
+    proportional, since each has a coordinate fixed at one."""
+    q = spec.q
+    add, mul, _, neg_row, _ = _dense_tables(spec)
+    form, least = _FORM[group], _least_line(spec)
+    normalise, image = _normalise(spec), _image(spec, group)
+
+    def small(points):
+        if len(points) == 1:
+            ((_, total),) = points.items()
+            stats = CollinearStats(1, total, 1, total, None)
+            return total * total, stats, stats
+        (x, wx), (y, wy) = points.items()
+        total = wx + wy
+        (u0, u2, u3), (v0, v2, v3) = map(form, points)
+        incident = add[u0 * q + add[mul[u2 * q + v3] * q + mul[neg_row[u3] + v2]]] == v0
+        a = normalise(x)
+        line = _unpack(q, least(a, a.index(1), (y,), (0,)))
+        a = normalise(image(x))
+        image_line = _unpack(q, least(a, a.index(1), (image(y),), (0,)))
+        return (
+            wx * wx + wy * wy + (2 * wx * wy if incident else 0),
+            CollinearStats(2, total, 2, total, line),
+            CollinearStats(2, total, 2, total, image_line),
+        )
+
+    return small
 
 
 def class_report(
@@ -680,7 +671,7 @@ def class_report(
     collinearity pass give both sides."""
     points = class_points(spec, group, pairs)
     if len(points) <= 2:
-        inc, pstats, plstats = _small_class(spec, group, points)
+        inc, pstats, plstats = _small_class(spec, group)(points)
     else:
         inc = _class_incidences(spec, group, points, cap)
         pstats, image_witness = collinear_stats(spec, points, cap, image=group)

@@ -46,6 +46,7 @@ from oracles import (
     max_collinear,
     probe_two_sided,
     quadruple_count_by_definition,
+    rref2,
     t2_plane,
     t2_point,
 )
@@ -449,6 +450,55 @@ def test_proportional_tuples_join_every_line_through_their_twin():
     assert (stats.max_distinct, stats.witness) == (1, None)
 
 
+@st.composite
+def anchor_lines(draw):
+    """A field, an anchor a with pivot f (each of 0 to 3) and points on
+    lines through a: each line's direction w has w_f = 0 and a pivot on
+    either side of f, and carries one to three points c (s a + w), so some
+    lines through a hold three points or more; c scales some points off
+    their normal form.  F_2 to F_101 read list tables; F_256, F_257 and
+    F_65521 read tables computed on read, an extension field's and two
+    prime fields'."""
+    spec = draw(st.sampled_from([
+        standard_field(2), standard_field(4), F7, standard_field(8), F9, F25, F101,
+        standard_field(256), standard_field(257), standard_field(65521),
+    ]))
+    coord = st.integers(0, spec.q - 1)
+
+    def normalised(t):
+        s = spec.inv(next(x for x in t if x))
+        return tuple(spec.mul(s, x) for x in t)
+
+    f = draw(st.integers(0, 3))
+    a = (0,) * f + (1,) + tuple(draw(coord) for _ in range(3 - f))
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        g = draw(st.sampled_from([k for k in range(4) if k != f]))
+        w = [0] * g + [1] + [draw(coord) for _ in range(3 - g)]
+        w[f] = 0
+        for s in draw(st.lists(coord, min_size=1, max_size=3, unique=True)):
+            t = normalised([spec.add(spec.mul(s, x), y) for x, y in zip(a, w)])
+            c = draw(st.integers(1, spec.q - 1))
+            points.append(tuple(spec.mul(c, x) for x in t))
+    return spec, a, f, points
+
+
+@settings(max_examples=300)
+@given(anchor_lines(), st.sampled_from(["T2", "H"]))
+def test_the_least_line_key_is_the_least_reduced_form(case, group):
+    # the closed form from an anchor and a direction, against one reduced
+    # form per pair; then both witnesses of the whole set against the pair
+    # oracle, the images' run on the phi images
+    spec, a, f, points = case
+    key = incidence._least_line(spec)(a, f, points, range(len(points)))
+    assert incidence._unpack(spec.q, key) == min(rref2(spec, a, t) for t in points)
+    weighted = dict.fromkeys([a, *points], 1)
+    stats, image_witness = collinear_stats(spec, weighted, image=group)
+    assert stats.witness == collinear_stats_by_pairs(spec, weighted)[2]
+    images = {phi(spec, group, t): 1 for t in weighted}
+    assert image_witness == collinear_stats_by_pairs(spec, images)[2]
+
+
 @settings(max_examples=40)
 @given(small_sets(max_size=6))
 def test_incidence_count_matches_dot4(a):
@@ -673,13 +723,18 @@ def test_a_probe_builds_no_line_key(monkeypatch):
     # key-only pass over all 780 pairs; the anchor pass keys lines by
     # direction over every field, below DENSE_FIELD and above it
     calls = []
-    line_keys = incidence._line_keys
+    least_line = incidence._least_line
 
     def counted(spec):
-        calls.append(spec)
-        return line_keys(spec)
+        least = least_line(spec)
 
-    monkeypatch.setattr(incidence, "_line_keys", counted)
+        def counted_least(*args):
+            calls.append(spec)
+            return least(*args)
+
+        return counted_least
+
+    monkeypatch.setattr(incidence, "_least_line", counted)
     for spec in (F101, standard_field(65521), F65536):
         inst = random_instance(spec, 40, 40, seed=1)
         probe = probe_instance(inst)

@@ -335,7 +335,7 @@ def test_the_bridge_makes_no_field_size_or_kind_choice():
                 or (isinstance(sub, ast.Attribute) and sub.attr == "r")
                 or (isinstance(sub, ast.Compare) and any(map(is_q, [sub.left, *sub.comparators])))
             ]
-    assert {"class_points", "_class_incidences", "_normalise", "_directions", "_line_keys"} <= set(found)
+    assert {"class_points", "_class_incidences", "_normalise", "_directions", "_least_line"} <= set(found)
     assert found == {name: [] for name in found}
 
 
