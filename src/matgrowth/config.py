@@ -63,11 +63,7 @@ class StructureOptions:
             raise ParameterError(f"reach budget must be in 1..{MAX_POWER}")
 
     def to_json(self) -> dict:
-        return {
-            "potent_exponent": self.potent_exponent,
-            "potent_floor": self.potent_floor,
-            "reach_budget": self.reach_budget,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "StructureOptions":

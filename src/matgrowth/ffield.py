@@ -52,20 +52,26 @@ from .errors import ParameterError
 MAX_FIELD_SIZE = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality check by trial division (n is desk-scale)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, increasing ([] when n < 2), by
+    trial division: the one factoring behind primality, prime powers and
+    the generator test."""
+    out = []
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality check by ``_prime_factors`` (n is desk-scale)."""
+    return _prime_factors(n) == [n]
 
 
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
@@ -136,20 +142,6 @@ def poly_is_irreducible(modulus: Sequence[int], p: int) -> bool:
         if not _poly_coprime(h_minus_x, list(modulus), p):
             return False
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _digits(x: int, p: int, r: int) -> list[int]:
@@ -524,32 +516,21 @@ def default_modulus(p: int, r: int) -> tuple[int, ...]:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ParameterError(f"not a prime power: {q}")
+    """(p, r) with p^r = q, from ``_prime_factors``."""
     if q > MAX_FIELD_SIZE:
         raise ParameterError(f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}")
-    p = q
-    for f in range(2, q + 1):
-        if f * f > q:
-            break
-        if q % f == 0:
-            p = f
-            break
-    r = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        r += 1
-    if n != 1:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise ParameterError(f"not a prime power: {q}")
+    p, r = factors[0], 1
+    while p**r < q:
+        r += 1
     return p, r
 
 
 def standard_field(q: int) -> FieldSpec:
-    """F_q with the default modulus."""
+    """F_q with the default modulus, (0, 1) for a prime field."""
     p, r = _prime_power(q)
-    if r == 1:
-        return FieldSpec(p, 1, (0, 1))
     return FieldSpec(p, r, default_modulus(p, r))
 
 

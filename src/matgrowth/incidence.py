@@ -312,8 +312,8 @@ def _directions(spec: FieldSpec):
     a and the points are normalised, a with pivot f.  group returns
     (lines, more): lines maps a key of each line through a to the index of
     its first point, turned into a list of indices when a second one
-    arrives, and more lists the keys that got a list.  A point
-    proportional to a gets the key None.
+    arrives, and more lists the keys that got a list.  The points are
+    distinct and normalised, so none is proportional to a.
 
     A line is keyed by the direction of its points from a, looked up in
     the field's dense tables: points t, t' not proportional to a lie on
@@ -344,10 +344,8 @@ def _directions(spec: FieldSpec):
                 w = (q + mul[s + w2]) * q + mul[s + w3]
             elif w2:
                 w = q + mul[inv_row[w2] + w3]
-            elif w3:
-                w = 1
             else:
-                w = None
+                w = 1
             js = get(w)
             if js is None:
                 lines[w] = j
@@ -417,13 +415,20 @@ def _least_line(spec: FieldSpec):
     return least
 
 
-def _projective(spec: FieldSpec, pts: list[tuple]) -> tuple[list[tuple], list[list[int]]]:
-    """The distinct points of the sorted tuples ``pts``, normalised, in order
-    of their first tuple, and for each point the indices of its tuples."""
+def _projective(
+    spec: FieldSpec, tuples: Iterable[tuple], cap: int
+) -> tuple[list[tuple], list[tuple], list[list[int]]]:
+    """The nonzero ``tuples``, sorted; their distinct points, normalised, in
+    order of their first tuple; and for each point the indices of its
+    tuples.  The pass over them is refused past the cap."""
+    pts = sorted(tuples)
+    if pts and not any(pts[0]):  # a zero tuple sorts first
+        del pts[: pts.count(pts[0])]
+    check_pairs("collinearity pass", len(pts), len(pts), cap, "tuples")
     twins: dict[tuple, list[int]] = {}
     for k, t in enumerate(map(_normalise(spec), pts)):
         twins.setdefault(t, []).append(k)
-    return list(twins), list(twins.values())
+    return pts, list(twins), list(twins.values())
 
 
 _FREE = bytes.maketrans(b"01", b"\x01\x00")
@@ -473,19 +478,9 @@ def _unpack(q: int, k: int) -> tuple:
     return (d0, d1, d2, d3), (d4, d5, d6, d7)
 
 
-def _collinear_points(tuples: Iterable[tuple], cap: int) -> list[tuple]:
-    """The nonzero tuples, sorted; the pass over them is refused past the cap."""
-    pts = sorted(tuples)
-    if pts and not any(pts[0]):  # a zero tuple sorts first
-        del pts[: pts.count(pts[0])]
-    check_pairs("collinearity pass", len(pts), len(pts), cap, "tuples")
-    return pts
-
-
 def line_groups(spec: FieldSpec, tuples: Iterable[tuple]) -> dict[tuple, tuple]:
     """Lines spanned by pairs of distinct tuples, as line key -> members."""
-    pts = _collinear_points(tuples, Caps.max_pair_products)
-    points, twins = _projective(spec, pts)
+    pts, points, twins = _projective(spec, tuples, Caps.max_pair_products)
     least = _least_line(spec)
     lines = {}
     for i, big, pairs in _lines(spec, points):
@@ -535,8 +530,7 @@ def collinear_stats(
     n = len(weighted)
     if n <= 1:
         return CollinearStats(n, total, n, total, None), None
-    pts = _collinear_points(weighted, cap)
-    points, twins = _projective(spec, pts)
+    pts, points, twins = _projective(spec, weighted, cap)
     count = [len(ks) for ks in twins]
     weight = [sum(weighted[pts[k]] for k in ks) for ks in twins]
     max_distinct = max_weight = 0
@@ -607,22 +601,6 @@ class BridgeReport:
     classes: tuple[ClassReport, ...]
 
 
-def oriented_bound(
-    incidences: int,
-    point_stats: CollinearStats,
-    plane_stats: CollinearStats,
-    constant=None,
-) -> BoundCheck:
-    """Incidence bound with the smaller side playing the point role."""
-    if point_stats.count <= plane_stats.count:
-        k = point_stats.max_distinct
-    else:
-        k = plane_stats.max_distinct
-    return incidence_bound(
-        incidences, point_stats.count, plane_stats.count, max(k, 1), constant
-    )
-
-
 @cache
 def _small_class(spec: FieldSpec, group: str):
     """small(points): incidences and both sides' statistics of a class of
@@ -668,7 +646,8 @@ def class_report(
 ) -> ClassReport:
     """One class measured on its points alone: its planes are phi of its
     points, so one incidence pass over unordered pairs of points and one
-    collinearity pass give both sides."""
+    collinearity pass give both sides.  Both sides have one size, so the
+    bound reads the points' collinearity."""
     points = class_points(spec, group, pairs)
     if len(points) <= 2:
         inc, pstats, plstats = _small_class(spec, group)(points)
@@ -676,7 +655,7 @@ def class_report(
         inc = _class_incidences(spec, group, points, cap)
         pstats, image_witness = collinear_stats(spec, points, cap, image=group)
         plstats = replace(pstats, witness=image_witness)
-    p2 = spec.p * spec.p
+    n, p2 = pstats.count, spec.p * spec.p
     return ClassReport(
         key=key,
         pair_count=len(pairs),
@@ -685,9 +664,9 @@ def class_report(
         match=quadruples == inc,
         point_stats=pstats,
         plane_stats=plstats,
-        bound=oriented_bound(inc, pstats, plstats, constant),
-        points_within_field_square=pstats.count <= p2,
-        planes_within_field_square=plstats.count <= p2,
+        bound=incidence_bound(inc, n, n, max(pstats.max_distinct, 1), constant),
+        points_within_field_square=n <= p2,
+        planes_within_field_square=n <= p2,
     )
 
 
@@ -769,8 +748,8 @@ class ProbeReport:
 
 def probe_instance(inst: WeightedInstance, constant=None) -> ProbeReport:
     """Incidences and the bound of a probe, with one collinearity pass: on
-    the smaller side, whose k the bound reads, as ``oriented_bound`` picks.
-    A probe reports no witness, so the pass builds no line key."""
+    the smaller side, whose k the bound reads.  A probe reports no witness,
+    so the pass builds no line key."""
     spec = inst.spec
     n_points, n_planes = len(inst.points), len(inst.planes)
     inc = incidence_count(inst)

@@ -1,7 +1,9 @@
 """Field arithmetic, the pinned default moduli, and subfields."""
 
+import math
 import random
 import tracemalloc
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -121,6 +123,45 @@ def test_standard_field_prime():
     assert F7.mul(3, 5) == 1
     assert F7.inv(3) == 5
     assert F7.neg(0) == 0
+
+
+def _sieve(n):
+    """prime[k] for 0 <= k < n, by the sieve of Eratosthenes."""
+    prime = [False, False] + [True] * (n - 2)
+    for f in range(2, math.isqrt(n - 1) + 1):
+        if prime[f]:
+            prime[f * f :: f] = [False] * len(range(f * f, n, f))
+    return prime
+
+
+def test_is_prime_agrees_with_a_sieve():
+    prime = _sieve(MAX_FIELD_SIZE + 2)
+    assert list(map(is_prime, range(MAX_FIELD_SIZE + 2))) == prime
+    assert not any(map(is_prime, range(-5, 0)))
+
+
+def test_standard_field_takes_every_prime_power_and_refuses_the_rest():
+    prime = _sieve(MAX_FIELD_SIZE + 1)
+    powers = {
+        p**r: (p, r)
+        for p in compress(range(len(prime)), prime)
+        for r in range(1, 17)
+        if p**r <= MAX_FIELD_SIZE
+    }
+    for q in [-1, *range(1101), 65521, 65536, 65537, 1 << 17]:
+        if q > MAX_FIELD_SIZE:
+            with pytest.raises(ParameterError) as exc:
+                standard_field(q)
+            assert str(exc.value) == f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}"
+        elif q in powers:
+            p, r = powers[q]
+            spec = standard_field(q)
+            assert (spec.p, spec.r, spec.q) == (p, r, q)
+            assert spec.modulus == default_modulus(p, r), q
+        else:
+            with pytest.raises(ParameterError) as exc:
+                standard_field(q)
+            assert str(exc.value) == f"not a prime power: {q}"
 
 
 def test_f9_arithmetic_by_hand():

@@ -27,7 +27,6 @@ from matgrowth.incidence import (
     collinear_stats,
     incidence_count,
     line_groups,
-    oriented_bound,
     pair_classes,
     phi,
     probe_instance,
@@ -675,17 +674,6 @@ def test_weighted_incidence_count():
     )
     # only (1,0,0,0).(0,1,0,0) vanishes, with weights 2 and 3
     assert incidence_count(inst) == 6
-
-
-def test_oriented_bound_uses_the_smaller_side():
-    small = collinear_stats(F5, {(1, 0, 0, 0): 1, (1, 1, 0, 0): 1})[0]
-    large = collinear_stats(
-        F5, {(0, 1, 0, 0): 1, (0, 1, 1, 0): 1, (0, 1, 2, 0): 1}
-    )[0]
-    got = oriented_bound(4, small, large)
-    assert got.lhs == 4
-    # swapping roles leaves the oriented bound unchanged
-    assert oriented_bound(4, large, small) == got
 
 
 # -- synthetic probes -----------------------------------------------------------
